@@ -32,7 +32,7 @@ from repro.units import GB
 from repro.workloads import OpMix
 from repro.workloads.population import PopulationSpec
 
-_ENGINES = ("event", "des-heap", "hybrid")
+_ENGINES = ("event", "hybrid")
 _PLACEMENTS = ("binpack", "round-robin")
 
 

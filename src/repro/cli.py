@@ -240,18 +240,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         "into the run")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed of the injector's RNG streams")
-    p.add_argument("--engine", choices=["event", "des-heap", "hybrid"],
+    p.add_argument("--engine", choices=["event", "hybrid"],
                    default="event",
-                   help="serving engine: 'event' is pure DES on the "
-                        "batched queue (default), 'des-heap' the heap-"
-                        "queue opt-out, 'hybrid' fast-forwards steady-"
-                        "state windows analytically (docs/performance.md)")
+                   help="serving engine: 'event' is pure DES (default), "
+                        "'hybrid' fast-forwards steady-state windows "
+                        "analytically (docs/performance.md)")
     p.add_argument("--shards", type=int, default=1,
                    help="partition the workload over N lockstep machines "
                         "(repro.sim.shard) instead of one serving run")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for --shards > 1 "
-                        "(default: one per shard; 1 = in-process)")
+                   help="with --shards > 1: 1 = in-process, >1 = one "
+                        "worker process per shard (default)")
     p.add_argument("--cross-traffic", action="store_true",
                    help="with --shards > 1: bulk tenants ship their "
                         "completions to the next machine over the "

@@ -11,8 +11,7 @@ Public surface:
 * :mod:`repro.core.flows` — concurrent-flow scenarios (Fig 5, §4).
 * :mod:`repro.core.anomalies` — detectors for the four anomalies.
 * :mod:`repro.core.advisor` — the offloading advice engine (Advice #1-4).
-* :mod:`~repro.core.harness` — measurement harness driving solver and DES
-  (``repro.core.bench`` remains as a deprecated alias).
+* :mod:`~repro.core.harness` — measurement harness driving solver and DES.
 * :mod:`repro.core.options` — the shared :class:`RunOptions` knobs.
 """
 

@@ -4,9 +4,6 @@ These drive the same experiments the paper runs: latency per payload and
 path (Fig 4 upper), peak throughput per payload (Fig 4 lower), address-
 range sweeps (Fig 7), payload sweeps into the collapse region (Fig 8/9),
 doorbell-batch sweeps (Fig 10b) and requester scaling (Fig 11).
-
-This module is the canonical home of the benches; ``repro.core.bench``
-is a deprecated alias kept for older imports.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """One shared spelling for the measurement-run knobs.
 
 Every harness historically grew its own option names: ``SweepRunner``
-took ``jobs=``/``engine=``/``vectorized=``, the benches took a
+took ``jobs=``/``engine=``, the benches took a
 ``runner=`` injection, the CLI spelled the same things ``--jobs`` /
 ``--engine`` / ``--no-cache`` / ``--disk-cache`` / ``--profile``, and
 cache configuration lived in yet another function.  :class:`RunOptions`

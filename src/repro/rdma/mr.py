@@ -1,9 +1,11 @@
 """Protection domains and registered memory regions.
 
-A :class:`MemoryRegion` owns a real ``bytearray`` — applications built
-on the stack (the KV store, the RPC server) move actual data.  Remote
-access is checked against the region's rkey and bounds, mirroring the
-RNIC's protection checks.
+A :class:`MemoryRegion` holds real bytes — applications built on the
+stack (the KV store, the RPC server) move actual data.  Backing is
+sparse: 4 KiB pages are allocated on first write and untouched bytes
+read as zero, so the registered length is accounting (the PD budget),
+not host memory.  Remote access is checked against the region's rkey
+and bounds, mirroring the RNIC's protection checks.
 """
 
 from __future__ import annotations
@@ -13,6 +15,10 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.cluster import Node
+
+
+#: Backing page size of a :class:`MemoryRegion`.
+PAGE_BYTES = 4096
 
 
 class AccessError(Exception):
@@ -29,7 +35,7 @@ class MemoryRegion:
             raise ValueError(f"MR length must be positive: {length}")
         self.node = node
         self.length = length
-        self.buffer = bytearray(length)
+        self._pages: Dict[int, bytearray] = {}
         self.lkey = next(self._keys)
         self.rkey = next(self._keys)
 
@@ -38,12 +44,36 @@ class MemoryRegion:
     def write_local(self, offset: int, data: bytes) -> None:
         """CPU store into the region."""
         self._check(offset, len(data))
-        self.buffer[offset:offset + len(data)] = data
+        self._store(offset, data)
 
     def read_local(self, offset: int, length: int) -> bytes:
         """CPU load from the region."""
         self._check(offset, length)
-        return bytes(self.buffer[offset:offset + length])
+        return self._load(offset, length)
+
+    def _store(self, offset: int, data: bytes) -> None:
+        view = memoryview(data)
+        pos = 0
+        while pos < len(view):
+            index, start = divmod(offset + pos, PAGE_BYTES)
+            chunk = min(PAGE_BYTES - start, len(view) - pos)
+            page = self._pages.get(index)
+            if page is None:
+                page = self._pages[index] = bytearray(PAGE_BYTES)
+            page[start:start + chunk] = view[pos:pos + chunk]
+            pos += chunk
+
+    def _load(self, offset: int, length: int) -> bytes:
+        out = bytearray(length)
+        pos = 0
+        while pos < length:
+            index, start = divmod(offset + pos, PAGE_BYTES)
+            chunk = min(PAGE_BYTES - start, length - pos)
+            page = self._pages.get(index)
+            if page is not None:
+                out[pos:pos + chunk] = page[start:start + chunk]
+            pos += chunk
+        return bytes(out)
 
     # -- remote (DMA) access -------------------------------------------------------
 
@@ -51,14 +81,14 @@ class MemoryRegion:
         """Inbound DMA write, rkey-checked."""
         self._check_key(rkey)
         self._check(offset, len(data))
-        self.buffer[offset:offset + len(data)] = data
+        self._store(offset, data)
         self._trace_access("memory_write", "write", len(data))
 
     def dma_read(self, offset: int, length: int, rkey: int) -> bytes:
         """Inbound DMA read, rkey-checked."""
         self._check_key(rkey)
         self._check(offset, length)
-        data = bytes(self.buffer[offset:offset + length])
+        data = self._load(offset, length)
         self._trace_access("memory_read", "read", length)
         return data
 

@@ -19,7 +19,6 @@ Two modes:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -79,21 +78,6 @@ class ServeReport:
     #: ``(arrivals, completed, rejected, lost, in_flight)``.
     conservation: Dict[str, Tuple[int, int, int, int, int]] = field(
         default_factory=dict)
-
-    @property
-    def worst_p99_ns(self) -> float:
-        """Deprecated bare point estimate — use :meth:`worst_p99`.
-
-        The windowed archive lets the report quote the worst tenant's
-        p99 as a mean ± CI over warm windows instead of a single order
-        statistic; this property remains for callers that predate the
-        stats layer.
-        """
-        warnings.warn(
-            "ServeReport.worst_p99_ns is a single-run point estimate; "
-            "use ServeReport.worst_p99() for a mean ± CI Estimate",
-            DeprecationWarning, stacklevel=2)
-        return max((t.p99_ns for t in self.tenants.values()), default=0.0)
 
     def p99(self, tenant: str, confidence: float = 0.95) -> Estimate:
         """Batch-means estimate of the tenant's per-window p99 (ns)."""
@@ -218,9 +202,9 @@ class ServeSession:
                  warmup_ns: Optional[float] = None,
                  trace: bool = False, engine: str = "event",
                  hybrid_config=None, channel=None, nic: str = "snic"):
-        if engine not in ("event", "des-heap", "hybrid"):
+        if engine not in ("event", "hybrid"):
             raise ValueError(f"unknown serve engine {engine!r}; "
-                             "expected 'event', 'des-heap' or 'hybrid'")
+                             "expected 'event' or 'hybrid'")
         if nic not in ("snic", "rnic"):
             raise ValueError(f"unknown nic {nic!r}; "
                              "expected 'snic' or 'rnic'")
@@ -237,19 +221,9 @@ class ServeSession:
         testbed = testbed or paper_testbed()
         n_clients = max(1, sum(1 for t in tenants if not t.bulk))
         self.tenants = tenants
-        # "event" (and "hybrid" on top of it) runs on the time-bucketed
-        # BatchSimulator — exact order parity with the heap queue, ~27%
-        # faster on serving mixes; "des-heap" opts back into the heap.
-        if engine == "des-heap":
-            from repro.sim.engine import Simulator
-            sim = Simulator()
-        else:
-            from repro.sim.batchq import BatchSimulator
-            sim = BatchSimulator()
         # "rnic" builds a host-only machine (no SoC node): the policy
         # sees soc_available=False and terminates everything host-ward.
-        self.cluster = SimCluster(testbed, sim=sim, n_clients=n_clients,
-                                  nic=nic)
+        self.cluster = SimCluster(testbed, n_clients=n_clients, nic=nic)
         self.tracer = Tracer().install(self.cluster) if trace else None
         self.telemetry = Telemetry(self.cluster)
         if faults is not None and not faults.empty:
@@ -411,10 +385,8 @@ def run_serve(tenants: Sequence[TenantSpec], adaptive: bool = True,
     still count toward per-tenant totals.
 
     ``engine`` selects the execution strategy: ``"event"`` (the default
-    pure DES on the time-bucketed :class:`~repro.sim.batchq.
-    BatchSimulator` queue — bit-identical run to run), ``"des-heap"``
-    (the same DES on the binary-heap queue — the opt-out reference,
-    event-order-identical to ``"event"``) or ``"hybrid"``, which
+    pure DES on the binary-heap :class:`~repro.sim.engine.Simulator` —
+    bit-identical run to run) or ``"hybrid"``, which
     installs a :class:`~repro.sim.hybrid.HybridController` that
     fast-forwards steady-state stretches through the operational-law
     recurrence (exact completion counts, latencies within the declared

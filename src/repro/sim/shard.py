@@ -16,9 +16,10 @@ at their physical delivery instants.  The **one-window delivery
 guarantee** — a message sent in window *W* is delivered in window
 *W+1* — holds iff every inter-shard link latency is at least
 ``sync_window_ns``; :func:`run_sharded` validates exactly that.
-``jobs=1`` runs the same lockstep (and the same barrier exchange)
-in-process — the bit-identity reference for the multiprocess path,
-asserted by ``tests/sim/test_shard.py``.
+One barrier loop drives every run through a shard handle: an
+in-process :class:`ServeSession` at ``jobs=1`` (the bit-identity
+reference, asserted by ``tests/sim/test_shard.py``) or a worker
+process per shard otherwise.
 
 Cluster-scale chaos layers on top (``docs/robustness.md``):
 
@@ -29,9 +30,9 @@ Cluster-scale chaos layers on top (``docs/robustness.md``):
   is a pure hash of the plan seed and message identity, so ``jobs=N``
   stays bit-identical to ``jobs=1`` under any plan and an *empty* plan
   is bit-identical to no plan at all;
-* the multiprocess driver is a **supervisor**: worker death and
-  barrier stalls are detected (pipe EOF / poll timeout), the failed
-  worker is respawned, and the :class:`~repro.sim.supervise.WindowLog`
+* the loop is a **supervisor**: worker death and barrier stalls are
+  detected (pipe EOF / poll timeout), the failed shard is respawned,
+  and the :class:`~repro.sim.supervise.WindowLog`
   — the per-window inbound-message journal, which together with the
   shard spec fully determines worker state — is replayed into it,
   landing bit-identical to the worker that died.  The same log
@@ -56,7 +57,7 @@ import multiprocessing
 import traceback
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.cluster import ClusterInjector
 from repro.faults.plan import FaultPlan
@@ -244,6 +245,21 @@ def _make_session(shard: ShardSpec, serve_kwargs: dict,
                         nic=shard.nic, **serve_kwargs)
 
 
+def _advance(session: ServeSession, barrier: float,
+             inbound: Sequence) -> tuple:
+    """One shard's half of a barrier round: hand over the routed
+    inbound messages, run to the barrier, and return ``(done, idle,
+    outbox, heartbeat)`` — the channel's idleness, the window's outbox,
+    and the digest the conservation watchdog audits."""
+    channel = session.channel
+    if channel is not None and inbound:
+        channel.deliver(inbound)
+    done = session.advance(barrier)
+    if channel is None:
+        return done, True, [], session.heartbeat()
+    return done, channel.idle, channel.collect(), session.heartbeat()
+
+
 def _shard_worker(conn, shard: ShardSpec, serve_kwargs: dict,
                   topology: Optional[ShardTopology],
                   injector: Optional[ClusterInjector] = None,
@@ -251,26 +267,18 @@ def _shard_worker(conn, shard: ShardSpec, serve_kwargs: dict,
     """Child-process loop: advance on command, report when asked.
 
     Each ``advance`` carries the barrier and this shard's routed
-    inbound messages; the reply carries the session's drained state,
-    the channel's idleness, the window's outbox, and the heartbeat
-    digest for the conservation watchdog.  A worker-side exception is
-    shipped to the parent with the shard name and the full traceback,
-    so a crashed shard is attributable without re-running.
+    inbound messages; the reply carries :func:`_advance`'s result.  A
+    worker-side exception is shipped to the parent with the shard name
+    and the full traceback, so a crashed shard is attributable without
+    re-running.
     """
     try:
         session = _make_session(shard, serve_kwargs, topology,
                                 injector, fault_timeout_ns)
-        channel = session.channel
         while True:
             message = conn.recv()
             if message[0] == "advance":
-                _cmd, barrier, inbound = message
-                if channel is not None and inbound:
-                    channel.deliver(inbound)
-                done = session.advance(barrier)
-                outbox = channel.collect() if channel is not None else []
-                idle = channel.idle if channel is not None else True
-                conn.send(("ok", done, idle, outbox, session.heartbeat()))
+                conn.send(("ok",) + _advance(session, *message[1:]))
             elif message[0] == "report":
                 conn.send(("report", session.finalize(), session.tracker))
                 return
@@ -303,7 +311,7 @@ def _reap_worker(proc, shard_name: str, join_timeout_s: float = 5.0,
             f"(pid {proc.pid}); abandoning it")
 
 
-def _wedged(done: Sequence[bool], idle: Sequence[bool],
+def _wedged(done: Dict[str, bool], idle: Dict[str, bool],
             router: ShardRouter, moved: bool) -> bool:
     """A round where nothing can ever make progress again.
 
@@ -311,12 +319,139 @@ def _wedged(done: Sequence[bool], idle: Sequence[bool],
     channel still awaits an ack — the event that would deliver it can
     no longer be generated anywhere.
     """
-    return (all(done) and not moved and not router.in_flight
-            and not all(idle))
+    return (all(done.values()) and not moved and not router.in_flight
+            and not all(idle.values()))
 
 
 class _WorkerGone(Exception):
     """A worker died or stalled — respawnable, unlike a worker error."""
+
+
+# -- shard handles ------------------------------------------------------------------
+#
+# The lockstep loop drives every shard through one interface:
+# ``begin(barrier, inbound)`` starts a barrier round and ``finish()``
+# returns its ``(done, idle, outbox, heartbeat)``; the split lets worker
+# processes advance in parallel.  ``kill()`` is the chaos hook, after
+# which ``finish()``/``report()`` raise :class:`_WorkerGone`;
+# ``respawn(prefix)`` rebuilds the shard by replaying logged windows;
+# ``report()`` returns the final ``(ServeReport, SloTracker)``.
+
+
+class _LocalShard:
+    """A shard advanced in this process: one :class:`ServeSession`."""
+
+    def __init__(self, shard: ShardSpec, session_args: tuple):
+        self.name = shard.name
+        self._shard = shard
+        self._session_args = session_args
+        self._session: Optional[ServeSession] = _make_session(
+            shard, *session_args)
+        self._round: tuple = ()
+
+    def _live(self) -> ServeSession:
+        if self._session is None:
+            raise _WorkerGone("session discarded by the chaos hook")
+        return self._session
+
+    def begin(self, barrier: float, inbound: list) -> None:
+        self._round = (barrier, inbound)
+
+    def finish(self) -> tuple:
+        return _advance(self._live(), *self._round)
+
+    def kill(self) -> None:
+        self._session = None
+
+    def respawn(self, prefix: Sequence[Tuple[float, dict]]) -> None:
+        # A ServeSession is a pure function of its spec and the logged
+        # inboxes, so a fresh one re-living them is bit-identical to
+        # the one that was lost.
+        self._session = _make_session(self._shard, *self._session_args)
+        for barrier, inbound in prefix:
+            _advance(self._session, barrier, inbound.get(self.name, []))
+
+    def report(self) -> tuple:
+        session = self._live()
+        return session.finalize(), session.tracker
+
+    def close(self) -> None:
+        pass
+
+
+class _WorkerShard:
+    """A shard on a supervised worker process, driven over a pipe."""
+
+    def __init__(self, shard: ShardSpec, session_args: tuple,
+                 config: SupervisorConfig):
+        self.name = shard.name
+        self._args = (shard,) + session_args
+        self._cfg = config
+        self._spawn()
+
+    def _spawn(self) -> None:
+        ctx = multiprocessing.get_context()
+        parent_conn, child_conn = ctx.Pipe()
+        self._proc = ctx.Process(target=_shard_worker,
+                                 args=(child_conn,) + self._args,
+                                 daemon=True)
+        self._proc.start()
+        child_conn.close()
+        self._conn = parent_conn
+
+    def _send(self, message: tuple) -> None:
+        try:
+            self._conn.send(message)
+        except (BrokenPipeError, OSError):
+            pass                   # death surfaces on the recv side
+
+    def _recv(self) -> tuple:
+        timeout = self._cfg.exchange_timeout_s
+        try:
+            if not self._conn.poll(timeout):
+                state = ("alive but stalled" if self._proc.is_alive()
+                         else "dead")
+                raise _WorkerGone(f"no barrier reply within {timeout:g}s "
+                                  f"(process {state})")
+            reply = self._conn.recv()
+        except (EOFError, OSError) as exc:
+            raise _WorkerGone(f"pipe to worker closed: {exc!r}")
+        if reply[0] == "error":
+            # A worker-side exception is deterministic: a respawn would
+            # replay straight into it.  Surface it with its traceback.
+            raise ShardWorkerError(reply[1], reply[2])
+        return reply[1:]
+
+    def begin(self, barrier: float, inbound: list) -> None:
+        self._send(("advance", barrier, inbound))
+
+    def finish(self) -> tuple:
+        return self._recv()
+
+    def kill(self) -> None:
+        if self._proc.is_alive():
+            self._proc.kill()
+
+    def respawn(self, prefix: Sequence[Tuple[float, dict]]) -> None:
+        if self._proc.is_alive():
+            self._proc.terminate()
+        self.close()
+        self._spawn()
+        for barrier, inbound in prefix:
+            self.begin(barrier, inbound.get(self.name, []))
+            self.finish()
+
+    def report(self) -> tuple:
+        self._send(("report",))
+        return self._recv()
+
+    def close(self) -> None:
+        try:
+            self._conn.close()
+        except OSError:
+            pass
+        _reap_worker(self._proc, self.name, self._cfg.join_timeout_s,
+                     self._cfg.kill_grace_s)
 
 
 def _controller_step(controller, router, injector, barrier: float,
@@ -343,358 +478,136 @@ def _controller_step(controller, router, injector, barrier: float,
         router.route(messages)
 
 
-def _run_lockstep_inprocess(shards: Sequence[ShardSpec],
-                            serve_kwargs: dict, sync_window_ns: float,
-                            topology: Optional[ShardTopology],
-                            injector: Optional[ClusterInjector],
-                            fault_timeout_ns: Optional[float],
-                            config: Optional[SupervisorConfig],
-                            log: WindowLog, incidents: IncidentLog,
-                            resumed: bool, controller=None):
-    cfg = config if config is not None else SupervisorConfig()
-    names = [shard.name for shard in shards]
-    by_name = {shard.name: shard for shard in shards}
-    sessions = {name: _make_session(by_name[name], serve_kwargs, topology,
-                                    injector, fault_timeout_ns)
-                for name in names}
+def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
+              sync_window_ns: float, topology: Optional[ShardTopology],
+              injector: Optional[ClusterInjector], cfg: SupervisorConfig,
+              log: WindowLog, incidents: IncidentLog, resumed: bool,
+              controller=None):
+    """The barrier loop, over one shard handle per shard.
+
+    Every window: take (and chaos-shuffle) each shard's inbox, log it,
+    advance every live shard to the barrier, route the outboxes, then
+    audit — cluster controller first, conservation watchdog second.  A
+    handle that dies mid-round is respawned from the window log and
+    re-advanced, within the supervisor's respawn budget.
+    """
     router = ShardRouter(topology) if topology is not None else None
     watchdog = ConservationWatchdog()
+    names = [shard.name for shard in shards]
+    done = dict.fromkeys(names, False)
+    idle = dict.fromkeys(names, True)
     heartbeats: Dict[str, dict] = {}
+    handles: List = []
 
-    def replay_one(name: str,
-                   windows: Sequence[Tuple[float, dict]]) -> ServeSession:
-        # A ServeSession is a pure function of its spec, so a fresh one
-        # re-living the logged windows is bit-identical to the one that
-        # was killed.  Outboxes are discarded: the router already saw
-        # them.
-        session = _make_session(by_name[name], serve_kwargs, topology,
-                                injector, fault_timeout_ns)
-        for barrier_k, inbound_k in windows:
-            if session.channel is not None and inbound_k.get(name):
-                session.channel.deliver(inbound_k[name])
-            session.advance(barrier_k)
-            if session.channel is not None:
-                session.channel.collect()
-        return session
+    def respawn(handle, prefix, failure: _WorkerGone,
+                window_no: int) -> None:
+        incidents.record("respawn", handle.name, window_no, str(failure))
+        if incidents.respawns > cfg.max_respawns:
+            raise ShardWorkerError(
+                handle.name, f"respawn budget ({cfg.max_respawns}) "
+                             f"exhausted; last failure: {failure}")
+        handle.respawn(prefix)
 
-    def route_window(barrier_now: float) -> bool:
-        """Collect + route every channel's outbox; True if any moved."""
-        moved_here = False
-        for name in names:
-            channel = sessions[name].channel
-            if channel is None:
-                continue
-            outbox = channel.collect()
-            moved_here = moved_here or bool(outbox)
-            if injector is not None:
-                outbox = injector.apply_outbox(outbox)
-            if outbox:
-                router.route(outbox)
-        return moved_here
-
-    def audit(barrier_now: float, window_now: int) -> None:
-        for name in names:
-            heartbeats[name] = sessions[name].heartbeat()
-        _controller_step(controller, router, injector, barrier_now,
-                         window_now, heartbeats,
-                         {name: sessions[name].done for name in names})
-        watchdog.check(
-            barrier_now, heartbeats,
-            router.pending_count if router is not None else 0,
-            injector.dropped if injector is not None else 0,
-            injected=controller.ctl_sent if controller is not None else 0)
-
-    barrier = 0.0
-    window_no = 0
-    if resumed:
-        # Re-live the checkpointed prefix: logged inboxes are delivered
-        # verbatim; routing each window's surviving outboxes (and
-        # taking-and-discarding the regenerated inboxes) rebuilds the
-        # router contents and the injector counters exactly.
-        last = len(log.windows) - 1
-        for k, (barrier_k, inbound_k) in enumerate(log.windows):
-            window_no += 1
-            barrier = barrier_k
-            for name in names:
-                session = sessions[name]
-                if session.channel is not None and inbound_k.get(name):
-                    session.channel.deliver(inbound_k[name])
-                session.advance(barrier_k)
-            route_window(barrier_k)
-            audit(barrier_k, window_no)
-            if k < last and router is not None:
-                next_barrier = log.windows[k + 1][0]
-                for name in names:
-                    inbox = router.take(name)
-                    if injector is not None:
-                        injector.shuffle_inbox(name, next_barrier, inbox)
-
-    while True:
-        done_flags = [sessions[name].done for name in names]
-        idle_flags = [sessions[name].channel.idle
-                      if sessions[name].channel is not None else True
-                      for name in names]
-        if all(done_flags) and all(idle_flags) and (
-                router is None or not router.in_flight):
-            break
-        window_no += 1
-        barrier += sync_window_ns
+    def take_inbound(barrier: float) -> Dict[str, list]:
         inbound: Dict[str, list] = {}
-        moved = False
         for name in names:
             inbox = router.take(name) if router is not None else []
             if injector is not None:
                 inbox = injector.shuffle_inbox(name, barrier, inbox)
             inbound[name] = inbox
-            moved = moved or bool(inbox)
-        log.record(barrier, inbound)
-        if cfg.checkpoint_dir and window_no % cfg.checkpoint_every == 0:
-            log.save(cfg.checkpoint_dir)
-        if cfg.kill_shard is not None and window_no == cfg.kill_window:
-            # Chaos hook, in-process flavor: throw the victim's session
-            # away and rebuild it from the window log — exactly the
-            # replay the multiprocess supervisor performs on a worker
-            # death, minus the process machinery.
-            incidents.record("kill-injected", cfg.kill_shard, window_no,
-                             "chaos hook: session discarded")
-            incidents.record("respawn", cfg.kill_shard, window_no,
-                             "rebuilt from the window log")
-            sessions[cfg.kill_shard] = replay_one(cfg.kill_shard,
-                                                  log.windows[:-1])
-        for name in names:
-            session = sessions[name]
-            if session.channel is not None and inbound[name]:
-                session.channel.deliver(inbound[name])
-            session.advance(barrier)
-        moved = route_window(barrier) or moved
-        audit(barrier, window_no)
-        if router is not None and _wedged(
-                [sessions[name].done for name in names],
-                [sessions[name].channel.idle for name in names],
-                router, moved):
-            raise FabricWedgedError(
-                done={name: sessions[name].done for name in names},
-                idle={name: sessions[name].channel.idle for name in names},
-                pending=router.pending_by_shard())
-    watchdog.assert_drained(barrier, heartbeats)
-    return ([sessions[name].finalize() for name in names],
-            [sessions[name].tracker for name in names])
+        return inbound
 
-
-def _run_lockstep_multiprocess(shards: Sequence[ShardSpec],
-                               serve_kwargs: dict, sync_window_ns: float,
-                               jobs: int,
-                               topology: Optional[ShardTopology],
-                               injector: Optional[ClusterInjector],
-                               fault_timeout_ns: Optional[float],
-                               config: Optional[SupervisorConfig],
-                               log: WindowLog, incidents: IncidentLog,
-                               resumed: bool, controller=None):
-    cfg = config if config is not None else SupervisorConfig()
-    ctx = multiprocessing.get_context()
-    router = ShardRouter(topology) if topology is not None else None
-    watchdog = ConservationWatchdog()
-    names = [shard.name for shard in shards]
-    n = len(shards)
-    procs: List = [None] * n
-    conns: List = [None] * n
-    heartbeats: Dict[str, dict] = {}
-
-    def spawn(i: int) -> None:
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=_shard_worker,
-                           args=(child_conn, shards[i], serve_kwargs,
-                                 topology, injector, fault_timeout_ns),
-                           daemon=True)
-        proc.start()
-        child_conn.close()
-        procs[i], conns[i] = proc, parent_conn
-
-    def send(i: int, message: tuple) -> None:
-        try:
-            conns[i].send(message)
-        except (BrokenPipeError, OSError):
-            pass                   # death surfaces on the recv side
-
-    def recv(i: int) -> tuple:
-        proc, conn = procs[i], conns[i]
-        try:
-            if not conn.poll(cfg.exchange_timeout_s):
-                state = ("alive but stalled" if proc.is_alive()
-                         else "dead")
-                raise _WorkerGone(
-                    f"no barrier reply within {cfg.exchange_timeout_s:g}s "
-                    f"(process {state})")
-            reply = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise _WorkerGone(f"pipe to worker closed: {exc!r}")
-        if reply[0] == "error":
-            # A worker-side exception is deterministic: a respawn would
-            # replay straight into it.  Surface it with its traceback.
-            raise ShardWorkerError(reply[1], reply[2])
-        return reply
-
-    def respawn(i: int, prefix: Sequence[Tuple[float, dict]],
-                failure: _WorkerGone, window_no: int) -> None:
-        name = names[i]
-        incidents.record("respawn", name, window_no, str(failure))
-        if incidents.respawns > cfg.max_respawns:
-            raise ShardWorkerError(
-                name, f"respawn budget ({cfg.max_respawns}) exhausted; "
-                      f"last failure: {failure}")
-        try:
-            conns[i].close()
-        except OSError:
-            pass
-        if procs[i].is_alive():
-            procs[i].terminate()
-        _reap_worker(procs[i], name, cfg.join_timeout_s, cfg.kill_grace_s)
-        spawn(i)
-        # Deterministic replay: the fresh worker re-lives every logged
-        # window; its state after the last equals the lost worker's at
-        # its final barrier.  Outboxes are discarded — the router
-        # already routed (or delivered) them.
-        for barrier_k, inbound_k in prefix:
-            send(i, ("advance", barrier_k, inbound_k.get(name, [])))
-            recv(i)
-
-    def exchange(i: int, barrier: float, window_no: int,
-                 prefix: Sequence[Tuple[float, dict]],
-                 current: Dict[str, list]) -> tuple:
-        """Await window ``window_no``'s reply, supervising the worker:
-        death or stall → respawn, replay ``prefix``, re-advance with
-        ``current``, and await again."""
-        while True:
-            try:
-                return recv(i)
-            except _WorkerGone as failure:
-                respawn(i, prefix, failure, window_no)
-                send(i, ("advance", barrier, current.get(names[i], [])))
+    def run_window(window_no: int, barrier: float, inbound: Dict[str, list],
+                   prefix: Sequence[Tuple[float, dict]]) -> bool:
+        """Advance, route and audit one window; True if any outbox
+        carried messages.  Every live shard gets the new horizon before
+        any reply is awaited, so workers advance in parallel."""
+        live = [handle for handle in handles
+                if router is not None or not done[handle.name]]
+        for handle in live:
+            handle.begin(barrier, inbound.get(handle.name, []))
+        moved = False
+        for handle in live:
+            while True:
+                try:
+                    reply = handle.finish()
+                    break
+                except _WorkerGone as failure:
+                    respawn(handle, prefix, failure, window_no)
+                    handle.begin(barrier, inbound.get(handle.name, []))
+            name = handle.name
+            done[name], idle[name], outbox, heartbeats[name] = reply
+            if outbox:
+                moved = True
+                if injector is not None:
+                    outbox = injector.apply_outbox(outbox)
+                if outbox:
+                    router.route(outbox)
+        _controller_step(controller, router, injector, barrier, window_no,
+                         heartbeats, dict(done))
+        watchdog.check(
+            barrier, heartbeats,
+            router.pending_count if router is not None else 0,
+            injector.dropped if injector is not None else 0,
+            injected=controller.ctl_sent if controller is not None else 0)
+        return moved
 
     try:
-        for i in range(n):
-            spawn(i)
-        done = [False] * n
-        idle = [True] * n
+        for shard in shards:
+            handles.append(make_handle(shard))
+        by_name = {handle.name: handle for handle in handles}
         barrier = 0.0
         window_no = 0
         if resumed:
-            # Catch every worker up to the checkpoint; routing each
-            # window's surviving outboxes (and discarding the
-            # regenerated inboxes — the log holds them verbatim)
-            # rebuilds the router and injector counters exactly.
-            last = len(log.windows) - 1
-            for k, (barrier_k, inbound_k) in enumerate(log.windows):
+            # Re-live the checkpointed prefix: logged inboxes are
+            # delivered verbatim; routing each window's surviving
+            # outboxes (and taking-and-discarding the regenerated
+            # inboxes) rebuilds the router and injector state exactly.
+            for k, (barrier, inbound) in enumerate(log.windows):
                 window_no += 1
-                barrier = barrier_k
-                for i in range(n):
-                    send(i, ("advance", barrier_k,
-                             inbound_k.get(names[i], [])))
-                for i in range(n):
-                    reply = exchange(i, barrier_k, window_no,
-                                     log.windows[:k], inbound_k)
-                    _tag, done[i], idle[i], outbox, beat = reply
-                    heartbeats[names[i]] = beat
-                    if injector is not None:
-                        outbox = injector.apply_outbox(outbox)
-                    if router is not None and outbox:
-                        router.route(outbox)
-                _controller_step(controller, router, injector, barrier_k,
-                                 window_no, heartbeats,
-                                 dict(zip(names, done)))
-                watchdog.check(
-                    barrier_k, heartbeats,
-                    router.pending_count if router is not None else 0,
-                    injector.dropped if injector is not None else 0,
-                    injected=(controller.ctl_sent
-                              if controller is not None else 0))
-                if k < last and router is not None:
-                    next_barrier = log.windows[k + 1][0]
-                    for name in names:
-                        inbox = router.take(name)
-                        if injector is not None:
-                            injector.shuffle_inbox(name, next_barrier, inbox)
+                run_window(window_no, barrier, inbound, log.windows[:k])
+                if k + 1 < len(log.windows):
+                    take_inbound(log.windows[k + 1][0])
 
-        while True:
-            if all(done) and all(idle) and (router is None
-                                            or not router.in_flight):
-                break
+        while not (all(done.values()) and all(idle.values())
+                   and (router is None or not router.in_flight)):
             window_no += 1
             barrier += sync_window_ns
-            inbound: Dict[str, list] = {}
-            moved = False
-            for i, name in enumerate(names):
-                inbox = router.take(name) if router is not None else []
-                if injector is not None:
-                    inbox = injector.shuffle_inbox(name, barrier, inbox)
-                inbound[name] = inbox
-                moved = moved or bool(inbox)
+            inbound = take_inbound(barrier)
             log.record(barrier, inbound)
             if cfg.checkpoint_dir and window_no % cfg.checkpoint_every == 0:
                 log.save(cfg.checkpoint_dir)
-            # One barrier round: every live shard gets the new horizon
-            # (and its inbound messages) before any reply is awaited,
-            # so shards advance in parallel.
-            live = []
-            for i, name in enumerate(names):
-                if router is None and done[i]:
-                    continue        # independent shard fully drained
-                send(i, ("advance", barrier, inbound[name]))
-                live.append(i)
             if cfg.kill_shard is not None and window_no == cfg.kill_window:
-                victim = names.index(cfg.kill_shard)
-                if procs[victim].is_alive():
-                    incidents.record("kill-injected", cfg.kill_shard,
-                                     window_no, "chaos hook: SIGKILL")
-                    procs[victim].kill()
-            for i in live:
-                reply = exchange(i, barrier, window_no,
-                                 log.windows[:-1], inbound)
-                _tag, done[i], idle[i], outbox, beat = reply
-                heartbeats[names[i]] = beat
-                if outbox:
-                    moved = True
-                    if injector is not None:
-                        outbox = injector.apply_outbox(outbox)
-                    if router is not None and outbox:
-                        router.route(outbox)
-            _controller_step(controller, router, injector, barrier,
-                             window_no, heartbeats, dict(zip(names, done)))
-            watchdog.check(
-                barrier, heartbeats,
-                router.pending_count if router is not None else 0,
-                injector.dropped if injector is not None else 0,
-                injected=(controller.ctl_sent
-                          if controller is not None else 0))
+                incidents.record("kill-injected", cfg.kill_shard, window_no,
+                                 "chaos hook")
+                by_name[cfg.kill_shard].kill()
+            moved = run_window(window_no, barrier, inbound, log.windows[:-1])
+            moved = moved or any(inbound.values())
             if router is not None and _wedged(done, idle, router, moved):
-                raise FabricWedgedError(
-                    done=dict(zip(names, done)),
-                    idle=dict(zip(names, idle)),
-                    pending=router.pending_by_shard())
+                raise FabricWedgedError(done=done, idle=idle,
+                                        pending=router.pending_by_shard())
         watchdog.assert_drained(barrier, heartbeats)
-        reports: List = [None] * n
-        trackers: List = [None] * n
-        for i in range(n):
-            send(i, ("report",))
+        results = []
+        for handle in handles:
             while True:
                 try:
-                    reply = recv(i)
+                    results.append(handle.report())
                     break
                 except _WorkerGone as failure:
-                    respawn(i, log.windows, failure, window_no)
-                    send(i, ("report",))
-            _tag, reports[i], trackers[i] = reply
-        return reports, trackers
+                    respawn(handle, log.windows, failure, window_no)
+        return ([report for report, _tracker in results],
+                [tracker for _report, tracker in results])
     finally:
-        for i in range(n):
-            if procs[i] is None:
-                continue
-            try:
-                conns[i].close()
-            except OSError:
-                pass
-            _reap_worker(procs[i], names[i],
-                         cfg.join_timeout_s, cfg.kill_grace_s)
+        for handle in handles:
+            handle.close()
+
+
+def _run_lockstep_inprocess(shards: Sequence[ShardSpec],
+                            session_args: tuple, **lockstep):
+    """The lockstep loop over in-process :class:`_LocalShard` handles
+    — the ``jobs=1`` bit-identity reference."""
+    return _lockstep(shards, lambda shard: _LocalShard(shard, session_args),
+                     **lockstep)
 
 
 def merge_reports(reports: Sequence[ServeReport],
@@ -760,9 +673,10 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
                 controller=None, **serve_kwargs) -> ServeReport:
     """Execute a shard plan and return the merged report.
 
-    ``jobs`` — worker processes (``None``/0 → one per shard; 1 → the
-    in-process reference execution).  ``sync_window_ns`` defaults to
-    200 µs for independent shards, and to the topology's tightest
+    ``jobs`` — 1 = in-process (the bit-identity reference), >1 = one
+    worker process per shard (``None``/0, the default, is the same).
+    ``sync_window_ns`` defaults to 200 µs for independent shards, and
+    to the topology's tightest
     *machine-to-machine* link latency when the plan carries cross-shard
     traffic — LB links are excluded because the LB only originates
     barrier-clocked control messages, never mid-window traffic
@@ -783,8 +697,8 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
 
     ``supervisor`` configures worker supervision, checkpointing, chaos
     kills and incident reporting
-    (:class:`~repro.sim.supervise.SupervisorConfig`); multiprocess runs
-    are supervised with the defaults even when it is omitted.  The
+    (:class:`~repro.sim.supervise.SupervisorConfig`); every run is
+    supervised with the defaults when it is omitted.  The
     plan's ``cluster_faults`` arm the
     :class:`~repro.faults.cluster.ClusterInjector`; its ``cluster.*``
     counters join the merged report, and the conservation watchdog
@@ -821,10 +735,11 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
     if injector is not None:
         shards = tuple(_lowered(shard, injector) for shard in shards)
         fault_timeout_ns = injector.fault_timeout_ns()
-    if (supervisor is not None and supervisor.kill_shard is not None
-            and supervisor.kill_shard not in {s.name for s in shards}):
+    cfg = supervisor if supervisor is not None else SupervisorConfig()
+    if (cfg.kill_shard is not None
+            and cfg.kill_shard not in {s.name for s in shards}):
         raise ValueError(
-            f"kill_shard {supervisor.kill_shard!r} is not in the plan; "
+            f"kill_shard {cfg.kill_shard!r} is not in the plan; "
             f"shards: {[s.name for s in shards]}")
     incidents = IncidentLog()
     # The controller's policy joins the run identity: resuming a
@@ -834,29 +749,31 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
         fp_kwargs["__controller__"] = controller.fingerprint()
     fingerprint = plan_fingerprint(plan, sync_window_ns, fp_kwargs)
     resumed = False
-    if supervisor is not None and supervisor.resume:
-        log = WindowLog.load(supervisor.checkpoint_dir,
+    if cfg.resume:
+        log = WindowLog.load(cfg.checkpoint_dir,
                              expect_fingerprint=fingerprint)
         resumed = len(log) > 0
     else:
         log = WindowLog(fingerprint, sync_window_ns)
+    session_args = (serve_kwargs, topology, injector, fault_timeout_ns)
+    lockstep = dict(sync_window_ns=sync_window_ns, topology=topology,
+                    injector=injector, cfg=cfg, log=log,
+                    incidents=incidents, resumed=resumed,
+                    controller=controller)
     if jobs is None or jobs == 0:
         jobs = len(shards)
     if jobs <= 1 or len(shards) == 1:
-        reports, trackers = _run_lockstep_inprocess(
-            shards, serve_kwargs, sync_window_ns, topology, injector,
-            fault_timeout_ns, supervisor, log, incidents, resumed,
-            controller=controller)
+        reports, trackers = _run_lockstep_inprocess(shards, session_args,
+                                                    **lockstep)
     else:
-        reports, trackers = _run_lockstep_multiprocess(
-            shards, serve_kwargs, sync_window_ns, jobs, topology, injector,
-            fault_timeout_ns, supervisor, log, incidents, resumed,
-            controller=controller)
-    if supervisor is not None and supervisor.checkpoint_dir:
+        reports, trackers = _lockstep(
+            shards, lambda shard: _WorkerShard(shard, session_args, cfg),
+            **lockstep)
+    if cfg.checkpoint_dir:
         log.complete = True
-        log.save(supervisor.checkpoint_dir)
-    if supervisor is not None and supervisor.incident_report:
-        incidents.save(supervisor.incident_report)
+        log.save(cfg.checkpoint_dir)
+    if cfg.incident_report:
+        incidents.save(cfg.incident_report)
     report = merge_reports(reports, trackers)
     if injector is not None:
         report.counters.update(injector.counters())

@@ -9,12 +9,10 @@ The load-bearing contracts:
   byte for byte;
 * a scenario with live LB-routed migration mid-run is bit-identical
   across ``jobs={1,N}`` (hypothesis, across population seeds);
-* ``Session.serve_cluster`` is the facade spelling and
-  ``Session.serve_sharded`` is a one-shot-warning deprecated alias.
+* ``Session.serve_cluster`` is the facade spelling.
 """
 
 import dataclasses
-import warnings
 
 from hypothesis import given, settings, strategies as st
 
@@ -161,22 +159,3 @@ def test_machines_override_rebuilds_the_rack():
     report = run_cluster(scenario, jobs=1, machines=3)
     assert [m.name for m in report.machines] == ["m00", "m01", "m02"]
 
-
-def test_serve_sharded_is_a_one_shot_deprecated_alias(monkeypatch):
-    import repro.api.session as session_mod
-
-    monkeypatch.setattr(session_mod, "_SERVE_SHARDED_WARNED", False)
-    plan = ShardPlan.partition(mixed_tenant_workload(duration_ns=30_000.0),
-                               2)
-    session = Session()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = session.serve_sharded(plan, jobs=1)
-        assert [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        second = session.serve_sharded(plan, jobs=1)
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert first.tenants == second.tenants

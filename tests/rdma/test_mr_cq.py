@@ -5,6 +5,7 @@ import pytest
 from repro.net.cluster import SimCluster
 from repro.net.topology import paper_testbed
 from repro.rdma import AccessError, Completion, CompletionQueue, RdmaContext
+from repro.rdma.mr import PAGE_BYTES
 from repro.rdma.opcodes import CompletionStatus, WorkOpcode
 
 
@@ -48,6 +49,22 @@ def test_pd_budget_enforced(ctx):
     ctx.reg_mr("soc", soc_bytes // 2)
     with pytest.raises(MemoryError):
         ctx.reg_mr("soc", soc_bytes)
+
+
+def test_mr_backing_is_sparse(ctx):
+    """Registering more than physical memory costs nothing until
+    touched: only written pages are backed, the rest read as zero."""
+    host = ctx.cluster.node("host")
+    host.memory_bytes = 1 << 40
+    mr = ctx.reg_mr("host", 1 << 39)            # 512 GiB
+    mr.write_local(5, b"head")
+    mr.write_local(mr.length - 4, b"tail")
+    mr.dma_write(PAGE_BYTES - 2, b"span", mr.rkey)  # straddles two pages
+    assert mr.read_local(0, 12) == b"\0" * 5 + b"head" + b"\0" * 3
+    assert mr.read_local(mr.length - 4, 4) == b"tail"
+    assert mr.dma_read(PAGE_BYTES - 2, 4, mr.rkey) == b"span"
+    assert mr.read_local(1 << 38, 8) == bytes(8)
+    assert len(mr._pages) == 3
 
 
 def test_pd_dereg_frees_budget(ctx):

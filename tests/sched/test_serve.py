@@ -1,7 +1,26 @@
 """Integration tests for the serving engine: determinism and failover."""
 
+import pytest
+
 from repro.faults import FaultPlan, SocCrash
 from repro.sched import mixed_tenant_workload, run_serve
+from repro.sched.serve import ServeSession
+from repro.sim.engine import Simulator
+
+
+def test_every_engine_runs_on_the_heap_simulator():
+    for engine in ("event", "hybrid"):
+        session = ServeSession(mixed_tenant_workload(duration_ns=50_000.0),
+                               engine=engine)
+        assert type(session.cluster.sim) is Simulator
+
+
+def test_unknown_engine_rejected():
+    # "des-heap" named the heap queue when a second one existed.
+    for engine in ("warp-drive", "des-heap"):
+        with pytest.raises(ValueError, match="unknown serve engine"):
+            run_serve(mixed_tenant_workload(duration_ns=50_000.0),
+                      engine=engine)
 
 
 def test_scheduler_is_deterministic():

@@ -1,17 +1,15 @@
-"""The stable public surface: export snapshots and deprecation shims.
+"""The stable public surface: export snapshots and a warning-free import.
 
 ``repro`` and ``repro.api`` are the supported import points; this file
-pins their exports so accidental additions/removals fail review, checks
-the new spellings import cleanly under ``-W error::DeprecationWarning``
-(the CI gate), and that the legacy ``repro.core.bench`` path still
-works while warning exactly once per process.
+pins their exports so accidental additions/removals fail review, and
+checks the supported spellings import cleanly under
+``-W error::DeprecationWarning`` (the CI gate).
 """
 
 import os
 import pathlib
 import subprocess
 import sys
-import warnings
 
 import repro
 import repro.api
@@ -68,27 +66,3 @@ def test_new_spellings_are_warning_free():
         [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
         check=True, env={**os.environ, "PYTHONPATH": _SRC})
 
-
-def test_bench_shim_warns_once_and_aliases_harness():
-    for module in ("repro.core.bench",):
-        sys.modules.pop(module, None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.core.bench as bench
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "repro.core.bench" in str(w.message)]
-    assert len(deprecations) == 1
-    # The second import hits the module cache: silent.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        import repro.core.bench  # noqa: F811
-    assert not [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    # Old names are the same objects, not copies.
-    from repro.core import harness
-
-    assert bench.LatencyBench is harness.LatencyBench
-    assert bench.ThroughputBench is harness.ThroughputBench
-    assert bench.Sweep is harness.Sweep
-    assert bench.Measurement is harness.Measurement

@@ -53,7 +53,7 @@ def run_workload(nic, traced, ops=6):
         "received": received,
         "now": cluster.sim.now,
         "events": cluster.sim.events_executed,
-        "memory": bytes(remote.buffer),
+        "memory": remote.read_local(0, remote.length),
         "stats": dict(cluster.stats),
     }, tracer
 
