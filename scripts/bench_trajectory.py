@@ -6,10 +6,11 @@ and warm, a DES hot-loop microbench, the serving-engine comparison
 (pure DES vs the analytic/DES hybrid on the same adaptive scenario),
 the canonical declarative rack at growing machine counts,
 and (optionally) the full pytest-benchmark suite — and writes
-``BENCH_sweep.json``: wall-clock, DES events/sec, the hybrid speedup,
-and cache hit rates, next to the recorded seed baseline.  Intended to
-run in CI so performance regressions show up in the artifact diff, not
-in reviewers' patience.
+``BENCH_sweep.json``: wall-clock, DES events/sec, simulated requests
+and ns per wall-second of both serving engines, and cache hit rates,
+next to the recorded seed baseline.  Intended to run in CI so
+performance regressions show up in the artifact diff, not in
+reviewers' patience.
 
 Usage::
 
@@ -20,9 +21,9 @@ Usage::
 recorded bar regressed: cold smoke wall-time more than
 ``BENCH_CHECK_TOLERANCE`` (default 0.25, i.e. 25 %) over the recorded
 ``BENCH_sweep.json``, DES events/sec below the record by the same
-tolerance, or the hybrid serving speedup below
-``BENCH_CHECK_HYBRID_MIN`` (default 10x, the hybrid layer's acceptance
-bar) or diverging from pure-DES counts, the sharded lockstep engine
+tolerance, either serving engine's simulated requests per wall-second
+below its record by the same tolerance, the hybrid engine diverging
+from pure-DES counts, the sharded lockstep engine
 diverging from its in-process reference, or (on machines with >= 2
 cores) the ``jobs=2`` shard speedup below ``BENCH_CHECK_SHARD_MIN``
 (default 1.3x; skipped with a note on single-core machines).  The file
@@ -183,7 +184,10 @@ def serving_bench() -> dict:
     engine must reproduce the DES completion/rejection/loss counts
     *exactly* (its faithfulness contract — see docs/performance.md and
     ``python -m repro crosscheck``), so the recorded speedup is a
-    same-answer speedup, not an approximation trade.
+    same-answer speedup, not an approximation trade.  Each engine also
+    records simulated requests and simulated ns per wall-second, its
+    absolute throughput; events/s is not one, because deleting dead
+    events lowers it while making the run faster.
     """
     from repro.sched.serve import ServeSession, mixed_tenant_workload
 
@@ -196,6 +200,11 @@ def serving_bench() -> dict:
         wall = time.perf_counter() - start
         return session.finalize(), wall, session.cluster.sim.events_executed
 
+    def throughput(report, wall):
+        completed = sum(t.completed for t in report.tenants.values())
+        return {"req_per_s": round(completed / wall, 1),
+                "sim_ns_per_s": round(report.elapsed_ns / wall)}
+
     des_report, des_s, des_events = run("event")
     hyb_report, hyb_s, hyb_events = run("hybrid")
     counts = lambda r: {name: (t.completed, t.rejected, t.lost)  # noqa: E731
@@ -205,6 +214,7 @@ def serving_bench() -> dict:
         "des_serving": {
             "duration_ns": SERVING_DURATION_NS,
             "wall_s": round(des_s, 4),
+            **throughput(des_report, des_s),
             "events": des_events,
             "events_per_sec": round(des_events / des_s),
             "completed": sum(c for c, _r, _l in totals.values()),
@@ -212,6 +222,7 @@ def serving_bench() -> dict:
         },
         "hybrid_serving": {
             "wall_s": round(hyb_s, 4),
+            **throughput(hyb_report, hyb_s),
             "events": hyb_events,
             "speedup_vs_des": round(des_s / hyb_s, 2),
             "counts_match_des": counts(hyb_report) == totals,
@@ -430,12 +441,14 @@ def check_regression(recorded_path: str, cold_s: float, des_eps: float,
     * cold smoke-sweep wall-time within ``BENCH_CHECK_TOLERANCE``;
     * DES hot-loop events/sec monotone (no worse than the record,
       minus the same tolerance);
-    * the hybrid serving engine at least ``BENCH_CHECK_HYBRID_MIN``
-      (default 10) times faster than pure DES *while reproducing its
-      counts exactly* — the acceptance bar of the hybrid layer.
+    * each serving engine's simulated requests per wall-second no worse
+      than its record, minus the same tolerance (skipped with a note
+      when the record has none), and the hybrid engine reproducing the
+      pure-DES counts exactly — the faithfulness bar of the hybrid
+      layer.  The floors are absolute: a ratio against the DES would
+      fall whenever the DES got faster.
     """
     tolerance = float(os.environ.get("BENCH_CHECK_TOLERANCE", "0.25"))
-    hybrid_min = float(os.environ.get("BENCH_CHECK_HYBRID_MIN", "10.0"))
     try:
         with open(recorded_path) as handle:
             recorded = json.load(handle)
@@ -462,13 +475,19 @@ def check_regression(recorded_path: str, cold_s: float, des_eps: float,
               f"recorded {recorded_eps:,.0f} (floor {floor:,.0f}) "
               f"-> {verdict}")
 
-    hybrid = serving["hybrid_serving"]
-    speedup = hybrid["speedup_vs_des"]
-    verdict = "OK" if speedup >= hybrid_min else "REGRESSED"
-    failures += speedup < hybrid_min
-    print(f"bench check: hybrid serving {speedup:.1f}x vs pure DES "
-          f"(floor {hybrid_min:.1f}x) -> {verdict}")
-    if not hybrid["counts_match_des"]:
+    for section in ("des_serving", "hybrid_serving"):
+        rate = serving[section]["req_per_s"]
+        recorded_rate = float(recorded.get(section, {}).get("req_per_s", 0.0))
+        if not recorded_rate:
+            print(f"bench check: {section} {rate:,.0f} req/s -> SKIPPED "
+                  f"(no recorded req_per_s)")
+            continue
+        floor = recorded_rate * (1.0 - tolerance)
+        verdict = "OK" if rate >= floor else "REGRESSED"
+        failures += rate < floor
+        print(f"bench check: {section} {rate:,.0f} req/s vs recorded "
+              f"{recorded_rate:,.0f} (floor {floor:,.0f}) -> {verdict}")
+    if not serving["hybrid_serving"]["counts_match_des"]:
         failures += 1
         print("bench check: hybrid serving counts DIVERGED from pure DES "
               "-> FAITHFULNESS BROKEN")

@@ -2,10 +2,13 @@
 against a live :class:`~repro.net.cluster.SimCluster`.
 
 Injection happens at the link layer by wrapping ``send`` on exactly the
-targeted channel *instances*: a dropped transfer still occupies the wire
-(the real delivery event is submitted and simply ignored) and the caller
-instead receives an event resolving to :data:`~repro.sim.LOST` at the
-moment the delivery would have happened.  Untargeted channels, and every
+targeted channel *instances*.  Every transfer of a train (every TLP of
+a PCIe transfer) gets its own drop draw, but only the last one's can
+poison the delivery, which is the only event a train schedules.  A
+dropped transfer still occupies the wire (the real delivery event is
+submitted and simply ignored) and the caller instead receives an event
+resolving to :data:`~repro.sim.LOST` at the moment the delivery would
+have happened.  Untargeted channels, and every
 channel under an empty plan, are left completely untouched — fault-free
 runs execute bit-identically to runs without an injector.
 
@@ -38,7 +41,7 @@ class FaultInjector:
         self.seed = plan.seed if seed is None else seed
         self.streams = RandomStreams(self.seed).fork("faults")
         self.injected = 0
-        self._wrapped: List[tuple] = []
+        self._wrapped: List[DuplexChannel] = []
         self._stalls: List[NodeStall] = []
         self._installed = False
 
@@ -93,8 +96,10 @@ class FaultInjector:
     def uninstall(self) -> None:
         """Restore every wrapped channel (the crash processes, if any,
         have either run or die with the simulation)."""
-        for channel, original in self._wrapped:
-            channel.send = original
+        for channel in self._wrapped:
+            # The wrapper is an instance attribute shadowing the class's
+            # method; dropping it restores the plain bound method.
+            del channel.send
         self._wrapped.clear()
         if self.cluster.fault_injector is self:
             self.cluster.fault_injector = None
@@ -102,7 +107,7 @@ class FaultInjector:
     # -- link faults ---------------------------------------------------------------
 
     def _wrap_channel(self, channel: DuplexChannel, faults: list) -> None:
-        original = channel.send
+        send = channel.send
         rng = self.streams.stream(f"drop:{channel.name}")
         sim = self.cluster.sim
         cluster = self.cluster
@@ -116,21 +121,33 @@ class FaultInjector:
                     return True
             return False
 
-        def faulty_send(nbytes: float, forward: bool = True) -> Event:
-            delivery = original(nbytes, forward=forward)
-            if not should_drop(sim.now):
+        def faulty_send(nbytes: float, forward: bool = True, count: int = 0,
+                        size: float = 0) -> Event:
+            delivery = send(nbytes, forward, count, size)
+            # One draw per transfer of the train, in submission order.
+            # Callers wait only on the last one, so only its draw can
+            # poison the delivery; earlier drops are counted and
+            # otherwise silent.
+            now = sim.now
+            drops = 0
+            dropped = False
+            for _ in range(count + 1):
+                dropped = should_drop(now)
+                drops += dropped
+            if drops:
+                self.injected += drops
+                cluster.bump("faults.injected", drops)
+            if not dropped:
                 return delivery
             # The bytes still occupied the wire; only the delivery is
             # poisoned.  The real event fires unobserved.
-            self.injected += 1
-            cluster.bump("faults.injected")
             simplex = channel.fwd if forward else channel.rev
             lost = Event(sim)
             lost.succeed(LOST, delay=simplex.last_delivery_delay())
             return lost
 
         channel.send = faulty_send
-        self._wrapped.append((channel, original))
+        self._wrapped.append(channel)
 
     # -- CPU stalls ----------------------------------------------------------------
 

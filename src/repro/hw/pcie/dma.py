@@ -91,21 +91,10 @@ class DmaEngine:
 
     def _traverse_header(self, route: Sequence[Hop], count: int = 1):
         """Move ``count`` header-only TLPs (read requests) across a route."""
-        tracer = self.sim.tracer
         for hop in route:
             if isinstance(hop, LinkHop):
-                last = None
-                for _ in range(count):
-                    last = hop.link.send_tlp(0, forward=hop.forward)
-                if tracer is not None:
-                    channel = hop.link.channel
-                    simplex = channel.fwd if hop.forward else channel.rev
-                    tracer.point(f"pcie:{hop.link.name}", "pcie",
-                                 self.sim.now,
-                                 self.sim.now + simplex.last_delivery_delay(),
-                                 link=hop.link.name, tlps=count, bytes=0,
-                                 tlp_kind="read_request")
-                got = yield last
+                got = yield hop.link.send_read_requests(count,
+                                                        forward=hop.forward)
             else:
                 got = yield hop.switch.forward(hop.src, hop.dst,
                                                payload=TLP_READ_REQUEST_BYTES)

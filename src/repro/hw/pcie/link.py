@@ -2,7 +2,8 @@
 
 Wraps a full-duplex channel with TLP segmentation and per-direction
 TLP/byte counters (the simulated equivalent of the Bluefield hardware
-counters the paper reads).
+counters the paper reads).  A transfer's TLPs go out as one train: the
+counters and the FIFO see every TLP, the event queue only the last.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from repro.sim.events import Event
 from repro.sim.links import DuplexChannel
 from repro.sim.monitor import Counter
 from repro.hw.pcie.config import PCIeLinkSpec
-from repro.hw.pcie.tlp import TLP_HEADER_BYTES, segment_sizes
+from repro.hw.pcie.tlp import TLP_HEADER_BYTES, segment_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -38,29 +39,41 @@ class PCIeLink:
         self.data_bytes_fwd = Counter()
         self.data_bytes_rev = Counter()
 
-    def send_tlp(self, payload: int, forward: bool = True) -> Event:
-        """Transfer one TLP carrying ``payload`` data bytes."""
-        counter = self.tlps_fwd if forward else self.tlps_rev
-        data = self.data_bytes_fwd if forward else self.data_bytes_rev
-        counter.add(1)
-        data.add(payload)
-        return self.channel.send(payload + TLP_HEADER_BYTES, forward=forward)
-
     def send_data(self, nbytes: int, mps: int, forward: bool = True) -> Event:
         """Transfer ``nbytes`` segmented into TLPs of at most ``mps``.
 
         Returns the delivery event of the *last* TLP.  A zero-byte
         transfer completes after one propagation delay with no TLPs.
         """
-        if nbytes == 0:
-            last = self.channel.send(0, forward=forward)
-            tlps = 0
+        return self._send(nbytes, segment_count(nbytes, mps), mps, forward,
+                          direction="fwd" if forward else "rev")
+
+    def send_read_requests(self, count: int, forward: bool = True) -> Event:
+        """Transfer ``count`` header-only read-request TLPs."""
+        return self._send(0, count, 0, forward, tlp_kind="read_request")
+
+    def _send(self, nbytes: int, tlps: int, size: int, forward: bool,
+              **span) -> Event:
+        """Send ``nbytes`` as a train of ``tlps`` back-to-back TLPs: all
+        but the last carry ``size`` data bytes, the last the rest.
+
+        The train costs one channel send, so one delivery event (see
+        :meth:`~repro.sim.links.SimplexChannel.send`), and one ``pcie:``
+        span; ``tlps == 0`` is a bare propagation delay.
+        """
+        if tlps:
+            if forward:
+                self.tlps_fwd.add(tlps)
+                self.data_bytes_fwd.add(nbytes)
+            else:
+                self.tlps_rev.add(tlps)
+                self.data_bytes_rev.add(nbytes)
+            tail = nbytes - size * (tlps - 1)
+            delivery = self.channel.send(
+                tail + TLP_HEADER_BYTES, forward=forward, count=tlps - 1,
+                size=size + TLP_HEADER_BYTES)
         else:
-            last = None
-            tlps = 0
-            for size in segment_sizes(nbytes, mps):
-                last = self.send_tlp(size, forward=forward)
-                tlps += 1
+            delivery = self.channel.send(0, forward=forward)
         tracer = self.sim.tracer
         if tracer is not None:
             # One span per traversal, not per TLP: delivery time of the
@@ -70,9 +83,8 @@ class PCIeLink:
             simplex = self.channel.fwd if forward else self.channel.rev
             tracer.point(f"pcie:{self.name}", "pcie", self.sim.now,
                          self.sim.now + simplex.last_delivery_delay(),
-                         link=self.name, bytes=nbytes, tlps=tlps,
-                         direction="fwd" if forward else "rev")
-        return last
+                         link=self.name, bytes=nbytes, tlps=tlps, **span)
+        return delivery
 
     # -- counters (hardware-counter style) ---------------------------------------
 

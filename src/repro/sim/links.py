@@ -64,17 +64,34 @@ class SimplexChannel:
         """Simulated time at which the sender side becomes idle."""
         return max(self._free_at, self.sim.now)
 
-    def send(self, nbytes: float) -> Event:
-        """Submit a transfer; the returned event fires at delivery time."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
-        start = max(self._free_at, self.sim.now)
-        serialization = nbytes / self.bandwidth
-        self._free_at = start + serialization
-        self.bytes_sent.add(nbytes)
-        self.transfers.add(1)
+    def send(self, nbytes: float, count: int = 0, size: float = 0) -> Event:
+        """Submit a transfer; the returned event fires at delivery time.
+
+        With ``count`` > 0 the transfer is the tail of a train: ``count``
+        transfers of ``size`` bytes go out back to back ahead of it (a
+        PCIe transfer's TLPs).  The FIFO advances once per transfer in
+        the same float order as ``count + 1`` separate sends, so the
+        delivery time is bit-identical to theirs; for integer byte
+        counts so is the ``.total`` of ``bytes_sent`` and ``transfers``
+        (their ``.events`` counts calls, not transfers).  Only the
+        intermediate deliveries, which nobody waits on, are not
+        scheduled.
+        """
+        if nbytes < 0 or size < 0 or count < 0:
+            raise ValueError(
+                f"negative transfer: {count} x {size} B + {nbytes} B")
+        now = self.sim.now
+        free = max(self._free_at, now)
+        if count:
+            step = size / self.bandwidth
+            for _ in range(count):
+                free = free + step
+        free = free + nbytes / self.bandwidth
+        self._free_at = free
+        self.bytes_sent.add(size * count + nbytes)
+        self.transfers.add(count + 1)
         done = Event(self.sim)
-        done.succeed(nbytes, delay=self._free_at + self.latency - self.sim.now)
+        done.succeed(nbytes, delay=free + self.latency - now)
         return done
 
     def utilization(self, elapsed: float) -> float:
@@ -102,10 +119,13 @@ class DuplexChannel:
         self.fwd = SimplexChannel(sim, bandwidth, latency, name=f"{name}.fwd")
         self.rev = SimplexChannel(sim, bandwidth, latency, name=f"{name}.rev")
 
-    def send(self, nbytes: float, forward: bool = True) -> Event:
-        """Transfer in the given direction; fires at delivery."""
+    def send(self, nbytes: float, forward: bool = True, count: int = 0,
+             size: float = 0) -> Event:
+        """Transfer in the given direction (behind a train of ``count``
+        transfers of ``size`` bytes, see :meth:`SimplexChannel.send`);
+        fires at delivery."""
         channel = self.fwd if forward else self.rev
-        return channel.send(nbytes)
+        return channel.send(nbytes, count, size)
 
     @property
     def bytes_sent(self) -> float:

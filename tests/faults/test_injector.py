@@ -75,6 +75,28 @@ def test_uninstall_restores_the_channel(cluster):
     assert cluster.fault_injector is None
 
 
+def test_uninstall_unwraps_pcie_trains(cluster):
+    link = cluster.snic.pcie1
+    channel = link.channel
+    injector = cluster.install_faults(FaultPlan(faults=(
+        LinkDown("pcie1"),)))
+    assert "send" in vars(channel)
+    sim = cluster.sim
+    results = []
+
+    def sender():
+        results.append((yield link.send_data(4096, mps=128)) is LOST)
+        injector.uninstall()
+        results.append((yield link.send_data(4096, mps=128)) is LOST)
+
+    sim.process(sender())
+    sim.run()
+    assert results == [True, False]
+    assert "send" not in vars(channel)
+    # Every TLP of the dropped train was drawn and counted.
+    assert injector.injected == 32
+
+
 def test_packet_loss_is_seed_deterministic():
     def drops(seed: int) -> int:
         cluster = SimCluster(paper_testbed(), n_clients=1)

@@ -48,9 +48,9 @@ def test_spec_validation():
 def test_link_counts_tlps_per_direction():
     sim = Simulator()
     link = PCIeLink(sim, PCIE_GEN4, name="pcie1")
-    link.send_tlp(512, forward=True)
-    link.send_tlp(512, forward=True)
-    link.send_tlp(128, forward=False)
+    link.send_data(512, mps=512, forward=True)
+    link.send_data(512, mps=512, forward=True)
+    link.send_data(128, mps=512, forward=False)
     sim.run()
     assert link.tlps_fwd.total == 2
     assert link.tlps_rev.total == 1
