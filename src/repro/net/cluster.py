@@ -265,8 +265,12 @@ class SimCluster:
         self.stats[key] = self.stats.get(key, 0.0) + amount
 
     def install_faults(self, plan: "FaultPlan",
-                       seed: int = 0) -> "FaultInjector":
-        """Install a fault plan; returns the (already armed) injector."""
+                       seed: Optional[int] = None) -> "FaultInjector":
+        """Install a fault plan; returns the (already armed) injector.
+
+        The injector's RNG is keyed by ``plan.seed`` unless an explicit
+        ``seed`` overrides it.
+        """
         from repro.faults.injector import FaultInjector
 
         injector = FaultInjector(self, plan, seed=seed)

@@ -8,6 +8,7 @@ would have to:
 
 * :class:`TenantSpec`/:class:`SloSpec` — an open-loop request stream
   (reusing :mod:`repro.workloads`) plus its latency/goodput targets.
+* :class:`CompletionRecord` — one finished request, a ``NamedTuple``.
 * :class:`ServingRuntime` — admits each tenant's stream into the
   simulated cluster through real QPs, with bounded queues
   (backpressure), per-flow re-binding, and token-bucket admission caps.

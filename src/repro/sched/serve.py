@@ -19,6 +19,7 @@ Two modes:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -406,20 +407,25 @@ def run_serve(tenants: Sequence[TenantSpec], adaptive: bool = True,
 def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
                     tracker: SloTracker,
                     decisions: Sequence[Decision]) -> Dict[str, TenantReport]:
+    by_tenant: Dict[str, List] = {spec.name: [] for spec in tenants}
+    for r in runtime.completions:
+        records = by_tenant.get(r.tenant)
+        if records is not None:
+            records.append(r)
+    moves: Dict[str, int] = {}
+    for d in decisions:
+        if d.kind in ("migrate", "failover"):
+            moves[d.tenant] = moves.get(d.tenant, 0) + 1
     reports: Dict[str, TenantReport] = {}
     for spec in tenants:
-        records = [r for r in runtime.completions if r.tenant == spec.name]
-        ok = sorted(r.latency_ns for r in records if r.ok)
-        in_slo = [r for r in records
-                  if r.ok and r.latency_ns <= spec.slo.deadline]
+        records = by_tenant[spec.name]
+        ok = sorted([r.end_ns - r.start_ns for r in records if r.ok])
+        in_slo = bisect_right(ok, spec.slo.deadline)
         span = (max((r.end_ns for r in records), default=0.0)
                 - min((r.start_ns for r in records), default=0.0)) or 1.0
         good_bytes = spec.payload * len(ok)
-        slo_bytes = spec.payload * len(in_slo)
+        slo_bytes = spec.payload * in_slo
         lease = runtime.lease(spec.name)
-        moves = sum(1 for d in decisions
-                    if d.tenant == spec.name
-                    and d.kind in ("migrate", "failover"))
         reports[spec.name] = TenantReport(
             name=spec.name,
             final_path=("degraded" if lease.degraded else lease.path.value),
@@ -432,8 +438,8 @@ def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
                     if ok else 0.0),
             goodput_gbps=to_gbps(good_bytes / span),
             slo_goodput_gbps=to_gbps(slo_bytes / span),
-            slo_attainment=(len(in_slo) / len(ok)) if ok else 0.0,
-            migrations=moves,
+            slo_attainment=(in_slo / len(ok)) if ok else 0.0,
+            migrations=moves.get(spec.name, 0),
         )
     return reports
 
@@ -441,14 +447,16 @@ def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
 def _path_gbps(runtime: ServingRuntime,
                warmup_ns: float) -> Dict[str, float]:
     """Steady-state delivered bandwidth per path, from completions."""
-    by_path: Dict[str, List] = {}
     payload = {t.name: t.payload for t in runtime.specs}
+    # path -> [latest end_ns, delivered bytes], in first-seen order.
+    by_path: Dict[CommPath, List] = {}
     for r in runtime.completions:
         if r.ok and r.end_ns > warmup_ns:
-            by_path.setdefault(r.path.value, []).append(r)
-    result: Dict[str, float] = {}
-    for path, records in by_path.items():
-        span = (max(r.end_ns for r in records) - warmup_ns) or 1.0
-        nbytes = sum(payload[r.tenant] for r in records)
-        result[path] = to_gbps(nbytes / span)
-    return result
+            acc = by_path.get(r.path)
+            if acc is None:
+                by_path[r.path] = [r.end_ns, payload[r.tenant]]
+            else:
+                acc[0] = max(acc[0], r.end_ns)
+                acc[1] += payload[r.tenant]
+    return {path.value: to_gbps(nbytes / ((last - warmup_ns) or 1.0))
+            for path, (last, nbytes) in by_path.items()}

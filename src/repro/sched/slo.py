@@ -10,11 +10,12 @@ per-tenant histograms off a serving binary.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.sched.tenant import CompletionRecord, SloSpec, TenantSpec
+from repro.sched.tenant import CompletionRecord, TenantSpec
 from repro.units import to_gbps
 
 
@@ -96,6 +97,60 @@ class _WindowAccum:
         self.violations += other.violations
 
 
+class _Rolling:
+    """One tenant's rolling window, kept incrementally.
+
+    ``events`` holds ``(end_ns, latency_ns, payload, ok)`` in arrival
+    order.  ``latencies`` (sorted), ``good_bytes`` and ``violations``
+    mirror its ok events exactly: :meth:`add` and :meth:`prune` are
+    their only writers, and pruning updates them in the same
+    ``popleft`` loop that drops an event.  A window read therefore costs
+    O(pruned + log n) instead of one sort and three passes.
+    """
+
+    __slots__ = ("deadline", "events", "rejects", "latencies",
+                 "good_bytes", "violations")
+
+    def __init__(self, deadline: float,
+                 events: Iterable[Tuple[float, float, int, bool]] = (),
+                 rejects: Iterable[float] = ()):
+        self.deadline = deadline
+        self.events: deque = deque()
+        self.rejects: deque = deque(rejects)
+        self.latencies: list = []
+        self.good_bytes = 0
+        self.violations = 0
+        for event in events:
+            self.add(event)
+
+    def add(self, event: Tuple[float, float, int, bool]) -> None:
+        self.events.append(event)
+        _end, latency, payload, ok = event
+        if ok:
+            insort(self.latencies, latency)
+            if latency <= self.deadline:
+                self.good_bytes += payload
+            else:
+                self.violations += 1
+
+    def prune(self, horizon: float) -> None:
+        """Drop events (and rejects) that ended before ``horizon``."""
+        events = self.events
+        latencies = self.latencies
+        deadline = self.deadline
+        while events and events[0][0] < horizon:
+            _end, latency, payload, ok = events.popleft()
+            if ok:
+                del latencies[bisect_left(latencies, latency)]
+                if latency <= deadline:
+                    self.good_bytes -= payload
+                else:
+                    self.violations -= 1
+        rejects = self.rejects
+        while rejects and rejects[0] < horizon:
+            rejects.popleft()
+
+
 class SloTracker:
     """Rolling per-tenant completion windows, pruned by simulated time."""
 
@@ -104,11 +159,8 @@ class SloTracker:
             raise ValueError(f"window must be positive: {window_ns}")
         self.window_ns = window_ns
         self._specs: Dict[str, TenantSpec] = {t.name: t for t in tenants}
-        #: (end_ns, latency_ns, payload, ok) per tenant, oldest first.
-        self._events: Dict[str, Deque[Tuple[float, float, int, bool]]] = {
-            t.name: deque() for t in tenants}
-        self._rejects: Dict[str, Deque[float]] = {
-            t.name: deque() for t in tenants}
+        self._rolling: Dict[str, _Rolling] = {
+            t.name: _Rolling(t.slo.deadline) for t in tenants}
         # Totals survive pruning (used by the final report).
         self.completed: Dict[str, int] = {t.name: 0 for t in tenants}
         self.rejected: Dict[str, int] = {t.name: 0 for t in tenants}
@@ -128,24 +180,27 @@ class SloTracker:
 
     def observe(self, record: CompletionRecord, payload: int) -> None:
         """Feed one completion from the runtime."""
-        events = self._events[record.tenant]
-        events.append((record.end_ns, record.latency_ns, payload, record.ok))
-        acc = self._accum(record.tenant, record.end_ns)
-        if record.ok:
-            self.completed[record.tenant] += 1
-            deadline = self._specs[record.tenant].slo.deadline
-            acc.latencies.append(record.latency_ns)
-            if record.latency_ns <= deadline:
+        tenant = record.tenant
+        end = record.end_ns
+        latency = end - record.start_ns
+        ok = record.ok
+        rolling = self._rolling[tenant]
+        rolling.add((end, latency, payload, ok))
+        acc = self._accum(tenant, end)
+        if ok:
+            self.completed[tenant] += 1
+            acc.latencies.append(latency)
+            if latency <= rolling.deadline:
                 acc.good_bytes += payload
             else:
                 acc.violations += 1
         else:
-            self.lost[record.tenant] += 1
+            self.lost[tenant] += 1
             acc.lost += 1
 
     def observe_reject(self, tenant: str, now: float) -> None:
         """Feed one bounced arrival (queue full)."""
-        self._rejects[tenant].append(now)
+        self._rolling[tenant].rejects.append(now)
         self.rejected[tenant] += 1
         self._accum(tenant, now).rejected += 1
 
@@ -157,7 +212,8 @@ class SloTracker:
         tenants present on both sides the event and reject streams are
         merged in time order, so :meth:`window` pruning stays monotone
         and quantiles over the union window come out the same as if one
-        tracker had observed every completion.
+        tracker had observed every completion.  Merged tenants get their
+        rolling state rebuilt from the merged streams.
         """
         if other.window_ns != self.window_ns:
             raise ValueError(
@@ -166,8 +222,9 @@ class SloTracker:
         for name, spec in other._specs.items():
             if name not in self._specs:
                 self._specs[name] = spec
-                self._events[name] = deque(other._events[name])
-                self._rejects[name] = deque(other._rejects[name])
+                theirs = other._rolling[name]
+                self._rolling[name] = _Rolling(
+                    theirs.deadline, theirs.events, theirs.rejects)
                 self.completed[name] = other.completed[name]
                 self.rejected[name] = other.rejected[name]
                 self.lost[name] = other.lost[name]
@@ -175,11 +232,11 @@ class SloTracker:
                     idx: acc.copy()
                     for idx, acc in other._archive[name].items()}
                 continue
-            self._events[name] = deque(heapq.merge(
-                self._events[name], other._events[name],
-                key=lambda ev: ev[0]))
-            self._rejects[name] = deque(heapq.merge(
-                self._rejects[name], other._rejects[name]))
+            ours, theirs = self._rolling[name], other._rolling[name]
+            self._rolling[name] = _Rolling(
+                ours.deadline,
+                heapq.merge(ours.events, theirs.events, key=lambda ev: ev[0]),
+                heapq.merge(ours.rejects, theirs.rejects))
             self.completed[name] += other.completed[name]
             self.rejected[name] += other.rejected[name]
             self.lost[name] += other.lost[name]
@@ -249,36 +306,23 @@ class SloTracker:
 
     def window(self, tenant: str, now: float) -> WindowStats:
         """The tenant's stats over ``[now - window, now]``."""
-        spec = self._specs[tenant]
-        slo: SloSpec = spec.slo
-        horizon = now - self.window_ns
-        events = self._events[tenant]
-        while events and events[0][0] < horizon:
-            events.popleft()
-        rejects = self._rejects[tenant]
-        while rejects and rejects[0] < horizon:
-            rejects.popleft()
-
-        latencies = sorted(lat for _end, lat, _p, ok in events if ok)
-        good_bytes = sum(p for _end, lat, p, ok in events
-                         if ok and lat <= slo.deadline)
-        violations = sum(1 for _end, lat, _p, ok in events
-                         if ok and lat > slo.deadline)
+        rolling = self._rolling[tenant]
+        rolling.prune(now - self.window_ns)
+        latencies = rolling.latencies
+        n = len(latencies)
         if latencies:
-            p50 = latencies[max(0, int(0.50 * len(latencies)) - 1)
-                            if len(latencies) > 1 else 0]
-            p99 = latencies[min(len(latencies) - 1,
-                                max(0, int(0.99 * len(latencies))))]
+            p50 = latencies[max(0, int(0.50 * n) - 1) if n > 1 else 0]
+            p99 = latencies[min(n - 1, max(0, int(0.99 * n)))]
         else:
             p50 = p99 = 0.0
         span = min(self.window_ns, now) or 1.0
         return WindowStats(
             tenant=tenant,
             window_ns=self.window_ns,
-            count=len(latencies),
+            count=n,
             p50_ns=p50,
             p99_ns=p99,
-            goodput_gbps=to_gbps(good_bytes / span),
-            rejected=len(rejects),
-            violations=violations,
+            goodput_gbps=to_gbps(rolling.good_bytes / span),
+            rejected=len(rolling.rejects),
+            violations=rolling.violations,
         )

@@ -9,7 +9,7 @@ runtime and the SLO tracker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.advisor import WorkloadProfile
 from repro.core.paths import CommPath
@@ -113,13 +113,16 @@ class TenantSpec:
         )
 
 
-@dataclass(frozen=True)
-class CompletionRecord:
+class CompletionRecord(NamedTuple):
     """One finished (or abandoned) request, as the runtime saw it.
 
     ``degraded`` marks requests served by the host-local relay while
     the SoC was down; ``ok=False`` marks requests abandoned after the
     retry budget (these count as *lost*).
+
+    A named tuple: the serving engines build one per completion (over
+    100k on a hybrid run), so construction cost matters.  It is
+    immutable and picklable (shard workers ship records back).
     """
 
     tenant: str

@@ -122,7 +122,7 @@ class _AnalyticTenant:
 
     __slots__ = ("state", "queue", "worker_free", "pending", "sentinels",
                  "armed", "next_seq", "next_at", "resume", "profiles",
-                 "cursors", "degraded_service")
+                 "degraded_service")
 
     def __init__(self, state, backlog, sentinels, now, n_workers,
                  profiles, degraded_service):
@@ -136,21 +136,22 @@ class _AnalyticTenant:
         self.next_seq = state.spec.requests
         self.next_at = now
         self.resume = None                  # handover resume event
-        self.profiles: Dict[Opcode, Tuple[float, ...]] = profiles
-        self.cursors: Dict[Opcode, int] = {op: 0 for op in profiles}
+        #: One ``[profile, cursor]`` slot per op: a draw hashes the op once.
+        self.profiles: Dict[Opcode, list] = {
+            op: [profile, 0] for op, profile in profiles.items()}
         self.degraded_service = degraded_service
 
     def draw(self, op: Opcode) -> float:
         """Next service time: cyclic replay of the recorded profile."""
-        profile = self.profiles.get(op)
-        if not profile:
+        slot = self.profiles.get(op)
+        if slot is None or not slot[0]:
             # Op never observed under this lease generation (possible
             # only for a zero-probability op raced onto the stream);
             # fall back to the mean of everything we have.
-            pooled = [s for p in self.profiles.values() for s in p]
+            pooled = [s for p, _cursor in self.profiles.values() for s in p]
             return sum(pooled) / len(pooled) if pooled else 1_000.0
-        i = self.cursors[op]
-        self.cursors[op] = (i + 1) % len(profile)
+        profile, i = slot
+        slot[1] = (i + 1) % len(profile)
         return profile[i]
 
 
@@ -498,15 +499,14 @@ class HybridController:
 
     def _complete(self, t, end: float, seq: int, op: Opcode,
                   arrived: float, degraded: bool) -> None:
-        record = CompletionRecord(
-            tenant=t.spec.name, seq=seq, op=op.value, path=t.lease.path,
-            start_ns=arrived, end_ns=end, ok=True, attempts=1,
-            degraded=degraded)
+        spec = t.spec
+        record = CompletionRecord(spec.name, seq, op.value, t.lease.path,
+                                  arrived, end, True, 1, degraded)
         t.finished += 1
         if degraded:
             t.degraded_served += 1
         self.runtime.completions.append(record)
-        self.tracker.observe(record, t.spec.payload)
+        self.tracker.observe(record, spec.payload)
         self.analytic_completions += 1
 
     def _release_finished(self, now: float) -> None:

@@ -117,6 +117,33 @@ def test_packet_loss_is_seed_deterministic():
     assert 0 < a < 50  # i.i.d. at 50 %: neither lossless nor total
 
 
+def _dropped_sends(plan: FaultPlan, **install) -> tuple:
+    """Indices of the dropped sends among 64 back-to-back ones."""
+    cluster = SimCluster(paper_testbed(), n_clients=1)
+    cluster.install_faults(plan, **install)
+    channel = cluster.channel(cluster.node("client0"))
+    dropped = []
+
+    def sender():
+        for i in range(64):
+            if (yield channel.send(64)) is LOST:
+                dropped.append(i)
+
+    cluster.sim.process(sender())
+    cluster.sim.run()
+    return tuple(dropped)
+
+
+def test_install_faults_draws_from_the_plan_seed():
+    def plan(seed):
+        return FaultPlan.packet_loss("net.client0", 0.5, seed=seed)
+
+    assert _dropped_sends(plan(1)) == _dropped_sends(plan(1))
+    assert _dropped_sends(plan(1)) != _dropped_sends(plan(2))
+    # An explicit seed still wins over the plan's.
+    assert _dropped_sends(plan(1), seed=2) == _dropped_sends(plan(2))
+
+
 def test_dropped_transfer_still_occupies_the_wire(cluster):
     """Back-to-back sends serialize identically whether or not the
     first was dropped: the bytes burned wire time either way."""

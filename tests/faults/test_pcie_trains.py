@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.hw.pcie.config import PCIE_GEN3, PCIE_GEN4, PCIE_GEN5
 from repro.hw.pcie.link import PCIeLink
 from repro.hw.pcie.tlp import TLP_HEADER_BYTES, segment_sizes
@@ -47,10 +47,7 @@ def run_lossy(target: str, dst: str, verb: str, seed: int) -> dict:
     """Post ``OPS`` RC verbs of ``PAYLOAD`` bytes from client0 to
     ``dst`` with 5 % per-TLP loss on ``target``."""
     cluster = SimCluster(paper_testbed(), n_clients=1)
-    # The injector itself, not ``cluster.install_faults``: that helper
-    # passes its own ``seed`` argument and so ignores the plan's.
-    FaultInjector(cluster, FaultPlan.packet_loss(target, 0.05,
-                                                 seed=seed)).install()
+    cluster.install_faults(FaultPlan.packet_loss(target, 0.05, seed=seed))
     ctx = RdmaContext(cluster)
     local = ctx.reg_mr("client0", PAYLOAD)
     remote = ctx.reg_mr(dst, PAYLOAD)
