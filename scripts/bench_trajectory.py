@@ -20,9 +20,11 @@ Usage::
 ``--check`` re-runs the smoke workload and fails (exit 1) when any
 recorded bar regressed: cold smoke wall-time more than
 ``BENCH_CHECK_TOLERANCE`` (default 0.25, i.e. 25 %) over the recorded
-``BENCH_sweep.json``, DES events/sec below the record by the same
-tolerance, either serving engine's simulated requests per wall-second
-below its record by the same tolerance, the hybrid engine diverging
+``BENCH_sweep.json``, DES events per reference second (events/sec
+rescaled by a reference slice timed in the same process, so host
+drift cancels) below the record by the same tolerance, either serving
+engine's simulated requests per wall-second below its record by the
+same tolerance, the hybrid engine diverging
 from pure-DES counts, the sharded lockstep engine
 diverging from its in-process reference, or (on machines with >= 2
 cores) the ``jobs=2`` shard speedup below ``BENCH_CHECK_SHARD_MIN``
@@ -33,8 +35,10 @@ is not rewritten; CI runs the check before regenerating the record.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -151,23 +155,76 @@ def vector_sweep(testbed, reps: int = 5) -> dict:
     }
 
 
-def des_microbench(processes: int = 100, rounds: int = 200) -> dict:
-    """Events/sec of the DES hot loop (timeout-driven coroutines)."""
-    sim = Simulator()
+#: Operations per reference slice, and the slice time that defines one
+#: reference second (about an unloaded two-core VM, so reference and
+#: wall rates read alike).  The same mix and scale as
+#: ``perfbench/calibrate.py``.
+REFERENCE_OPS = 1000
+REFERENCE_SLICE_S = 0.0005
+#: Slices timed (median taken) right before each DES hot-loop run, and
+#: paired reference/DES runs per record (median taken).
+REFERENCE_SLICES = 31
+DES_PAIRS = 5
 
-    def ticker():
-        for _ in range(rounds):
-            yield sim.timeout(1.0)
 
-    for _ in range(processes):
-        sim.process(ticker())
+def reference_slice() -> float:
+    """Seconds of one fixed pure-Python slice: heap push/pop, generator
+    send and dict stores, the simulator's own instruction mix."""
+    queue: list = []
+    table = {}
+
+    def accumulate():
+        total = 0
+        while True:
+            total += yield total
+
+    gen = accumulate()
+    next(gen)
+    send = gen.send
     start = time.perf_counter()
-    sim.run()
-    wall = time.perf_counter() - start
+    for i in range(REFERENCE_OPS):
+        heapq.heappush(queue, (i * 7919) % 10007)
+        send(i)
+        table[i & 1023] = i
+    while queue:
+        heapq.heappop(queue)
+    return time.perf_counter() - start
+
+
+def des_microbench(processes: int = 100, rounds: int = 200) -> dict:
+    """Events/sec of the DES hot loop (timeout-driven coroutines).
+
+    A shared host's speed drifts by 2x within minutes, so each run is
+    paired with the median of ``REFERENCE_SLICES`` reference slices
+    timed just before it, in the same process.  ``events_per_ref_s``
+    is events per *reference second* — wall seconds rescaled by
+    ``slice / REFERENCE_SLICE_S`` — and moves with the kernel, not the
+    host.  Both rates are medians over ``DES_PAIRS`` pairs.
+    """
+    raw, calibrated, slices = [], [], []
+    for _ in range(DES_PAIRS):
+        slice_s = statistics.median(
+            reference_slice() for _ in range(REFERENCE_SLICES))
+        sim = Simulator()
+
+        def ticker():
+            for _ in range(rounds):
+                yield sim.timeout(1.0)
+
+        for _ in range(processes):
+            sim.process(ticker())
+        start = time.perf_counter()
+        sim.run()
+        wall = time.perf_counter() - start
+        raw.append(sim.events_executed / wall)
+        calibrated.append(raw[-1] * slice_s / REFERENCE_SLICE_S)
+        slices.append(slice_s)
     return {
         "events": sim.events_executed,
-        "wall_s": round(wall, 4),
-        "events_per_sec": round(sim.events_executed / wall),
+        "wall_s": round(sim.events_executed / statistics.median(raw), 4),
+        "events_per_sec": round(statistics.median(raw)),
+        "reference_slice_s": round(statistics.median(slices), 7),
+        "events_per_ref_s": round(statistics.median(calibrated)),
     }
 
 
@@ -432,15 +489,15 @@ def timed_smoke(testbed, reps: int = 1):
     return points, cold_s, warm_s
 
 
-def check_regression(recorded_path: str, cold_s: float, des_eps: float,
+def check_regression(recorded_path: str, cold_s: float, des: dict,
                      serving: dict) -> int:
     """Exit status: 1 when any recorded performance bar regressed.
 
     Three gates, all against the recorded ``BENCH_sweep.json``:
 
     * cold smoke-sweep wall-time within ``BENCH_CHECK_TOLERANCE``;
-    * DES hot-loop events/sec monotone (no worse than the record,
-      minus the same tolerance);
+    * DES hot-loop events per reference second monotone (no worse
+      than the record, minus the same tolerance);
     * each serving engine's simulated requests per wall-second no worse
       than its record, minus the same tolerance (skipped with a note
       when the record has none), and the hybrid engine reproducing the
@@ -466,14 +523,16 @@ def check_regression(recorded_path: str, cold_s: float, des_eps: float,
           f"{baseline:.4f} s (limit {limit:.4f} s, "
           f"tolerance {tolerance:.0%}) -> {verdict}")
 
-    recorded_eps = float(recorded.get("des", {}).get("events_per_sec", 0.0))
+    recorded_eps = float(
+        recorded.get("des", {}).get("events_per_ref_s", 0.0))
     if recorded_eps:
+        des_eps = des["events_per_ref_s"]
         floor = recorded_eps * (1.0 - tolerance)
         verdict = "OK" if des_eps >= floor else "REGRESSED"
         failures += des_eps < floor
-        print(f"bench check: DES hot loop {des_eps:,.0f} events/s vs "
-              f"recorded {recorded_eps:,.0f} (floor {floor:,.0f}) "
-              f"-> {verdict}")
+        print(f"bench check: DES hot loop {des_eps:,.0f} events/ref-s vs "
+              f"recorded {recorded_eps:,.0f} (floor {floor:,.0f}; raw "
+              f"{des['events_per_sec']:,.0f} events/s) -> {verdict}")
 
     for section in ("des_serving", "hybrid_serving"):
         rate = serving[section]["req_per_s"]
@@ -550,8 +609,7 @@ def main(argv=None) -> int:
 
     points, cold_s, warm_s = timed_smoke(testbed, reps=reps)
     if args.check:
-        return check_regression(args.out, cold_s,
-                                des_microbench()["events_per_sec"],
+        return check_regression(args.out, cold_s, des_microbench(),
                                 serving_bench())
 
     caches = {

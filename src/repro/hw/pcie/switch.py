@@ -10,9 +10,10 @@ paper's observation that bottlenecks are always the links or the NIC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappush
 from typing import Dict, Optional, TYPE_CHECKING
 
-from repro.sim.events import Event
+from repro.sim.events import NORMAL, SEQ_BITS, Event
 from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -70,12 +71,16 @@ class PCIeSwitch:
         dst_port = self.port(dst)
         src_port.tlps_in.add(1)
         dst_port.tlps_out.add(1)
-        done = Event(self.sim)
-        done.succeed(payload, delay=self.hop_latency)
-        tracer = self.sim.tracer
+        sim = self.sim
+        done = Event(sim)
+        done._value = payload
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now + self.hop_latency,
+                              NORMAL << SEQ_BITS | seq, done))
+        tracer = sim.tracer
         if tracer is not None:
-            tracer.point(f"switch:{self.name}", "pcie", self.sim.now,
-                         self.sim.now + self.hop_latency,
+            tracer.point(f"switch:{self.name}", "pcie", sim.now,
+                         sim.now + self.hop_latency,
                          switch=self.name, src=src, dst=dst,
                          payload=payload)
         return done

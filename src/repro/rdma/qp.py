@@ -96,6 +96,9 @@ class QueuePair:
                 f"node {node.name!r} is not attached to a cluster; QPs can "
                 "only be created on nodes owned by a SimCluster")
         self.node = node
+        # A node's cluster is fixed once attached; every verb reads these.
+        self.cluster = node.cluster
+        self.sim = node.cluster.sim
         self.qp_type = qp_type
         self.send_cq = send_cq
         self.recv_cq = recv_cq
@@ -186,14 +189,6 @@ class QueuePair:
         if self.peer is None:
             raise QPError("RC QP is not connected")
         return self.peer
-
-    @property
-    def cluster(self):
-        return self.node.cluster
-
-    @property
-    def sim(self):
-        return self.node.cluster.sim
 
     # -- receive side ---------------------------------------------------------------
 

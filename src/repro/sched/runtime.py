@@ -26,12 +26,12 @@ is lossless as long as the retry budget holds out.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.apps.logship import TokenBucket
 from repro.core.paths import CommPath, Opcode
-from repro.hw.memory.address import AddressRegion
 from repro.net.cluster import SimCluster
 from repro.rdma.qp import QPState, QueuePair
 from repro.rdma.verbs import RdmaContext
@@ -41,7 +41,6 @@ from repro.sched.tenant import CompletionRecord, TenantSpec
 from repro.units import gbps, gib_per_s, to_mpps
 from repro.sim import Store
 from repro.sim.links import LOST
-from repro.workloads import RangeLimitedPattern, RequestStream, UniformPattern
 
 #: Per-attempt transport tuning for runtime QPs.  Default verbs retry
 #: for ~0.5 ms before wedging; a serving runtime wants to fail fast and
@@ -86,23 +85,15 @@ class _TenantState:
         self.local_mrs = []
         self.remote_mrs = []
         self.bucket: Optional[TokenBucket] = None
-        self.stream = self._make_stream(spec)
+        # The op draws of the tenant's request stream.  Only the opcode
+        # shapes serving traffic: every request moves ``spec.payload``
+        # bytes, so no address pattern is drawn.
+        self.op_rng = random.Random(spec.seed)
         self.wr_ids = itertools.count(1)
         self.admitted = 0
         self.finished = 0
         self.arrivals_done = False
         self.degraded_served = 0
-
-    @staticmethod
-    def _make_stream(spec: TenantSpec) -> RequestStream:
-        region = AddressRegion(0, int(spec.working_set_bytes))
-        payload = max(1, spec.payload)
-        if spec.hot_range_bytes:
-            pattern = RangeLimitedPattern(region, payload,
-                                          int(spec.hot_range_bytes))
-        else:
-            pattern = UniformPattern(region, payload)
-        return RequestStream(spec.mix, pattern, seed=spec.seed)
 
 
 class ServingRuntime:
@@ -270,7 +261,7 @@ class ServingRuntime:
                 seq = yield from hybrid.handover(t, seq)
                 if seq >= spec.requests:
                     break
-            op, _payload, _addr = next(t.stream)
+            op = spec.mix.sample(t.op_rng)
             if len(t.queue) >= spec.queue_limit:
                 self.tracker.observe_reject(spec.name, self.sim.now)
                 self.cluster.bump("sched.rejected")

@@ -9,19 +9,14 @@ from repro.sim.errors import SimulationError
 from repro.sim.events import Event, Timeout, NORMAL
 from repro.sim.process import Process
 
-# Priority and insertion order share one integer sort key: the priority
-# lives above bit 48, the sequence number below.  One fewer tuple slot
-# per queue entry and one fewer comparison per sift — this loop is the
-# hottest code in every DES cross-check.
-_SEQ_BITS = 48
-_SEQ_MASK = (1 << _SEQ_BITS) - 1
-
 
 class Simulator:
     """A discrete-event simulator with a nanosecond clock.
 
     Events are executed in ``(time, priority, insertion order)`` order,
-    so simultaneous events are deterministic.
+    so simultaneous events are deterministic.  Events queue themselves
+    when triggered (see :data:`repro.sim.events.SEQ_BITS` for the queue
+    entry); the run loop pops each one and calls its callbacks inline.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_event_count", "tracer")
@@ -63,21 +58,6 @@ class Simulator:
         """Start a coroutine process; returns its completion event."""
         return Process(self, generator)
 
-    # -- scheduling -----------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = NORMAL) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
-        if event._scheduled:
-            raise SimulationError(f"{event!r} already scheduled")
-        event._scheduled = True
-        self._seq += 1
-        heapq.heappush(self._queue,
-                       (self._now + delay,
-                        (priority << _SEQ_BITS) | (self._seq & _SEQ_MASK),
-                        event))
-
     # -- running -----------------------------------------------------------------
 
     def peek(self) -> float:
@@ -88,10 +68,12 @@ class Simulator:
         """Pop and fire exactly one event."""
         if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        when, _order, event = heapq.heappop(self._queue)
+        when, _key, event = heapq.heappop(self._queue)
         self._now = when
         self._event_count += 1
-        event._fire()
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -111,31 +93,50 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         fired = 0
-        if until is None and max_events is None:
-            # Hot path: the horizon and budget guards are hoisted out of
-            # the loop entirely — a drain-to-empty run (every serving
-            # run, every cross-check) pays only pop + fire per event.
+        # Each loop fires an event by swapping its callbacks list for
+        # None and calling every callback with the event.  The horizon
+        # and budget guards are hoisted out of the common loops: a
+        # drain-to-empty run (every serving run, every cross-check)
+        # pays only pop + fire, a lockstep window only one compare more.
+        if max_events is None:
             try:
-                while queue:
-                    when, _order, event = pop(queue)
+                if until is None:
+                    while queue:
+                        when, _key, event = pop(queue)
+                        self._now = when
+                        fired += 1
+                        callbacks = event.callbacks
+                        event.callbacks = None
+                        for callback in callbacks:
+                            callback(event)
+                    return
+                while queue and queue[0][0] <= until:
+                    when, _key, event = pop(queue)
                     self._now = when
                     fired += 1
-                    event._fire()
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    for callback in callbacks:
+                        callback(event)
             finally:
                 self._event_count += fired
+            self._now = until
             return
         try:
             while queue:
-                if max_events is not None and fired >= max_events:
+                if fired >= max_events:
                     return
                 when = queue[0][0]
                 if until is not None and when > until:
                     self._now = until
                     return
-                when, _order, event = pop(queue)
+                when, _key, event = pop(queue)
                 self._now = when
                 fired += 1
-                event._fire()
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
         finally:
             self._event_count += fired
         if until is not None:

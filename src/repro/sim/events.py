@@ -9,6 +9,7 @@ every waiting process).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.sim.errors import SimulationError
@@ -21,20 +22,29 @@ URGENT = 0
 NORMAL = 1
 LOW = 2
 
+# A queue entry is ``(time, key, event)`` with ``time = now + delay``.
+# The key ``priority << SEQ_BITS | seq`` packs the priority above the
+# simulator's insertion sequence (2**48 events is years of simulation),
+# so one integer comparison orders simultaneous events by priority, then
+# FIFO.  Every producer builds the entry inline: this is the hottest
+# code in every DES run, and a shared helper would cost a call per event.
+SEQ_BITS = 48
+
 _PENDING = object()
 
 
 class Event:
     """A one-shot triggerable future bound to a simulator."""
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_scheduled")
+    __slots__ = ("sim", "callbacks", "_value", "_ok")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
+        # A list until the event fires; the run loop swaps in None
+        # before it calls each callback with the event.
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
         self._ok: bool = True
-        self._scheduled = False
 
     # -- state ---------------------------------------------------------------
 
@@ -60,15 +70,22 @@ class Event:
         return self._value
 
     # -- triggering ------------------------------------------------------------
+    #
+    # An event is queued exactly when it is triggered, so the one
+    # "already triggered" check also refuses to queue an event twice.
 
     def succeed(self, value: Any = None, delay: float = 0.0,
                 priority: int = NORMAL) -> "Event":
         """Trigger the event successfully, firing after ``delay`` ns."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past: {delay}")
         self._value = value
-        self._ok = True
-        self.sim._schedule(self, delay, priority)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue,
+                 (sim._now + delay, priority << SEQ_BITS | seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0,
@@ -78,19 +95,17 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past: {delay}")
         self._value = exception
         self._ok = False
-        self.sim._schedule(self, delay, priority)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue,
+                 (sim._now + delay, priority << SEQ_BITS | seq, self))
         return self
 
-    # -- engine hooks ------------------------------------------------------------
-
-    def _fire(self) -> None:
-        """Run callbacks.  Called by the engine when the event is popped."""
-        callbacks, self.callbacks = self.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
+    # -- callbacks ---------------------------------------------------------------
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Attach ``callback(event)``; runs immediately if already fired."""
@@ -114,11 +129,14 @@ class Timeout(Event):
                  priority: int = NORMAL):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        self.sim = sim
+        self.callbacks = []
         self._value = value
         self._ok = True
-        sim._schedule(self, delay, priority)
+        self.delay = delay
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue,
+                 (sim._now + delay, priority << SEQ_BITS | seq, self))
 
 
 class _Condition(Event):

@@ -453,7 +453,7 @@ class HybridController:
                 and at.next_at <= horizon:
             arrived = at.next_at
             self._settle(at, arrived)
-            op, _payload, _addr = next(t.stream)
+            op = spec.mix.sample(t.op_rng)
             if len(at.queue) >= spec.queue_limit:
                 tracker.observe_reject(spec.name, arrived)
                 cluster.bump("sched.rejected")

@@ -10,9 +10,10 @@ compete (§3.1 of the paper: READ+WRITE multiplex to ~2x one direction).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING
 
-from repro.sim.events import Event
+from repro.sim.events import NORMAL, SEQ_BITS, Event
 from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,7 +81,8 @@ class SimplexChannel:
         if nbytes < 0 or size < 0 or count < 0:
             raise ValueError(
                 f"negative transfer: {count} x {size} B + {nbytes} B")
-        now = self.sim.now
+        sim = self.sim
+        now = sim._now
         free = max(self._free_at, now)
         if count:
             step = size / self.bandwidth
@@ -90,8 +92,13 @@ class SimplexChannel:
         self._free_at = free
         self.bytes_sent.add(size * count + nbytes)
         self.transfers.add(count + 1)
-        done = Event(self.sim)
-        done.succeed(nbytes, delay=free + self.latency - now)
+        # The delivery event, triggered and queued in place.  Its time
+        # keeps the ``now + delay`` expression of every queued event.
+        done = Event(sim)
+        done._value = nbytes
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (now + (free + self.latency - now),
+                              NORMAL << SEQ_BITS | seq, done))
         return done
 
     def utilization(self, elapsed: float) -> float:

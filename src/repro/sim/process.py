@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, TYPE_CHECKING
 
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.events import Event, URGENT
+from repro.sim.events import _PENDING, SEQ_BITS, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -28,7 +29,10 @@ class Process(Event):
             raise TypeError(
                 f"Process needs a generator, got {type(generator).__name__} "
                 "(did you call the function instead of passing its generator?)")
-        super().__init__(sim)
+        self.sim = sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
         self.generator = generator
         # Bound-method localization: _resume runs once per event in the
         # hot loop, so skip the per-call attribute lookups.
@@ -44,10 +48,14 @@ class Process(Event):
             tracer.on_spawn(self)
         else:
             self._trace_ctx = None
-        # Kick off the process at the current simulated instant.
+        # Kick off the process at the current simulated instant: an
+        # URGENT zero-delay event, triggered and queued in place.
         bootstrap = Event(sim)
-        bootstrap.add_callback(self._resume)
-        bootstrap.succeed(priority=URGENT)
+        bootstrap.callbacks.append(self._resume)
+        bootstrap._value = None
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue,
+                 (sim._now + 0.0, URGENT << SEQ_BITS | seq, bootstrap))
 
     @property
     def is_alive(self) -> bool:
@@ -109,5 +117,11 @@ class Process(Event):
         if target.sim is not self.sim:
             self.fail(SimulationError("yielded an event from another simulator"))
             return
-        self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            # Already fired: resume at once, through the class attribute
+            # like every other resume.
+            self._resume(target)
+        else:
+            self._waiting_on = target
+            callbacks.append(self._resume)
