@@ -1,26 +1,32 @@
-"""The NIC's DMA engine as a discrete-event process.
+"""The NIC's DMA engine: Fig 3's transactions as simulation generators.
 
 Implements the execution flows of Fig 3:
 
-* **dma_write** — posted.  Data TLPs flow toward the target; the engine
+* **write** — posted.  Data TLPs flow toward the target; the engine
   completes once the last TLP is delivered, no return traffic.
-* **dma_read** — non-posted.  A header-only read-request TLP travels to
+* **read** — non-posted.  A header-only read-request TLP travels to
   the target, completions with data travel back; the engine completes
   only when the last completion arrives — this is why READ "passes the
   PCIe twice" and carries the higher latency tax.
 
-Routes are sequences of hops (links and switch traversals).  Transfers
-are modelled store-and-forward per hop, which is exact for requests that
-fit one TLP and a sub-1 % approximation for the small messages whose
-latency the paper studies.
+:meth:`DmaEngine.write` and :meth:`DmaEngine.read` return generators
+that a verb runs inside its own process with ``yield from``;
+:meth:`DmaEngine.dma_write` / :meth:`DmaEngine.dma_read` run the same
+bodies as a standalone :class:`~repro.sim.process.Process`.
+
+Routes are tuples of hops (links and switch traversals), built once per
+NIC.  Transfers are modelled store-and-forward per hop, which is exact
+for requests that fit one TLP and a sub-1 % approximation for the small
+messages whose latency the paper studies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Union, TYPE_CHECKING
+from typing import Generator, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
+from repro.sim.events import Timeout
 from repro.sim.links import LOST
 from repro.sim.process import Process
 from repro.hw.pcie.link import PCIeLink
@@ -57,9 +63,9 @@ class SwitchHop:
 Hop = Union[LinkHop, SwitchHop]
 
 
-def reverse_route(route: Sequence[Hop]) -> List[Hop]:
+def reverse_route(route: Sequence[Hop]) -> Tuple[Hop, ...]:
     """The route completions take: same hops, opposite order/direction."""
-    return [hop.reversed() for hop in reversed(route)]
+    return tuple(hop.reversed() for hop in reversed(route))
 
 
 class DmaEngine:
@@ -78,7 +84,7 @@ class DmaEngine:
 
         A hop whose delivery is poisoned by a fault injector yields
         :data:`LOST`; the traversal then stops (the TLPs never reach
-        later hops) and the process resolves to ``LOST``.
+        later hops) and resolves to ``LOST``.
         """
         for hop in route:
             if isinstance(hop, LinkHop):
@@ -102,10 +108,35 @@ class DmaEngine:
                 return LOST
         return 0
 
-    # -- public API ---------------------------------------------------------------
+    def _read(self, route: Sequence[Hop], back: Sequence[Hop], nbytes: int,
+              mps: int, requests: int):
+        """The read transaction: request headers out, data back.
 
-    def dma_write(self, route: Sequence[Hop], nbytes: int, mps: int) -> Process:
-        """Posted write of ``nbytes`` along ``route``; fires at delivery."""
+        Each leg ends with the zero-delay completion hop it had as a
+        process of its own, skipped when nothing else is due now (see
+        :meth:`~repro.sim.engine.Simulator.due_now`).
+        """
+        sim = self.sim
+        out = yield from self._traverse_header(route, requests)
+        if sim.due_now():
+            yield Timeout(sim, 0)
+        if out is LOST:
+            return LOST
+        returned = yield from self._traverse(back, nbytes, mps)
+        if sim.due_now():
+            yield Timeout(sim, 0)
+        return returned
+
+    # -- public API ---------------------------------------------------------------
+    #
+    # ``write``/``read`` validate at once and return the body.  A verb
+    # that drives it with ``yield from`` owns the transaction's
+    # completion hop; as a Process, the process's completion is the hop.
+
+    def write(self, route: Sequence[Hop], nbytes: int,
+              mps: int) -> Generator:
+        """Posted write of ``nbytes`` along ``route``; returns the byte
+        count at delivery (``LOST`` if a hop dropped it)."""
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
         gen = self._traverse(route, nbytes, mps)
@@ -113,30 +144,32 @@ class DmaEngine:
         if tracer is not None:
             gen = tracer.wrap("dma_write", "dma", gen,
                               bytes=nbytes, mps=mps, hops=len(route))
-        return self.sim.process(gen)
+        return gen
 
-    def dma_read(self, route: Sequence[Hop], nbytes: int, mps: int) -> Process:
-        """Non-posted read: request out along ``route``, data back.
+    def read(self, route: Sequence[Hop], nbytes: int, mps: int,
+             back: Optional[Sequence[Hop]] = None) -> Generator:
+        """Non-posted read: request out along ``route``, data back along
+        ``back`` (default: ``route`` reversed).
 
-        Fires when the final completion TLP has returned to the engine.
+        Returns when the final completion TLP has reached the engine.
         """
         if nbytes < 0:
             raise ValueError(f"negative DMA size: {nbytes}")
-
+        if back is None:
+            back = reverse_route(route)
         requests = max(1, math.ceil(nbytes / self.max_read_request))
-
-        def transaction():
-            out = yield self.sim.process(self._traverse_header(route, requests))
-            if out is LOST:
-                return LOST
-            returned = yield self.sim.process(
-                self._traverse(reverse_route(route), nbytes, mps))
-            return returned
-
-        gen = transaction()
+        gen = self._read(route, back, nbytes, mps, requests)
         tracer = self.sim.tracer
         if tracer is not None:
             gen = tracer.wrap("dma_read", "dma", gen,
                               bytes=nbytes, mps=mps, hops=len(route),
                               read_requests=requests)
-        return self.sim.process(gen)
+        return gen
+
+    def dma_write(self, route: Sequence[Hop], nbytes: int, mps: int) -> Process:
+        """:meth:`write` as a process; fires at delivery."""
+        return self.sim.process(self.write(route, nbytes, mps))
+
+    def dma_read(self, route: Sequence[Hop], nbytes: int, mps: int) -> Process:
+        """:meth:`read` as a process; fires when the data is back."""
+        return self.sim.process(self.read(route, nbytes, mps))

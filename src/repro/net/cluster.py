@@ -102,14 +102,16 @@ class ServerInstance:
         return self.rnic.spec.cores
 
     def dma_route(self, endpoint: Endpoint):
-        """(dma_engine, route, mps) for a DMA to ``endpoint`` memory."""
+        """(dma_engine, route, route back, mps) for a DMA to
+        ``endpoint`` memory; the routes are the NIC's stored tuples."""
         if self.snic is not None:
             return (self.snic.dma, self.snic.route_to(endpoint),
+                    self.snic.route_from(endpoint),
                     self.snic.mps_for(endpoint))
         if endpoint is not Endpoint.HOST:
             raise ValueError("the RNIC build-out has no SoC endpoint")
         return (self.rnic.dma, self.rnic.route_to_host(),
-                self.rnic.host_mps)
+                self.rnic.route_from_host(), self.rnic.host_mps)
 
 
 class SimCluster:
@@ -228,7 +230,7 @@ class SimCluster:
         return self.servers[node.server]
 
     def dma_route(self, target: Union[Node, Endpoint]):
-        """(dma_engine, route, mps) for a DMA into ``target``.
+        """(dma_engine, route, route back, mps) for a DMA into ``target``.
 
         Accepts a server-side node, or a bare endpoint (resolved on
         server 0 for single-server convenience).

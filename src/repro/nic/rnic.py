@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Tuple, TYPE_CHECKING
 
 from repro.hw.memory import MemorySubsystem
-from repro.hw.pcie.dma import DmaEngine, LinkHop
+from repro.hw.pcie.dma import DmaEngine, Hop, LinkHop, reverse_route
 from repro.hw.pcie.link import PCIeLink
 from repro.nic.core import NICCores
 from repro.nic.specs import RNICSpec, HOST_MEMORY
@@ -30,6 +30,8 @@ class RNIC:
         self.sim: Optional["Simulator"] = None
         self.host_link: Optional[PCIeLink] = None
         self.dma: Optional[DmaEngine] = None
+        self._to_host: Tuple[Hop, ...] = ()
+        self._from_host: Tuple[Hop, ...] = ()
 
     @property
     def host_mps(self) -> int:
@@ -49,10 +51,20 @@ class RNIC:
                                   latency=self.spec.host_link_latency,
                                   name=f"{self.spec.name}.pcie0")
         self.dma = DmaEngine(sim, self.spec.cores.max_read_request)
+        self._to_host = (LinkHop(self.host_link, forward=True),)
+        self._from_host = reverse_route(self._to_host)
         return self
 
-    def route_to_host(self):
-        """Hop route from the NIC cores to host memory."""
+    def _require_fabric(self) -> None:
         if self.host_link is None:
             raise RuntimeError("instantiate(sim) must be called first")
-        return [LinkHop(self.host_link, forward=True)]
+
+    def route_to_host(self) -> Tuple[Hop, ...]:
+        """Hop route from the NIC cores to host memory."""
+        self._require_fabric()
+        return self._to_host
+
+    def route_from_host(self) -> Tuple[Hop, ...]:
+        """:meth:`route_to_host` reversed: the way read completions return."""
+        self._require_fabric()
+        return self._from_host

@@ -14,10 +14,11 @@ memory (Table 3) — regardless of which links the TLPs cross.
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.hw.memory import MemorySubsystem
-from repro.hw.pcie.dma import DmaEngine, Hop, LinkHop, SwitchHop
+from repro.hw.pcie.dma import (DmaEngine, Hop, LinkHop, SwitchHop,
+                               reverse_route)
 from repro.hw.pcie.link import PCIeLink
 from repro.hw.pcie.switch import PCIeSwitch
 from repro.nic.core import Endpoint, NICCores
@@ -45,6 +46,11 @@ class SmartNIC:
         self.pcie0: Optional[PCIeLink] = None
         self.switch: Optional[PCIeSwitch] = None
         self.dma: Optional[DmaEngine] = None
+        # Routes are immutable hop tuples, built once per fabric:
+        # endpoint -> (route there, route back), and the path-3 route.
+        self._routes: Dict[Endpoint, Tuple[Tuple[Hop, ...],
+                                           Tuple[Hop, ...]]] = {}
+        self._host_to_soc: Tuple[Hop, ...] = ()
 
     # -- analytic properties -------------------------------------------------------
 
@@ -100,40 +106,40 @@ class SmartNIC:
         for port in ("nic", "host", "soc"):
             self.switch.add_port(port)
         self.dma = DmaEngine(sim, self.spec.cores.max_read_request)
+        # ``forward=True`` on PCIe1 means NIC -> switch; on PCIe0 it
+        # means switch -> host.
+        to_host = (LinkHop(self.pcie1, forward=True),
+                   SwitchHop(self.switch, "nic", "host"),
+                   LinkHop(self.pcie0, forward=True))
+        to_soc = (LinkHop(self.pcie1, forward=True),
+                  SwitchHop(self.switch, "nic", "soc"))
+        self._routes = {Endpoint.HOST: (to_host, reverse_route(to_host)),
+                        Endpoint.SOC: (to_soc, reverse_route(to_soc))}
+        self._host_to_soc = (LinkHop(self.pcie0, forward=False),
+                             SwitchHop(self.switch, "host", "nic"),
+                             LinkHop(self.pcie1, forward=False),
+                             LinkHop(self.pcie1, forward=True),
+                             SwitchHop(self.switch, "nic", "soc"))
         return self
 
     def _require_fabric(self) -> None:
         if self.switch is None:
             raise RuntimeError("instantiate(sim) must be called first")
 
-    def route_to(self, endpoint: Endpoint) -> List[Hop]:
-        """Hop route from the NIC cores to ``endpoint``'s memory.
-
-        ``forward=True`` on PCIe1 means NIC -> switch; on PCIe0 it means
-        switch -> host.
-        """
+    def route_to(self, endpoint: Endpoint) -> Tuple[Hop, ...]:
+        """Hop route from the NIC cores to ``endpoint``'s memory."""
         self._require_fabric()
-        if endpoint is Endpoint.HOST:
-            return [
-                LinkHop(self.pcie1, forward=True),
-                SwitchHop(self.switch, "nic", "host"),
-                LinkHop(self.pcie0, forward=True),
-            ]
-        return [
-            LinkHop(self.pcie1, forward=True),
-            SwitchHop(self.switch, "nic", "soc"),
-        ]
+        return self._routes[endpoint][0]
 
-    def route_host_to_soc(self) -> List[Hop]:
+    def route_from(self, endpoint: Endpoint) -> Tuple[Hop, ...]:
+        """:meth:`route_to` reversed: the way read completions return."""
+        self._require_fabric()
+        return self._routes[endpoint][1]
+
+    def route_host_to_soc(self) -> Tuple[Hop, ...]:
         """The full path-3 data route: host memory -> NIC -> SoC memory.
 
         Crosses PCIe1 twice (in and out, §3.3) — the hidden bottleneck.
         """
         self._require_fabric()
-        return [
-            LinkHop(self.pcie0, forward=False),
-            SwitchHop(self.switch, "host", "nic"),
-            LinkHop(self.pcie1, forward=False),
-            LinkHop(self.pcie1, forward=True),
-            SwitchHop(self.switch, "nic", "soc"),
-        ]
+        return self._host_to_soc

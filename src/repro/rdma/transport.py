@@ -1,8 +1,16 @@
 """Transport processes: how a verb physically executes on the cluster.
 
 Each helper is a generator meant to run inside the simulation; it yields
-channel transfers and DMA processes in the order the hardware would
+channel transfers and DMA transactions in the order the hardware would
 issue them (Fig 3), and moves the actual bytes at the right instant.
+
+The helpers run inside the verb's own process.  A zero-delay hop whose
+only waiter is that process (a DMA transaction's completion, an
+uncontended NIC-unit grant) is skipped when
+:meth:`~repro.sim.engine.Simulator.due_now` is False: it would be the
+next event popped, so continuing inline queues every later event in the
+same order.  That holds because each event resuming a verb has one
+callback, the verb's resume, and nothing interrupts a verb.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.nic.core import Endpoint
+from repro.sim.events import Timeout
 from repro.sim.links import LOST
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -84,8 +93,9 @@ def server_nic_stage(cluster: "SimCluster", node: "Node" = None):
     span = (tracer.begin("nic_pipeline", "nic", server=server.name)
             if tracer is not None else None)
     submitted = sim.now
-    grant = server.pipeline.request()
-    yield grant
+    pipeline = server.pipeline
+    if sim.due_now() or not pipeline.try_acquire():
+        yield pipeline.request()
     if span is not None:
         # Time spent waiting for a free processing unit (queueing under
         # load); the span itself stays gap-free for the tiling invariant.
@@ -93,7 +103,7 @@ def server_nic_stage(cluster: "SimCluster", node: "Node" = None):
     try:
         yield sim.timeout(service)
     finally:
-        server.pipeline.release()
+        pipeline.release()
     remaining = server.cores.pipeline_ns - service
     if remaining > 0:
         yield sim.timeout(remaining)
@@ -110,8 +120,11 @@ def server_dma_read(cluster: "SimCluster", target, length: int):
     """
     if length == 0:
         return 0
-    engine, route, mps = cluster.dma_route(target)
-    got = yield engine.dma_read(route, length, mps)
+    engine, route, back, mps = cluster.dma_route(target)
+    got = yield from engine.read(route, length, mps, back)
+    sim = cluster.sim
+    if sim.due_now():
+        yield Timeout(sim, 0)            # the transaction's completion hop
     if got is LOST:
         return LOST
     return length
@@ -121,8 +134,11 @@ def server_dma_write(cluster: "SimCluster", target, length: int):
     """A server NIC DMA-writes ``length`` bytes into ``target`` memory."""
     if length == 0:
         return 0
-    engine, route, mps = cluster.dma_route(target)
-    got = yield engine.dma_write(route, length, mps)
+    engine, route, _back, mps = cluster.dma_route(target)
+    got = yield from engine.write(route, length, mps)
+    sim = cluster.sim
+    if sim.due_now():
+        yield Timeout(sim, 0)            # the transaction's completion hop
     if got is LOST:
         return LOST
     return length

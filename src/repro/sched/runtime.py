@@ -267,15 +267,23 @@ class ServingRuntime:
                 self.cluster.bump("sched.rejected")
             else:
                 t.admitted += 1
-                t.queue.put((seq, op, self.sim.now))
+                t.queue.offer((seq, op, self.sim.now))
             seq += 1
         t.arrivals_done = True
         for _ in range(spec.workers):
-            t.queue.put(None)            # wake idle workers to exit
+            t.queue.offer(None)          # wake idle workers to exit
 
     def _worker(self, t: _TenantState, wid: int):
+        queue = t.queue
+        sim = self.sim
         while True:
-            item = yield t.queue.get()
+            # A queued item is taken inline unless another event is due
+            # now: the get event would be popped next, with nothing run
+            # before it (Simulator.due_now; nothing interrupts workers).
+            if queue and not sim.due_now():
+                item = queue.take()
+            else:
+                item = yield queue.get()
             if item is None:
                 return
             if item[0] == "hold":

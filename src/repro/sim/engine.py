@@ -64,6 +64,22 @@ class Simulator:
         """Time of the next event, or ``inf`` when the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
 
+    def due_now(self) -> bool:
+        """True when some event, of any priority, is queued at the
+        current instant.
+
+        The verb datapath asks this before a zero-delay hop whose only
+        waiter is the running process.  When nothing is due now, that
+        hop would be the next event popped and nothing would run before
+        it, so the process may continue inline: every later event is
+        queued in the same relative order.  Two preconditions make that
+        exact: the event that resumed the process has exactly one
+        callback (the process's own resume), and nobody interrupts the
+        process mid-hop.  See docs/performance.md, "Verb datapath".
+        """
+        queue = self._queue
+        return bool(queue) and queue[0][0] <= self._now
+
     def step(self) -> None:
         """Pop and fire exactly one event."""
         if not self._queue:

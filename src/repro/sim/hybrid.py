@@ -521,7 +521,7 @@ class HybridController:
                     del self._tenants[name]
             elif t.arrivals_done:
                 for _ in range(at.sentinels):
-                    t.queue.put(None)
+                    t.queue.offer(None)
                 del self._tenants[name]
 
     # -- ANALYTIC -> GUARD --------------------------------------------------
@@ -556,14 +556,14 @@ class HybridController:
             # record from a stub process at that instant.
             for entry in sorted(at.pending):
                 end, seq, op, arrived, degraded = entry
-                t.queue.put(("hold", end))
+                t.queue.offer(("hold", end))
                 self.sim.process(
                     self._stub(t, end, seq, op, arrived, degraded))
             at.pending = []
             for item in at.queue:
-                t.queue.put(item)
+                t.queue.offer(item)
             for _ in range(at.sentinels):
-                t.queue.put(None)
+                t.queue.offer(None)
             if at.armed:
                 at.resume.succeed((at.next_seq, at.next_at))
         self._tenants = {}

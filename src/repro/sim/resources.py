@@ -68,11 +68,22 @@ class Resource:
         """Number of requests waiting for a grant."""
         return len(self._waiters)
 
+    def try_acquire(self) -> bool:
+        """Grant one unit at once, with no event, if one is free and
+        nobody is waiting; False (and nothing granted) otherwise.
+
+        The caller holds the unit on True and must :meth:`release` it.
+        :meth:`request` grants through this, then fires its event.
+        """
+        if self._in_use < self.capacity and not self._waiters:
+            self._in_use += 1
+            return True
+        return False
+
     def request(self) -> Event:
         """An event that fires when one unit is granted to the caller."""
         grant = ResourceRequest(self)
-        if self._in_use < self.capacity and not self._waiters:
-            self._in_use += 1
+        if self.try_acquire():
             grant.succeed()
         else:
             self._waiters.append(grant)
@@ -148,19 +159,46 @@ class Store:
         """Snapshot of queued items (oldest first)."""
         return tuple(self._items)
 
+    def offer(self, item: Any) -> bool:
+        """Accept ``item`` now if there is room, with no event of its own.
+
+        Hands the item straight to the oldest waiting getter (whose get
+        event fires), else appends it.  Returns False, accepting
+        nothing, when a bounded store is full.  For producers that never
+        wait on the put: it is :meth:`put` minus the accepted event.
+        """
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            return False
+        return True
+
     def put(self, item: Any) -> Event:
         """Fires once the item is accepted (immediately unless full)."""
         done = StorePut(self, item)
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            self._getters.popleft().succeed(item)
-            done.succeed()
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
+        if self.offer(item):
             done.succeed()
         else:
             self._putters.append((done, item))
         return done
+
+    def take(self) -> Any:
+        """Remove and return the oldest item at once, with no event.
+
+        The event-free twin of :meth:`get` for a store known to be
+        non-empty (:class:`SimulationError` otherwise); like ``get`` it
+        admits the oldest blocked putter into the freed slot.
+        """
+        if not self._items:
+            raise SimulationError("take() from an empty store")
+        item = self._items.popleft()
+        if self._putters:
+            done, queued = self._putters.popleft()
+            self._items.append(queued)
+            done.succeed()
+        return item
 
     def get(self) -> Event:
         """Fires with the oldest item once one is available."""

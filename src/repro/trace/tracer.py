@@ -10,9 +10,9 @@ Attribution across interleaved processes works through the process
 hooks: each :class:`~repro.sim.process.Process` carries the
 :class:`~repro.trace.span.VerbTrace` context it was spawned under, and
 the kernel restores that context every time a process resumes.  Spans
-emitted anywhere in a verb's call chain — including nested DMA
-processes — therefore land in the right tree even with many verbs in
-flight.
+emitted anywhere in a verb's call chain — including the DMA
+transactions it runs inline — therefore land in the right tree even
+with many verbs in flight.
 """
 
 from __future__ import annotations
@@ -180,9 +180,9 @@ class Tracer:
              **attrs: Any) -> Generator:
         """Run ``gen`` under a span that closes when it finishes.
 
-        For sub-processes (DMA transactions): the span opens now, the
-        wrapped generator becomes the process body, and the span closes
-        at process completion — covering queue time and all hops.
+        For sub-generators (DMA transactions, which a verb drives with
+        ``yield from``): the span opens now and closes when ``gen``
+        returns — covering queue time and all hops.
         """
         span = self.begin(name, category, **attrs)
 

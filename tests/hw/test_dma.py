@@ -113,3 +113,25 @@ def test_negative_size_rejected():
 def test_invalid_max_read_request():
     with pytest.raises(ValueError):
         DmaEngine(Simulator(), max_read_request=0)
+
+
+@pytest.mark.parametrize("op", ["read", "write"])
+def test_body_in_a_verb_matches_the_standalone_process(op):
+    """A verb runs the transaction body inline; ``dma_read``/``dma_write``
+    run the same body as a process, ending at the same instant."""
+    def run(inline):
+        sim = Simulator()
+        _p1, _p0, _sw, route = make_fabric(sim)
+        engine = DmaEngine(sim)
+        body = engine.read if op == "read" else engine.write
+        if inline:
+            def verb():
+                return (yield from body(route, 4096, 512))
+            done = sim.process(verb())
+        else:
+            done = (engine.dma_read if op == "read"
+                    else engine.dma_write)(route, 4096, 512)
+        sim.run()
+        return done.value, sim.now
+
+    assert run(inline=True) == run(inline=False)

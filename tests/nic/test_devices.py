@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.pcie.dma import reverse_route
 from repro.sim import Simulator
 from repro.nic import (
     BLUEFIELD2,
@@ -71,6 +72,22 @@ def test_instantiated_routes():
     to_soc = snic.route_to(Endpoint.SOC)
     assert len(to_host) == 3  # pcie1, switch, pcie0
     assert len(to_soc) == 2   # pcie1, switch only
+
+
+def test_routes_are_built_once_per_nic():
+    sim = Simulator()
+    snic = SmartNIC(BLUEFIELD2).instantiate(sim)
+    other = SmartNIC(BLUEFIELD2).instantiate(sim)
+    for endpoint in (Endpoint.HOST, Endpoint.SOC):
+        route = snic.route_to(endpoint)
+        assert isinstance(route, tuple)
+        assert snic.route_to(endpoint) is route
+        assert snic.route_from(endpoint) == reverse_route(route)
+        assert other.route_to(endpoint) != route   # its own links
+    assert snic.route_host_to_soc() is snic.route_host_to_soc()
+    rnic = RNIC(CONNECTX6).instantiate(sim)
+    assert rnic.route_to_host() is rnic.route_to_host()
+    assert rnic.route_from_host() == reverse_route(rnic.route_to_host())
 
 
 def test_host_to_soc_route_crosses_pcie1_twice():

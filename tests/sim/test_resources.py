@@ -132,3 +132,39 @@ def test_multiple_getters_served_in_order():
     sim.process(producer(sim))
     sim.run()
     assert results == [("first", "x"), ("second", "y")]
+
+
+def test_try_acquire_grants_only_a_free_uncontended_unit():
+    sim = Simulator()
+    res = Resource(sim, capacity=1)
+    assert res.try_acquire() and res.in_use == 1
+    assert not res.try_acquire()
+    waiter = res.request()
+    res.release()                       # handed to the waiter
+    assert not res.try_acquire()        # held by the waiter now
+    sim.run()
+    assert waiter.processed and res.in_use == 1 and sim.events_executed == 1
+
+
+def test_offer_hands_to_a_getter_or_appends_with_no_event_of_its_own():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    got = store.get()
+    assert store.offer("a") and got.triggered and len(store) == 0
+    assert store.offer("b") and store.items == ("b",)
+    assert not store.offer("c") and store.items == ("b",)   # full
+    sim.run()
+    assert got.value == "a" and sim.events_executed == 1
+
+
+def test_take_is_an_event_free_get():
+    sim = Simulator()
+    store = Store(sim, capacity=1)
+    with pytest.raises(SimulationError):
+        store.take()
+    store.put("a")
+    blocked = store.put("b")
+    assert store.take() == "a"
+    assert store.items == ("b",)        # the blocked putter was admitted
+    sim.run()
+    assert blocked.processed
