@@ -27,12 +27,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.cluster.machine import MachineSpec
 from repro.faults.plan import FaultPlan
+from repro.sched.serve import ENGINE_CHOICES
 from repro.sched.tenant import SloSpec, TenantSpec
 from repro.units import GB
 from repro.workloads import OpMix
 from repro.workloads.population import PopulationSpec
 
-_ENGINES = ("event", "hybrid")
 _PLACEMENTS = ("binpack", "round-robin")
 
 
@@ -272,9 +272,9 @@ class ClusterScenario:
         if not self.populations and not self.tenants:
             raise SchemaError("populations",
                               "need populations or tenants (or both)")
-        if self.engine not in _ENGINES:
+        if self.engine not in ENGINE_CHOICES:
             raise SchemaError("engine", f"unknown engine {self.engine!r}; "
-                                        f"expected one of {_ENGINES}")
+                                        f"expected one of {ENGINE_CHOICES}")
         if self.link_latency_ns <= 0:
             raise SchemaError("link_latency_ns",
                               f"must be positive: {self.link_latency_ns}")

@@ -157,15 +157,12 @@ class Session:
 
         Accepts every :func:`repro.sched.run_serve` keyword
         (``adaptive=``, ``faults=``, ``engine=``, ``trace=`` ...) and
-        returns its :class:`~repro.sched.ServeReport`.  When the
-        session was built with ``RunOptions(engine="hybrid")`` and no
-        explicit ``engine=`` is passed, the serving run uses the
-        analytic/DES hybrid engine (docs/performance.md).
+        returns its :class:`~repro.sched.ServeReport`;
+        ``engine="hybrid"`` selects the analytic/DES hybrid serving
+        engine (docs/performance.md).
         """
         from repro.sched import run_serve
 
-        if "engine" not in kwargs and self.options.engine == "hybrid":
-            kwargs["engine"] = "hybrid"
         return run_serve(tenants, testbed=self.testbed, **kwargs)
 
     # -- validation ---------------------------------------------------------
@@ -197,21 +194,9 @@ class Session:
         spelling is ``repro serve --cluster <doc.json>``).  Accepts
         every :func:`repro.cluster.run_cluster` keyword (``jobs=``,
         ``machines=``, ``population_seed=``, ``placement=``,
-        ``migrate=``, ``supervisor=``) and returns a
-        :class:`~repro.cluster.ClusterReport`.  The session's
-        :class:`~repro.core.options.RunOptions` supply defaults for
-        ``machines``/``population_seed``/``jobs``/``engine`` when not
-        passed explicitly (docs/cluster.md).
+        ``migrate=``, ``supervisor=``, ``engine=``) and returns a
+        :class:`~repro.cluster.ClusterReport` (docs/cluster.md).
         """
         from repro.cluster import run_cluster
 
-        if "engine" not in kwargs and self.options.engine == "hybrid":
-            kwargs["engine"] = "hybrid"
-        if "machines" not in kwargs and self.options.machines:
-            kwargs["machines"] = self.options.machines
-        if ("population_seed" not in kwargs
-                and self.options.population_seed is not None):
-            kwargs["population_seed"] = self.options.population_seed
-        if "jobs" not in kwargs and self.options.jobs:
-            kwargs["jobs"] = self.options.jobs
         return run_cluster(scenario, testbed=self.testbed, **kwargs)

@@ -54,6 +54,7 @@ from repro.core.throughput import Flow, Scenario, ThroughputSolver
 from repro.net.topology import paper_testbed
 from repro.nic.catalog import CATALOG, lookup
 from repro.nic.smartnic import SmartNIC
+from repro.sched.serve import ENGINE_CHOICES
 from repro.units import GB, fmt_size
 from repro.workloads import (
     FIG4_PAYLOADS,
@@ -240,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "into the run")
     p.add_argument("--fault-seed", type=int, default=0,
                    help="seed of the injector's RNG streams")
-    p.add_argument("--engine", choices=["event", "hybrid"],
+    p.add_argument("--engine", choices=ENGINE_CHOICES,
                    default="event",
                    help="serving engine: 'event' is pure DES (default), "
                         "'hybrid' fast-forwards steady-state windows "

@@ -23,7 +23,7 @@ sweep grid at once:
 The scalar solver remains the reference implementation and the
 automatic fallback: numpy is an *optional* dependency (the ``[fast]``
 extra), imported lazily and never required.  Where the scalar solver
-breaks delta ties by hash order and the vector engine by column order,
+breaks delta ties by hash order and the batch solver by column order,
 solved rates still agree (tied resources saturate together); everything
 else is the same IEEE-754 arithmetic, elementwise.  The equivalence is
 enforced to 1e-9 relative by hypothesis tests in
@@ -72,7 +72,7 @@ def _reset_numpy_cache() -> None:
 
 
 def numpy_available() -> bool:
-    """True when the vector engine can run in this interpreter."""
+    """True when the batch solver can run in this interpreter."""
     return _load_numpy() is not None
 
 
@@ -80,8 +80,9 @@ def require_numpy():
     np = _load_numpy()
     if np is None:
         raise ValueError(
-            "the vector engine needs numpy (pip install 'repro[fast]'); "
-            "use engine='scalar' or engine='auto' to fall back")
+            "the batch solver needs numpy (pip install 'repro[fast]'); "
+            "Scenario.solve_batch and sweeps fall back to the scalar "
+            "solver on their own")
     return np
 
 
@@ -91,17 +92,21 @@ def require_numpy():
 
 
 class EngineStats:
-    """Per-engine point counts and solve wall-time, for telemetry."""
+    """Per-backend point counts and solve wall-time, for telemetry.
+
+    Counters are keyed ``engine.<backend>.*`` with backend ``scalar``
+    (the reference solver) or ``vector`` (this module).
+    """
 
     def __init__(self):
         self.points: Dict[str, int] = {}
         self.seconds: Dict[str, float] = {}
         self.batches: Dict[str, int] = {}
 
-    def record(self, engine: str, points: int, seconds: float) -> None:
-        self.points[engine] = self.points.get(engine, 0) + points
-        self.seconds[engine] = self.seconds.get(engine, 0.0) + seconds
-        self.batches[engine] = self.batches.get(engine, 0) + 1
+    def record(self, backend: str, points: int, seconds: float) -> None:
+        self.points[backend] = self.points.get(backend, 0) + points
+        self.seconds[backend] = self.seconds.get(backend, 0.0) + seconds
+        self.batches[backend] = self.batches.get(backend, 0) + 1
 
     def clear(self) -> None:
         self.points.clear()
@@ -110,10 +115,11 @@ class EngineStats:
 
     def counters(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        for engine in sorted(self.points):
-            out[f"engine.{engine}.points"] = self.points[engine]
-            out[f"engine.{engine}.batches"] = self.batches[engine]
-            out[f"engine.{engine}.solve_s"] = round(self.seconds[engine], 6)
+        for backend in sorted(self.points):
+            prefix = f"engine.{backend}"
+            out[f"{prefix}.points"] = self.points[backend]
+            out[f"{prefix}.batches"] = self.batches[backend]
+            out[f"{prefix}.solve_s"] = round(self.seconds[backend], 6)
         return out
 
 
@@ -741,8 +747,8 @@ class BatchSolver:
     """Solve many scenarios as one demand tensor.
 
     Consults (and refills) the same content-keyed ``RESULT_CACHE`` as
-    the scalar solver, so engines interoperate: a point solved by either
-    engine is a dictionary lookup for both afterwards.
+    the scalar solver, so the backends interoperate: a point solved by
+    either is a dictionary lookup for both afterwards.
     """
 
     def solve(self, testbed: Testbed, flow_sets: Sequence,

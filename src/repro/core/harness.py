@@ -152,9 +152,9 @@ class LatencyBench:
 class ThroughputBench:
     """Solver-based peak-throughput sweeps.
 
-    All sweeps evaluate their points through a :class:`SweepRunner` —
-    serial (and content-cached) by default, or fanned out over a
-    process pool when the runner was built with ``jobs > 1``.
+    All sweeps evaluate their points through a :class:`SweepRunner`,
+    which solves a whole sweep as one numpy demand tensor when numpy
+    is installed and point by point (content-cached) otherwise.
     """
 
     def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None,

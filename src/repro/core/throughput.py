@@ -136,29 +136,21 @@ class Scenario:
 
     @classmethod
     def solve_batch(cls, testbed: Testbed, flow_sets: Sequence,
-                    engine: str = "auto", use_cache: bool = True,
+                    use_cache: bool = True,
                     timings=None) -> List["SolverResult"]:
         """Solve many scenarios at once, one :class:`SolverResult` each.
 
         ``flow_sets`` is a sequence of flow lists (or prebuilt
-        scenarios).  ``engine`` selects the implementation:
-
-        * ``"vector"`` — the numpy demand-tensor engine
-          (:mod:`repro.core.batch`); raises ``ValueError`` when numpy
-          is not installed,
-        * ``"scalar"`` — the per-point reference solver,
-        * ``"auto"`` — vector when numpy is importable, else scalar.
-
-        Both engines share :data:`RESULT_CACHE` and agree on every
-        solved rate, so the choice only affects wall-time.
+        scenarios).  With numpy importable and at least two scenarios
+        they are solved as one numpy demand tensor
+        (:mod:`repro.core.batch`); otherwise each goes through the
+        per-point reference solver.  Both backends share
+        :data:`RESULT_CACHE` and agree on every solved rate, so the
+        choice only affects wall-time.
         """
         from repro.core import batch
 
-        if engine not in ("scalar", "vector", "auto"):
-            raise ValueError(f"unknown engine: {engine!r}")
-        if engine == "auto":
-            engine = "vector" if batch.numpy_available() else "scalar"
-        if engine == "vector":
+        if len(flow_sets) >= 2 and batch.numpy_available():
             return batch.BatchSolver().solve(testbed, flow_sets,
                                              use_cache=use_cache,
                                              timings=timings)

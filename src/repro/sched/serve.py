@@ -40,6 +40,11 @@ from repro.trace.tracer import Tracer
 from repro.units import GB, KB, MB, fmt_ns, to_gbps
 from repro.workloads import OpMix
 
+#: The serving engines: ``event`` is the pure DES, ``hybrid``
+#: fast-forwards steady windows analytically.  These are the only
+#: values an ``engine`` argument takes anywhere in the package.
+ENGINE_CHOICES = ("event", "hybrid")
+
 
 @dataclass(frozen=True)
 class TenantReport:
@@ -203,7 +208,7 @@ class ServeSession:
                  warmup_ns: Optional[float] = None,
                  trace: bool = False, engine: str = "event",
                  hybrid_config=None, channel=None, nic: str = "snic"):
-        if engine not in ("event", "hybrid"):
+        if engine not in ENGINE_CHOICES:
             raise ValueError(f"unknown serve engine {engine!r}; "
                              "expected 'event' or 'hybrid'")
         if nic not in ("snic", "rnic"):

@@ -1,9 +1,8 @@
 """Cross-seed replication of serving scenarios, pooled and cached.
 
 ``replicate("adaptive", seeds=5)`` runs the named scenario family once
-per seed — serially, or fanned out over the same process-pool
-machinery :class:`~repro.core.sweeps.SweepRunner` uses for solver
-sweeps — and wraps the reports in a :class:`Replication` that answers
+per seed — serially, or one seed per task on a process pool — and
+wraps the reports in a :class:`Replication` that answers
 the statistical questions: the cross-seed mean ± CI of any per-tenant
 metric, the warm-up-truncated batch-means CI within one run, and the
 invariant verdicts over every replicate.
@@ -22,10 +21,11 @@ invariants (see ``tests/stats/test_validate.py``).
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.cache import LRUCache
+from repro.core.cache import LRUCache, registered_caches
 from repro.stats.invariants import InvariantResult, check_report
 from repro.stats.kernels import Estimate, batch_means, mean_estimate
 from repro.stats.warmup import apply_warmup
@@ -80,12 +80,32 @@ def _run_one(family: str, seed: int, duration_ns: float, engine: str):
 # -- pool plumbing (module-level so it pickles) -------------------------------
 
 
-def _pool_replicate(tasks: Sequence[Tuple[str, int, float, str]]):
-    from repro.core.sweeps import _counter_delta, _counter_state
+def _counter_state() -> Dict[str, Tuple[int, int, int]]:
+    return {cache.name: (cache.hits, cache.misses,
+                         getattr(cache, "disk_hits", 0))
+            for cache in registered_caches()}
 
+
+def _counter_delta(before: Dict[str, Tuple[int, int, int]]
+                   ) -> Dict[str, Tuple[int, int, int]]:
+    return {name: tuple(now - then for now, then in zip(counters, before[name]))
+            for name, counters in _counter_state().items()
+            if name in before}
+
+
+def _absorb_counters(delta: Dict[str, Tuple[int, int, int]]) -> None:
+    for cache in registered_caches():
+        counts = delta.get(cache.name)
+        if counts and any(counts):
+            cache.absorb(*counts)
+
+
+def _pool_replicate(task: Tuple[str, int, float, str]):
+    """One replicate in a worker, plus the worker's cache-counter delta
+    (folded back into the parent so ``--cache-stats`` counts it)."""
     before = _counter_state()
-    reports = [_run_one(*task) for task in tasks]
-    return reports, _counter_delta(before)
+    report = _run_one(*task)
+    return report, _counter_delta(before)
 
 
 def report_estimate(report, tenant: str, field: str = "p99_ns",
@@ -180,11 +200,10 @@ def replicate(family: str, seeds: Union[int, Sequence[int]] = 3,
     """Run ``family`` once per seed and wrap the runs for estimation.
 
     ``seeds`` is either a count (replicates at ``base_seed ..
-    base_seed + N - 1``) or an explicit sequence.  ``jobs > 1`` fans
-    uncached replicates out over a process pool (the
-    :class:`~repro.core.sweeps.SweepRunner` machinery: chunked
-    ``Executor.map``, worker cache counters absorbed back into the
-    parent).  Replicates are cached under ``(family, seed, duration,
+    base_seed + N - 1``) or an explicit sequence.  ``jobs > 1`` runs
+    uncached replicates on a process pool, one seed per task, and
+    folds the workers' cache counters back into the parent.
+    Replicates are cached under ``(family, seed, duration,
     engine)`` — cross-seed estimates over a family already validated
     cost nothing.
     """
@@ -223,11 +242,13 @@ def replicate(family: str, seeds: Union[int, Sequence[int]] = 3,
     if missing:
         tasks = [(family, seed, duration_ns, engine) for seed in missing]
         if jobs > 1 and len(tasks) > 1:
-            from repro.core.sweeps import SweepRunner
-            from repro.net.topology import paper_testbed
-
-            runner = SweepRunner(paper_testbed(), jobs=jobs, chunk_size=1)
-            fresh = runner._map(_pool_replicate, tasks)
+            workers = min(jobs, len(tasks))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                pooled = list(pool.map(_pool_replicate, tasks))
+            fresh = []
+            for report, counter_delta in pooled:
+                fresh.append(report)
+                _absorb_counters(counter_delta)
         else:
             fresh = [_run_one(*task) for task in tasks]
         for seed, report in zip(missing, fresh):

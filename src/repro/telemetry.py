@@ -141,7 +141,7 @@ class Telemetry:
 
 
 def perf_counters() -> Dict[str, float]:
-    """Counters of every model result cache plus the solver engines.
+    """Counters of every model result cache plus the solver backends.
 
     These sit alongside the simulated hardware counters: the same
     monitoring surface reports both what the simulated device did and
@@ -158,7 +158,7 @@ def perf_counters() -> Dict[str, float]:
 
 
 def perf_report() -> str:
-    """Formatted tables of cache counters and per-engine solve stats."""
+    """Formatted tables of cache counters and per-backend solve stats."""
     from repro.core.batch import ENGINE_STATS
     from repro.core.cache import registered_caches
 
@@ -171,15 +171,15 @@ def perf_report() -> str:
     out = format_table(["cache", "hits", "misses", "entries", "hit rate"],
                        rows, title="model result caches")
     if ENGINE_STATS.points:
-        engine_rows = []
-        for engine in sorted(ENGINE_STATS.points):
-            points = ENGINE_STATS.points[engine]
-            seconds = ENGINE_STATS.seconds[engine]
+        backend_rows = []
+        for backend in sorted(ENGINE_STATS.points):
+            points = ENGINE_STATS.points[backend]
+            seconds = ENGINE_STATS.seconds[backend]
             rate = f"{points / seconds:,.0f}" if seconds > 0 else "-"
-            engine_rows.append([engine, f"{points:g}",
-                                f"{ENGINE_STATS.batches[engine]:g}",
-                                f"{seconds * 1e3:.2f}", rate])
+            backend_rows.append([backend, f"{points:g}",
+                                 f"{ENGINE_STATS.batches[backend]:g}",
+                                 f"{seconds * 1e3:.2f}", rate])
         out += "\n\n" + format_table(
-            ["engine", "points", "batches", "solve ms", "points/s"],
-            engine_rows, title="solver engines")
+            ["backend", "points", "batches", "solve ms", "points/s"],
+            backend_rows, title="solver backends")
     return out

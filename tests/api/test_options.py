@@ -1,36 +1,49 @@
-"""Tests for the normalized run-options dataclass."""
+"""Tests for the run-options dataclass."""
 
 import argparse
+import dataclasses
 
 import pytest
 
 from repro.core.options import RunOptions
+from repro.core.paths import CommPath, Opcode
 from repro.core.sweeps import SweepRunner
+from repro.core.throughput import Flow, Scenario, configure_result_cache
 from repro.net.topology import paper_testbed
+
+
+@pytest.fixture(autouse=True)
+def default_cache():
+    yield
+    configure_result_cache(enabled=True, disk_dir=None)
 
 
 def test_defaults():
     options = RunOptions()
-    assert options.engine == "auto"
-    assert options.jobs == 0
+    assert [f.name for f in dataclasses.fields(options)] == [
+        "cache", "disk_cache", "profile"]
     assert options.cache
     assert options.disk_cache is None
     assert not options.profile
 
 
 def test_validation():
-    with pytest.raises(ValueError, match="unknown engine"):
-        RunOptions(engine="quantum")
-    with pytest.raises(ValueError, match="jobs"):
-        RunOptions(jobs=-1)
+    # Serving and cluster settings are Session.serve/serve_cluster
+    # keywords, not run options: the old spellings are refused.
+    for knob in ("engine", "jobs", "chunk_size", "machines",
+                 "population_seed"):
+        with pytest.raises(TypeError):
+            RunOptions(**{knob: 1})
 
 
 def test_runner_carries_the_options():
-    runner = RunOptions(engine="scalar", jobs=0).runner(paper_testbed())
+    testbed = paper_testbed()
+    runner = RunOptions(cache=False).runner(testbed)
     assert isinstance(runner, SweepRunner)
-    assert runner.engine == "scalar"
-    assert runner.jobs == 0
     assert runner.timings is None
+    # cache=False reached the solver: a repeated point is re-solved.
+    scenario = Scenario(testbed, [Flow(CommPath.SNIC1, Opcode.READ, 64)])
+    assert runner.solver.solve(scenario) is not runner.solver.solve(scenario)
 
 
 def test_profile_attaches_timings():
@@ -41,10 +54,10 @@ def test_profile_attaches_timings():
 def test_argparse_round_trip():
     parser = argparse.ArgumentParser()
     RunOptions.add_arguments(parser)
-    args = parser.parse_args(["--jobs", "2", "--engine", "scalar",
-                              "--no-cache", "--profile"])
+    args = parser.parse_args(["--no-cache", "--profile",
+                              "--disk-cache", "/nonexistent"])
     options = RunOptions.from_args(args)
-    assert options == RunOptions(engine="scalar", jobs=2, cache=False,
+    assert options == RunOptions(cache=False, disk_cache="/nonexistent",
                                  profile=True)
 
 

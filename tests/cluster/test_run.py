@@ -16,7 +16,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import RunOptions, Session
+from repro.api import Session
 from repro.api.schema import (ClusterScenario, MachineDoc, SchedulerDoc,
                               TenantDoc)
 from repro.cluster import ClusterReport, run_cluster
@@ -137,8 +137,7 @@ def test_migrating_cluster_runs_bit_identical_across_jobs(seed):
 
 def test_serve_cluster_facade_and_option_defaults():
     scenario = _hot_cold_scenario(3)
-    session = Session(options=RunOptions(jobs=1))
-    report = session.serve_cluster(scenario)
+    report = Session().serve_cluster(scenario, jobs=1)
     assert isinstance(report, ClusterReport)
     assert set(report.placement) == set(report.tenants)
     assert report.summary().startswith("cluster 'hot-cold'")

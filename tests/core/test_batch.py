@@ -235,36 +235,37 @@ def test_numpy_available_true_here():
     assert numpy_available()
 
 
-def test_solve_batch_rejects_unknown_engine(testbed):
-    with pytest.raises(ValueError, match="unknown engine"):
-        Scenario.solve_batch(testbed, _grid(), engine="turbo")
-
-
 def test_solve_batch_engines_agree(testbed):
     grid = _grid()
-    scalar = Scenario.solve_batch(testbed, grid, engine="scalar",
-                                  use_cache=False)
-    vector = Scenario.solve_batch(testbed, grid, engine="vector",
-                                  use_cache=False)
+    solver = ThroughputSolver()
+    scalar = [solver.solve(Scenario(testbed, flows), use_cache=False)
+              for flows in grid]
+    vector = BatchSolver().solve(testbed, grid, use_cache=False)
     for s, v in zip(scalar, vector):
         assert s.rates == v.rates
 
 
 def test_runner_engine_selection(testbed):
-    assert SweepRunner(testbed).engine_for(10) == "vector"
-    assert SweepRunner(testbed).engine_for(1) == "scalar"
-    assert SweepRunner(testbed, engine="scalar").engine_for(10) == "scalar"
-    with pytest.raises(ValueError, match="unknown engine"):
-        SweepRunner(testbed, engine="turbo")
+    # The runner picks the backend itself: a sweep of two or more
+    # points runs as one tensor, a single point on the scalar solver.
+    runner = SweepRunner(testbed)
+    runner.solve_flows([flows[0] for flows in _grid(10)])
+    assert ENGINE_STATS.points == {"vector": 10}
+    runner.solve_flows([Flow(path=CommPath.SNIC2, op=Opcode.READ,
+                             payload=64)])
+    assert ENGINE_STATS.points == {"vector": 10, "scalar": 1}
+    Scenario.solve_batch(testbed, _grid(3)[:1])
+    assert ENGINE_STATS.points["scalar"] == 2
 
 
 def test_runner_vector_matches_scalar_solve_flows(testbed):
     flows = [Flow(path=CommPath.SNIC2, op=Opcode.WRITE, payload=p,
                   requesters=11) for p in (64, 1024, 16 * KB)]
-    vector = SweepRunner(testbed, engine="vector").solve_flows(flows)
-    clear_all()
-    scalar = SweepRunner(testbed, engine="scalar").solve_flows(flows)
-    for s, v in zip(scalar, vector):
+    vector = SweepRunner(testbed).solve_flows(flows)
+    assert ENGINE_STATS.points == {"vector": 3}
+    solver = ThroughputSolver()
+    for flow, v in zip(flows, vector):
+        s = solver.solve(Scenario(testbed, [flow]), use_cache=False)
         assert s.rates == v.rates
         assert s.bottlenecks == v.bottlenecks
 
@@ -272,18 +273,21 @@ def test_runner_vector_matches_scalar_solve_flows(testbed):
 def test_engine_stats_record_both_backends(testbed):
     flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p)
              for p in (64, 128, 256)]
-    SweepRunner(testbed, engine="vector").solve_flows(flows)
+    SweepRunner(testbed).solve_flows(flows)
     clear_all()
-    SweepRunner(testbed, engine="scalar").solve_flows(flows)
+    runner = SweepRunner(testbed)
+    for flow in flows:
+        runner.solve_flows([flow])
     counters = ENGINE_STATS.counters()
     assert counters["engine.vector.points"] == 3
     assert counters["engine.scalar.points"] == 3
     assert counters["engine.vector.batches"] == 1
+    assert counters["engine.scalar.batches"] == 3
 
 
 def test_stage_timings_collected(testbed):
     timings = StageTimings()
-    runner = SweepRunner(testbed, engine="vector", timings=timings)
+    runner = SweepRunner(testbed, timings=timings)
     flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p)
              for p in (64, 256)]
     runner.solve_flows(flows)

@@ -36,9 +36,11 @@ def no_numpy(monkeypatch):
 def fresh_caches():
     clear_all()
     configure_result_cache(enabled=True, disk_dir=None)
+    batch.ENGINE_STATS.clear()
     yield
     clear_all()
     configure_result_cache(enabled=True, disk_dir=None)
+    batch.ENGINE_STATS.clear()
     batch._reset_numpy_cache()
 
 
@@ -58,19 +60,18 @@ def test_require_numpy_names_the_extra(no_numpy):
 
 def test_vector_engine_refused_without_numpy(no_numpy, testbed):
     with pytest.raises(ValueError, match=r"repro\[fast\]"):
-        SweepRunner(testbed, engine="vector")
-    with pytest.raises(ValueError, match=r"repro\[fast\]"):
-        Scenario.solve_batch(testbed, [[Flow(path=CommPath.SNIC1,
-                                             op=Opcode.READ, payload=64)]],
-                             engine="vector")
+        batch.BatchSolver().solve(testbed, [[Flow(path=CommPath.SNIC1,
+                                                  op=Opcode.READ,
+                                                  payload=64)]] * 2)
 
 
 def test_auto_engine_falls_back_to_scalar(no_numpy, testbed):
-    runner = SweepRunner(testbed)            # engine="auto"
-    assert runner.engine_for(100) == "scalar"
     flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p,
                   requesters=11) for p in (64, 256, 1024)]
-    results = runner.solve_flows(flows)
+    results = SweepRunner(testbed).solve_flows(flows)
+    counters = batch.ENGINE_STATS.counters()
+    assert counters["engine.scalar.points"] == len(flows)
+    assert "engine.vector.points" not in counters
     reference = [ThroughputSolver().solve(Scenario(testbed, [flow]),
                                           use_cache=False)
                  for flow in flows]
@@ -82,14 +83,19 @@ def test_auto_engine_falls_back_to_scalar(no_numpy, testbed):
 def test_solve_batch_auto_falls_back(no_numpy, testbed):
     flow_sets = [[Flow(path=CommPath.SNIC2, op=Opcode.WRITE, payload=p)]
                  for p in (64, 4096)]
-    results = Scenario.solve_batch(testbed, flow_sets, engine="auto")
+    results = Scenario.solve_batch(testbed, flow_sets)
     assert len(results) == 2
     assert all(result.rates[0] > 0 for result in results)
+    assert batch.ENGINE_STATS.points == {"scalar": 2}
 
 
 def test_cli_sweep_reports_missing_numpy(no_numpy, capsys):
+    # Without numpy the sweep still succeeds, on the scalar solver, and
+    # --cache-stats reports which backend did the work.
     from repro.cli import main
 
-    status = main(["sweep", "fig4", "--engine", "vector"])
-    assert status == 1
-    assert "repro[fast]" in capsys.readouterr().err
+    status = main(["sweep", "fig8", "--cache-stats"])
+    assert status == 0
+    backends = capsys.readouterr().out.split("solver backends")[1]
+    assert "\nscalar " in backends
+    assert "\nvector " not in backends

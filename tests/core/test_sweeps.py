@@ -1,16 +1,15 @@
 """Correctness of the sweep engine and the content-keyed result caches.
 
 The performance layer must be invisible: a memoized result is the exact
-``SolverResult`` a cold solve would produce, cache keys track testbed
-*content* (not object identity), and a parallel sweep reproduces the
-serial sweep point for point.
+``SolverResult`` a cold solve would produce, and cache keys track
+testbed *content* (not object identity).
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.harness import LatencyBench, Measurement, Sweep, ThroughputBench
+from repro.core.harness import Measurement, Sweep
 from repro.core.cache import ScenarioKey, clear_all
 from repro.core.paths import CommPath, Opcode
 from repro.core.sweeps import SweepRunner
@@ -153,73 +152,8 @@ def test_disk_cache_roundtrip_bit_identical(testbed, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Parallel == serial
+# Sweep runner
 # ---------------------------------------------------------------------------
-
-FIG4_PAYLOADS = [64, 256, 1024, 4 * KB, 16 * KB, 64 * KB]
-FIG8_PAYLOADS = [64 * KB, 256 * KB, 1 * MB, 2 * MB, 4 * MB, 8 * MB]
-
-
-def _serial_and_parallel(testbed):
-    # engine="scalar" pins these tests to the process-pool path: with
-    # numpy installed the auto engine would solve the batch in-process
-    # and never exercise the pool.
-    serial = SweepRunner(testbed, jobs=0, engine="scalar")
-    parallel = SweepRunner(testbed, jobs=2, chunk_size=2, engine="scalar")
-    assert not serial.parallel and parallel.parallel
-    return serial, parallel
-
-
-def test_parallel_throughput_sweep_matches_serial_fig4(testbed):
-    serial, parallel = _serial_and_parallel(testbed)
-    kwargs = dict(path=CommPath.SNIC1, op=Opcode.READ,
-                  payloads=FIG4_PAYLOADS, requesters=11)
-    want = ThroughputBench(testbed, serial).payload_sweep(**kwargs)
-    clear_all()
-    got = ThroughputBench(testbed, parallel).payload_sweep(**kwargs)
-    assert got.points == want.points
-
-
-def test_parallel_throughput_sweep_matches_serial_fig8(testbed):
-    serial, parallel = _serial_and_parallel(testbed)
-    kwargs = dict(path=CommPath.SNIC2, op=Opcode.READ,
-                  payloads=FIG8_PAYLOADS, requesters=11, metric="gbps")
-    want = ThroughputBench(testbed, serial).payload_sweep(**kwargs)
-    clear_all()
-    got = ThroughputBench(testbed, parallel).payload_sweep(**kwargs)
-    assert got.points == want.points
-
-
-def test_parallel_latency_sweep_matches_serial(testbed):
-    serial, parallel = _serial_and_parallel(testbed)
-    kwargs = dict(path=CommPath.SNIC1, op=Opcode.READ,
-                  payloads=FIG4_PAYLOADS)
-    want = LatencyBench(testbed, serial).payload_sweep(**kwargs)
-    clear_all()
-    got = LatencyBench(testbed, parallel).payload_sweep(**kwargs)
-    assert got.points == want.points
-
-
-def test_parallel_results_fold_back_into_parent_cache(testbed):
-    _, parallel = _serial_and_parallel(testbed)
-    flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p,
-                  requesters=11) for p in FIG4_PAYLOADS]
-    results = parallel.solve_flows(flows)
-    for flow, result in zip(flows, results):
-        cached = RESULT_CACHE.get(Scenario(testbed, [flow]).key)
-        assert cached is not None
-        assert_results_identical(cached, result)
-
-
-def test_parallel_sweep_absorbs_worker_cache_counters(testbed):
-    # Worker processes do the solving, so their cache misses would be
-    # invisible to the parent unless folded back.
-    _, parallel = _serial_and_parallel(testbed)
-    flows = [Flow(path=CommPath.SNIC2, op=Opcode.WRITE, payload=p,
-                  requesters=11) for p in FIG4_PAYLOADS]
-    before = RESULT_CACHE.misses
-    parallel.solve_flows(flows)
-    assert RESULT_CACHE.misses - before >= len(flows)
 
 
 def test_lru_absorb_adds_foreign_counters():
@@ -235,18 +169,17 @@ def test_lru_absorb_adds_foreign_counters():
 
 
 def test_small_batch_stays_serial(testbed):
-    # Fewer points than 2*jobs: not worth a pool; must still be exact.
-    parallel = SweepRunner(testbed, jobs=4)
+    # One point is below the batch threshold: the scalar reference
+    # solver runs it, and the answer is the cold solve's.
+    from repro.core.batch import ENGINE_STATS
+
+    ENGINE_STATS.clear()
     flows = [Flow(path=CommPath.RNIC1, op=Opcode.READ, payload=64)]
-    (result,) = parallel.solve_flows(flows)
+    (result,) = SweepRunner(testbed).solve_flows(flows)
     cold = ThroughputSolver().solve(Scenario(testbed, flows),
                                     use_cache=False)
     assert_results_identical(cold, result)
-
-
-def test_negative_jobs_rejected(testbed):
-    with pytest.raises(ValueError):
-        SweepRunner(testbed, jobs=-1)
+    assert ENGINE_STATS.points == {"scalar": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,23 @@ def test_sweep_commands(capsys, figure):
     assert "Fig" in out
 
 
-@pytest.mark.parametrize("engine", ["scalar", "auto"])
+@pytest.mark.parametrize("engine", ["scalar", "auto", "vector"])
 def test_sweep_engine_flag(capsys, engine):
-    code, out, _ = run(capsys, "sweep", "fig4", "--engine", engine)
-    assert code == 0
-    assert "Fig" in out
+    # A sweep picks its solver backend itself; ``--engine`` names a
+    # serving engine and belongs to ``serve`` only.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fig4", "--engine", engine])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--machines", "4"],
+                                  ["--population-seed", "1"]])
+def test_sweep_rejects_serving_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fig4", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_sweep_profile_flag(capsys):
@@ -236,6 +248,37 @@ def test_serve_command(capsys):
     assert "alpha" in out and "gamma" in out
     assert "steady-state Gbps per path" in out
     assert "rate cap 56 Gbps" in out
+
+
+def test_serve_engine_flag_selects_the_hybrid(capsys):
+    code, out, _ = run(capsys, "serve", "--duration", "100000",
+                       "--engine", "hybrid", "--json")
+    assert code == 0
+    assert json.loads(out)["engine"] == "hybrid"
+
+
+def test_serve_cluster_takes_jobs_and_machines(capsys, tmp_path):
+    from repro.api.schema import ClusterScenario, MachineDoc, SchedulerDoc
+    from repro.workloads.population import PopulationSpec, RandomVar
+
+    doc = tmp_path / "tiny.json"
+    doc.write_text(ClusterScenario(
+        name="tiny", duration_ns=60_000.0,
+        machines=(MachineDoc(name="m", count=2),),
+        populations=(PopulationSpec(
+            name="pop", tenants=4, active_users=RandomVar.fixed(100),
+            req_per_min=RandomVar.fixed(60)),),
+        scheduler=SchedulerDoc(migrate=False)).to_json())
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "serve", "--cluster", str(doc),
+                           "--machines", "3", "--population-seed", "4",
+                           "--jobs", jobs, "--json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    machines = json.loads(outs[0])["machines"]
+    assert [m["name"] for m in machines] == ["m00", "m01", "m02"]
 
 
 def test_serve_command_static_json(capsys):
