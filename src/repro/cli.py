@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="serving engine: 'event' is pure DES (default), "
                         "'hybrid' fast-forwards steady-state windows "
                         "analytically (docs/performance.md)")
-    p.add_argument("--shards", type=int, default=1,
+    p.add_argument("--shards", type=int, default=None,
                    help="partition the workload over N lockstep machines "
                         "(repro.sim.shard) instead of one serving run")
     p.add_argument("--jobs", type=int, default=None,
@@ -705,24 +705,37 @@ def _cmd_serve_cluster(args) -> str:
     return "\n\n".join(parts)
 
 
+def _reject_flags(args, flags, why: str) -> None:
+    """Refuse a flag the chosen serve mode would silently ignore."""
+    for flag in flags:
+        if getattr(args, flag) not in (None, False):
+            raise ValueError(f"--{flag.replace('_', '-')} {why}")
+
+
 def _cmd_serve(args) -> str:
     from repro.faults import FaultPlan
     from repro.sched import mixed_tenant_workload, run_serve
     from repro.units import fmt_ns
 
     if args.cluster is not None:
+        _reject_flags(args, ("static", "fault_plan", "shards",
+                             "cross_traffic", "cluster_fault_plan",
+                             "checkpoint_dir", "resume", "kill_shard",
+                             "incident_report"),
+                      "does not apply to --cluster")
         return _cmd_serve_cluster(args)
-    for flag in ("machines", "population_seed", "placement"):
-        if getattr(args, flag) is not None:
-            raise ValueError(
-                f"--{flag.replace('_', '-')} needs --cluster")
-    if args.no_migrate or args.check:
-        raise ValueError("--no-migrate/--check need --cluster")
+    _reject_flags(args, ("machines", "population_seed", "placement",
+                         "no_migrate", "check"), "needs --cluster")
+    sharded = args.shards is not None and args.shards > 1
+    if not sharded:
+        _reject_flags(args, ("jobs", "cross_traffic", "cluster_fault_plan",
+                             "checkpoint_dir", "resume", "kill_shard",
+                             "incident_report"), "needs --shards > 1")
     plan = (FaultPlan.from_file(args.fault_plan)
             if args.fault_plan is not None else None)
     tenants = mixed_tenant_workload(duration_ns=args.duration,
                                     seed=args.seed)
-    if args.shards > 1:
+    if sharded:
         from dataclasses import replace
 
         from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
@@ -761,11 +774,6 @@ def _cmd_serve(args) -> str:
             jobs=args.jobs, supervisor=supervisor,
             adaptive=not args.static, engine=args.engine)
     else:
-        for flag in ("cluster_fault_plan", "checkpoint_dir", "kill_shard",
-                     "incident_report"):
-            if getattr(args, flag):
-                raise ValueError(
-                    f"--{flag.replace('_', '-')} needs --shards > 1")
         report = run_serve(tenants, adaptive=not args.static, faults=plan,
                            fault_seed=args.fault_seed, engine=args.engine)
     xshard = {key: value for key, value in sorted(report.counters.items())
@@ -820,7 +828,8 @@ def _cmd_serve(args) -> str:
 
 
 def _cmd_crosscheck(args) -> str:
-    from repro.sim.crosscheck import cluster_crosscheck, crosscheck_suite
+    from repro.sim.crosscheck import (GOODPUT_TOL, LATENCY_TOL,
+                                      cluster_crosscheck, crosscheck_suite)
 
     scenarios = args.scenarios
     run_cluster = scenarios is None or "cluster-fault" in scenarios
@@ -840,7 +849,8 @@ def _cmd_crosscheck(args) -> str:
             "decision_p99_err": r.decision_p99_err,
             "hybrid_stats": r.hybrid_stats,
             "failures": list(r.failures()),
-            "tenants": [vars(t) for t in r.tenants],
+            "tenants": [dict(vars(t), latency_tol=LATENCY_TOL,
+                             goodput_tol=GOODPUT_TOL) for t in r.tenants],
         } for r in results]
         if cluster is not None:
             rows.append({

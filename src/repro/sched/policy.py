@@ -22,7 +22,7 @@ time).  The mapping from the paper's advice to decisions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.advisor import Advisor, OffloadPlan
 from repro.core.paths import CommPath, Opcode
@@ -84,26 +84,27 @@ _RESPONDER = {
 _ALTERNATE = {CommPath.SNIC1: CommPath.SNIC2,
               CommPath.SNIC2: CommPath.SNIC1}
 
+#: Minimum simulated time between migrations of one tenant, in ns
+#: (hysteresis against flapping).
+COOLDOWN_NS = 60_000.0
+#: Completions a window must hold before its p99 is trusted for a
+#: migration decision.
+MIN_SAMPLES = 8
+#: Fraction of a Fig 11 path budget that offered load may occupy
+#: before migrations *into* the path are refused.
+HEADROOM = 0.9
+
 
 class PathPolicy:
     """Advice-driven placement, migration and admission decisions.
 
-    * ``cooldown_ns`` — minimum simulated time between migrations of
-      one tenant (hysteresis against flapping).
-    * ``min_samples`` — completions a window must hold before its p99
-      is trusted for a migration decision.
-    * ``headroom`` — fraction of a Fig 11 path budget that offered
-      load may occupy before migrations *into* the path are refused.
+    Migrations obey :data:`COOLDOWN_NS`, :data:`MIN_SAMPLES` and
+    :data:`HEADROOM`.
     """
 
-    def __init__(self, testbed: Testbed, advisor: Optional[Advisor] = None,
-                 cooldown_ns: float = 60_000.0, min_samples: int = 8,
-                 headroom: float = 0.9):
+    def __init__(self, testbed: Testbed):
         self.testbed = testbed
-        self.advisor = advisor or Advisor(testbed)
-        self.cooldown_ns = cooldown_ns
-        self.min_samples = min_samples
-        self.headroom = headroom
+        self.advisor = Advisor(testbed)
         self._plans: Dict[str, OffloadPlan] = {}
         self._last_change: Dict[str, float] = {}
 
@@ -182,11 +183,11 @@ class PathPolicy:
         #    and the Fig 11 partition feasibility check.
         if spec.bulk or path not in _ALTERNATE:
             return None
-        if stats.count < self.min_samples:
+        if stats.count < MIN_SAMPLES:
             return None
         if stats.p99_ns <= spec.slo.p99_ns:
             return None
-        if now - self._last_change.get(spec.name, 0.0) < self.cooldown_ns:
+        if now - self._last_change.get(spec.name, 0.0) < COOLDOWN_NS:
             return None
         target = _ALTERNATE[path]
         if target is CommPath.SNIC2 and not soc_available:
@@ -206,7 +207,7 @@ class PathPolicy:
 
         The concurrent ①/② budgets partition the shared NIC-core pool;
         offered load already bound to the target plus the migrating
-        tenant must stay inside ``headroom`` of the partition.
+        tenant must stay inside :data:`HEADROOM` of the partition.
         """
         op = Opcode.READ if spec.mix.read >= spec.mix.write else Opcode.WRITE
         budgets = self.advisor.analyzer.concurrent_endpoint_budgets(
@@ -216,4 +217,4 @@ class PathPolicy:
             return True
         tenant_mrps = to_mpps(1.0 / spec.interval_ns)
         bound = offered_mrps_by_path.get(target, 0.0)
-        return bound + tenant_mrps <= self.headroom * budget
+        return bound + tenant_mrps <= HEADROOM * budget

@@ -12,9 +12,8 @@ Two modes:
   the advisor, applies the ``P − N`` rate cap, migrates on SLO
   violations and fails over on SoC crashes.
 * ``adaptive=False`` — a *static* baseline: tenants are pinned to
-  ``static_assignment`` (or the advisor's initial placement) with no
-  caps and no control loop.  This is the strawman the benchmark
-  compares against.
+  the advisor's initial placement with no caps and no control loop.
+  This is the strawman the benchmark compares against.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.faults.plan import FaultPlan
 from repro.net.cluster import SimCluster
 from repro.net.topology import Testbed, paper_testbed
 from repro.rdma.verbs import RdmaContext
-from repro.sched.policy import Decision, PathPolicy, Placement, _RESPONDER
+from repro.sched.policy import Decision, PathPolicy, Placement
 from repro.sched.runtime import ServingRuntime
 from repro.sched.scheduler import PathScheduler
 from repro.sched.slo import RawWindow, SloTracker
@@ -174,15 +173,8 @@ def mixed_tenant_workload(duration_ns: float = 1_500_000.0,
     )
 
 
-def _static_placement(spec: TenantSpec,
-                      assignment: Optional[Dict[str, CommPath]],
-                      policy: PathPolicy) -> Placement:
+def _static_placement(spec: TenantSpec, policy: PathPolicy) -> Placement:
     """The pinned baseline: a fixed path, no caps, no degradation."""
-    if assignment and spec.name in assignment:
-        path = assignment[spec.name]
-        return Placement(path=path, responder=_RESPONDER[path],
-                         rate_cap_gbps=None, degraded=False,
-                         reason="static", advice_refs=())
     placed = policy.place(spec)
     return Placement(path=placed.path, responder=placed.responder,
                      rate_cap_gbps=None, degraded=False,
@@ -196,18 +188,25 @@ class ServeSession:
     Sharded execution (:mod:`repro.sim.shard`) instead steps sessions
     window by window via :meth:`advance`, keeping shard processes in
     conservative time lockstep.
+
+    ``engine`` selects the execution strategy: ``"event"`` (the default
+    pure DES on the binary-heap :class:`~repro.sim.engine.Simulator` —
+    bit-identical run to run) or ``"hybrid"``, which installs a
+    :class:`~repro.sim.hybrid.HybridController` that fast-forwards
+    steady-state stretches through the operational-law recurrence
+    (exact completion counts, latencies within the declared
+    tolerances — see ``docs/performance.md``).  Per-path bandwidth is
+    accounted after a warm-up of two control ticks (``interval_ns``);
+    completions before it still count toward per-tenant totals.
     """
 
     def __init__(self, tenants: Sequence[TenantSpec], adaptive: bool = True,
-                 static_assignment: Optional[Dict[str, CommPath]] = None,
                  testbed: Optional[Testbed] = None,
                  faults: Optional[FaultPlan] = None, fault_seed: int = 0,
                  interval_ns: float = 20_000.0,
                  window_ns: float = 100_000.0,
-                 cooldown_ns: float = 60_000.0,
-                 warmup_ns: Optional[float] = None,
                  trace: bool = False, engine: str = "event",
-                 hybrid_config=None, channel=None, nic: str = "snic"):
+                 channel=None, nic: str = "snic"):
         if engine not in ENGINE_CHOICES:
             raise ValueError(f"unknown serve engine {engine!r}; "
                              "expected 'event' or 'hybrid'")
@@ -223,7 +222,6 @@ class ServeSession:
         self.adaptive = adaptive
         self.engine = engine
         self.interval_ns = interval_ns
-        self.warmup_ns = warmup_ns
         testbed = testbed or paper_testbed()
         n_clients = max(1, sum(1 for t in tenants if not t.bulk))
         self.tenants = tenants
@@ -242,7 +240,7 @@ class ServeSession:
         if channel is not None:
             channel.bind(self)
             self.runtime.xshard = channel
-        self.policy = PathPolicy(testbed, cooldown_ns=cooldown_ns)
+        self.policy = PathPolicy(testbed)
         self._telemetry_start = self.telemetry.snapshot()
 
         self.decisions: List[Decision] = []
@@ -258,15 +256,14 @@ class ServeSession:
             self.decisions = scheduler.decisions
         else:
             for spec in tenants:
-                self.runtime.place(spec, _static_placement(
-                    spec, static_assignment, self.policy))
+                self.runtime.place(spec, _static_placement(spec, self.policy))
 
         self.controller = None
         if engine == "hybrid":
             from repro.sim.hybrid import HybridController
             self.controller = HybridController(
                 self.runtime, self.tracker, faults=faults,
-                tick_ns=interval_ns, config=hybrid_config).install()
+                tick_ns=interval_ns).install()
             if scheduler is not None:
                 scheduler.on_decision = self.controller.on_decision
 
@@ -354,15 +351,13 @@ class ServeSession:
 
     def finalize(self) -> ServeReport:
         elapsed = self.cluster.sim.now
-        warmup = (self.warmup_ns if self.warmup_ns is not None
-                  else 2 * self.interval_ns)
         return ServeReport(
             adaptive=self.adaptive,
             elapsed_ns=elapsed,
             tenants=_tenant_reports(self.tenants, self.runtime,
                                     self.tracker, self.decisions),
             decisions=self.decisions,
-            path_gbps=_path_gbps(self.runtime, warmup),
+            path_gbps=_path_gbps(self.runtime, 2 * self.interval_ns),
             counters=dict(self.telemetry.delta(
                 self._telemetry_start).deltas),
             tracer=self.tracer,
@@ -375,36 +370,12 @@ class ServeSession:
         )
 
 
-def run_serve(tenants: Sequence[TenantSpec], adaptive: bool = True,
-              static_assignment: Optional[Dict[str, CommPath]] = None,
-              testbed: Optional[Testbed] = None,
-              faults: Optional[FaultPlan] = None, fault_seed: int = 0,
-              interval_ns: float = 20_000.0, window_ns: float = 100_000.0,
-              cooldown_ns: float = 60_000.0,
-              warmup_ns: Optional[float] = None,
-              trace: bool = False, engine: str = "event",
-              hybrid_config=None) -> ServeReport:
+def run_serve(tenants: Sequence[TenantSpec], **kwargs) -> ServeReport:
     """Serve every tenant stream to completion and report.
 
-    ``warmup_ns`` bounds the steady-state window for per-path bandwidth
-    accounting (defaults to two control ticks); completions before it
-    still count toward per-tenant totals.
-
-    ``engine`` selects the execution strategy: ``"event"`` (the default
-    pure DES on the binary-heap :class:`~repro.sim.engine.Simulator` —
-    bit-identical run to run) or ``"hybrid"``, which
-    installs a :class:`~repro.sim.hybrid.HybridController` that
-    fast-forwards steady-state stretches through the operational-law
-    recurrence (exact completion counts, latencies within the declared
-    tolerances — see ``docs/performance.md``).  ``hybrid_config``
-    optionally overrides :class:`~repro.sim.hybrid.HybridConfig`.
+    ``kwargs`` are :class:`ServeSession`'s options.
     """
-    session = ServeSession(
-        tenants, adaptive=adaptive, static_assignment=static_assignment,
-        testbed=testbed, faults=faults, fault_seed=fault_seed,
-        interval_ns=interval_ns, window_ns=window_ns,
-        cooldown_ns=cooldown_ns, warmup_ns=warmup_ns, trace=trace,
-        engine=engine, hybrid_config=hybrid_config)
+    session = ServeSession(tenants, **kwargs)
     session.run_to_completion()
     return session.finalize()
 

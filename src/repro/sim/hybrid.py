@@ -20,7 +20,7 @@ between two modes:
   token-bucket pacing.
 
 * **ANALYTIC** — fast-forward.  Once the run has been steady for
-  ``stable_ticks`` control ticks (enough window samples per tenant, no
+  ``STABLE_TICKS`` control ticks (enough window samples per tenant, no
   new losses, no fault window within lookahead), the controller drains
   each tenant's admission queue into a deterministic recurrence and
   takes over the arrival processes via a handover protocol
@@ -38,9 +38,9 @@ property tests):
   the runtime's hooks are ``None`` and dormant;
 * hybrid runs match pure DES **exactly** on completion / rejection /
   loss counts and on decision logs;
-* p50/p99 latency and goodput agree within the declared tolerances of
-  :class:`HybridConfig` (the analytic segment replays profiles, so
-  individual latencies are re-sampled, not re-derived).
+* p50/p99 latency and goodput agree within the tolerances declared
+  in :mod:`repro.sim.crosscheck` (the analytic segment replays
+  profiles, so individual latencies are re-sampled, not re-derived).
 
 Known, documented divergences: per-component telemetry counters (the
 analytic segment posts no verbs), work-request ids, and profile
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.paths import Opcode
@@ -64,57 +63,27 @@ GUARD = "guard"
 ANALYTIC = "analytic"
 
 
-@dataclass(frozen=True)
-class HybridConfig:
-    """Tuning knobs and the declared tolerance contract."""
-
-    #: DES guard window re-opened around every transient, in ns.
-    guard_ns: float = 40_000.0
-    #: Consecutive steady control ticks required before fast-forwarding.
-    stable_ticks: int = 2
-    #: Minimum rolling-window completions per tenant (and minimum
-    #: service-profile samples per op) before its behaviour counts as
-    #: characterized.
-    min_samples: int = 4
-    #: How far ahead of a tick a fault window must be to stay analytic.
-    lookahead_ns: float = 20_000.0
-    #: Ring size of the per-(tenant, op, generation) service profile.
-    max_profile: int = 512
-    #: Max relative p50/p99 movement between consecutive ticks for a
-    #: tick to count as steady (rules out still-filling queues).
-    drift_tol: float = 0.25
-    #: Adapt the fault-transient guard envelope to the observed service
-    #: ceiling (plus token-bucket reservation slack), instead of the
-    #: fixed ``lookahead_ns`` margin.  Keeps analytic in-flight tails
-    #: from straddling a mid-window transient on short runs.
-    adaptive_envelope: bool = True
-    #: Multiplier applied per escalation when a splice-back still finds
-    #: analytic tails inside a blackout margin (envelope re-validation).
-    envelope_growth: float = 1.5
-    #: Hard cap on the adaptive envelope, in ns.
-    max_envelope_ns: float = 300_000.0
-    #: Declared relative tolerance on p50/p99 vs pure DES.
-    latency_tol: float = 0.35
-    #: Declared relative tolerance on goodput vs pure DES.
-    goodput_tol: float = 0.15
-
-    def __post_init__(self):
-        if self.guard_ns < 0 or self.lookahead_ns < 0:
-            raise ValueError("guard/lookahead windows must be >= 0")
-        if self.stable_ticks < 1:
-            raise ValueError(f"stable_ticks must be >= 1: {self.stable_ticks}")
-        if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1: {self.min_samples}")
-        for name in ("drift_tol", "latency_tol", "goodput_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be >= 0: {getattr(self, name)}")
-        if self.envelope_growth < 1.0:
-            raise ValueError(
-                f"envelope_growth must be >= 1: {self.envelope_growth}")
-        if self.max_envelope_ns < 0:
-            raise ValueError(
-                f"max_envelope_ns must be >= 0: {self.max_envelope_ns}")
+#: DES guard window re-opened around every transient, in ns.
+GUARD_NS = 40_000.0
+#: Consecutive steady control ticks required before fast-forwarding.
+STABLE_TICKS = 2
+#: Minimum rolling-window completions per tenant (and minimum
+#: service-profile samples per op) before its behaviour counts as
+#: characterized.
+MIN_SAMPLES = 4
+#: The floor of the fault-transient guard envelope: how far ahead of a
+#: tick a fault window must be to stay analytic.
+LOOKAHEAD_NS = 20_000.0
+#: Ring size of the per-(tenant, op, generation) service profile.
+MAX_PROFILE = 512
+#: Max relative p50/p99 movement between consecutive ticks for a
+#: tick to count as steady (rules out still-filling queues).
+DRIFT_TOL = 0.25
+#: Multiplier applied per escalation when a splice-back still finds
+#: analytic tails inside a blackout margin (envelope re-validation).
+ENVELOPE_GROWTH = 1.5
+#: Hard cap on the adaptive envelope, in ns.
+MAX_ENVELOPE_NS = 300_000.0
 
 
 class _AnalyticTenant:
@@ -159,17 +128,15 @@ class HybridController:
     """Flips a serving run between DES and the analytic recurrence."""
 
     def __init__(self, runtime, tracker, faults=None,
-                 tick_ns: float = 20_000.0,
-                 config: Optional[HybridConfig] = None):
+                 tick_ns: float = 20_000.0):
         if tick_ns <= 0:
             raise ValueError(f"tick must be positive: {tick_ns}")
         self.runtime = runtime
         self.tracker = tracker
         self.sim = runtime.sim
         self.tick_ns = tick_ns
-        self.config = config or HybridConfig()
         self.mode = GUARD
-        self.guard_until = self.config.guard_ns
+        self.guard_until = GUARD_NS
         self._stable = 0
         self._lost_seen = 0
         self._last_stats: Dict[str, Tuple[float, float]] = {}
@@ -222,8 +189,7 @@ class HybridController:
         key = (tenant, op, t.lease.generation if t.lease else 0)
         profile = self._profiles.get(key)
         if profile is None:
-            profile = self._profiles[key] = deque(
-                maxlen=self.config.max_profile)
+            profile = self._profiles[key] = deque(maxlen=MAX_PROFILE)
         profile.append(service_ns)
         if service_ns > self._service_ceiling:
             self._service_ceiling = service_ns
@@ -271,7 +237,7 @@ class HybridController:
             return
         if self._steady(now):
             self._stable += 1
-            if self._stable >= self.config.stable_ticks:
+            if self._stable >= STABLE_TICKS:
                 self._flip_analytic(now)
         else:
             self._stable = 0
@@ -281,17 +247,14 @@ class HybridController:
     def envelope_ns(self) -> float:
         """The current fault-transient margin around blackout windows.
 
-        With ``adaptive_envelope`` this is the worst analytic in-flight
-        tail the recurrence can create beyond a settle horizon: the
-        observed service-time ceiling plus the widest token-bucket
-        reservation slack (``workers`` requests reserved ahead at the
-        capped rate), escalated geometrically while splice-backs keep
-        proving it too small.  Never below ``lookahead_ns``; capped at
-        ``max_envelope_ns``.
+        This is the worst analytic in-flight tail the recurrence can
+        create beyond a settle horizon: the observed service-time
+        ceiling plus the widest token-bucket reservation slack
+        (``workers`` requests reserved ahead at the capped rate),
+        escalated geometrically while splice-backs keep proving it too
+        small.  Never below ``LOOKAHEAD_NS``; capped at
+        ``MAX_ENVELOPE_NS``.
         """
-        cfg = self.config
-        if not cfg.adaptive_envelope:
-            return cfg.lookahead_ns
         slack = 0.0
         for spec in self.runtime.specs:
             t = self.runtime._tenants[spec.name]
@@ -300,11 +263,10 @@ class HybridController:
                 slack = max(slack, spec.workers * max(1, spec.payload)
                             / gbps(lease.rate_cap_gbps))
         margin = ((self._service_ceiling + slack)
-                  * cfg.envelope_growth ** self._escalations)
-        return min(cfg.max_envelope_ns, max(cfg.lookahead_ns, margin))
+                  * ENVELOPE_GROWTH ** self._escalations)
+        return min(MAX_ENVELOPE_NS, max(LOOKAHEAD_NS, margin))
 
     def _steady(self, now: float) -> bool:
-        cfg = self.config
         margin = self.envelope_ns()
         steady = (now >= self.guard_until
                   and not self._blackout_within(
@@ -334,7 +296,7 @@ class HybridController:
                 continue
             stats = self.tracker.window(spec.name, now)
             current[spec.name] = (stats.p50_ns, stats.p99_ns)
-            if stats.count < cfg.min_samples:
+            if stats.count < MIN_SAMPLES:
                 steady = False
                 continue
             if stats.rejected and t.bucket is None:
@@ -346,16 +308,16 @@ class HybridController:
             prev = previous.get(spec.name)
             if prev is None:
                 steady = False
-            elif (abs(stats.p50_ns - prev[0]) > cfg.drift_tol * max(prev[0], 1.0)
+            elif (abs(stats.p50_ns - prev[0]) > DRIFT_TOL * max(prev[0], 1.0)
                   or abs(stats.p99_ns - prev[1])
-                  > cfg.drift_tol * max(prev[1], 1.0)):
+                  > DRIFT_TOL * max(prev[1], 1.0)):
                 steady = False              # latency still trending
             if t.lease.degraded:
                 continue                    # deterministic host relay
             generation = t.lease.generation
             for op in self._mix_ops(spec):
                 profile = self._profiles.get((spec.name, op, generation))
-                if profile is None or len(profile) < cfg.min_samples:
+                if profile is None or len(profile) < MIN_SAMPLES:
                     steady = False
         self._last_stats = current
         return steady and any_active
@@ -387,14 +349,11 @@ class HybridController:
         return windows
 
     def _blackout_within(self, start: float, end: float,
-                         margin: Optional[float] = None) -> bool:
-        cfg = self.config
-        if margin is None:
-            margin = cfg.lookahead_ns
+                         margin: float) -> bool:
         for w_start, w_end in self._blackouts:
             lo = w_start - margin
             hi = (float("inf") if w_end is None
-                  else w_end + cfg.guard_ns)
+                  else w_end + GUARD_NS)
             if start < hi and end > lo:
                 return True
         return False
@@ -529,26 +488,24 @@ class HybridController:
     def _reguard(self, now: float) -> None:
         """Open a guard window; splice live state back to event level."""
         self.guard_until = max(self.guard_until,
-                               now + self.config.guard_ns)
+                               now + GUARD_NS)
         self._stable = 0
         if self.mode is not ANALYTIC:
             return
         self._splice_back(now)
 
     def _splice_back(self, now: float) -> None:
-        if self.config.adaptive_envelope:
-            # Envelope re-validation: if any analytic in-flight tail
-            # still reaches into a blackout margin, the envelope was
-            # too small — grow it and hold the guard window until the
-            # tails are flushed, then require a fresh steadiness pass.
-            worst_end = max((entry[0] for at in self._tenants.values()
-                             for entry in at.pending), default=now)
-            if worst_end > now and self._blackout_within(
-                    now, worst_end + self.tick_ns, 0.0):
-                self._escalations += 1
-                self.escalations += 1
-                self.guard_until = max(self.guard_until,
-                                       worst_end + self.config.guard_ns)
+        # Envelope re-validation: if any analytic in-flight tail still
+        # reaches into a blackout margin, the envelope was too small —
+        # grow it and hold the guard window until the tails are
+        # flushed, then require a fresh steadiness pass.
+        worst_end = max((entry[0] for at in self._tenants.values()
+                         for entry in at.pending), default=now)
+        if worst_end > now and self._blackout_within(
+                now, worst_end + self.tick_ns, 0.0):
+            self._escalations += 1
+            self.escalations += 1
+            self.guard_until = max(self.guard_until, worst_end + GUARD_NS)
         for name, at in self._tenants.items():
             t = at.state
             # In-flight synthesized requests: park one worker per item

@@ -575,7 +575,7 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
             barrier += sync_window_ns
             inbound = take_inbound(barrier)
             log.record(barrier, inbound)
-            if cfg.checkpoint_dir and window_no % cfg.checkpoint_every == 0:
+            if cfg.checkpoint_dir:
                 log.save(cfg.checkpoint_dir)
             if cfg.kill_shard is not None and window_no == cfg.kill_window:
                 incidents.record("kill-injected", cfg.kill_shard, window_no,

@@ -94,8 +94,8 @@ class SupervisorConfig:
       escalation schedule when reaping workers;
     * ``max_respawns`` — total worker respawns allowed per run before
       the supervisor gives up with :class:`ShardWorkerError`;
-    * ``checkpoint_dir``/``checkpoint_every``/``resume`` — persist the
-      :class:`WindowLog` every N windows and optionally start from it;
+    * ``checkpoint_dir``/``resume`` — persist the :class:`WindowLog`
+      at every barrier and optionally start from it;
     * ``kill_shard``/``kill_window`` — chaos hook: hard-kill the named
       shard's worker at the given 1-based window, forcing a respawn
       (the run must still produce unkilled counts);
@@ -108,7 +108,6 @@ class SupervisorConfig:
     kill_grace_s: float = 2.0
     max_respawns: int = 3
     checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 1
     resume: bool = False
     kill_shard: Optional[str] = None
     kill_window: int = 0
@@ -122,9 +121,6 @@ class SupervisorConfig:
             raise ValueError("reap timeouts must be positive")
         if self.max_respawns < 0:
             raise ValueError(f"negative respawn budget: {self.max_respawns}")
-        if self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1: {self.checkpoint_every}")
         if self.resume and not self.checkpoint_dir:
             raise ValueError("resume requires a checkpoint_dir")
         if self.kill_shard is not None and self.kill_window < 1:

@@ -52,14 +52,16 @@ def replicate_families(duration_ns: float = 600_000.0,
     return names + ("broken-counter",)
 
 
-def _run_one(family: str, seed: int, duration_ns: float, engine: str):
+def _run_one(family: str, seed: int, duration_ns: float, engine: str,
+             testbed=None):
     from repro.sched.serve import (ServeSession, mixed_tenant_workload,
                                    run_serve)
     from repro.sim.crosscheck import standard_scenarios
 
     if family == "broken-counter":
         tenants = mixed_tenant_workload(duration_ns=duration_ns, seed=seed)
-        session = ServeSession(tenants, adaptive=True, engine=engine)
+        session = ServeSession(tenants, adaptive=True, engine=engine,
+                               testbed=testbed)
         session.advance(duration_ns / 2)
         # The injected violation: a completion counter drifts from the
         # event stream.  Flow conservation and Little's law must both
@@ -74,7 +76,7 @@ def _run_one(family: str, seed: int, duration_ns: float, engine: str):
                          f"from {sorted(families) + ['broken-counter']}")
     kwargs = dict(families[family])
     factory = kwargs.pop("factory")
-    return run_serve(factory(), engine=engine, **kwargs)
+    return run_serve(factory(), engine=engine, testbed=testbed, **kwargs)
 
 
 # -- pool plumbing (module-level so it pickles) -------------------------------
@@ -228,15 +230,9 @@ def replicate(family: str, seeds: Union[int, Sequence[int]] = 3,
 
     if missing and testbed is not None:
         # Custom testbeds bypass the pool + cache (not content-keyed).
-        from repro.sim.crosscheck import standard_scenarios
-        from repro.sched.serve import run_serve
         for seed in missing:
-            families = standard_scenarios(duration_ns=duration_ns,
-                                          seed=seed)
-            kwargs = dict(families[family])
-            factory = kwargs.pop("factory")
-            reports[seed] = run_serve(factory(), engine=engine,
-                                      testbed=testbed, **kwargs)
+            reports[seed] = _run_one(family, seed, duration_ns, engine,
+                                     testbed=testbed)
         missing = []
 
     if missing:

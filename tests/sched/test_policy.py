@@ -12,10 +12,6 @@ from repro.workloads import OpMix
 TB = paper_testbed()
 
 
-def _policy(**kwargs):
-    return PathPolicy(TB, **kwargs)
-
-
 def _client_spec(name="t", payload=512, interval_ns=2_000.0,
                  working_set=4 * MB, **kwargs):
     return TenantSpec(name=name, payload=payload, interval_ns=interval_ns,
@@ -38,20 +34,20 @@ def _stats(tenant="t", count=20, p99_ns=0.0):
 
 
 def test_place_cache_resident_reads_on_soc():
-    placed = _policy().place(_client_spec())
+    placed = PathPolicy(TB).place(_client_spec())
     assert placed.path is CommPath.SNIC2
     assert placed.responder == "soc"
     assert placed.rate_cap_gbps is None
 
 
 def test_place_oversized_working_set_on_host():
-    placed = _policy().place(_client_spec(working_set=32 * GB))
+    placed = PathPolicy(TB).place(_client_spec(working_set=32 * GB))
     assert placed.path is CommPath.SNIC1
     assert placed.responder == "host"
 
 
 def test_place_bulk_tenant_with_p_minus_n_cap():
-    placed = _policy().place(_bulk_spec())
+    placed = PathPolicy(TB).place(_bulk_spec())
     assert placed.path is CommPath.SNIC3_H2S
     assert placed.responder == "soc"
     assert placed.rate_cap_gbps == pytest.approx(56.0, rel=0.01)
@@ -59,7 +55,7 @@ def test_place_bulk_tenant_with_p_minus_n_cap():
 
 
 def test_healthy_tenant_is_left_alone():
-    policy = _policy()
+    policy = PathPolicy(TB)
     spec = _client_spec()
     decision = policy.decide(spec, CommPath.SNIC2, "soc", False,
                              _stats(p99_ns=5_000.0), True, 100_000.0, {})
@@ -67,7 +63,7 @@ def test_healthy_tenant_is_left_alone():
 
 
 def test_slo_violation_migrates_to_alternate_path():
-    policy = _policy()
+    policy = PathPolicy(TB)
     spec = _client_spec()
     decision = policy.decide(spec, CommPath.SNIC2, "soc", False,
                              _stats(p99_ns=40_000.0), True, 100_000.0, {})
@@ -78,7 +74,7 @@ def test_slo_violation_migrates_to_alternate_path():
 
 
 def test_thin_window_blocks_migration():
-    policy = _policy(min_samples=8)
+    policy = PathPolicy(TB)
     spec = _client_spec()
     decision = policy.decide(spec, CommPath.SNIC2, "soc", False,
                              _stats(count=3, p99_ns=40_000.0), True,
@@ -87,7 +83,7 @@ def test_thin_window_blocks_migration():
 
 
 def test_cooldown_blocks_flapping():
-    policy = _policy(cooldown_ns=60_000.0)
+    policy = PathPolicy(TB)
     spec = _client_spec()
     policy.note_change(spec.name, 90_000.0)
     decision = policy.decide(spec, CommPath.SNIC2, "soc", False,
@@ -102,7 +98,7 @@ def test_cooldown_blocks_flapping():
 def test_fig11_budget_refuses_overfull_target():
     """Migration into path 1 is refused when its concurrent-partition
     budget is already booked by offered load."""
-    policy = _policy()
+    policy = PathPolicy(TB)
     spec = _client_spec()
     full = {CommPath.SNIC1: 1_000.0}   # far beyond any Fig 11 budget
     decision = policy.decide(spec, CommPath.SNIC2, "soc", False,
@@ -111,7 +107,7 @@ def test_fig11_budget_refuses_overfull_target():
 
 
 def test_soc_crash_fails_client_tenant_hostward():
-    policy = _policy()
+    policy = PathPolicy(TB)
     spec = _client_spec()
     decision = policy.decide(spec, CommPath.SNIC2, "soc", False,
                              _stats(), False, 100_000.0, {})
@@ -123,7 +119,7 @@ def test_soc_crash_fails_client_tenant_hostward():
 
 
 def test_soc_crash_degrades_bulk_tenant():
-    policy = _policy()
+    policy = PathPolicy(TB)
     decision = policy.decide(_bulk_spec(), CommPath.SNIC3_H2S, "soc", False,
                              _stats(tenant="bulk"), False, 100_000.0, {})
     assert decision is not None
@@ -134,7 +130,7 @@ def test_soc_crash_degrades_bulk_tenant():
 
 
 def test_already_degraded_tenant_is_not_refailed():
-    policy = _policy()
+    policy = PathPolicy(TB)
     decision = policy.decide(_bulk_spec(), CommPath.SNIC3_H2S, "host", True,
                              _stats(tenant="bulk"), False, 100_000.0, {})
     assert decision is None
@@ -142,7 +138,7 @@ def test_already_degraded_tenant_is_not_refailed():
 
 def test_no_migration_to_crashed_soc():
     """An SLO violation on path 1 never migrates into a dead SoC."""
-    policy = _policy()
+    policy = PathPolicy(TB)
     spec = _client_spec(working_set=32 * GB)
     decision = policy.decide(spec, CommPath.SNIC1, "host", False,
                              _stats(p99_ns=40_000.0), False, 100_000.0, {})

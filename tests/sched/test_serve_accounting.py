@@ -20,6 +20,7 @@ from repro.sched.serve import (ServeSession, TenantReport, _path_gbps,
 from repro.sched.tenant import CompletionRecord
 from repro.units import to_gbps
 
+#: The session's path-bandwidth warm-up: two 20 µs control ticks.
 WARMUP_NS = 40_000.0
 
 
@@ -78,8 +79,7 @@ def faulted_session():
         if spec.name == "alpha" else spec
         for spec in mixed_tenant_workload(duration_ns=1_500_000.0))
     plan = FaultPlan(faults=(SocCrash(server="server0", at=700_000.0),))
-    session = ServeSession(tenants, faults=plan, engine="hybrid",
-                           warmup_ns=WARMUP_NS)
+    session = ServeSession(tenants, faults=plan, engine="hybrid")
     session.run_to_completion()
     return session
 

@@ -131,6 +131,26 @@ def test_family_catalog_and_unknown_family():
         replicate("adaptive", seeds=0)
 
 
+def test_custom_testbed_runs_every_family(adaptive_rep):
+    # A custom testbed skips the cache and the pool but runs the same
+    # families as the default one: the injected broken-counter family,
+    # the ValueError that names the families, and the same answers.
+    from repro.net.topology import paper_testbed
+
+    testbed = paper_testbed()
+    broken = replicate("broken-counter", seeds=1, duration_ns=DURATION_NS,
+                       testbed=testbed)
+    assert {r.name for r in broken.invariants() if not r.ok} \
+        >= {"flow-conservation", "littles-law"}
+    with pytest.raises(ValueError, match="broken-counter"):
+        replicate("nope", seeds=1, duration_ns=DURATION_NS,
+                  testbed=testbed)
+    custom = replicate("adaptive", seeds=(0,), duration_ns=DURATION_NS,
+                       testbed=testbed)
+    assert custom.reports[0] is not adaptive_rep.reports[0]
+    assert custom.reports[0].tenants == adaptive_rep.reports[0].tenants
+
+
 def test_replication_requires_matched_lengths(adaptive_rep):
     with pytest.raises(ValueError):
         Replication(family="adaptive", duration_ns=DURATION_NS,

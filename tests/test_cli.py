@@ -291,3 +291,27 @@ def test_serve_command_static_json(capsys):
     assert payload["adaptive"] is False
     assert {t["name"] for t in payload["tenants"]} == \
         {"alpha", "beta", "delta", "gamma"}
+
+
+@pytest.mark.parametrize("flag", [
+    ["--static"], ["--fault-plan", "plan.json"], ["--shards", "3"],
+    ["--cross-traffic"], ["--cluster-fault-plan", "chaos.json"],
+    ["--checkpoint-dir", "ckpt"], ["--resume"], ["--kill-shard", "m00"],
+    ["--incident-report", "incidents.json"]])
+def test_serve_cluster_rejects_flags_it_ignores(capsys, flag):
+    # Checked before the scenario document is read or any run starts.
+    code, _, err = run(capsys, "serve", "--cluster",
+                       "examples/rack_scenario.json", *flag)
+    assert code == 1
+    assert f"{flag[0]} does not apply to --cluster" in err
+
+
+@pytest.mark.parametrize("flag", [
+    ["--jobs", "2"], ["--cross-traffic"], ["--resume"],
+    ["--checkpoint-dir", "ckpt"], ["--kill-shard", "shard0"]])
+@pytest.mark.parametrize("shards", [[], ["--shards", "1"]])
+def test_unsharded_serve_rejects_shard_flags(capsys, flag, shards):
+    code, _, err = run(capsys, "serve", "--duration", "50000", *shards,
+                       *flag)
+    assert code == 1
+    assert f"{flag[0]} needs --shards > 1" in err

@@ -6,6 +6,8 @@ checks the supported spellings import cleanly under
 ``-W error::DeprecationWarning`` (the CI gate).
 """
 
+import dataclasses
+import inspect
 import os
 import pathlib
 import subprocess
@@ -66,3 +68,43 @@ def test_new_spellings_are_warning_free():
         [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
         check=True, env={**os.environ, "PYTHONPATH": _SRC})
 
+
+
+# The serving knob ratchet: the options below are the whole surface.
+# Policy and hybrid tuning are module constants (repro.sched.policy,
+# repro.sim.hybrid, repro.sim.crosscheck); an option comes back only
+# through a deliberate edit of these lists.
+def _params(fn):
+    return list(inspect.signature(fn).parameters)
+
+
+def test_serving_option_snapshot():
+    from repro.sched.policy import PathPolicy
+    from repro.sched.serve import ServeSession, run_serve
+    from repro.sim.hybrid import HybridController
+
+    assert _params(ServeSession) == [
+        "tenants", "adaptive", "testbed", "faults", "fault_seed",
+        "interval_ns", "window_ns", "trace", "engine", "channel", "nic"]
+    assert _params(run_serve) == ["tenants", "kwargs"]
+    assert _params(PathPolicy) == ["testbed"]
+    assert _params(HybridController) == [
+        "runtime", "tracker", "faults", "tick_ns"]
+
+
+def test_supervisor_field_snapshot():
+    from repro.sim.supervise import SupervisorConfig
+
+    assert [f.name for f in dataclasses.fields(SupervisorConfig)] == [
+        "exchange_timeout_s", "join_timeout_s", "kill_grace_s",
+        "max_respawns", "checkpoint_dir", "resume", "kill_shard",
+        "kill_window", "incident_report"]
+
+
+def test_crosscheck_signature_snapshot():
+    from repro.sim.crosscheck import (ci_agreement, crosscheck,
+                                      crosscheck_suite)
+
+    assert _params(crosscheck) == ["scenario", "factory", "serve_kwargs"]
+    assert _params(crosscheck_suite) == ["duration_ns", "seed", "scenarios"]
+    assert _params(ci_agreement) == ["des", "hybrid", "confidence"]
