@@ -648,6 +648,16 @@ def main(argv=None) -> int:
         # and rack benchmarks), so no ratio against an older suite.
         report["bench_suite"] = {"wall_s": round(wall, 2)}
 
+    # Paired perfbench measurements (parent vs change, recorded with
+    # each speed claim) are not produced here; carry them over.
+    try:
+        with open(args.out) as handle:
+            pairs = json.load(handle).get("perfbench_pairs")
+    except (OSError, ValueError):
+        pairs = None
+    if pairs:
+        report["perfbench_pairs"] = pairs
+
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.hw.cpu import CPUSpec
 from repro.net.topology import Testbed
@@ -228,16 +228,6 @@ class SimCluster:
         if node.server is None:
             raise ValueError(f"{node.name} is not a server node")
         return self.servers[node.server]
-
-    def dma_route(self, target: Union[Node, Endpoint]):
-        """(dma_engine, route, route back, mps) for a DMA into ``target``.
-
-        Accepts a server-side node, or a bare endpoint (resolved on
-        server 0 for single-server convenience).
-        """
-        if isinstance(target, Node):
-            return self.server_of(target).dma_route(target.endpoint)
-        return self._server0.dma_route(target)
 
     # -- queue-pair registry -------------------------------------------------------
 

@@ -1,9 +1,13 @@
 """Queue pairs: RC for one-sided verbs, UD for datagram SEND/RECV.
 
-A queue pair belongs to one node.  Posting a verb starts a discrete-event
-process that replays the hardware's execution flow — posting cost at the
-requester CPU, NIC pipelines, network channels, and the responder-side
-DMA over the SmartNIC's internal fabric — then delivers a completion.
+A queue pair belongs to one node.  A verb's body replays the hardware's
+execution flow — posting cost at the requester CPU, NIC pipelines,
+network channels, and the responder-side DMA over the SmartNIC's
+internal fabric — then delivers a completion.  Posting a verb runs its
+body as a discrete-event process; a process that waits for the verb
+anyway (a serving worker) may run the body itself instead.  The
+datapath to each responder is resolved once per queue pair
+(:class:`~repro.rdma.transport.Route`).
 
 RC QPs implement the reliability protocol: each work request carries a
 packet sequence number, and any leg of its execution poisoned by a fault
@@ -20,13 +24,14 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Deque, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Deque, Dict, Generator, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.rdma import transport
 from repro.rdma.cq import Completion, CompletionQueue
 from repro.rdma.mr import AccessError, MemoryRegion
 from repro.rdma.opcodes import CompletionStatus, WorkOpcode
 from repro.rdma.srq import SharedReceiveQueue
+from repro.sim.events import Timeout
 from repro.sim.links import LOST
 from repro.sim.process import Process
 
@@ -82,6 +87,12 @@ class QPError(Exception):
     """QP misuse: wrong type, wrong state, not connected, bad sizes."""
 
 
+def _flushed():
+    """The body of a flushed work request: it does nothing."""
+    return None
+    yield  # pragma: no cover - makes this a generator
+
+
 class QueuePair:
     """One queue pair plus its execution engine."""
 
@@ -129,6 +140,8 @@ class QueuePair:
         # a fault injector is installed.
         self._seen_psns: Set[int] = set()
         self._needs_recovery = False
+        # Resolved datapaths by responder node name (see _route_to).
+        self._routes: Dict[str, transport.Route] = {}
 
     # -- connection management ------------------------------------------------------
 
@@ -215,6 +228,11 @@ class QueuePair:
         return len(self._recv_queue)
 
     # -- send side --------------------------------------------------------------------
+    #
+    # ``read``/``write``/``send`` check and admit the work request at
+    # once and return the verb's body, for a process that runs the verb
+    # itself with ``yield from`` (``ServingRuntime._serve_one``); the
+    # ``post_*`` verbs run the same body as a process of its own.
 
     def post_read(self, wr_id: int, local_mr: MemoryRegion,
                   remote_mr: MemoryRegion, length: int,
@@ -222,15 +240,9 @@ class QueuePair:
                   rkey: Optional[int] = None, signaled: bool = True,
                   posting_delay: Optional[float] = None) -> Process:
         """One-sided READ: pull remote bytes into the local buffer."""
-        self._check_one_sided(local_mr, length)
-        if not self._admit_send(wr_id, WorkOpcode.READ):
-            return self._flushed()
-        rkey = remote_mr.rkey if rkey is None else rkey
-        gen = self._run_one_sided(
-            WorkOpcode.READ, wr_id, local_mr, local_offset, remote_mr,
-            remote_offset, length, rkey, signaled, posting_delay)
-        return self.sim.process(self._traced(gen, WorkOpcode.READ,
-                                             length, wr_id))
+        return self.sim.process(self.read(
+            wr_id, local_mr, remote_mr, length, local_offset, remote_offset,
+            rkey, signaled, posting_delay))
 
     def post_write(self, wr_id: int, local_mr: MemoryRegion,
                    remote_mr: MemoryRegion, length: int,
@@ -238,20 +250,41 @@ class QueuePair:
                    rkey: Optional[int] = None, signaled: bool = True,
                    posting_delay: Optional[float] = None) -> Process:
         """One-sided WRITE: push local bytes into the remote buffer."""
-        self._check_one_sided(local_mr, length)
-        if not self._admit_send(wr_id, WorkOpcode.WRITE):
-            return self._flushed()
-        rkey = remote_mr.rkey if rkey is None else rkey
-        gen = self._run_one_sided(
-            WorkOpcode.WRITE, wr_id, local_mr, local_offset, remote_mr,
-            remote_offset, length, rkey, signaled, posting_delay)
-        return self.sim.process(self._traced(gen, WorkOpcode.WRITE,
-                                             length, wr_id))
+        return self.sim.process(self.write(
+            wr_id, local_mr, remote_mr, length, local_offset, remote_offset,
+            rkey, signaled, posting_delay))
 
     def post_send(self, wr_id: int, data: bytes,
                   dest: Optional["QueuePair"] = None, signaled: bool = True,
                   posting_delay: Optional[float] = None) -> Process:
         """Two-sided SEND of ``data`` to the peer (RC) or ``dest`` (UD)."""
+        return self.sim.process(self.send(wr_id, data, dest, signaled,
+                                          posting_delay))
+
+    def read(self, wr_id: int, local_mr: MemoryRegion,
+             remote_mr: MemoryRegion, length: int, local_offset: int = 0,
+             remote_offset: int = 0, rkey: Optional[int] = None,
+             signaled: bool = True,
+             posting_delay: Optional[float] = None) -> Generator:
+        """The body of :meth:`post_read`."""
+        return self._one_sided(WorkOpcode.READ, wr_id, local_mr, remote_mr,
+                               length, local_offset, remote_offset, rkey,
+                               signaled, posting_delay)
+
+    def write(self, wr_id: int, local_mr: MemoryRegion,
+              remote_mr: MemoryRegion, length: int, local_offset: int = 0,
+              remote_offset: int = 0, rkey: Optional[int] = None,
+              signaled: bool = True,
+              posting_delay: Optional[float] = None) -> Generator:
+        """The body of :meth:`post_write`."""
+        return self._one_sided(WorkOpcode.WRITE, wr_id, local_mr, remote_mr,
+                               length, local_offset, remote_offset, rkey,
+                               signaled, posting_delay)
+
+    def send(self, wr_id: int, data: bytes,
+             dest: Optional["QueuePair"] = None, signaled: bool = True,
+             posting_delay: Optional[float] = None) -> Generator:
+        """The body of :meth:`post_send`."""
         if self.qp_type is QPType.RC:
             if dest is not None and dest is not self.peer:
                 raise QPError("RC SEND goes to the connected peer")
@@ -260,12 +293,39 @@ class QueuePair:
             if dest is None:
                 raise QPError("UD SEND needs an explicit destination QP")
             target = dest
+        route = self._route_to(target.node)
         if not self._admit_send(wr_id, WorkOpcode.SEND):
-            return self._flushed()
-        gen = self._run_send(wr_id, data, target, signaled, posting_delay)
-        return self.sim.process(self._traced(gen, WorkOpcode.SEND,
-                                             len(data), wr_id,
-                                             responder=target.node))
+            return _flushed()
+        args = (route, target, data)
+        if self.qp_type is QPType.RC:
+            body = self._reliably(WorkOpcode.SEND, wr_id, len(data),
+                                  signaled, posting_delay, self._send_attempt,
+                                  args)
+        else:
+            body = self._datagram(wr_id, len(data), signaled, posting_delay,
+                                  args)
+        return self._traced(body, WorkOpcode.SEND, len(data), wr_id,
+                            target.node)
+
+    def _one_sided(self, opcode: WorkOpcode, wr_id: int,
+                   local_mr: MemoryRegion, remote_mr: MemoryRegion,
+                   length: int, local_offset: int, remote_offset: int,
+                   rkey: Optional[int], signaled: bool,
+                   posting_delay: Optional[float]) -> Generator:
+        self._check_one_sided(local_mr, length)
+        responder = self.peer.node
+        route = self._route_to(responder)
+        if route.pipeline is None:
+            raise QPError("one-sided verbs need a server-side responder")
+        if not self._admit_send(wr_id, opcode):
+            return _flushed()
+        rkey = remote_mr.rkey if rkey is None else rkey
+        attempt = self._intra_attempt if route.intra else self._remote_attempt
+        body = self._reliably(opcode, wr_id, length, signaled, posting_delay,
+                              attempt, (route, opcode, local_mr, local_offset,
+                                        remote_mr, remote_offset, length,
+                                        rkey))
+        return self._traced(body, opcode, length, wr_id, responder)
 
     # -- checks -----------------------------------------------------------------------
 
@@ -277,6 +337,14 @@ class QueuePair:
             raise AccessError("local MR belongs to another node")
         if length < 0:
             raise QPError(f"negative length: {length}")
+
+    def _route_to(self, responder: "Node") -> transport.Route:
+        """The datapath to ``responder``, resolved on first use."""
+        route = self._routes.get(responder.name)
+        if route is None:
+            route = self._routes[responder.name] = transport.Route(
+                self.cluster, self.node, responder)
+        return route
 
     def _admit_send(self, wr_id: int, opcode: WorkOpcode) -> bool:
         """Send-queue admission: depth limit and error-state flushing.
@@ -297,7 +365,7 @@ class QueuePair:
         return True
 
     def _traced(self, gen, opcode: WorkOpcode, nbytes: int, wr_id: int,
-                responder: Optional["Node"] = None):
+                responder: "Node"):
         """Wrap an execution generator in a root span when tracing.
 
         A no-op pass-through (same generator object) on untraced runs,
@@ -306,20 +374,11 @@ class QueuePair:
         tracer = self.sim.tracer
         if tracer is None:
             return gen
-        if responder is None:
-            responder = self._require_peer().node
         return tracer.trace_verb(gen, requester=self.node,
                                  responder=responder,
                                  verb=opcode.name.lower(), payload=nbytes,
                                  wr_id=wr_id, qpn=self.qpn,
                                  qp_type=self.qp_type.value)
-
-    def _flushed(self) -> Process:
-        """A no-op process standing in for a flushed work request."""
-        def nothing():
-            return None
-            yield  # pragma: no cover - makes this a generator
-        return self.sim.process(nothing())
 
     def _posting(self, posting_delay: Optional[float]) -> float:
         base = (posting_delay if posting_delay is not None
@@ -344,15 +403,24 @@ class QueuePair:
 
     # -- RC reliability -------------------------------------------------------------
 
-    def _with_reliability(self, wr_id: int, opcode: WorkOpcode, nbytes: int,
-                          signaled: bool, attempt):
-        """Drive ``attempt(psn)`` to completion under the RC retry rules.
+    def _reliably(self, opcode: WorkOpcode, wr_id: int, nbytes: int,
+                  signaled: bool, posting_delay: Optional[float], attempt,
+                  args: tuple):
+        """Post, then drive ``attempt(psn, *args)`` to completion under
+        the RC retry rules.
 
         ``attempt`` is a generator function executing one transmission of
         the work request; it returns ``_OK``, ``_RNR``, or ``LOST``.  On
         a fault-free run the loop body executes exactly once and adds no
         simulation events of its own.
         """
+        sim = self.sim
+        tracer = sim.tracer
+        span = (tracer.begin("post", "cpu", node=self.node.name)
+                if tracer is not None else None)
+        yield Timeout(sim, self._posting(posting_delay))
+        if tracer is not None:
+            tracer.end(span)
         cluster = self.cluster
         psn = self.sq_psn
         self.sq_psn += 1
@@ -367,7 +435,7 @@ class QueuePair:
                                CompletionStatus.FLUSH_ERROR)
                 return
             try:
-                outcome = yield from attempt(psn)
+                outcome = yield from attempt(psn, *args)
             except AccessError:
                 self._complete(wr_id, opcode, 0, True,
                                CompletionStatus.REMOTE_ACCESS_ERROR)
@@ -410,62 +478,142 @@ class QueuePair:
             self._complete(wr_id, opcode, nbytes, signaled)
             return
 
-    # -- execution processes -------------------------------------------------------------
-
-    def _run_one_sided(self, opcode: WorkOpcode, wr_id: int,
-                       local_mr: MemoryRegion, local_offset: int,
-                       remote_mr: MemoryRegion, remote_offset: int,
-                       length: int, rkey: int, signaled: bool,
-                       posting_delay: Optional[float]):
-        cluster = self.cluster
-        peer = self._require_peer()
-        tracer = self.sim.tracer
+    def _datagram(self, wr_id: int, nbytes: int, signaled: bool,
+                  posting_delay: Optional[float], args: tuple):
+        """A UD SEND: fire-and-forget.  A lost datagram is dropped
+        silently and the sender still completes successfully."""
+        sim = self.sim
+        tracer = sim.tracer
         span = (tracer.begin("post", "cpu", node=self.node.name)
                 if tracer is not None else None)
-        yield self.sim.timeout(self._posting(posting_delay))
+        yield Timeout(sim, self._posting(posting_delay))
         if tracer is not None:
             tracer.end(span)
+        yield from self._send_attempt(0, *args)
+        self._complete(wr_id, WorkOpcode.SEND, nbytes, signaled)
 
-        requester, responder = self.node, peer.node
-        # Path-3 semantics apply only within one server; host/SoC pairs
-        # on different servers are ordinary remote peers over the fabric.
-        intra = requester.same_server_as(responder)
+    # -- one transmission --------------------------------------------------------------
+    #
+    # Retransmits re-enter the NIC pipeline, like the hardware.
 
-        def attempt(psn):
-            tracer = self.sim.tracer
-            # Retransmits re-enter the NIC pipeline, like the hardware.
-            if intra:
-                yield from transport.server_nic_stage(cluster, requester)
-            else:
-                span = (tracer.begin("nic_pipeline", "nic",
-                                     node=self.node.name)
-                        if tracer is not None else None)
-                yield self.sim.timeout(
-                    transport.nic_pipeline_delay(cluster, self.node))
-                if tracer is not None:
-                    tracer.end(span)
-            if intra:
-                outcome = yield from self._one_sided_intra(
-                    opcode, local_mr, local_offset, remote_mr,
-                    remote_offset, length, rkey, psn)
-            else:
-                outcome = yield from self._one_sided_network(
-                    opcode, local_mr, local_offset, remote_mr,
-                    remote_offset, length, rkey, responder, psn)
-            if outcome is LOST:
+    def _remote_attempt(self, psn, route, opcode, local_mr, local_offset,
+                        remote_mr, remote_offset, length, rkey):
+        """A READ/WRITE to another machine, over the fabric."""
+        tracer = self.sim.tracer
+        span = (tracer.begin("nic_pipeline", "nic", node=self.node.name)
+                if tracer is not None else None)
+        yield Timeout(self.sim, route.nic_ns)
+        if tracer is not None:
+            tracer.end(span)
+        responder = route.responder
+        if opcode is WorkOpcode.READ:
+            # Request packet over, DMA read at the server, data back.
+            got = yield from transport.network_transfer(route, 0)
+            if got is LOST or responder.crashed:
                 return LOST
-            if intra:
-                span = (tracer.begin("nic_pipeline", "nic",
-                                     node=self.node.name)
-                        if tracer is not None else None)
-                yield self.sim.timeout(
-                    transport.nic_pipeline_delay(cluster, self.node))
-                if tracer is not None:
-                    tracer.end(span)
-            return _OK
+            yield from transport.server_nic_stage(route)
+            got = yield from transport.server_dma_read(route.dma, length)
+            if got is LOST:
+                return LOST
+            data = remote_mr.dma_read(remote_offset, length, rkey)
+            got = yield from transport.network_transfer(route, length,
+                                                        back=True)
+            if got is LOST:
+                return LOST
+            local_mr.write_local(local_offset, data)
+        else:
+            # Data over, posted DMA write at the server, ack back.
+            data = local_mr.read_local(local_offset, length)
+            got = yield from transport.network_transfer(route, length)
+            if got is LOST or responder.crashed:
+                return LOST
+            yield from transport.server_nic_stage(route)
+            got = yield from transport.server_dma_write(route.dma, length)
+            if got is LOST:
+                return LOST
+            self._apply_write(remote_mr, remote_offset, data, rkey, psn)
+            # The ack can be lost too; the data stays applied and the
+            # retransmit is deduplicated by PSN at the responder.
+            got = yield from transport.network_transfer(route, 0, back=True)
+            if got is LOST:
+                return LOST
+        return _OK
 
-        yield from self._with_reliability(wr_id, opcode, length, signaled,
-                                          attempt)
+    def _intra_attempt(self, psn, route, opcode, local_mr, local_offset,
+                       remote_mr, remote_offset, length, rkey):
+        """Path ③: host <-> SoC through the internal fabric only.
+
+        On top of the data legs, the doorbell MMIO crosses the fabric to
+        the NIC (posted: half a traversal latency-visible) and the CQE
+        crosses back to the requester's memory.
+        """
+        yield from transport.server_nic_stage(route)
+        sim = self.sim
+        tracer = sim.tracer
+        endpoint = self.node.endpoint.value
+        span = (tracer.begin("doorbell_mmio", "mmio", endpoint=endpoint)
+                if tracer is not None else None)
+        yield Timeout(sim, route.doorbell_ns)
+        if tracer is not None:
+            tracer.end(span)
+        if route.responder.crashed:
+            return LOST
+        if opcode is WorkOpcode.READ:
+            data = remote_mr.dma_read(remote_offset, length, rkey)
+            got = yield from transport.intra_machine_transfer(
+                route.dma, route.local_dma, length)
+            if got is LOST:
+                return LOST
+            local_mr.write_local(local_offset, data)
+        else:
+            data = local_mr.read_local(local_offset, length)
+            got = yield from transport.intra_machine_transfer(
+                route.local_dma, route.dma, length)
+            if got is LOST:
+                return LOST
+            self._apply_write(remote_mr, remote_offset, data, rkey, psn)
+        span = (tracer.begin("cqe_delivery", "mmio", endpoint=endpoint)
+                if tracer is not None else None)
+        yield Timeout(sim, route.crossing_ns)  # CQE back to requester memory
+        if tracer is not None:
+            tracer.end(span)
+        span = (tracer.begin("nic_pipeline", "nic", node=self.node.name)
+                if tracer is not None else None)
+        yield Timeout(sim, route.nic_ns)
+        if tracer is not None:
+            tracer.end(span)
+        return _OK
+
+    def _send_attempt(self, psn, route, target, data):
+        """A SEND: data to the responder, landed in a posted receive."""
+        tracer = self.sim.tracer
+        span = (tracer.begin("nic_pipeline", "nic", node=self.node.name)
+                if tracer is not None else None)
+        yield Timeout(self.sim, route.nic_ns)
+        if tracer is not None:
+            tracer.end(span)
+        responder = route.responder
+        if route.intra:
+            got = yield from transport.intra_machine_transfer(
+                route.local_dma, route.dma, len(data))
+            if got is LOST or responder.crashed:
+                return LOST
+        else:
+            got = yield from transport.network_transfer(route, len(data))
+            if got is LOST or responder.crashed:
+                return LOST
+            if route.pipeline is not None:
+                yield from transport.server_nic_stage(route)
+                got = yield from transport.server_dma_write(route.dma,
+                                                            len(data))
+                if got is LOST:
+                    return LOST
+        if not target._deliver(data, self.qpn):
+            if self.qp_type is QPType.RC:
+                return _RNR
+            # UD: receiver not ready means the datagram is dropped.
+            target.dropped_receives += 1
+        return _OK
 
     def _apply_write(self, remote_mr: MemoryRegion, remote_offset: int,
                      data: bytes, rkey: int, psn: int) -> None:
@@ -484,142 +632,6 @@ class QueuePair:
             return
         remote_mr.dma_write(remote_offset, data, rkey)
         peer._seen_psns.add(psn)
-
-    def _one_sided_network(self, opcode, local_mr, local_offset, remote_mr,
-                           remote_offset, length, rkey, responder, psn):
-        cluster = self.cluster
-        if opcode is WorkOpcode.READ:
-            # Request packet over, DMA read at the server, data back.
-            got = yield from transport.network_transfer(cluster, self.node,
-                                                        responder, 0)
-            if got is LOST or responder.crashed:
-                return LOST
-            yield from transport.server_nic_stage(cluster, responder)
-            got = yield from transport.server_dma_read(cluster, responder,
-                                                       length)
-            if got is LOST:
-                return LOST
-            data = remote_mr.dma_read(remote_offset, length, rkey)
-            got = yield from transport.network_transfer(cluster, responder,
-                                                        self.node, length)
-            if got is LOST:
-                return LOST
-            local_mr.write_local(local_offset, data)
-        else:
-            # Data over, posted DMA write at the server, ack back.
-            data = local_mr.read_local(local_offset, length)
-            got = yield from transport.network_transfer(cluster, self.node,
-                                                        responder, length)
-            if got is LOST or responder.crashed:
-                return LOST
-            yield from transport.server_nic_stage(cluster, responder)
-            got = yield from transport.server_dma_write(cluster, responder,
-                                                        length)
-            if got is LOST:
-                return LOST
-            self._apply_write(remote_mr, remote_offset, data, rkey, psn)
-            # The ack can be lost too; the data stays applied and the
-            # retransmit is deduplicated by PSN at the responder.
-            got = yield from transport.network_transfer(cluster, responder,
-                                                        self.node, 0)
-            if got is LOST:
-                return LOST
-        return None
-
-    def _one_sided_intra(self, opcode, local_mr, local_offset, remote_mr,
-                         remote_offset, length, rkey, psn):
-        """Path ③: host <-> SoC through the internal fabric only.
-
-        On top of the data legs, the doorbell MMIO crosses the fabric to
-        the NIC (posted: half a traversal latency-visible) and the CQE
-        crosses back to the requester's memory.
-        """
-        cluster = self.cluster
-        local_node = self.node
-        remote_node = self.peer.node
-        snic = cluster.server_of(local_node).snic
-        crossing = snic.crossing_latency(local_node.endpoint)
-        tracer = self.sim.tracer
-        span = (tracer.begin("doorbell_mmio", "mmio",
-                             endpoint=local_node.endpoint.value)
-                if tracer is not None else None)
-        yield self.sim.timeout(snic.doorbell_latency(local_node.endpoint))
-        if tracer is not None:
-            tracer.end(span)
-        if remote_node.crashed:
-            return LOST
-        if opcode is WorkOpcode.READ:
-            data = remote_mr.dma_read(remote_offset, length, rkey)
-            got = yield from transport.intra_machine_transfer(
-                cluster, remote_node, local_node, length)
-            if got is LOST:
-                return LOST
-            local_mr.write_local(local_offset, data)
-        else:
-            data = local_mr.read_local(local_offset, length)
-            got = yield from transport.intra_machine_transfer(
-                cluster, local_node, remote_node, length)
-            if got is LOST:
-                return LOST
-            self._apply_write(remote_mr, remote_offset, data, rkey, psn)
-        span = (tracer.begin("cqe_delivery", "mmio",
-                             endpoint=local_node.endpoint.value)
-                if tracer is not None else None)
-        yield self.sim.timeout(crossing)  # CQE back to requester memory
-        if tracer is not None:
-            tracer.end(span)
-        return None
-
-    def _run_send(self, wr_id: int, data: bytes, target: "QueuePair",
-                  signaled: bool, posting_delay: Optional[float]):
-        cluster = self.cluster
-        tracer = self.sim.tracer
-        span = (tracer.begin("post", "cpu", node=self.node.name)
-                if tracer is not None else None)
-        yield self.sim.timeout(self._posting(posting_delay))
-        if tracer is not None:
-            tracer.end(span)
-        responder = target.node
-
-        def attempt(psn):
-            tracer = self.sim.tracer
-            span = (tracer.begin("nic_pipeline", "nic", node=self.node.name)
-                    if tracer is not None else None)
-            yield self.sim.timeout(
-                transport.nic_pipeline_delay(cluster, self.node))
-            if tracer is not None:
-                tracer.end(span)
-            if self.node.same_server_as(responder):
-                got = yield from transport.intra_machine_transfer(
-                    cluster, self.node, responder, len(data))
-                if got is LOST or responder.crashed:
-                    return LOST
-            else:
-                got = yield from transport.network_transfer(
-                    cluster, self.node, responder, len(data))
-                if got is LOST or responder.crashed:
-                    return LOST
-                if responder.on_server:
-                    yield from transport.server_nic_stage(cluster, responder)
-                    got = yield from transport.server_dma_write(
-                        cluster, responder, len(data))
-                    if got is LOST:
-                        return LOST
-            if not target._deliver(data, self.qpn):
-                if self.qp_type is QPType.RC:
-                    return _RNR
-                # UD: receiver not ready means the datagram is dropped.
-                target.dropped_receives += 1
-            return _OK
-
-        if self.qp_type is QPType.RC:
-            yield from self._with_reliability(wr_id, WorkOpcode.SEND,
-                                              len(data), signaled, attempt)
-        else:
-            # UD is fire-and-forget: a lost datagram is dropped silently
-            # and the sender still completes successfully.
-            yield from attempt(0)
-            self._complete(wr_id, WorkOpcode.SEND, len(data), signaled)
 
     def _deliver(self, data: bytes, src_qpn: int) -> bool:
         """Land an inbound SEND in the next posted receive buffer.

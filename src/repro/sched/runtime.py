@@ -40,6 +40,7 @@ from repro.sched.slo import SloTracker
 from repro.sched.tenant import CompletionRecord, TenantSpec
 from repro.units import gbps, gib_per_s, to_mpps
 from repro.sim import Store
+from repro.sim.events import URGENT, Timeout
 from repro.sim.links import LOST
 
 #: Per-attempt transport tuning for runtime QPs.  Default verbs retry
@@ -379,18 +380,27 @@ class ServingRuntime:
             qp, peer = t.qps[wid]
             if qp.state is QPState.ERROR:
                 qp.recover()
-            posted_ns = self.sim.now
+            sim = self.sim
+            posted_ns = sim.now
             wr = next(t.wr_ids)
             if op is Opcode.READ:
-                work = qp.post_read(wr, t.local_mrs[wid],
-                                    t.remote_mrs[wid], payload)
+                verb = qp.read(wr, t.local_mrs[wid], t.remote_mrs[wid],
+                               payload)
             elif op is Opcode.WRITE:
-                work = qp.post_write(wr, t.local_mrs[wid],
-                                     t.remote_mrs[wid], payload)
+                verb = qp.write(wr, t.local_mrs[wid], t.remote_mrs[wid],
+                                payload)
             else:
                 peer.post_recv(wr, t.remote_mrs[wid], 0, payload)
-                work = qp.post_send(wr, bytes(payload))
-            yield work
+                verb = qp.send(wr, bytes(payload))
+            # The verb runs inside this worker.  As a process of its own
+            # it had two hops, its URGENT bootstrap and its completion;
+            # each is taken only when another event is due now
+            # (Simulator.due_now; docs/performance.md, "Verb datapath").
+            if sim.due_now():
+                yield Timeout(sim, 0, priority=URGENT)
+            yield from verb
+            if sim.due_now():
+                yield Timeout(sim, 0)
             ok = any(c.wr_id == wr and c.ok for c in qp.send_cq.poll())
             if ok:
                 hybrid = self.hybrid

@@ -6,13 +6,16 @@ check, so an untraced run executes the exact pre-tracing event sequence
 (the hooks add no simulation events, ever — spans only *read* the
 clock).
 
-Attribution across interleaved processes works through the process
-hooks: each :class:`~repro.sim.process.Process` carries the
-:class:`~repro.trace.span.VerbTrace` context it was spawned under, and
-the kernel restores that context every time a process resumes.  Spans
-emitted anywhere in a verb's call chain — including the DMA
-transactions it runs inline — therefore land in the right tree even
-with many verbs in flight.
+Attribution across interleaved verbs works through the verb body
+itself: :meth:`Tracer.trace_verb` wraps a verb's generator so that each
+of its steps runs with the verb's :class:`~repro.trace.span.VerbTrace`
+as the current context, and the context it found is restored whenever
+the verb yields.  A verb therefore keeps its span tree whether it runs
+as a process of its own or inside the process that drives it, and
+spans emitted anywhere in its call chain — including the DMA
+transactions it runs inline — land in the right tree even with many
+verbs in flight.  Each :class:`~repro.sim.process.Process` carries the
+context it was spawned under, restored by the kernel on every resume.
 """
 
 from __future__ import annotations
@@ -58,11 +61,9 @@ class Tracer:
         self.telemetry = telemetry
         self._sim: Optional["Simulator"] = None
         self._cluster: Optional["SimCluster"] = None
-        # The verb context of the currently running process (None while
-        # untraced code runs) and the context a just-wrapped verb
-        # generator hands to the Process about to be created.
+        # The verb context of the running step (None while untraced
+        # code runs).
         self._current: Optional[VerbTrace] = None
-        self._pending: Optional[VerbTrace] = None
 
     # -- installation ------------------------------------------------------------
 
@@ -80,18 +81,12 @@ class Tracer:
         if self._sim is not None and self._sim.tracer is self:
             self._sim.tracer = None
         self._current = None
-        self._pending = None
 
     # -- kernel hooks (hot path; called only when installed) -----------------------
 
     def on_spawn(self, process: "Process") -> None:
-        """Bind the new process to the active (or pending) verb context."""
-        context = self._pending
-        if context is None:
-            context = self._current
-        else:
-            self._pending = None
-        process._trace_ctx = context
+        """Bind the new process to the active verb context."""
+        process._trace_ctx = self._current
 
     def on_resume(self, process: "Process") -> None:
         """Restore the resuming process's verb context."""
@@ -199,9 +194,9 @@ class Tracer:
                    **attrs: Any) -> Generator:
         """Wrap a verb-execution generator in a fresh root span.
 
-        Must be immediately followed by ``sim.process(...)`` on the
-        returned generator (the pending context binds to the next
-        process spawned).
+        Every step of the returned generator runs with the verb's
+        context current and restores the caller's at each yield, so it
+        may run as a process or be driven with ``yield from``.
         """
         cluster = self._cluster
         meta: Dict[str, Any] = {
@@ -221,11 +216,30 @@ class Tracer:
             start_snapshot = self.telemetry.snapshot()
         else:
             start_snapshot = None
-        self._pending = context
 
         def runner():
+            send, throw = gen.send, gen.throw
+            value = error = None
             try:
-                return (yield from gen)
+                while True:
+                    outer = self._current
+                    self._current = context
+                    try:
+                        if error is None:
+                            target = send(value)
+                        else:
+                            target = throw(error)
+                    except StopIteration as stop:
+                        return stop.value
+                    finally:
+                        self._current = outer
+                    try:
+                        value, error = (yield target), None
+                    except GeneratorExit:
+                        gen.close()
+                        raise
+                    except BaseException as exc:
+                        value, error = None, exc
             finally:
                 self._finish(context, start_snapshot)
 

@@ -6,10 +6,12 @@ the same events: a change that adds, drops or reorders one moves
 p99_ns)`` here.  The answers are asserted first, so a change that only
 moves the count reads as one.  The answers were recorded from the
 one-heap kernel before its hot path was inlined; never re-record them
-to absorb a drift.  The counts were re-pinned once, when verbs stopped
-scheduling unobservable events (DMA child processes and their
-bootstraps, uncontended grants and takes, unawaited store puts) with
-every answer unchanged.
+to absorb a drift.  The counts were re-pinned twice, each time with
+every answer unchanged: when verbs stopped scheduling unobservable
+events (DMA child processes and their bootstraps, uncontended grants
+and takes, unawaited store puts), and when serving workers began to
+run their verbs inline (no verb process, its bootstrap and completion
+hops taken only when another event is due).
 """
 
 import json
@@ -21,7 +23,7 @@ from repro.sched.serve import ServeSession, mixed_tenant_workload
 
 RACK_DOC = Path(__file__).resolve().parents[2] / "examples" / "rack_scenario.json"
 
-SERVE_EVENTS = 8513
+SERVE_EVENTS = 7653
 SERVE_TENANTS = {
     "alpha": (50, 0, 0, 5120.099999999991),
     "beta": (243, 0, 0, 5314.440000000002),
@@ -29,7 +31,7 @@ SERVE_TENANTS = {
     "gamma": (17, 5, 0, 73033.49999999997),
 }
 
-CLUSTER_EVENTS = [16594, 3528]          # per machine, web00 then web01
+CLUSTER_EVENTS = [14390, 3157]          # per machine, web00 then web01
 CLUSTER_MOVES = 4
 CLUSTER_TENANTS = {
     "analytics000": (4, 0, 0, 9465.2802750829),

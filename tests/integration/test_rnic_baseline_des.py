@@ -43,7 +43,7 @@ def test_invalid_mode_rejected():
 def test_rnic_mode_rejects_soc_dma():
     cluster = SimCluster(paper_testbed(), nic="rnic")
     with pytest.raises(ValueError):
-        cluster.dma_route(Endpoint.SOC)
+        cluster.servers["server0"].dma_route(Endpoint.SOC)
 
 
 def test_smartnic_tax_emerges_in_des():

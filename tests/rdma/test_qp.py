@@ -75,6 +75,21 @@ def test_one_sided_requires_connection(ctx):
         qp.post_read(1, mr, mr, 8)
 
 
+@pytest.mark.parametrize("responder, error", [("client1", QPError),
+                                               ("host", ValueError)])
+def test_one_sided_needs_a_distinct_server_side_responder(ctx, responder,
+                                                          error):
+    """The route is resolved at post time: a client responder has no
+    NIC stage, and a node cannot be its own path-3 peer."""
+    requester = "client0" if responder == "client1" else "host"
+    local = ctx.reg_mr(requester, 64)
+    remote = ctx.reg_mr(responder, 64)
+    qp, _ = ctx.connect_rc(requester, responder)
+    with pytest.raises(error):
+        qp.post_write(1, local, remote, 64)
+    assert qp.outstanding_sends == 0
+
+
 def test_connect_validation(ctx):
     a = ctx.create_qp("client0", QPType.RC)
     b = ctx.create_qp("host", QPType.RC)

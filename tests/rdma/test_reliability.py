@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultPlan, LinkDown
+from repro.faults import FaultPlan, LinkDown, PacketLoss
 from repro.net.cluster import SimCluster
 from repro.net.topology import paper_testbed
 from repro.rdma import RdmaContext
@@ -178,3 +178,38 @@ def test_exhaustion_statuses_are_distinct():
     assert CompletionStatus.RETRY_EXC_ERR is not CompletionStatus.RNR_RETRY_EXC_ERR
     with pytest.raises(ValueError):
         CompletionStatus("not-a-status")
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_fault_plan_installed_after_the_route_is_resolved(inline):
+    """A QP resolves its datapath on its first verb.  A plan installed
+    afterwards still poisons the channel, and uninstalling it restores
+    delivery: the route holds channels, not their ``send`` methods."""
+    ctx = make_ctx()
+    cluster, sim = ctx.cluster, ctx.cluster.sim
+    local = ctx.reg_mr("client0", 1024)
+    remote = ctx.reg_mr("host", 1024)
+    qp, _ = ctx.connect_rc("client0", "host")
+
+    def write(wr_id):
+        if inline:
+            def driver():
+                yield from qp.write(wr_id, local, remote, 1024)
+            sim.process(driver())
+        else:
+            qp.post_write(wr_id, local, remote, 1024)
+        sim.run()
+        (completion,) = qp.send_cq.poll()
+        return completion
+
+    assert write(1).status is CompletionStatus.SUCCESS
+    injector = cluster.install_faults(FaultPlan(faults=(
+        PacketLoss("net.client0", rate=1.0),)))
+    assert write(2).status is CompletionStatus.RETRY_EXC_ERR
+    assert cluster.stats["rdma.retransmits"] == qp.retry_cnt
+    assert cluster.stats["faults.injected"] > 0
+    injected = cluster.stats["faults.injected"]
+    injector.uninstall()
+    qp.recover()
+    assert write(3).status is CompletionStatus.SUCCESS
+    assert cluster.stats["faults.injected"] == injected

@@ -2,9 +2,11 @@
 
 A verb skips a zero-delay hop whose only waiter is the running process
 (a DMA transaction's completion, an uncontended NIC-unit grant, a take
-from a non-empty admission queue) only when ``Simulator.due_now()`` is
-False.  The crafted ties below put another event due at the hop's
-instant and assert the order the hop gives it: that event runs first.
+from a non-empty admission queue, and for a verb a serving worker runs
+inline, the start and completion it had as a process of its own) only
+when ``Simulator.due_now()`` is False.  The crafted ties below put
+another event due at the hop's instant and assert the order the hop
+gives it: that event runs first.
 The "same instant spawn" ties have the tied event at URGENT priority (a
 process spawned at the same instant), so a ``due_now`` that skipped the
 hop, or that counted only NORMAL entries, reorders them.  The
@@ -26,7 +28,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.paths import Opcode
+from repro.core.paths import CommPath, Opcode
 from repro.faults.plan import FaultPlan, PacketLoss, SocCrash
 from repro.hw.pcie import PCIE_GEN4, DmaEngine, PCIeLink
 from repro.hw.pcie.dma import LinkHop
@@ -35,9 +37,10 @@ from repro.net.topology import paper_testbed
 from repro.nic.core import Endpoint
 from repro.nic.smartnic import SmartNIC
 from repro.nic.specs import BLUEFIELD2
-from repro.rdma import transport
-from repro.sched.runtime import ServingRuntime
+from repro.rdma import RdmaContext, transport
+from repro.sched.runtime import PathLease, ServingRuntime
 from repro.sched.serve import ServeSession
+from repro.sched.slo import SloTracker
 from repro.sched.tenant import SloSpec, TenantSpec
 from repro.sim import Simulator, Store
 from repro.workloads import OpMix
@@ -78,15 +81,14 @@ def test_dma_completion_hop_lets_a_tied_delivery_send_first(op):
     sim = Simulator()
     nic, twin = (SmartNIC(BLUEFIELD2).instantiate(sim) for _ in range(2))
     mps = nic.mps_for(Endpoint.HOST)
-    cluster = SimpleNamespace(sim=sim, dma_route=lambda target: (
-        nic.dma, nic.route_to(target), nic.route_from(target),
-        nic.mps_for(target)))
+    target = (nic.dma, nic.route_to(Endpoint.HOST),
+              nic.route_from(Endpoint.HOST), mps)
     dma = (transport.server_dma_write if op == "write"
            else transport.server_dma_read)
     log = []
 
     def verb():
-        yield from dma(cluster, Endpoint.HOST, 4096)
+        yield from dma(target, 4096)
         yield nic.pcie1.send_data(4096, mps)
         log.append(("verb", sim.now))
 
@@ -116,10 +118,12 @@ def test_nic_grant_hop_lets_a_same_instant_spawn_queue_first():
     cluster = SimCluster(paper_testbed())
     sim = cluster.sim
     server = cluster.servers["server0"]
+    route = transport.Route(cluster, cluster.node("client0"),
+                            cluster.node("host"))
     seen = []
 
     def verb():
-        yield from transport.server_nic_stage(cluster)
+        yield from transport.server_nic_stage(route)
 
     def rival():
         yield sim.timeout(server.service_ns)
@@ -156,6 +160,75 @@ def test_admission_take_hop_lets_a_same_instant_spawn_run_first():
     sim.process(rival())
     sim.run()
     assert log == [("rival", None), ("serve", 0)]
+
+
+def _runtime(spec, path, responder):
+    """A serving runtime with ``spec`` bound to ``path`` and no arrival
+    or worker processes, so a test drives ``_serve_one`` itself."""
+    cluster = SimCluster(paper_testbed())
+    runtime = ServingRuntime(cluster, RdmaContext(cluster), [spec],
+                             SloTracker([spec]))
+    tenant = runtime._tenants[spec.name]
+    tenant.lease = PathLease(spec.name, path, responder)
+    runtime._connect(tenant)
+    return runtime, tenant
+
+
+def test_verb_start_hop_lets_a_same_instant_spawn_queue_first():
+    """A worker starting a path-3 WRITE next to a process spawned at the
+    same instant: the verb-start hop (a verb process's bootstrap) lets
+    that process queue its timeout ahead of the verb's posting, so at
+    the tie it sees the NIC unit still free."""
+    spec = TenantSpec(name="bulk", payload=4096, interval_ns=1_000.0,
+                      requests=1, mix=_MIXES["write"], bulk=True)
+    runtime, tenant = _runtime(spec, CommPath.SNIC3_H2S, "soc")
+    sim = runtime.sim
+    posting = runtime.cluster.node("host").cpu.posting_latency()
+    pipeline = runtime.cluster.servers["server0"].pipeline
+    seen = []
+
+    def rival():
+        yield sim.timeout(posting)
+        seen.append(pipeline.in_use)
+
+    sim.process(runtime._serve_one(tenant, 0, 0, Opcode.WRITE, 0.0))
+    sim.process(rival())
+    sim.run()
+    assert seen == [0]
+    assert len(runtime.completions) == 1
+
+
+def test_verb_completion_hop_lets_a_tied_event_run_first():
+    """An event already due when a runtime-driven WRITE completes: the
+    verb-completion hop (a verb process's completion event) lets it run
+    before the worker records the completion."""
+    spec = TenantSpec(name="t", payload=64, interval_ns=1_000.0,
+                      requests=1, mix=_MIXES["write"])
+
+    def serve(rival=None):
+        runtime, tenant = _runtime(spec, CommPath.SNIC1, "host")
+        runtime.sim.process(
+            runtime._serve_one(tenant, 0, 0, Opcode.WRITE, 0.0))
+        if rival is not None:
+            runtime.sim.process(rival(runtime))
+        runtime.sim.run()
+        return runtime
+
+    end = serve().completions[0].end_ns
+    seen = []
+
+    def rival(runtime):
+        sim = runtime.sim
+        # Queue an event at exactly ``end`` after the verb's last leg:
+        # ``end - 1`` is past its submission, and the difference of two
+        # floats within a factor of two is exact, so the sum is ``end``.
+        yield sim.timeout(end - 1.0)
+        yield sim.timeout(end - sim.now)
+        seen.append(len(runtime.completions))
+
+    runtime = serve(rival)
+    assert runtime.completions[0].end_ns == end
+    assert seen == [0]
 
 
 # -- property: skipping never changes an answer ---------------------------------

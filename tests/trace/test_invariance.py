@@ -13,6 +13,7 @@ from repro.core.paths import Opcode
 from repro.net.cluster import SimCluster
 from repro.net.topology import paper_testbed
 from repro.rdma import RdmaContext
+from repro.sched.serve import ServeSession, mixed_tenant_workload
 from repro.trace import Tracer, TraceError
 from repro.units import KB
 
@@ -82,3 +83,62 @@ def test_double_install_is_rejected():
     Tracer().install(cluster)
     with pytest.raises(TraceError):
         Tracer().install(cluster)
+
+
+# -- a traced serving run -----------------------------------------------------------
+
+
+def _serve(traced):
+    session = ServeSession(mixed_tenant_workload(100_000.0, seed=0),
+                           trace=traced)
+    session.run_to_completion()
+    report = session.finalize()
+    return {
+        "completions": list(session.runtime.completions),
+        "decisions": [d.as_tuple() for d in report.decisions],
+        "now": session.cluster.sim.now,
+        "events": session.cluster.sim.events_executed,
+    }, session
+
+
+def _stages(trace):
+    return tuple(span.name for span in trace.root.walk())
+
+
+def _posted_stages(n_clients, requester, responder, verb, payload):
+    """The stage names of one verb posted as its own process."""
+    cluster = SimCluster(paper_testbed(), n_clients=n_clients)
+    ctx = RdmaContext(cluster)
+    local = ctx.reg_mr(requester, payload)
+    remote = ctx.reg_mr(responder, payload)
+    qp, peer = ctx.connect_rc(requester, responder)
+    tracer = Tracer().install(cluster)
+    if verb == "read":
+        qp.post_read(1, local, remote, payload)
+    elif verb == "write":
+        qp.post_write(1, local, remote, payload)
+    else:
+        peer.post_recv(1, remote, 0, payload)
+        qp.post_send(1, bytes(payload))
+    cluster.sim.run()
+    (trace,) = tracer.traces
+    return _stages(trace)
+
+
+def test_traced_serving_run_is_bit_identical_to_untraced():
+    untraced, _ = _serve(traced=False)
+    traced, session = _serve(traced=True)
+    assert traced == untraced
+    verbs = [t for t in session.tracer.traces if t.root.category == "verb"]
+    assert len(verbs) == len(untraced["completions"])
+    assert all(t.root.closed for t in session.tracer.traces)
+    n_clients = len(session.cluster.clients())
+    shapes = {}
+    for trace in verbs:
+        meta = trace.meta
+        key = (meta["requester"], meta["responder"], meta["verb"],
+               meta["payload"])
+        shapes.setdefault(key, set()).add(_stages(trace))
+    assert shapes
+    for key, stages in shapes.items():
+        assert stages == {_posted_stages(n_clients, *key)}, key
