@@ -427,9 +427,9 @@ class ServingRuntime:
         # start so latency_ns reports the user-observed value while the
         # in-machine event sequence stays byte-identical to ingress=0.
         record = CompletionRecord(
-            tenant=t.spec.name, seq=seq, op=op.value, path=t.lease.path,
-            start_ns=arrived_ns - t.spec.ingress_ns, end_ns=self.sim.now,
-            ok=ok, attempts=attempts, degraded=degraded)
+            t.spec.name, seq, op.value, t.lease.path,
+            arrived_ns - t.spec.ingress_ns, self.sim.now, ok, attempts,
+            degraded)
         t.finished += 1
         self.completions.append(record)
         self.tracker.observe(record, t.spec.payload)

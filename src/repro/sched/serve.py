@@ -22,7 +22,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.paths import CommPath
 from repro.core.report import format_table
 from repro.faults.plan import FaultPlan
 from repro.net.cluster import SimCluster
@@ -383,56 +382,63 @@ def run_serve(tenants: Sequence[TenantSpec], **kwargs) -> ServeReport:
 def _tenant_reports(tenants: Sequence[TenantSpec], runtime: ServingRuntime,
                     tracker: SloTracker,
                     decisions: Sequence[Decision]) -> Dict[str, TenantReport]:
-    by_tenant: Dict[str, List] = {spec.name: [] for spec in tenants}
-    for r in runtime.completions:
-        records = by_tenant.get(r.tenant)
-        if records is not None:
-            records.append(r)
+    """Per-tenant outcomes, read from the tracker's totals and archive."""
     moves: Dict[str, int] = {}
     for d in decisions:
         if d.kind in ("migrate", "failover"):
             moves[d.tenant] = moves.get(d.tenant, 0) + 1
     reports: Dict[str, TenantReport] = {}
     for spec in tenants:
-        records = by_tenant[spec.name]
-        ok = sorted([r.end_ns - r.start_ns for r in records if r.ok])
+        name = spec.name
+        ok = tracker.ok_latencies(name)
         in_slo = bisect_right(ok, spec.slo.deadline)
-        span = (max((r.end_ns for r in records), default=0.0)
-                - min((r.start_ns for r in records), default=0.0)) or 1.0
+        span = ((tracker.last_end[name] - tracker.first_start[name])
+                if tracker.completed[name] or tracker.lost[name]
+                else 0.0) or 1.0
         good_bytes = spec.payload * len(ok)
         slo_bytes = spec.payload * in_slo
-        lease = runtime.lease(spec.name)
-        reports[spec.name] = TenantReport(
-            name=spec.name,
+        lease = runtime.lease(name)
+        reports[name] = TenantReport(
+            name=name,
             final_path=("degraded" if lease.degraded else lease.path.value),
-            completed=tracker.completed[spec.name],
-            rejected=tracker.rejected[spec.name],
-            lost=tracker.lost[spec.name],
-            degraded=sum(1 for r in records if r.degraded),
+            completed=tracker.completed[name],
+            rejected=tracker.rejected[name],
+            lost=tracker.lost[name],
+            degraded=tracker.degraded[name],
             p50_ns=ok[len(ok) // 2] if ok else 0.0,
             p99_ns=(ok[min(len(ok) - 1, int(0.99 * len(ok)))]
                     if ok else 0.0),
             goodput_gbps=to_gbps(good_bytes / span),
             slo_goodput_gbps=to_gbps(slo_bytes / span),
             slo_attainment=(in_slo / len(ok)) if ok else 0.0,
-            migrations=moves.get(spec.name, 0),
+            migrations=moves.get(name, 0),
         )
     return reports
 
 
 def _path_gbps(runtime: ServingRuntime,
                warmup_ns: float) -> Dict[str, float]:
-    """Steady-state delivered bandwidth per path, from completions."""
+    """Steady-state delivered bandwidth per path, from completions.
+
+    The one pass over the completion log.  A path's accumulator is
+    looked up only when the path differs from the previous record's
+    (``CommPath`` members are singletons, keyed by identity), so no
+    record pays an enum hash.
+    """
     payload = {t.name: t.payload for t in runtime.specs}
-    # path -> [latest end_ns, delivered bytes], in first-seen order.
-    by_path: Dict[CommPath, List] = {}
-    for r in runtime.completions:
-        if r.ok and r.end_ns > warmup_ns:
-            acc = by_path.get(r.path)
-            if acc is None:
-                by_path[r.path] = [r.end_ns, payload[r.tenant]]
-            else:
-                acc[0] = max(acc[0], r.end_ns)
-                acc[1] += payload[r.tenant]
-    return {path.value: to_gbps(nbytes / ((last - warmup_ns) or 1.0))
-            for path, (last, nbytes) in by_path.items()}
+    # id(path) -> [path, latest end_ns, delivered bytes], first-seen order.
+    by_path: Dict[int, List] = {}
+    previous = acc = None
+    for tenant, _seq, _op, path, _start, end, ok, _att, _deg \
+            in runtime.completions:
+        if ok and end > warmup_ns:
+            if path is not previous:
+                acc = by_path.get(id(path))
+                if acc is None:
+                    acc = by_path[id(path)] = [path, end, 0]
+                previous = path
+            if end > acc[1]:
+                acc[1] = end
+            acc[2] += payload[tenant]
+    return {path.value: to_gbps(nbytes / ((latest - warmup_ns) or 1.0))
+            for path, latest, nbytes in by_path.values()}

@@ -10,10 +10,11 @@ per-tenant histograms off a serving binary.
 from __future__ import annotations
 
 import heapq
+import itertools
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sched.tenant import CompletionRecord, TenantSpec
 from repro.units import to_gbps
@@ -102,9 +103,10 @@ class _Rolling:
 
     ``events`` holds ``(end_ns, latency_ns, payload, ok)`` in arrival
     order.  ``latencies`` (sorted), ``good_bytes`` and ``violations``
-    mirror its ok events exactly: :meth:`add` and :meth:`prune` are
-    their only writers, and pruning updates them in the same
-    ``popleft`` loop that drops an event.  A window read therefore costs
+    mirror its ok events exactly: :meth:`add`,
+    :meth:`SloTracker.observe_batch` and :meth:`prune` are their only
+    writers, and pruning updates them in the same ``popleft`` loop that
+    drops an event.  A window read therefore costs
     O(pruned + log n) instead of one sort and three passes.
     """
 
@@ -165,10 +167,19 @@ class SloTracker:
         self.completed: Dict[str, int] = {t.name: 0 for t in tenants}
         self.rejected: Dict[str, int] = {t.name: 0 for t in tenants}
         self.lost: Dict[str, int] = {t.name: 0 for t in tenants}
+        # Report aggregates over every record, ok or lost: the earliest
+        # start, the latest end and how many were served degraded.
+        self.first_start: Dict[str, float] = {
+            t.name: float("inf") for t in tenants}
+        self.last_end: Dict[str, float] = {
+            t.name: float("-inf") for t in tenants}
+        self.degraded: Dict[str, int] = {t.name: 0 for t in tenants}
         # Fixed-window archive for the stats layer: per tenant, per
-        # window index, the accumulated raw material (never pruned).
+        # window index, the accumulated raw material (never pruned),
+        # plus the sorted list of those indices.
         self._archive: Dict[str, Dict[int, _WindowAccum]] = {
             t.name: {} for t in tenants}
+        self._indices: Dict[str, List[int]] = {t.name: [] for t in tenants}
 
     def _accum(self, tenant: str, when: float) -> "_WindowAccum":
         idx = int(when // self.window_ns)
@@ -176,33 +187,81 @@ class SloTracker:
         acc = per_tenant.get(idx)
         if acc is None:
             acc = per_tenant[idx] = _WindowAccum()
+            insort(self._indices[tenant], idx)
         return acc
 
     def observe(self, record: CompletionRecord, payload: int) -> None:
         """Feed one completion from the runtime."""
-        tenant = record.tenant
-        end = record.end_ns
-        latency = end - record.start_ns
-        ok = record.ok
+        self.observe_batch(record.tenant, (record,), payload)
+
+    def observe_batch(self, tenant: str,
+                      records: Iterable[CompletionRecord],
+                      payload: int) -> None:
+        """Feed one tenant's completions, in completion order.
+
+        The rolling window, the archive and the totals are updated in
+        one loop; consecutive records in the same fixed window share
+        one archive lookup.  :meth:`observe` is the one-record case.
+        """
         rolling = self._rolling[tenant]
-        rolling.add((end, latency, payload, ok))
-        acc = self._accum(tenant, end)
-        if ok:
-            self.completed[tenant] += 1
-            acc.latencies.append(latency)
-            if latency <= rolling.deadline:
-                acc.good_bytes += payload
+        events = rolling.events
+        latencies = rolling.latencies
+        deadline = rolling.deadline
+        window_ns = self.window_ns
+        archive = self._archive[tenant]
+        first = self.first_start[tenant]
+        last = self.last_end[tenant]
+        ok_n = lost_n = degraded_n = 0
+        idx = acc = None
+        for record in records:
+            start = record.start_ns
+            end = record.end_ns
+            ok = record.ok
+            latency = end - start
+            events.append((end, latency, payload, ok))
+            index = int(end // window_ns)
+            if index != idx:
+                acc = archive.get(index)
+                if acc is None:
+                    acc = self._accum(tenant, end)
+                idx = index
+            if ok:
+                ok_n += 1
+                insort(latencies, latency)
+                acc.latencies.append(latency)
+                if latency <= deadline:
+                    rolling.good_bytes += payload
+                    acc.good_bytes += payload
+                else:
+                    rolling.violations += 1
+                    acc.violations += 1
             else:
-                acc.violations += 1
-        else:
-            self.lost[tenant] += 1
-            acc.lost += 1
+                lost_n += 1
+                acc.lost += 1
+            if record.degraded:
+                degraded_n += 1
+            if start < first:
+                first = start
+            if end > last:
+                last = end
+        self.completed[tenant] += ok_n
+        if lost_n:
+            self.lost[tenant] += lost_n
+        if degraded_n:
+            self.degraded[tenant] += degraded_n
+        self.first_start[tenant] = first
+        self.last_end[tenant] = last
 
     def observe_reject(self, tenant: str, now: float) -> None:
         """Feed one bounced arrival (queue full)."""
         self._rolling[tenant].rejects.append(now)
         self.rejected[tenant] += 1
         self._accum(tenant, now).rejected += 1
+
+    def ok_latencies(self, tenant: str) -> List[float]:
+        """Every ok completion's latency for ``tenant``, sorted."""
+        return sorted(itertools.chain.from_iterable(
+            acc.latencies for acc in self._archive[tenant].values()))
 
     def merge(self, other: "SloTracker") -> "SloTracker":
         """Fold another tracker's observations into this one, in place.
@@ -228,9 +287,13 @@ class SloTracker:
                 self.completed[name] = other.completed[name]
                 self.rejected[name] = other.rejected[name]
                 self.lost[name] = other.lost[name]
+                self.first_start[name] = other.first_start[name]
+                self.last_end[name] = other.last_end[name]
+                self.degraded[name] = other.degraded[name]
                 self._archive[name] = {
                     idx: acc.copy()
                     for idx, acc in other._archive[name].items()}
+                self._indices[name] = list(other._indices[name])
                 continue
             ours, theirs = self._rolling[name], other._rolling[name]
             self._rolling[name] = _Rolling(
@@ -240,12 +303,18 @@ class SloTracker:
             self.completed[name] += other.completed[name]
             self.rejected[name] += other.rejected[name]
             self.lost[name] += other.lost[name]
+            self.first_start[name] = min(self.first_start[name],
+                                         other.first_start[name])
+            self.last_end[name] = max(self.last_end[name],
+                                      other.last_end[name])
+            self.degraded[name] += other.degraded[name]
             mine = self._archive[name]
             for idx, acc in other._archive[name].items():
                 if idx in mine:
                     mine[idx].fold(acc)
                 else:
                     mine[idx] = acc.copy()
+                    insort(self._indices[name], idx)
         return self
 
     def window_series(self, tenant: str) -> Tuple[RawWindow, ...]:
@@ -257,8 +326,9 @@ class SloTracker:
         sorted within each window, windows ordered by index.
         """
         out = []
-        for idx in sorted(self._archive[tenant]):
-            acc = self._archive[tenant][idx]
+        archive = self._archive[tenant]
+        for idx in self._indices[tenant]:
+            acc = archive[idx]
             latencies = sorted(acc.latencies)
             n = len(latencies)
             if latencies:
@@ -289,14 +359,15 @@ class SloTracker:
 
         Built for barrier-time heartbeats: it reads the archive only —
         no pruning side effects like :meth:`window`, no O(all-windows)
-        walk like :meth:`window_series` — so calling it every sync
-        window is cheap and cannot perturb the rolling view.
+        walk like :meth:`window_series`, one bisect of the sorted window
+        indices — so calling it every sync window is cheap and cannot
+        perturb the rolling view.
         """
-        cutoff = int(now // self.window_ns)
-        closed = [idx for idx in self._archive[tenant] if idx < cutoff]
+        indices = self._indices[tenant]
+        closed = bisect_left(indices, int(now // self.window_ns))
         if not closed:
             return None
-        idx = max(closed)
+        idx = indices[closed - 1]
         acc = self._archive[tenant][idx]
         latencies = sorted(acc.latencies)
         n = len(latencies)

@@ -50,6 +50,7 @@ staleness across a tenant's stream end.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -87,41 +88,44 @@ MAX_ENVELOPE_NS = 300_000.0
 
 
 class _AnalyticTenant:
-    """One tenant's deterministic recurrence state while fast-forwarded."""
+    """One tenant's deterministic recurrence state while fast-forwarded.
+
+    Queued and in-flight items carry an op *slot* instead of the
+    :class:`Opcode`: ``(op, op value, next service time)``, resolved
+    once per flip, so the recurrence neither hashes an op nor looks up
+    a profile per request.  A slot's service times replay its recorded
+    profile cyclically; an op never observed under this lease
+    generation (possible only for a zero-probability op raced onto the
+    stream) replays the mean of everything recorded.
+    """
 
     __slots__ = ("state", "queue", "worker_free", "pending", "sentinels",
-                 "armed", "next_seq", "next_at", "resume", "profiles",
+                 "armed", "next_seq", "next_at", "resume", "slots",
                  "degraded_service")
 
     def __init__(self, state, backlog, sentinels, now, n_workers,
                  profiles, degraded_service):
         self.state = state                  # the runtime's _TenantState
-        self.queue = backlog                # admitted, not yet picked up
         self.worker_free = [now] * n_workers
         heapq.heapify(self.worker_free)
-        self.pending: List[tuple] = []      # (end, seq, op, arrived, degr)
+        self.pending: List[tuple] = []      # (end, seq, slot, arrived, degr)
         self.sentinels = sentinels          # drained worker-exit Nones
         self.armed = False                  # arrival proc handed over?
         self.next_seq = state.spec.requests
         self.next_at = now
         self.resume = None                  # handover resume event
-        #: One ``[profile, cursor]`` slot per op: a draw hashes the op once.
-        self.profiles: Dict[Opcode, list] = {
-            op: [profile, 0] for op, profile in profiles.items()}
+        pooled = [s for profile in profiles.values() for s in profile]
+        fallback = sum(pooled) / len(pooled) if pooled else 1_000.0
+        #: (READ, WRITE, SEND) slots, in OpMix.sample's order.
+        self.slots = tuple(
+            (op, op.value,
+             (itertools.cycle(profiles[op]) if profiles.get(op)
+              else itertools.repeat(fallback)).__next__)
+            for op in (Opcode.READ, Opcode.WRITE, Opcode.SEND))
+        by_op = {slot[0]: slot for slot in self.slots}
+        self.queue = deque((seq, by_op[op], arrived)
+                           for seq, op, arrived in backlog)
         self.degraded_service = degraded_service
-
-    def draw(self, op: Opcode) -> float:
-        """Next service time: cyclic replay of the recorded profile."""
-        slot = self.profiles.get(op)
-        if slot is None or not slot[0]:
-            # Op never observed under this lease generation (possible
-            # only for a zero-probability op raced onto the stream);
-            # fall back to the mean of everything we have.
-            pooled = [s for p, _cursor in self.profiles.values() for s in p]
-            return sum(pooled) / len(pooled) if pooled else 1_000.0
-        profile, i = slot
-        slot[1] = (i + 1) % len(profile)
-        return profile[i]
 
 
 class HybridController:
@@ -369,7 +373,7 @@ class HybridController:
                 continue
             drained = t.queue.drain()
             sentinels = sum(1 for item in drained if item is None)
-            backlog = deque(item for item in drained if item is not None)
+            backlog = [item for item in drained if item is not None]
             n_workers = spec.workers if not t.arrivals_done else sentinels
             degraded_service = (self._degraded_service(spec)
                                 if t.lease.degraded else 0.0)
@@ -402,71 +406,94 @@ class HybridController:
             self._advance_tenant(at, now)
 
     def _advance_tenant(self, at: _AnalyticTenant, horizon: float) -> None:
-        """Synthesize arrivals and completions up to ``horizon``."""
-        t = at.state
-        spec = t.spec
-        tracker = self.tracker
-        cluster = self.runtime.cluster
-        interval = spec.interval_ns
-        while at.armed and at.next_seq < spec.requests \
-                and at.next_at <= horizon:
-            arrived = at.next_at
-            self._settle(at, arrived)
-            op = spec.mix.sample(t.op_rng)
-            if len(at.queue) >= spec.queue_limit:
-                tracker.observe_reject(spec.name, arrived)
-                cluster.bump("sched.rejected")
-            else:
-                t.admitted += 1
-                at.queue.append((at.next_seq, op, arrived))
-            self.analytic_arrivals += 1
-            at.next_seq += 1
-            at.next_at = arrived + interval
-        self._settle(at, horizon)
-        self._flush(at, horizon)
+        """Synthesize arrivals and completions up to ``horizon``.
 
-    def _settle(self, at: _AnalyticTenant, upto: float) -> None:
-        """Assign queued items to workers freeing up by ``upto``."""
+        One fused loop: before each synthesized arrival (and finally at
+        ``horizon``) queued items are assigned to the workers free by
+        then, each paying the shared token bucket and drawing its
+        service time; the arrival then draws its op and is admitted or
+        rejected.  Completions due by ``horizon`` are emitted as one
+        batch, in completion order.
+        """
         t = at.state
         spec = t.spec
         queue = at.queue
         free = at.worker_free
         pending = at.pending
         bucket = t.bucket
+        payload = spec.payload
         degraded = t.lease.degraded
-        while queue and free and free[0] <= upto:
-            freed = heapq.heappop(free)
-            seq, op, arrived = queue.popleft()
-            start = freed if freed > arrived else arrived
-            if degraded:
-                end = start + at.degraded_service
+        degraded_service = at.degraded_service
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        popleft = queue.popleft
+        arriving = at.armed
+        if arriving:
+            seq = at.next_seq
+            next_at = at.next_at
+            requests = spec.requests
+            interval = spec.interval_ns
+            limit = spec.queue_limit
+            random = t.op_rng.random
+            read_slot, write_slot, send_slot = at.slots
+            p_read = spec.mix.read
+            p_read_write = spec.mix.read + spec.mix.write
+            admitted = 0
+            first_seq = seq
+        while True:
+            if arriving and (seq >= requests or next_at > horizon):
+                arriving = False
+            upto = next_at if arriving else horizon
+            while queue and free[0] <= upto:
+                freed = heappop(free)
+                item_seq, slot, arrived = popleft()
+                start = freed if freed > arrived else arrived
+                if degraded:
+                    end = start + degraded_service
+                else:
+                    if bucket is not None:
+                        delay = bucket.delay_for(payload, start)
+                        if delay > 0:
+                            start += delay
+                    end = start + slot[2]()
+                heappush(free, end)
+                heappush(pending, (end, item_seq, slot, arrived, degraded))
+            if not arriving:
+                break
+            # OpMix.sample inline: the same draw, the same thresholds.
+            roll = random()
+            slot = (read_slot if roll < p_read
+                    else write_slot if roll < p_read_write else send_slot)
+            if len(queue) >= limit:
+                self.tracker.observe_reject(spec.name, next_at)
+                self.runtime.cluster.bump("sched.rejected")
             else:
-                if bucket is not None:
-                    delay = bucket.delay_for(spec.payload, start)
-                    if delay > 0:
-                        start += delay
-                end = start + at.draw(op)
-            heapq.heappush(free, end)
-            heapq.heappush(pending, (end, seq, op, arrived, degraded))
+                admitted += 1
+                queue.append((seq, slot, next_at))
+            seq += 1
+            next_at += interval
+        if at.armed:
+            t.admitted += admitted
+            self.analytic_arrivals += seq - first_seq
+            at.next_seq = seq
+            at.next_at = next_at
+        name = spec.name
+        path = t.lease.path
+        records = []
+        while pending and pending[0][0] <= horizon:
+            end, item_seq, slot, arrived, degr = heappop(pending)
+            records.append(CompletionRecord(
+                name, item_seq, slot[1], path, arrived, end, True, 1, degr))
+        if records:
+            self._emit(t, records)
 
-    def _flush(self, at: _AnalyticTenant, upto: float) -> None:
-        """Materialize synthesized completions due by ``upto``."""
-        pending = at.pending
-        while pending and pending[0][0] <= upto:
-            end, seq, op, arrived, degraded = heapq.heappop(pending)
-            self._complete(at.state, end, seq, op, arrived, degraded)
-
-    def _complete(self, t, end: float, seq: int, op: Opcode,
-                  arrived: float, degraded: bool) -> None:
-        spec = t.spec
-        record = CompletionRecord(spec.name, seq, op.value, t.lease.path,
-                                  arrived, end, True, 1, degraded)
-        t.finished += 1
-        if degraded:
-            t.degraded_served += 1
-        self.runtime.completions.append(record)
-        self.tracker.observe(record, spec.payload)
-        self.analytic_completions += 1
+    def _emit(self, t, records: List[CompletionRecord]) -> None:
+        """Book synthesized completions: runtime, tracker and totals."""
+        t.finished += len(records)
+        t.degraded_served += sum(1 for r in records if r.degraded)
+        self.runtime.completions.extend(records)
+        self.tracker.observe_batch(t.spec.name, records, t.spec.payload)
+        self.analytic_completions += len(records)
 
     def _release_finished(self, now: float) -> None:
         """Hand fully-synthesized tenants back so their processes exit."""
@@ -512,13 +539,13 @@ class HybridController:
             # until its analytic completion instant, and complete the
             # record from a stub process at that instant.
             for entry in sorted(at.pending):
-                end, seq, op, arrived, degraded = entry
+                end, seq, slot, arrived, degraded = entry
                 t.queue.offer(("hold", end))
                 self.sim.process(
-                    self._stub(t, end, seq, op, arrived, degraded))
+                    self._stub(t, end, seq, slot[1], arrived, degraded))
             at.pending = []
-            for item in at.queue:
-                t.queue.offer(item)
+            for seq, slot, arrived in at.queue:
+                t.queue.offer((seq, slot[0], arrived))
             for _ in range(at.sentinels):
                 t.queue.offer(None)
             if at.armed:
@@ -527,9 +554,11 @@ class HybridController:
         self.mode = GUARD
         self.splices += 1
 
-    def _stub(self, t, end: float, seq: int, op: Opcode,
+    def _stub(self, t, end: float, seq: int, op: str,
               arrived: float, degraded: bool):
         delay = end - self.sim.now
         if delay > 0:
             yield self.sim.timeout(delay)
-        self._complete(t, self.sim.now, seq, op, arrived, degraded)
+        self._emit(t, [CompletionRecord(t.spec.name, seq, op, t.lease.path,
+                                        arrived, self.sim.now, True, 1,
+                                        degraded)])

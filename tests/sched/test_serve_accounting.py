@@ -1,10 +1,11 @@
 """Serving report assembly and the completion-record contract.
 
-``_tenant_reports`` and ``_path_gbps`` group the completion log in one
-pass.  The per-tenant-scan versions they replaced are kept here as the
-oracle and run on a faulted adaptive hybrid serve that migrates, fails
-over, serves degraded requests and splices analytic tails back to the
-DES, so every kind of record reaches the report.
+``_tenant_reports`` reads the SLO tracker's totals, archive and report
+aggregates; ``_path_gbps`` is the one pass over the completion log.
+Per-tenant and per-path scans of the log are kept here as the oracle
+and run on a faulted adaptive hybrid serve that migrates, fails over,
+serves degraded requests and splices analytic tails back to the DES,
+so every kind of record reaches the report.
 """
 
 import dataclasses
