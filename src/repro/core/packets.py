@@ -17,10 +17,10 @@ into the NIC on PCIe1, ``49 Mpps`` (512 B) back out of PCIe1, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.arrays import SCALAR, namespace_of
 from repro.core.paths import CommPath, Opcode
 from repro.hw.pcie.tlp import TLP_HEADER_BYTES as HDR
 from repro.nic.core import Endpoint
@@ -82,13 +82,11 @@ class PacketCountModel:
 
     # -- leg primitives -----------------------------------------------------------
 
-    def _ceil(self, nbytes: int, unit: int) -> int:
-        return math.ceil(nbytes / unit)
-
-    def _read_host(self, nbytes: int, include_requests: bool) -> PathPacketCounts:
+    def _read_host(self, nbytes: int, include_requests: bool,
+                   xp) -> PathPacketCounts:
         """NIC DMA-reads host memory: requests out, completions back."""
-        reqs = self._ceil(nbytes, self.read_chunk) if include_requests else 0
-        cpls = self._ceil(nbytes, self.h_mps)
+        reqs = xp.ceil(nbytes / self.read_chunk) if include_requests else 0
+        cpls = xp.ceil(nbytes / self.h_mps)
         cpl_bytes = nbytes + cpls * HDR
         return PathPacketCounts(
             pcie1_to_nic=cpls, pcie1_to_switch=reqs,
@@ -96,36 +94,37 @@ class PacketCountModel:
             pcie1_to_nic_bytes=cpl_bytes, pcie1_to_switch_bytes=reqs * HDR,
             pcie0_to_host_bytes=reqs * HDR, pcie0_to_switch_bytes=cpl_bytes)
 
-    def _write_host(self, nbytes: int) -> PathPacketCounts:
+    def _write_host(self, nbytes: int, xp) -> PathPacketCounts:
         """NIC DMA-writes host memory: posted, one direction."""
-        tlps = self._ceil(nbytes, self.h_mps)
+        tlps = xp.ceil(nbytes / self.h_mps)
         wire = nbytes + tlps * HDR
         return PathPacketCounts(pcie1_to_switch=tlps, pcie0_to_host=tlps,
                                 pcie1_to_switch_bytes=wire,
                                 pcie0_to_host_bytes=wire)
 
-    def _read_soc(self, nbytes: int, include_requests: bool) -> PathPacketCounts:
+    def _read_soc(self, nbytes: int, include_requests: bool,
+                  xp) -> PathPacketCounts:
         """NIC DMA-reads SoC memory (the SoC hangs off the switch)."""
-        reqs = self._ceil(nbytes, self.read_chunk) if include_requests else 0
-        cpls = self._ceil(nbytes, self.s_mps)
+        reqs = xp.ceil(nbytes / self.read_chunk) if include_requests else 0
+        cpls = xp.ceil(nbytes / self.s_mps)
         return PathPacketCounts(pcie1_to_nic=cpls, pcie1_to_switch=reqs,
                                 pcie1_to_nic_bytes=nbytes + cpls * HDR,
                                 pcie1_to_switch_bytes=reqs * HDR)
 
-    def _write_soc(self, nbytes: int) -> PathPacketCounts:
-        tlps = self._ceil(nbytes, self.s_mps)
+    def _write_soc(self, nbytes: int, xp) -> PathPacketCounts:
+        tlps = xp.ceil(nbytes / self.s_mps)
         return PathPacketCounts(pcie1_to_switch=tlps,
                                 pcie1_to_switch_bytes=nbytes + tlps * HDR)
 
     def _leg_to(self, endpoint: Endpoint, op: str, nbytes: int,
-                include_requests: bool) -> PathPacketCounts:
+                include_requests: bool, xp) -> PathPacketCounts:
         if endpoint is Endpoint.HOST:
             if op == "read":
-                return self._read_host(nbytes, include_requests)
-            return self._write_host(nbytes)
+                return self._read_host(nbytes, include_requests, xp)
+            return self._write_host(nbytes, xp)
         if op == "read":
-            return self._read_soc(nbytes, include_requests)
-        return self._write_soc(nbytes)
+            return self._read_soc(nbytes, include_requests, xp)
+        return self._write_soc(nbytes, xp)
 
     # -- public API ---------------------------------------------------------------
 
@@ -136,38 +135,42 @@ class PacketCountModel:
         Zero-byte requests produce zero TLPs ("return before reaching
         PCIe1", §4).  SEND is accounted like WRITE at the responder
         (same DMA shape for the payload delivery, Fig 8 caption).
-        Results are memoized per (spec, path, op, payload) — every
-        sweep revisits the same few hundred shapes thousands of times.
+        Results for one payload are memoized per (spec, path, op,
+        payload) — every sweep revisits the same few hundred shapes
+        thousands of times.  For an array of payloads every field is an
+        array over ``nbytes``.
         """
-        return cached_counts(self.spec, path, op, nbytes, include_requests)
+        if namespace_of(nbytes) is SCALAR:
+            return cached_counts(self.spec, path, op, nbytes,
+                                 include_requests)
+        return self._compute_counts(path, op, nbytes, include_requests)
 
     def _compute_counts(self, path: CommPath, op: Opcode, nbytes: int,
                         include_requests: bool) -> PathPacketCounts:
-        if nbytes < 0:
+        xp = namespace_of(nbytes)
+        if xp.any(nbytes < 0):
             raise ValueError(f"negative payload: {nbytes}")
-        if nbytes == 0:
-            return PathPacketCounts()
-
         responder = path.ends.responder
         mem_op = op.memory_op
 
         if path is CommPath.RNIC1:
             # Single host link, reported in the pcie0 fields.
             if mem_op == "read":
-                reqs = (self._ceil(nbytes, self.read_chunk)
+                reqs = (xp.ceil(nbytes / self.read_chunk)
                         if include_requests else 0)
-                cpls = self._ceil(nbytes, self.h_mps)
+                cpls = xp.ceil(nbytes / self.h_mps)
                 return PathPacketCounts(
                     pcie0_to_host=reqs, pcie0_to_switch=cpls,
                     pcie0_to_host_bytes=reqs * HDR,
                     pcie0_to_switch_bytes=nbytes + cpls * HDR)
-            tlps = self._ceil(nbytes, self.h_mps)
+            tlps = xp.ceil(nbytes / self.h_mps)
             return PathPacketCounts(pcie0_to_host=tlps,
                                     pcie0_to_host_bytes=nbytes + tlps * HDR)
 
         if not path.intra_machine:
             # Paths ① and ②: one DMA leg at the responder endpoint.
-            return self._leg_to(responder, mem_op, nbytes, include_requests)
+            return self._leg_to(responder, mem_op, nbytes, include_requests,
+                                xp)
 
         # Path ③: the NIC first reads the data from the requester's
         # memory (non-posted), then writes it to the responder's (§3.3
@@ -178,8 +181,8 @@ class PacketCountModel:
             source, sink = responder, requester_end
         else:
             source, sink = requester_end, responder
-        fetch = self._leg_to(source, "read", nbytes, include_requests)
-        deliver = self._leg_to(sink, "write", nbytes, include_requests)
+        fetch = self._leg_to(source, "read", nbytes, include_requests, xp)
+        deliver = self._leg_to(sink, "write", nbytes, include_requests, xp)
         return fetch + deliver
 
     def table3_row(self, path: CommPath, nbytes: int) -> dict:

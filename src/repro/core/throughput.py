@@ -23,45 +23,42 @@ Resources modelled per server NIC:
 * endpoint memory subsystems (DDIO vs single-channel DRAM),
 * requester posting capacity (clients / host / SoC, with doorbell
   batching) and responder echo CPUs for SEND.
+
+The demand vectors come from one builder,
+:meth:`repro.core.demand.DemandModel.build`, evaluated under two array
+namespaces (:mod:`repro.arrays`): here on one flow's Python numbers,
+and in :mod:`repro.core.batch` on numpy arrays over a group of
+same-shaped flows.  A new device's demand terms go in
+:mod:`repro.core.demand` once and reach both solvers.  This module
+keeps the flow and scenario types, the per-point water-filling
+(:class:`ThroughputSolver`) and the result cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.cache import (
     LRUCache,
     ScenarioKey,
     SolverCache,
-    fingerprint,
     memoized,
-    testbed_fingerprint,
 )
-from repro.core.packets import PacketCountModel, PathPacketCounts
+from repro.core.demand import demand_model
 from repro.core.paths import CommPath, Opcode
 from repro.net.topology import Testbed
-from repro.nic.core import Endpoint
 from repro.units import GB, to_gbps
 
 # A direction carrying at least this much payload per request counts as
 # "data-loaded" for the full-duplex derating of §3.1/Fig 5.
 _DATA_DIRECTION_THRESHOLD = 1024
 
-_CTL_WIRE = 36  # wire bytes of a header-only network packet (req/ack)
-
 #: Memoized per-flow demand vectors, keyed by (testbed fingerprint,
 #: flow fingerprint, flow index, duplex flag).  Entries are shared and
 #: must be treated as read-only.
 DEMAND_CACHE = LRUCache(maxsize=1 << 14, name="demand")
-
-
-@lru_cache(maxsize=1 << 14)
-def _net_segments(payload: int, mtu: int) -> int:
-    """Network MTU segmentation, computed once per (payload, MTU)."""
-    return max(1, math.ceil(payload / mtu))
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,6 @@ class Scenario:
             raise ValueError("scenario needs at least one flow")
         self.testbed = testbed
         self.flows = list(flows)
-        self._packets = PacketCountModel(testbed.snic.spec)
         self._demands: Optional[List[Dict[str, float]]] = None
         self._key: Optional[ScenarioKey] = None
 
@@ -172,13 +168,15 @@ class Scenario:
 
     def _build_all(self) -> List[Dict[str, float]]:
         duplex = self._network_duplex_loaded()
-        tb_fp = testbed_fingerprint(self.testbed)
+        key = self.key
+        model = demand_model(self.testbed, key.testbed)
         demands = []
-        for idx, flow in enumerate(self.flows):
-            memo_key = (tb_fp, fingerprint(flow), idx, duplex)
+        for idx, (flow, flow_fp) in enumerate(zip(self.flows, key.flows)):
+            memo_key = (key.testbed, flow_fp, idx, duplex)
             demands.append(memoized(
                 DEMAND_CACHE, memo_key,
-                lambda f=flow, i=idx: self._build(f, i, duplex)))
+                lambda f=flow, i=idx: model.build(f.path, f.op, i, duplex,
+                                                  f)))
         return demands
 
     def _network_duplex_loaded(self) -> bool:
@@ -194,291 +192,6 @@ class Scenario:
             else:
                 loaded_c2s = True
         return loaded_c2s and loaded_s2c
-
-    def _build(self, flow: Flow, idx: int, duplex: bool) -> Dict[str, float]:
-        if flow.path is CommPath.RNIC1:
-            demand = self._build_rnic(flow, idx, duplex)
-        elif flow.path.intra_machine:
-            demand = self._build_path3(flow)
-        else:
-            demand = self._build_client_snic(flow, idx, duplex)
-        if flow.rate_cap is not None:
-            # A private resource saturating exactly at the admission cap.
-            demand[f"cap:{idx}"] = 1.0 / flow.rate_cap
-        return demand
-
-    # .. shared helpers ...........................................................
-
-    def _net_packets(self, payload: int, spec) -> int:
-        return _net_segments(payload, spec.network_mtu)
-
-    def _net_wire(self, payload: int, spec) -> float:
-        return payload + self._net_packets(payload, spec) * spec.net_header_bytes
-
-    def _add(self, demand: Dict[str, float], key: str, value: float) -> None:
-        if value > 0:
-            demand[key] = demand.get(key, 0.0) + value
-
-    def _client_side(self, flow: Flow, idx: int, demand: Dict[str, float],
-                     nic_spec, prefix: str, duplex: bool) -> None:
-        """Requester-side demands for client-driven paths (①, ②)."""
-        testbed = self.testbed
-        issue = testbed.client_issue_capacity(flow.requesters,
-                                              flow.doorbell_batch)
-        self._add(demand, f"issue:clients:{idx}", 1.0 / issue)
-
-        wire = self._net_wire(flow.payload, nic_spec)
-        if flow.op is Opcode.READ:
-            c2s, s2c = _CTL_WIRE, wire
-        elif flow.op is Opcode.WRITE:
-            c2s, s2c = wire, _CTL_WIRE
-        else:  # SEND echo: payload out, small reply back
-            c2s, s2c = wire, 2 * _CTL_WIRE
-        net_cap = nic_spec.network_bandwidth * nic_spec.link_efficiency
-        if duplex:
-            net_cap *= nic_spec.duplex_derate
-        self._add(demand, f"{prefix}net:c2s", c2s / net_cap)
-        self._add(demand, f"{prefix}net:s2c", s2c / net_cap)
-
-        client_cap = testbed.client_network_capacity(flow.requesters)
-        self._add(demand, f"clientnet:{idx}:c2s", c2s / client_cap)
-        self._add(demand, f"clientnet:{idx}:s2c", s2c / client_cap)
-
-    def _verb_demand(self, flow: Flow, demand: Dict[str, float],
-                     endpoint: Optional[Endpoint], prefix: str,
-                     ops_factor: float = 1.0) -> None:
-        spec = (self.testbed.rnic.spec.cores if prefix == "r"
-                else self.testbed.snic.spec.cores)
-        ops = self._net_packets(flow.payload, spec) * ops_factor
-        if flow.op is Opcode.SEND:
-            ops *= 2  # receive processing + response transmission
-        pool = "read" if flow.op is Opcode.READ else "write"
-        if prefix == "r":
-            self._add(demand, f"rverbs:{pool}",
-                      ops / self._rnic_pool_rate(pool))
-            return
-        rates = self._snic_pool_rates(pool)
-        if endpoint is not None:
-            key = "host" if endpoint is Endpoint.HOST else "soc"
-            self._add(demand, f"verbs:{pool}:{key}", ops / rates[key])
-        self._add(demand, f"verbs:{pool}:total", ops / rates["total"])
-
-    def _rnic_pool_rate(self, pool: str) -> float:
-        cores = self.testbed.rnic.spec.cores
-        return (cores.verb_rate_host_only if pool == "read"
-                else cores.verb_rate_write_host)
-
-    def _snic_pool_rates(self, pool: str) -> Dict[str, float]:
-        cores = self.testbed.snic.spec.cores
-        if pool == "read":
-            return {"host": cores.verb_rate_host_only,
-                    "soc": cores.verb_rate_soc_only,
-                    "total": cores.verb_rate_concurrent}
-        return {"host": cores.verb_rate_write_host,
-                "soc": cores.verb_rate_write_soc,
-                "total": cores.verb_rate_write_concurrent}
-
-    def _pcie_wire_demand(self, demand: Dict[str, float],
-                          counts: PathPacketCounts) -> None:
-        spec = self.testbed.snic.spec
-        cap1 = spec.pcie1.bandwidth * spec.switch_derate
-        cap0 = spec.pcie0.bandwidth * spec.switch_derate
-        self._add(demand, "pcie1:to_nic", counts.pcie1_to_nic_bytes / cap1)
-        self._add(demand, "pcie1:to_switch",
-                  counts.pcie1_to_switch_bytes / cap1)
-        self._add(demand, "pcie0:to_host", counts.pcie0_to_host_bytes / cap0)
-        self._add(demand, "pcie0:to_switch",
-                  counts.pcie0_to_switch_bytes / cap0)
-
-    def _stall_windows(self, flow: Flow, demand: Dict[str, float],
-                       read_from: Optional[Endpoint],
-                       write_to: Optional[Endpoint], prefix: str) -> None:
-        """Outstanding-transaction occupancy (§3.1 stall mechanism)."""
-        if flow.payload == 0:
-            return
-        testbed = self.testbed
-        if prefix == "r":
-            cores = testbed.rnic.spec.cores
-            crossing = {Endpoint.HOST: testbed.rnic.spec.host_link_latency}
-            memory = {Endpoint.HOST: testbed.rnic.host_memory}
-        else:
-            snic = testbed.snic
-            cores = snic.spec.cores
-            crossing = {e: snic.crossing_latency(e) for e in Endpoint}
-            memory = {e: snic.memory_of(e) for e in Endpoint}
-        if read_from is not None:
-            holding = (2 * crossing[read_from] + cores.nic_base_ns
-                       + memory[read_from].dma_access_latency(
-                           "read", flow.range_bytes))
-            self._add(demand, f"{prefix}dma:read_slots",
-                      holding / cores.read_slots)
-        if write_to is not None:
-            holding = (crossing[write_to] + cores.nic_base_ns
-                       + memory[write_to].dma_access_latency(
-                           "write", flow.range_bytes))
-            self._add(demand, f"{prefix}dma:write_buffers",
-                      holding / cores.write_buffers)
-
-    def _dma_engine_demand(self, flow: Flow, demand: Dict[str, float],
-                           counts: PathPacketCounts, transactions: int,
-                           nonposted: bool, min_mps: int,
-                           s2h: bool, prefix: str) -> None:
-        cores = (self.testbed.rnic.spec.cores if prefix == "r"
-                 else self.testbed.snic.spec.cores)
-        if flow.payload == 0:
-            return
-        ops_rate = (cores.dma_ops_soc
-                    if min_mps <= 128 and not flow.path.intra_machine
-                    else cores.dma_ops_host)
-        self._add(demand, f"{prefix}dma:ops", transactions / ops_rate)
-        hol_exposed = nonposted and min_mps <= 128
-        pps_cap = (cores.hol_pps
-                   if hol_exposed and flow.payload > (
-                       cores.hol_threshold_s2h if s2h else cores.hol_threshold)
-                   else cores.pcie_pps)
-        # The engine handles the TLPs adjacent to the NIC (its own PCIe
-        # port) — pcie1 for the SmartNIC, the host link for the RNIC.
-        nic_tlps = (counts.pcie0_total if prefix == "r"
-                    else counts.pcie1_total)
-        self._add(demand, f"{prefix}dma:tlps", nic_tlps / pps_cap)
-
-    def _memory_demand(self, flow: Flow, demand: Dict[str, float],
-                       endpoint: Endpoint, op: str, prefix: str) -> None:
-        if flow.payload == 0:
-            return
-        if prefix == "r":
-            memory = self.testbed.rnic.host_memory
-            key = "rmem:host"
-        else:
-            memory = self.testbed.snic.memory_of(endpoint)
-            key = f"mem:{'host' if endpoint is Endpoint.HOST else 'soc'}"
-        cap = memory.dma_request_capacity(op, flow.payload, flow.range_bytes)
-        self._add(demand, key, 1.0 / cap)
-
-    def _echo_demand(self, flow: Flow, demand: Dict[str, float],
-                     endpoint: Endpoint, prefix: str) -> None:
-        if flow.op is not Opcode.SEND:
-            return
-        testbed = self.testbed
-        if prefix == "r":
-            cap = testbed.host_cpu.echo_capacity()
-            self._add(demand, "rcpu:echo:host", 1.0 / cap)
-            return
-        snic_spec = testbed.snic.spec
-        if endpoint is Endpoint.HOST:
-            cap = (testbed.host_cpu.echo_capacity()
-                   * snic_spec.cores.send_derate_snic)
-            self._add(demand, "cpu:host", 1.0 / cap)
-        else:
-            cap = testbed.snic.soc.echo_capacity()
-            self._add(demand, "cpu:soc", 1.0 / cap)
-
-    # .. per-path builders ...........................................................
-
-    def _build_rnic(self, flow: Flow, idx: int,
-                    duplex: bool) -> Dict[str, float]:
-        demand: Dict[str, float] = {}
-        spec = self.testbed.rnic.spec
-        self._client_side(flow, idx, demand, spec.cores, "r", duplex)
-        self._verb_demand(flow, demand, None, "r")
-        counts = self._packets.counts(CommPath.RNIC1, flow.op, flow.payload)
-        cap = spec.host_link.bandwidth
-        self._add(demand, "rpcie:to_host", counts.pcie0_to_host_bytes / cap)
-        self._add(demand, "rpcie:to_nic", counts.pcie0_to_switch_bytes / cap)
-        nonposted = flow.op is Opcode.READ
-        transactions = 2 if nonposted else 1
-        self._dma_engine_demand(flow, demand, counts, transactions,
-                                nonposted, spec.host_mps, False, "r")
-        mem_op = flow.op.memory_op
-        self._stall_windows(
-            flow, demand,
-            read_from=Endpoint.HOST if mem_op == "read" else None,
-            write_to=Endpoint.HOST if mem_op == "write" else None,
-            prefix="r")
-        self._memory_demand(flow, demand, Endpoint.HOST, mem_op, "r")
-        self._echo_demand(flow, demand, Endpoint.HOST, "r")
-        return demand
-
-    def _build_client_snic(self, flow: Flow, idx: int,
-                           duplex: bool) -> Dict[str, float]:
-        demand: Dict[str, float] = {}
-        snic = self.testbed.snic
-        endpoint = flow.path.ends.responder
-        self._client_side(flow, idx, demand, snic.spec.cores, "", duplex)
-        self._verb_demand(flow, demand, endpoint, "")
-        counts = self._packets.counts(flow.path, flow.op, flow.payload)
-        self._pcie_wire_demand(demand, counts)
-        nonposted = flow.op is Opcode.READ
-        transactions = 2 if nonposted else 1
-        self._dma_engine_demand(flow, demand, counts, transactions,
-                                nonposted, snic.mps_for(endpoint), False, "")
-        mem_op = flow.op.memory_op
-        self._stall_windows(
-            flow, demand,
-            read_from=endpoint if mem_op == "read" else None,
-            write_to=endpoint if mem_op == "write" else None,
-            prefix="")
-        self._memory_demand(flow, demand, endpoint, mem_op, "")
-        self._echo_demand(flow, demand, endpoint, "")
-        return demand
-
-    def _build_path3(self, flow: Flow) -> Dict[str, float]:
-        demand: Dict[str, float] = {}
-        testbed = self.testbed
-        snic = testbed.snic
-        h2s = flow.path is CommPath.SNIC3_H2S
-
-        # Requester posting (threads of the host or the SoC).  Posting
-        # also steals cycles from whatever else runs on those cores
-        # (e.g. an echo server) — the S4 SEND interference; calibrated
-        # at half a posting slot of shared-CPU time per request.
-        if h2s:
-            issue = testbed.host_issue_capacity(flow.requesters,
-                                                flow.doorbell_batch)
-            self._add(demand, "issue:host", 1.0 / issue)
-            self._add(demand, "cpu:host", 0.5 / issue)
-        else:
-            issue = testbed.soc_issue_capacity(flow.requesters,
-                                               flow.doorbell_batch)
-            self._add(demand, "issue:soc", 1.0 / issue)
-            self._add(demand, "cpu:soc", 0.5 / issue)
-
-        # Doorbell + CQE TLPs between requester and NIC (88 wire bytes
-        # each way; routed over the internal fabric).
-        spec = snic.spec
-        cap1 = spec.pcie1.bandwidth * spec.switch_derate
-        cap0 = spec.pcie0.bandwidth * spec.switch_derate
-        if h2s:
-            for key, cap in (("pcie0:to_switch", cap0), ("pcie1:to_nic", cap1),
-                             ("pcie1:to_switch", cap1), ("pcie0:to_host", cap0)):
-                self._add(demand, key, 88.0 / cap)
-        else:
-            self._add(demand, "pcie1:to_nic", 88.0 / cap1)
-            self._add(demand, "pcie1:to_switch", 88.0 / cap1)
-
-        # NIC verb processing: path-3 requests occupy a fraction of a
-        # shared-pool slot (calibrated: the 7-15 % READ interference of S4).
-        endpoint = flow.path.ends.responder
-        self._verb_demand(flow, demand, None, "", ops_factor=0.7)
-
-        # Data movement: fetch (non-posted) + deliver legs.
-        counts = self._packets.counts(flow.path, flow.op, flow.payload)
-        self._pcie_wire_demand(demand, counts)
-        requester_end = Endpoint.HOST if h2s else Endpoint.SOC
-        if flow.op is Opcode.READ:
-            source, sink = endpoint, requester_end
-        else:
-            source, sink = requester_end, endpoint
-        transactions = 3
-        s2h_data = source is Endpoint.SOC  # data leaves the SoC first
-        self._dma_engine_demand(flow, demand, counts, transactions,
-                                True, 128, s2h_data, "")
-        self._stall_windows(flow, demand, read_from=source, write_to=sink,
-                            prefix="")
-        self._memory_demand(flow, demand, source, "read", "")
-        self._memory_demand(flow, demand, sink, "write", "")
-        self._echo_demand(flow, demand, endpoint, "")
-        return demand
 
 
 @dataclass

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arrays import bandwidth_capped
 from repro.units import mrps, MB
 
 
@@ -53,6 +54,4 @@ class LLCConfig:
             rate = self.dma_write_rate
         else:
             raise ValueError(f"unknown LLC op: {op!r}")
-        if payload > 0:
-            rate = min(rate, self.bandwidth / payload)
-        return rate
+        return bandwidth_capped(rate, self.bandwidth, payload)

@@ -11,9 +11,9 @@ paper).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.arrays import bandwidth_capped, namespace_of
 from repro.units import mrps
 
 
@@ -72,10 +72,11 @@ class DRAMModel:
 
     def banks_engaged(self, range_bytes: float) -> int:
         """How many banks a uniformly accessed range of bytes covers."""
-        if range_bytes <= 0:
+        xp = namespace_of(range_bytes)
+        if xp.any(range_bytes <= 0):
             raise ValueError(f"range must be positive: {range_bytes}")
-        covered = math.ceil(range_bytes / self.config.bank_stripe)
-        return max(1, min(self.config.total_banks, covered))
+        covered = xp.ceil(range_bytes / self.config.bank_stripe)
+        return xp.maximum(1, xp.minimum(self.config.total_banks, covered))
 
     def request_capacity(self, op: str, payload: int, range_bytes: float) -> float:
         """Sustainable requests/ns for accesses of ``payload`` bytes
@@ -87,32 +88,21 @@ class DRAMModel:
         banks = self.banks_engaged(range_bytes)
         if op == "read":
             rate = banks * self.config.bank_read_rate
-            bandwidth = self.read_bandwidth_for(range_bytes)
         elif op == "write":
             rate = banks * self.config.bank_write_rate
-            bandwidth = self.write_bandwidth_for(range_bytes)
         else:
             raise ValueError(f"unknown DRAM op: {op!r}")
-        if payload > 0:
-            rate = min(rate, bandwidth / payload)
-        return rate
+        return bandwidth_capped(rate, self.bandwidth(op, banks), payload)
 
-    def read_bandwidth_for(self, range_bytes: float) -> float:
-        """Read bandwidth limited by how many channels the range covers."""
-        channels = self._channels_engaged(range_bytes)
-        return self.config.peak_bandwidth * channels
-
-    def write_bandwidth_for(self, range_bytes: float) -> float:
-        """Write bandwidth limited by how many channels the range covers."""
-        return (self.read_bandwidth_for(range_bytes)
-                * self.config.write_bandwidth_factor)
-
-    def _channels_engaged(self, range_bytes: float) -> int:
+    def bandwidth(self, op: str, banks: int) -> float:
+        """Channel bandwidth (bytes/ns) for ``op`` over ``banks`` banks."""
         # Stripes rotate across channels first (round-robin at bank_stripe
         # granularity), so a range covering B banks touches min(channels, B)
         # channels.
-        banks = self.banks_engaged(range_bytes)
-        return min(self.config.channels, banks)
+        config = self.config
+        channels = namespace_of(banks).minimum(config.channels, banks)
+        read = config.peak_bandwidth * channels
+        return read if op == "read" else read * config.write_bandwidth_factor
 
     def access_latency(self, op: str) -> float:
         """Mean single-access latency (ns) for the DES latency model."""

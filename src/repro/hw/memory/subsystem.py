@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.arrays import namespace_of
 from repro.hw.memory.cache import LLCConfig
 from repro.hw.memory.dram import DRAMConfig, DRAMModel
 
@@ -47,26 +48,29 @@ class MemorySubsystem:
         With DDIO and a range that fits the DDIO ways, the LLC absorbs
         the traffic; otherwise DRAM's range-dependent concurrency rules.
         """
-        if self._served_by_llc(range_bytes):
-            return self.llc.request_capacity(op, payload)
-        return self.model.request_capacity(op, payload, range_bytes)
+        dram = self.model.request_capacity(op, payload, range_bytes)
+        if not self.ddio:
+            return dram
+        return namespace_of(range_bytes).where(
+            range_bytes <= self.llc.ddio_capacity,
+            self.llc.request_capacity(op, payload), dram)
 
     def dma_bandwidth(self, op: str, range_bytes: float) -> float:
         """Byte bandwidth available to DMA for this pattern, bytes/ns."""
         if self._served_by_llc(range_bytes):
             return self.llc.bandwidth
+        if op not in ("read", "write"):
+            raise ValueError(f"unknown op: {op!r}")
         model = self.model
-        if op == "read":
-            return model.read_bandwidth_for(range_bytes)
-        if op == "write":
-            return model.write_bandwidth_for(range_bytes)
-        raise ValueError(f"unknown op: {op!r}")
+        return model.bandwidth(op, model.banks_engaged(range_bytes))
 
     def dma_access_latency(self, op: str, range_bytes: float) -> float:
         """Mean latency (ns) of one DMA access for the DES engine."""
-        if self._served_by_llc(range_bytes):
-            return self.llc.hit_latency
-        return self.model.access_latency(op)
+        dram = self.model.access_latency(op)
+        if not self.ddio:
+            return dram
+        return namespace_of(range_bytes).where(
+            range_bytes <= self.llc.ddio_capacity, self.llc.hit_latency, dram)
 
     def span_attrs(self, op: str, nbytes: int) -> dict:
         """Attribution attributes for a trace span touching this subsystem.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.arrays import namespace_of
 from repro.hw.cpu import CPUSpec
 from repro.net.fabric import FabricSpec, DEFAULT_FABRIC
 from repro.nic.rnic import RNIC
@@ -54,17 +55,15 @@ class Testbed:
     def host_issue_capacity(self, threads: int = None,
                             doorbell_batch: int = 1) -> float:
         """Posting rate (reqs/ns) of the host acting as path-3 requester."""
-        threads = threads or self.host_cpu.total_cores
         cost = self._post_cost(self.snic.spec.host_doorbell, doorbell_batch)
-        return min(threads, self.host_cpu.total_cores) / cost
+        return self._clamp_threads(threads, self.host_cpu.total_cores) / cost
 
     def soc_issue_capacity(self, threads: int = None,
                            doorbell_batch: int = 1) -> float:
         """Posting rate (reqs/ns) of the SoC acting as path-3 requester."""
         soc = self.snic.soc
-        threads = threads or soc.cpu.total_cores
         cost = self._post_cost(soc.doorbell, doorbell_batch)
-        return min(threads, soc.cpu.total_cores) / cost
+        return self._clamp_threads(threads, soc.cpu.total_cores) / cost
 
     def client_network_capacity(self, machines: int) -> float:
         """Aggregate per-direction client NIC bandwidth, bytes/ns."""
@@ -74,14 +73,21 @@ class Testbed:
 
     @staticmethod
     def _post_cost(doorbell: DoorbellCosts, batch: int) -> float:
-        if batch <= 1:
-            return doorbell.per_request
-        return doorbell.batched_cost_per_request(batch)
+        return namespace_of(batch).where(
+            batch <= 1, doorbell.per_request,
+            doorbell.batched_cost_per_request(batch))
 
     def _clamp_clients(self, machines: int) -> int:
-        if machines < 1:
+        xp = namespace_of(machines)
+        if xp.any(machines < 1):
             raise ValueError(f"need at least one machine: {machines}")
-        return min(machines, self.n_clients)
+        return xp.minimum(machines, self.n_clients)
+
+    @staticmethod
+    def _clamp_threads(threads: int, cores: int) -> int:
+        if threads is None:
+            return cores
+        return namespace_of(threads).minimum(threads, cores)
 
 
 def paper_testbed(n_clients: int = 20) -> Testbed:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.arrays import namespace_of
 from repro.hw.cpu import (
     ARM_CORTEX_A72,
     CLIENT_XEON_E5_2650,
@@ -85,7 +86,7 @@ class DoorbellCosts:
 
     def batched_cost_per_request(self, batch: int) -> float:
         """Amortized per-request cost (ns) at the given batch size."""
-        if batch < 1:
+        if namespace_of(batch).any(batch < 1):
             raise ValueError(f"batch size must be >= 1: {batch}")
         return self.batch_fixed / batch + self.per_wqe
 

@@ -11,7 +11,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import (
@@ -131,15 +131,19 @@ def test_vector_bit_identical_on_payload_grid(testbed):
 # ---------------------------------------------------------------------------
 
 
-def test_demand_tensor_matches_scalar_dicts(testbed):
-    flows = [
-        Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=4 * KB,
-             requesters=11),
-        Flow(path=CommPath.SNIC3_H2S, op=Opcode.WRITE, payload=64,
-             requesters=24, weight=0.2),
-        Flow(path=CommPath.RNIC1, op=Opcode.SEND, payload=256,
-             doorbell_batch=16),
-    ]
+@settings(max_examples=100, deadline=None)
+@given(st.lists(flow_st(), min_size=1, max_size=3))
+@example([
+    Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=4 * KB,
+         requesters=11),
+    Flow(path=CommPath.SNIC3_H2S, op=Opcode.WRITE, payload=64,
+         requesters=24, weight=0.2),
+    Flow(path=CommPath.RNIC1, op=Opcode.SEND, payload=256,
+         doorbell_batch=16),
+])
+def test_demand_tensor_matches_scalar_dicts(testbed, flows):
+    # Both backends evaluate one builder, so every entry is equal, not
+    # merely close; absent resources are exact zeros in the tensor.
     scenario = Scenario(testbed, flows)
     tensor = assemble_demand_tensor(testbed, [scenario])
     names = tensor.resources
