@@ -40,7 +40,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from collections import defaultdict
+from typing import List, Optional, Tuple
 
 from repro.core.advisor import Advisor, WorkloadProfile
 from repro.core.anomalies import detect_all
@@ -225,50 +226,54 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --cluster: disable the cluster scheduler's "
                         "SLO/crash migrations (static placement only)")
     p.add_argument("--check", action="store_true",
-                   help="with --cluster: audit the finished run against "
-                        "the invariant catalog (flow conservation, "
-                        "cluster-flow, Little's law, capacity bounds) "
-                        "and exit non-zero on any violation")
-    p.add_argument("--duration", type=float, default=1_500_000.0,
-                   help="arrival-window length in ns (default 1.5 ms)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the tenants' request streams")
+                   help="audit the finished run against the invariant "
+                        "catalog (flow conservation, cluster-flow, "
+                        "Little's law, capacity bounds) and exit "
+                        "non-zero on any violation")
+    p.add_argument("--duration", type=float, default=None,
+                   help="arrival-window length in ns of the built-in mix "
+                        "(default 1.5 ms)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the built-in mix's request streams "
+                        "(default 0)")
     p.add_argument("--static", action="store_true",
                    help="pin the advisor's initial placements instead of "
                         "scheduling online (the non-adaptive baseline)")
     p.add_argument("--fault-plan", metavar="FILE", default=None,
                    help="JSON fault plan (e.g. a soc-crash) injected "
                         "into the run")
-    p.add_argument("--fault-seed", type=int, default=0,
-                   help="seed of the injector's RNG streams")
-    p.add_argument("--engine", choices=ENGINE_CHOICES,
-                   default="event",
+    p.add_argument("--fault-seed", type=int, default=None,
+                   help="seed of the injector's RNG streams (default 0)")
+    p.add_argument("--engine", choices=ENGINE_CHOICES, default=None,
                    help="serving engine: 'event' is pure DES (default), "
                         "'hybrid' fast-forwards steady-state windows "
-                        "analytically (docs/performance.md)")
+                        "analytically (docs/performance.md); overrides "
+                        "a --cluster document's engine")
     p.add_argument("--shards", type=int, default=None,
-                   help="partition the workload over N lockstep machines "
-                        "(repro.sim.shard) instead of one serving run")
+                   help="partition the built-in mix over N lockstep "
+                        "machines (repro.sim.shard; default 1)")
     p.add_argument("--jobs", type=int, default=None,
-                   help="with --shards > 1: 1 = in-process, >1 = one "
-                        "worker process per shard (default)")
+                   help="1 = every shard in-process, >1 = one worker "
+                        "process per shard (default)")
     p.add_argument("--cross-traffic", action="store_true",
-                   help="with --shards > 1: bulk tenants ship their "
-                        "completions to the next machine over the "
-                        "cross-shard fabric (repro.sim.xshard)")
+                   help="bulk tenants ship their completions to the next "
+                        "machine over the cross-shard fabric "
+                        "(repro.sim.xshard; nothing to ship on one shard)")
     p.add_argument("--cluster-fault-plan", metavar="FILE", default=None,
-                   help="with --shards > 1: JSON cluster fault plan "
-                        "(machine-crash, fabric-loss/-delay/-partition/"
-                        "-reorder; see docs/robustness.md)")
+                   help="JSON cluster fault plan (machine-crash, "
+                        "fabric-loss/-delay/-partition/-reorder; see "
+                        "docs/robustness.md); replaces a --cluster "
+                        "document's faults")
     p.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                   help="with --shards > 1: write the window-log "
-                        "checkpoint here at every barrier")
+                   help="write the window-log checkpoint here at every "
+                        "barrier")
     p.add_argument("--resume", action="store_true",
                    help="resume from the checkpoint in --checkpoint-dir "
                         "instead of starting fresh")
     p.add_argument("--kill-shard", metavar="NAME", default=None,
-                   help="chaos hook: SIGKILL this shard's worker at "
-                        "--kill-window and respawn it from the log")
+                   help="chaos hook: kill this shard (its worker, or its "
+                        "in-process session) at --kill-window and "
+                        "respawn it from the log")
     p.add_argument("--kill-window", type=int, default=1,
                    help="lockstep window at which --kill-shard strikes "
                         "(default 1)")
@@ -647,184 +652,168 @@ def _cmd_trace_solve(args) -> str:
                         title=f"{len(trace)} traced requests, aggregated")
 
 
-def _cmd_serve_cluster(args) -> str:
-    from repro.cluster import run_cluster
-    from repro.units import fmt_ns
-
-    report = run_cluster(args.cluster, jobs=args.jobs,
-                         machines=args.machines,
-                         population_seed=args.population_seed,
-                         placement=args.placement,
-                         migrate=False if args.no_migrate else None,
-                         engine=(args.engine if args.engine != "event"
-                                 else None))
-    parts = [report.summary()]
-    sched = {key: value for key, value in sorted(report.counters.items())
-             if key.startswith("clustersched.")}
-    if sched:
-        parts.append(
-            "cluster scheduler: "
-            f"{sched.get('clustersched.offloads', 0):.0f} offloads, "
-            f"{sched.get('clustersched.retargets', 0):.0f} retargets, "
-            f"{sched.get('clustersched.returns', 0):.0f} returns, "
-            f"{sched.get('clustersched.machine_down', 0):.0f} machine "
-            "crashes seen")
-    if args.decisions and report.cluster_decisions:
-        lines = ["cluster decisions"]
-        for d in report.cluster_decisions:
-            target = f" -> {d.target}" if d.target else ""
-            lines.append(f"  {fmt_ns(d.time_ns):>9}  {d.kind:<12} "
-                         f"{d.tenant or d.machine:<10}{target}  "
-                         f"[{d.reason}]")
-        parts.append("\n".join(lines))
-    if args.check:
-        from repro.stats.invariants import check_report, violations
-
-        results = check_report(report)
-        failed = violations(results)
-        checked = sorted({r.name for r in results})
-        parts.append(f"invariants: {len(results)} checks over "
-                     f"{', '.join(checked)} — "
-                     f"{'all ok' if not failed else 'VIOLATIONS'}")
-        if failed:
-            parts.extend(str(r) for r in failed)
-            raise SystemExit("\n\n".join(parts))
-    if args.json:
-        rows = [vars(t) for t in report.tenants.values()]
-        return json.dumps({"scenario": report.scenario,
-                           "elapsed_ns": report.elapsed_ns,
-                           "total_users": report.total_users,
-                           "machines": [m.to_dict() for m in report.machines],
-                           "placement": report.placement,
-                           "slo_attainment": report.slo_attainment,
-                           "total_slo_goodput_gbps":
-                               report.total_slo_goodput_gbps,
-                           "cluster_decisions":
-                               [d.as_tuple() for d in report.cluster_decisions],
-                           "tenants": rows}, indent=2)
-    return "\n\n".join(parts)
-
-
 def _reject_flags(args, flags, why: str) -> None:
     """Refuse a flag the chosen serve mode would silently ignore."""
     for flag in flags:
-        if getattr(args, flag) not in (None, False):
+        value = getattr(args, flag)
+        if value is not None and value is not False:   # 0 counts as set
             raise ValueError(f"--{flag.replace('_', '-')} {why}")
 
 
-def _cmd_serve(args) -> str:
+def _builtin_plan(args, cluster_faults):
+    """The four-tenant mix over ``--shards`` machines (one by default):
+    the machine fault plan on the first, bulk tenants ringed to the
+    next machine under ``--cross-traffic``."""
+    from dataclasses import replace
+
     from repro.faults import FaultPlan
-    from repro.sched import mixed_tenant_workload, run_serve
+    from repro.sched import mixed_tenant_workload
+    from repro.sim.shard import ShardPlan
+    from repro.sim.xshard import CrossTraffic
+
+    tenants = mixed_tenant_workload(
+        duration_ns=1_500_000.0 if args.duration is None else args.duration,
+        seed=args.seed or 0)
+    plan = ShardPlan.partition(tenants, 1 if args.shards is None
+                               else args.shards)
+    faults = (FaultPlan.from_file(args.fault_plan)
+              if args.fault_plan is not None else None)
+    ring = [shard.name for shard in plan.shards]
+    shards = []
+    for i, shard in enumerate(plan.shards):
+        nxt = ring[(i + 1) % len(ring)]
+        exports = tuple(CrossTraffic(t.name, nxt, "bulk")
+                        for t in shard.tenants
+                        if t.bulk and args.cross_traffic and nxt != shard.name)
+        shards.append(replace(shard, faults=faults if i == 0 else None,
+                              fault_seed=args.fault_seed or 0,
+                              exports=exports))
+    return ShardPlan(shards=tuple(shards), cluster_faults=cluster_faults)
+
+
+def _serve_outputs(args, report) -> Tuple[List[str], dict]:
+    """The built-in mix's text parts and JSON payload."""
     from repro.units import fmt_ns
 
-    if args.cluster is not None:
-        _reject_flags(args, ("static", "fault_plan", "shards",
-                             "cross_traffic", "cluster_fault_plan",
-                             "checkpoint_dir", "resume", "kill_shard",
-                             "incident_report"),
-                      "does not apply to --cluster")
-        return _cmd_serve_cluster(args)
-    _reject_flags(args, ("machines", "population_seed", "placement",
-                         "no_migrate", "check"), "needs --cluster")
-    sharded = args.shards is not None and args.shards > 1
-    if not sharded:
-        _reject_flags(args, ("jobs", "cross_traffic", "cluster_fault_plan",
-                             "checkpoint_dir", "resume", "kill_shard",
-                             "incident_report"), "needs --shards > 1")
-    plan = (FaultPlan.from_file(args.fault_plan)
-            if args.fault_plan is not None else None)
-    tenants = mixed_tenant_workload(duration_ns=args.duration,
-                                    seed=args.seed)
-    if sharded:
-        from dataclasses import replace
-
-        from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
-        from repro.sim.xshard import CrossTraffic
-
-        base = ShardPlan.partition(tenants, args.shards)
-        names = [s.name for s in base.shards]
-        shards = []
-        for i, shard in enumerate(base.shards):
-            exports = ()
-            if args.cross_traffic and len(names) > 1:
-                # Bulk tenants ship completions to the next machine.
-                nxt = names[(i + 1) % len(names)]
-                exports = tuple(
-                    CrossTraffic(t.name, nxt, "bulk")
-                    for t in shard.tenants if t.bulk)
-            faults = plan if i == 0 else None
-            shards.append(replace(shard, faults=faults,
-                                  fault_seed=args.fault_seed,
-                                  exports=exports))
-        cluster_faults = (FaultPlan.from_file(args.cluster_fault_plan)
-                          if args.cluster_fault_plan is not None else None)
-        supervisor = None
-        if (args.checkpoint_dir or args.resume or args.kill_shard
-                or args.incident_report):
-            from repro.sim.supervise import SupervisorConfig
-
-            supervisor = SupervisorConfig(
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume,
-                kill_shard=args.kill_shard,
-                kill_window=args.kill_window if args.kill_shard else 0,
-                incident_report=args.incident_report)
-        report = run_sharded(
-            ShardPlan(shards=tuple(shards), cluster_faults=cluster_faults),
-            jobs=args.jobs, supervisor=supervisor,
-            adaptive=not args.static, engine=args.engine)
-    else:
-        report = run_serve(tenants, adaptive=not args.static, faults=plan,
-                           fault_seed=args.fault_seed, engine=args.engine)
-    xshard = {key: value for key, value in sorted(report.counters.items())
-              if key.startswith("xshard.")}
-    if args.json:
-        rows = [vars(t) for t in report.tenants.values()]
-        return json.dumps({"adaptive": report.adaptive,
-                           "elapsed_ns": report.elapsed_ns,
-                           "engine": report.engine,
-                           "hybrid_stats": report.hybrid_stats,
-                           "tenants": rows,
-                           "path_gbps": report.path_gbps,
-                           "counters": xshard}, indent=2)
-    parts = [report.table()]
+    c = defaultdict(int, report.counters)
     gbps = ", ".join(f"{path}: {rate:.1f}"
                      for path, rate in sorted(report.path_gbps.items()))
-    parts.append(f"steady-state Gbps per path: {gbps}")
-    if xshard:
-        mean_rtt = (xshard.get("xshard.rtt_ns_total", 0)
-                    / max(1, xshard.get("xshard.acked", 0)))
+    parts = [report.table(), f"steady-state Gbps per path: {gbps}"]
+    if any(key.startswith("xshard.") for key in report.counters):
+        mean_rtt = c["xshard.rtt_ns_total"] / max(1, c["xshard.acked"])
+        parts.append(f"cross-shard fabric: {c['xshard.sent']} sent, "
+                     f"{c['xshard.served']} served remotely, "
+                     f"{c['xshard.relay_requests']} failover relays, "
+                     f"mean rtt {fmt_ns(mean_rtt)}")
+    if any(key.startswith(("cluster.", "supervisor."))
+           for key in report.counters):
         parts.append(
-            "cross-shard fabric: "
-            f"{xshard.get('xshard.sent', 0)} sent, "
-            f"{xshard.get('xshard.served', 0)} served remotely, "
-            f"{xshard.get('xshard.relay_requests', 0)} failover relays, "
-            f"mean rtt {fmt_ns(mean_rtt)}")
-    cluster = {key: value for key, value in sorted(report.counters.items())
-               if key.startswith(("cluster.", "supervisor."))}
-    if cluster:
-        parts.append(
-            "cluster chaos: "
-            f"{cluster.get('cluster.dropped', 0):.0f} dropped "
-            f"(crash {cluster.get('cluster.dropped_crash', 0):.0f}, "
-            f"partition {cluster.get('cluster.dropped_partition', 0):.0f}, "
-            f"loss {cluster.get('cluster.dropped_loss', 0):.0f}), "
-            f"{cluster.get('cluster.delayed', 0):.0f} delayed, "
-            f"{cluster.get('cluster.reordered', 0):.0f} reordered, "
-            f"{cluster.get('supervisor.respawns', 0):.0f} respawns")
+            f"cluster chaos: {c['cluster.dropped']:.0f} dropped "
+            f"(crash {c['cluster.dropped_crash']:.0f}, "
+            f"partition {c['cluster.dropped_partition']:.0f}, "
+            f"loss {c['cluster.dropped_loss']:.0f}), "
+            f"{c['cluster.delayed']:.0f} delayed, "
+            f"{c['cluster.reordered']:.0f} reordered, "
+            f"{c['supervisor.respawns']:.0f} respawns")
     if report.hybrid_stats is not None:
-        stats = ", ".join(f"{key}: {value}"
-                          for key, value in sorted(
-                              report.hybrid_stats.items()))
-        parts.append(f"hybrid engine: {stats}")
+        parts.append("hybrid engine: " + ", ".join(
+            f"{key}: {value}"
+            for key, value in sorted(report.hybrid_stats.items())))
     if args.decisions:
-        lines = ["scheduler decisions"]
-        for d in report.decisions:
-            lines.append(
-                f"  {fmt_ns(d.time_ns):>9}  {d.kind:<9} {d.tenant:<8} "
-                f"-> {d.to_path.value}/{d.to_responder}  [{d.reason}]")
-        parts.append("\n".join(lines))
-    return "\n\n".join(parts)
+        parts.append("\n".join(["scheduler decisions"] + [
+            f"  {fmt_ns(d.time_ns):>9}  {d.kind:<9} {d.tenant:<8} "
+            f"-> {d.to_path.value}/{d.to_responder}  [{d.reason}]"
+            for d in report.decisions]))
+    return parts, {
+        "adaptive": report.adaptive, "elapsed_ns": report.elapsed_ns,
+        "engine": report.engine, "hybrid_stats": report.hybrid_stats,
+        "tenants": [vars(t) for t in report.tenants.values()],
+        "path_gbps": report.path_gbps,
+        "counters": {key: value
+                     for key, value in sorted(report.counters.items())
+                     if key.startswith("xshard.")}}
+
+
+def _cluster_outputs(args, report) -> Tuple[List[str], dict]:
+    """A ``--cluster`` run's text parts and JSON payload."""
+    from repro.units import fmt_ns
+
+    parts = [report.summary()]
+    if any(key.startswith("clustersched.") for key in report.counters):
+        c = defaultdict(int, report.counters)
+        parts.append(
+            f"cluster scheduler: {c['clustersched.offloads']:.0f} offloads, "
+            f"{c['clustersched.retargets']:.0f} retargets, "
+            f"{c['clustersched.returns']:.0f} returns, "
+            f"{c['clustersched.machine_down']:.0f} machine crashes seen")
+    if args.decisions and report.cluster_decisions:
+        parts.append("\n".join(["cluster decisions"] + [
+            f"  {fmt_ns(d.time_ns):>9}  {d.kind:<12} "
+            f"{d.tenant or d.machine:<10}"
+            f"{f' -> {d.target}' if d.target else ''}  [{d.reason}]"
+            for d in report.cluster_decisions]))
+    return parts, {
+        "scenario": report.scenario, "elapsed_ns": report.elapsed_ns,
+        "total_users": report.total_users,
+        "machines": [m.to_dict() for m in report.machines],
+        "placement": report.placement,
+        "slo_attainment": report.slo_attainment,
+        "total_slo_goodput_gbps": report.total_slo_goodput_gbps,
+        "cluster_decisions": [d.as_tuple() for d in report.cluster_decisions],
+        "tenants": [vars(t) for t in report.tenants.values()]}
+
+
+def _cmd_serve(args) -> str:
+    """Every mode is one shard plan run by ``run_sharded``: the built-in
+    mix over ``--shards`` machines (one by default), or a ``--cluster``
+    document compiled by ``run_cluster``."""
+    from dataclasses import replace
+
+    from repro.api.schema import ClusterScenario
+    from repro.cluster import run_cluster
+    from repro.faults import FaultPlan
+    from repro.sim.shard import run_sharded
+    from repro.sim.supervise import SupervisorConfig
+    from repro.stats.invariants import check_report, violations
+
+    if args.cluster is not None:
+        _reject_flags(args, ("static", "fault_plan", "fault_seed", "shards",
+                             "cross_traffic", "duration", "seed"),
+                      "does not apply to --cluster")
+    else:
+        _reject_flags(args, ("machines", "population_seed", "placement",
+                             "no_migrate"), "needs --cluster")
+    cluster_faults = (FaultPlan.from_file(args.cluster_fault_plan)
+                      if args.cluster_fault_plan is not None else None)
+    supervisor = SupervisorConfig(
+        checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+        kill_shard=args.kill_shard, kill_window=args.kill_window,
+        incident_report=args.incident_report)
+    if args.cluster is not None:
+        scenario = ClusterScenario.from_file(args.cluster)
+        if cluster_faults is not None:
+            scenario = replace(scenario, faults=cluster_faults)
+        report = run_cluster(
+            scenario, jobs=args.jobs, machines=args.machines,
+            population_seed=args.population_seed, placement=args.placement,
+            migrate=False if args.no_migrate else None, engine=args.engine,
+            supervisor=supervisor)
+        parts, payload = _cluster_outputs(args, report)
+    else:
+        report = run_sharded(_builtin_plan(args, cluster_faults),
+                             jobs=args.jobs, supervisor=supervisor,
+                             adaptive=not args.static,
+                             engine=args.engine or "event")
+        parts, payload = _serve_outputs(args, report)
+    if args.check:
+        results = check_report(report)
+        failed = violations(results)
+        parts.append(f"invariants: {len(results)} checks over "
+                     f"{', '.join(sorted({r.name for r in results}))} — "
+                     f"{'all ok' if not failed else 'VIOLATIONS'}")
+        if failed:
+            raise SystemExit("\n\n".join(parts + [str(r) for r in failed]))
+    return json.dumps(payload, indent=2) if args.json else "\n\n".join(parts)
 
 
 def _cmd_crosscheck(args) -> str:

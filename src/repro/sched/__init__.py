@@ -19,8 +19,9 @@ would have to:
 * :class:`PathScheduler` — the control loop: ticks on simulated time,
   reads live telemetry and per-tenant windows, applies the policy, and
   attributes every decision (span annotations + a decision log).
-* :func:`run_serve` — the one-call engine behind ``repro serve``,
-  ``benchmarks/bench_scheduler.py`` and ``Session.serve``.
+* :func:`run_serve` — the one-call engine behind ``Session.serve``
+  and ``benchmarks/bench_scheduler.py`` (``repro serve`` steps its
+  session in lockstep instead).
 """
 
 from repro.sched.tenant import CompletionRecord, SloSpec, TenantSpec

@@ -1,10 +1,11 @@
 """``run_serve``: one call from tenant specs to a serving report.
 
-This is the engine behind ``repro serve``, ``Session.serve`` and
-``benchmarks/bench_scheduler.py``.  It wires the whole stack — cluster,
-RDMA context, SLO tracker, runtime, policy, scheduler, optional fault
-plan and tracer — runs the simulation to completion, and distils the
-raw completion feed into per-tenant and per-path aggregates.
+This is the engine behind ``Session.serve`` and
+``benchmarks/bench_scheduler.py``; ``repro serve`` runs the same
+session in lockstep.  It wires the whole stack — cluster, RDMA
+context, SLO tracker, runtime, policy, scheduler, optional fault plan
+and tracer — runs the simulation to completion, and distils the raw
+completion feed into per-tenant and per-path aggregates.
 
 Two modes:
 
@@ -274,8 +275,8 @@ class ServeSession:
     def advance(self, until: float) -> bool:
         """Run up to ``until`` ns of simulated time; True when drained.
 
-        Once drained, further calls are no-ops and the clock stays at
-        the last window boundary.
+        Once drained, further calls are no-ops; :meth:`finalize`
+        reports the instant the queue ran dry, not the window boundary.
         """
         if not self.done:
             self.cluster.sim.run(until=until)
@@ -349,10 +350,11 @@ class ServeSession:
                 "windows": windows, "load": load}
 
     def finalize(self) -> ServeReport:
-        elapsed = self.cluster.sim.now
+        sim = self.cluster.sim
         return ServeReport(
             adaptive=self.adaptive,
-            elapsed_ns=elapsed,
+            elapsed_ns=(sim.now if sim.drained_ns is None
+                        else sim.drained_ns),
             tenants=_tenant_reports(self.tenants, self.runtime,
                                     self.tracker, self.decisions),
             decisions=self.decisions,

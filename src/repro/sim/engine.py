@@ -19,7 +19,8 @@ class Simulator:
     entry); the run loop pops each one and calls its callbacks inline.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_event_count", "tracer")
+    __slots__ = ("_now", "_queue", "_seq", "_event_count", "tracer",
+                 "drained_ns")
 
     def __init__(self):
         self._now: float = 0.0
@@ -30,6 +31,9 @@ class Simulator:
         # instrumentation point guards with one ``is not None`` check,
         # so tracing is pay-as-you-go and adds no simulation events.
         self.tracer = None
+        # The instant a ``run(until=...)`` last emptied the queue, before
+        # the clock was fast-forwarded to the horizon; None until one has.
+        self.drained_ns: Optional[float] = None
 
     # -- clock ---------------------------------------------------------------
 
@@ -101,7 +105,9 @@ class Simulator:
         exhausted or the horizon is actually reached — a run stopped
         early by the ``max_events`` budget keeps the clock at the last
         fired event, so chunked ``run(until=..., max_events=...)``
-        loops observe consistent time.
+        loops observe consistent time.  An unbudgeted horizon run that
+        empties the queue records the instant it did in ``drained_ns``
+        before fast-forwarding (a lockstep shard's elapsed time).
         """
         if until is not None and until < self._now:
             raise SimulationError(
@@ -136,6 +142,8 @@ class Simulator:
                         callback(event)
             finally:
                 self._event_count += fired
+            if fired and not queue:
+                self.drained_ns = self._now
             self._now = until
             return
         try:

@@ -45,9 +45,9 @@ Cluster-scale chaos layers on top (``docs/robustness.md``):
 Merging uses :meth:`repro.sched.slo.SloTracker.merge` for the SLO
 windows, concatenates decision logs in time order, and sums per-path
 bandwidth and telemetry counters (including the ``xshard.*`` fabric
-counters).  ``elapsed_ns`` is the maximum over shards and is rounded
-up to the sync window (documented divergence from an unsharded run;
-per-tenant latencies and counts are exact).
+counters).  ``elapsed_ns`` is the latest instant any shard's event
+queue ran dry, so a one-shard plan reports exactly what an unsharded
+run of the same tenants does.
 """
 
 from __future__ import annotations
@@ -188,9 +188,6 @@ class ShardPlan:
         if self.cross_traffic or self.chaotic:
             return ShardTopology.uniform([s.name for s in self.shards])
         return None
-
-    def with_cluster_faults(self, faults: FaultPlan) -> "ShardPlan":
-        return replace(self, cluster_faults=faults)
 
     @classmethod
     def partition(cls, tenants: Sequence[TenantSpec],

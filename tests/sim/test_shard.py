@@ -75,13 +75,17 @@ def test_multiprocess_matches_inprocess_bit_for_bit():
 
 
 def test_single_shard_matches_unsharded_run():
-    """One shard == run_serve, except elapsed (rounded to the sync
-    window — the documented divergence)."""
-    solo = run_sharded(ShardPlan(shards=(ShardSpec("m0", _tenants()),)))
-    plain = run_serve(_tenants())
-    assert _key(solo) == _key(plain)
-    assert _decisions(solo) == _decisions(plain)
-    assert solo.elapsed_ns >= plain.elapsed_ns
+    """A one-shard lockstep run is the unsharded run, field for field,
+    on both engines, adaptive and static: ``elapsed_ns`` is the drain
+    instant, not the last barrier."""
+    for engine in ("event", "hybrid"):
+        for adaptive in (True, False):
+            solo = run_sharded(ShardPlan.partition(_tenants(), 1),
+                               engine=engine, adaptive=adaptive)
+            plain = run_serve(_tenants(), engine=engine, adaptive=adaptive)
+            for f in dataclasses.fields(plain):
+                assert getattr(solo, f.name) == getattr(plain, f.name), \
+                    (engine, adaptive, f.name)
 
 
 def test_merged_decisions_are_time_sorted_and_tenants_disjoint():

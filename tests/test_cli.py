@@ -295,23 +295,59 @@ def test_serve_command_static_json(capsys):
 
 @pytest.mark.parametrize("flag", [
     ["--static"], ["--fault-plan", "plan.json"], ["--shards", "3"],
-    ["--cross-traffic"], ["--cluster-fault-plan", "chaos.json"],
-    ["--checkpoint-dir", "ckpt"], ["--resume"], ["--kill-shard", "m00"],
-    ["--incident-report", "incidents.json"]])
+    ["--cross-traffic"], ["--duration", "5"], ["--seed", "9"],
+    ["--fault-seed", "1"], ["--duration", "1500000"], ["--seed", "0"]])
 def test_serve_cluster_rejects_flags_it_ignores(capsys, flag):
-    # Checked before the scenario document is read or any run starts.
+    # Checked before the scenario document is read or any run starts;
+    # an explicit default value is refused too.
     code, _, err = run(capsys, "serve", "--cluster",
                        "examples/rack_scenario.json", *flag)
     assert code == 1
     assert f"{flag[0]} does not apply to --cluster" in err
 
 
-@pytest.mark.parametrize("flag", [
-    ["--jobs", "2"], ["--cross-traffic"], ["--resume"],
-    ["--checkpoint-dir", "ckpt"], ["--kill-shard", "shard0"]])
-@pytest.mark.parametrize("shards", [[], ["--shards", "1"]])
-def test_unsharded_serve_rejects_shard_flags(capsys, flag, shards):
-    code, _, err = run(capsys, "serve", "--duration", "50000", *shards,
-                       *flag)
-    assert code == 1
-    assert f"{flag[0]} needs --shards > 1" in err
+def test_serve_engine_flag_overrides_a_hybrid_document(capsys, tmp_path,
+                                                      monkeypatch):
+    import repro.cluster.run as cluster_run
+    from repro.api.schema import ClusterScenario, MachineDoc
+    from repro.workloads.population import PopulationSpec, RandomVar
+
+    engines = []
+    run_sharded = cluster_run.run_sharded
+
+    def spy(plan, **kwargs):
+        engines.append(kwargs["engine"])
+        return run_sharded(plan, **kwargs)
+
+    monkeypatch.setattr(cluster_run, "run_sharded", spy)
+
+    doc = tmp_path / "hybrid.json"
+    doc.write_text(ClusterScenario(
+        name="tiny", duration_ns=40_000.0, engine="hybrid",
+        machines=(MachineDoc(name="m", count=2),),
+        populations=(PopulationSpec(
+            name="pop", tenants=2, active_users=RandomVar.fixed(100),
+            req_per_min=RandomVar.fixed(60)),)).to_json())
+    for flag in ([], ["--engine", "event"], ["--engine", "hybrid"]):
+        code, _, err = run(capsys, "serve", "--cluster", str(doc),
+                           "--jobs", "1", *flag)
+        assert code == 0, err
+    assert engines == ["hybrid", "event", "hybrid"]
+
+
+def test_one_shard_kill_and_respawn_changes_no_byte(capsys, tmp_path):
+    code, plain, _ = run(capsys, "serve", "--json")
+    assert code == 0
+    incidents = tmp_path / "incidents.json"
+    code, killed, err = run(capsys, "serve", "--kill-shard", "shard0",
+                            "--kill-window", "2", "--json",
+                            "--incident-report", str(incidents))
+    assert code == 0, err
+    assert json.loads(incidents.read_text())["respawns"] == 1
+    assert killed == plain
+
+
+def test_serve_check_audits_the_builtin_mix(capsys):
+    code, out, _ = run(capsys, "serve", "--duration", "200000", "--check")
+    assert code == 0
+    assert "invariants:" in out and "all ok" in out
