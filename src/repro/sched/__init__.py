@@ -9,6 +9,9 @@ would have to:
 * :class:`TenantSpec`/:class:`SloSpec` — an open-loop request stream
   (reusing :mod:`repro.workloads`) plus its latency/goodput targets.
 * :class:`CompletionRecord` — one finished request, a ``NamedTuple``.
+  ``ServingRuntime.completions`` is a
+  :class:`CompletionLog`: typed columns whose items
+  read back as ``CompletionRecord`` tuples.
 * :class:`ServingRuntime` — admits each tenant's stream into the
   simulated cluster through real QPs, with bounded queues
   (backpressure), per-flow re-binding, and token-bucket admission caps.
@@ -24,7 +27,8 @@ would have to:
   session in lockstep instead).
 """
 
-from repro.sched.tenant import CompletionRecord, SloSpec, TenantSpec
+from repro.sched.tenant import (CompletionLog, CompletionRecord, SloSpec,
+                                TenantSpec)
 from repro.sched.slo import SloTracker, WindowStats
 from repro.sched.policy import Decision, PathPolicy
 from repro.sched.runtime import PathLease, ServingRuntime
@@ -37,6 +41,7 @@ from repro.sched.serve import (
 )
 
 __all__ = [
+    "CompletionLog",
     "CompletionRecord",
     "Decision",
     "PathLease",

@@ -37,7 +37,7 @@ from repro.rdma.qp import QPState, QueuePair
 from repro.rdma.verbs import RdmaContext
 from repro.sched.policy import Placement
 from repro.sched.slo import SloTracker
-from repro.sched.tenant import CompletionRecord, TenantSpec
+from repro.sched.tenant import CompletionLog, CompletionRecord, TenantSpec
 from repro.units import gbps, gib_per_s, to_mpps
 from repro.sim import Store
 from repro.sim.events import URGENT, Timeout
@@ -76,8 +76,9 @@ class PathLease:
 class _TenantState:
     """Everything mutable the runtime tracks for one tenant."""
 
-    def __init__(self, spec: TenantSpec, requester: str, sim):
+    def __init__(self, spec: TenantSpec, requester: str, sim, code: int):
         self.spec = spec
+        self.code = code                 # tenant code in the completion log
         self.requester = requester
         self.queue = Store(sim)          # unbounded; bounded by check below
         self.lease: Optional[PathLease] = None
@@ -112,7 +113,7 @@ class ServingRuntime:
         names = [t.name for t in self.specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
-        self.completions: List[CompletionRecord] = []
+        self.completions = CompletionLog()
         # Hybrid-engine hook (repro.sim.hybrid).  None on pure-DES runs:
         # every touch point guards with one ``is not None`` check, so
         # the default engine's event sequence is untouched.
@@ -139,7 +140,9 @@ class ServingRuntime:
                         f"tenants; raise n_clients")
                 requester = clients[client_i]
                 client_i += 1
-            self._tenants[spec.name] = _TenantState(spec, requester, self.sim)
+            self._tenants[spec.name] = _TenantState(
+                spec, requester, self.sim,
+                self.completions.tenant_code(spec.name))
 
     # -- control-plane surface (used by the scheduler) ----------------------
 
@@ -161,9 +164,9 @@ class ServingRuntime:
         self._apply_rate_cap(t)
         if not placement.degraded:
             self._connect(t)
-        self.sim.process(self._arrivals(t))
+        self.sim.spawn(self._arrivals(t))
         for wid in range(spec.workers):
-            self.sim.process(self._worker(t, wid))
+            self.sim.spawn(self._worker(t, wid))
         return t.lease
 
     def rebind(self, tenant: str, placement: Placement) -> PathLease:

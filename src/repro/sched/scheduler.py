@@ -64,7 +64,7 @@ class PathScheduler:
                     from_path=None, from_responder="",
                     reason=f"rate cap {placement.rate_cap_gbps:.0f} Gbps",
                     advice_refs=("rule-p-minus-n",))
-        self.runtime.sim.process(self._loop())
+        self.runtime.sim.spawn(self._loop())
 
     def _loop(self):
         while not self.runtime.done:

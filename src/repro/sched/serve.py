@@ -33,7 +33,7 @@ from repro.sched.runtime import ServingRuntime
 from repro.sched.scheduler import PathScheduler
 from repro.sched.slo import RawWindow, SloTracker
 from repro.stats.kernels import Estimate, batch_means
-from repro.sched.tenant import SloSpec, TenantSpec
+from repro.sched.tenant import OK, SloSpec, TenantSpec
 from repro.telemetry import Telemetry
 from repro.trace.tracer import Tracer
 from repro.units import GB, KB, MB, fmt_ns, to_gbps
@@ -422,25 +422,25 @@ def _path_gbps(runtime: ServingRuntime,
                warmup_ns: float) -> Dict[str, float]:
     """Steady-state delivered bandwidth per path, from completions.
 
-    The one pass over the completion log.  A path's accumulator is
-    looked up only when the path differs from the previous record's
-    (``CommPath`` members are singletons, keyed by identity), so no
-    record pays an enum hash.
+    The one pass over the completion log, read straight from its
+    columns: payloads are looked up by tenant code and accumulators by
+    path code, so no record is rebuilt.
     """
+    log = runtime.completions
+    columns = log.columns()
     payload = {t.name: t.payload for t in runtime.specs}
-    # id(path) -> [path, latest end_ns, delivered bytes], first-seen order.
+    payloads = [payload[name] for name in log.tenants]
+    # path code -> [latest end_ns, delivered bytes], first-seen order.
     by_path: Dict[int, List] = {}
-    previous = acc = None
-    for tenant, _seq, _op, path, _start, end, ok, _att, _deg \
-            in runtime.completions:
-        if ok and end > warmup_ns:
-            if path is not previous:
-                acc = by_path.get(id(path))
-                if acc is None:
-                    acc = by_path[id(path)] = [path, end, 0]
-                previous = path
-            if end > acc[1]:
-                acc[1] = end
-            acc[2] += payload[tenant]
-    return {path.value: to_gbps(nbytes / ((latest - warmup_ns) or 1.0))
-            for path, latest, nbytes in by_path.values()}
+    for tenant, path, end, flags in zip(columns.tenant, columns.path,
+                                        columns.end_ns, columns.flags):
+        if flags & OK and end > warmup_ns:
+            acc = by_path.get(path)
+            if acc is None:
+                acc = by_path[path] = [end, 0]
+            elif end > acc[0]:
+                acc[0] = end
+            acc[1] += payloads[tenant]
+    return {log.paths[path].value: to_gbps(nbytes / ((latest - warmup_ns)
+                                                      or 1.0))
+            for path, (latest, nbytes) in by_path.items()}

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from array import array
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.sched.tenant import CompletionRecord, TenantSpec
+from repro.sched.tenant import DEGRADED, OK, CompletionRecord, TenantSpec
 from repro.units import to_gbps
 
 
@@ -70,12 +71,17 @@ class RawWindow:
 
 
 class _WindowAccum:
-    """Mutable per-window accumulator behind the fixed-window archive."""
+    """Mutable per-window accumulator behind the fixed-window archive.
+
+    The window's ok latencies are an ``array('d')``: the archive is
+    kept for the whole run, so each latency costs 8 bytes, not a boxed
+    float in a list.
+    """
 
     __slots__ = ("latencies", "good_bytes", "rejected", "lost", "violations")
 
     def __init__(self):
-        self.latencies: list = []
+        self.latencies = array("d")
         self.good_bytes = 0
         self.rejected = 0
         self.lost = 0
@@ -83,7 +89,7 @@ class _WindowAccum:
 
     def copy(self) -> "_WindowAccum":
         other = _WindowAccum()
-        other.latencies = list(self.latencies)
+        other.latencies = array("d", self.latencies)
         other.good_bytes = self.good_bytes
         other.rejected = self.rejected
         other.lost = self.lost
@@ -192,16 +198,31 @@ class SloTracker:
 
     def observe(self, record: CompletionRecord, payload: int) -> None:
         """Feed one completion from the runtime."""
-        self.observe_batch(record.tenant, (record,), payload)
+        self.observe_rows(record.tenant, ((
+            record.start_ns, record.end_ns,
+            OK * record.ok | DEGRADED * record.degraded),), payload)
 
     def observe_batch(self, tenant: str,
                       records: Iterable[CompletionRecord],
                       payload: int) -> None:
         """Feed one tenant's completions, in completion order.
 
-        The rolling window, the archive and the totals are updated in
-        one loop; consecutive records in the same fixed window share
-        one archive lookup.  :meth:`observe` is the one-record case.
+        Like :meth:`observe`, it goes through :meth:`observe_rows`.
+        """
+        self.observe_rows(tenant, [
+            (r.start_ns, r.end_ns, OK * r.ok | DEGRADED * r.degraded)
+            for r in records], payload)
+
+    def observe_rows(self, tenant: str,
+                     rows: Iterable[Tuple[float, float, int]],
+                     payload: int) -> None:
+        """Feed one tenant's ``(start_ns, end_ns, flags)`` rows, in
+        completion order; ``flags`` as in
+        :class:`~repro.sched.tenant.CompletionLog`.
+
+        The one feed loop: the rolling window, the archive and the
+        totals are updated together, and consecutive rows in the same
+        fixed window share one archive lookup.
         """
         rolling = self._rolling[tenant]
         events = rolling.events
@@ -213,11 +234,9 @@ class SloTracker:
         last = self.last_end[tenant]
         ok_n = lost_n = degraded_n = 0
         idx = acc = None
-        for record in records:
-            start = record.start_ns
-            end = record.end_ns
-            ok = record.ok
+        for start, end, flags in rows:
             latency = end - start
+            ok = flags & OK != 0
             events.append((end, latency, payload, ok))
             index = int(end // window_ns)
             if index != idx:
@@ -238,7 +257,7 @@ class SloTracker:
             else:
                 lost_n += 1
                 acc.lost += 1
-            if record.degraded:
+            if flags & DEGRADED:
                 degraded_n += 1
             if start < first:
                 first = start

@@ -10,6 +10,11 @@ from repro.sim.events import Event, Timeout, NORMAL
 from repro.sim.process import Process
 
 
+def _reraise(process: Process) -> None:
+    if not process._ok:
+        raise process._value
+
+
 class Simulator:
     """A discrete-event simulator with a nanosecond clock.
 
@@ -61,6 +66,19 @@ class Simulator:
     def process(self, generator: Generator) -> Process:
         """Start a coroutine process; returns its completion event."""
         return Process(self, generator)
+
+    def spawn(self, generator: Generator) -> Process:
+        """Start a process nobody waits on: if it raises, the run does.
+
+        A failed process hands its exception to whoever waits on it;
+        with no waiter the exception would vanish and the run would go
+        on with half-updated state.  The callback attached here raises
+        it out of :meth:`run` instead.  It adds no event: the process's
+        completion event is queued either way.
+        """
+        process = Process(self, generator)
+        process.callbacks.append(_reraise)
+        return process
 
     # -- running -----------------------------------------------------------------
 

@@ -55,7 +55,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.paths import Opcode
-from repro.sched.tenant import CompletionRecord
+from repro.sched.tenant import DEGRADED, OK
 from repro.sim.events import URGENT
 from repro.units import gbps, gib_per_s
 
@@ -91,12 +91,12 @@ class _AnalyticTenant:
     """One tenant's deterministic recurrence state while fast-forwarded.
 
     Queued and in-flight items carry an op *slot* instead of the
-    :class:`Opcode`: ``(op, op value, next service time)``, resolved
-    once per flip, so the recurrence neither hashes an op nor looks up
-    a profile per request.  A slot's service times replay its recorded
-    profile cyclically; an op never observed under this lease
-    generation (possible only for a zero-probability op raced onto the
-    stream) replays the mean of everything recorded.
+    :class:`Opcode`: ``(op, op code in the completion log, next service
+    time)``, resolved once per flip, so the recurrence neither hashes an
+    op nor looks up a profile per request.  A slot's service times
+    replay its recorded profile cyclically; an op never observed under
+    this lease generation (possible only for a zero-probability op
+    raced onto the stream) replays the mean of everything recorded.
     """
 
     __slots__ = ("state", "queue", "worker_free", "pending", "sentinels",
@@ -104,11 +104,11 @@ class _AnalyticTenant:
                  "degraded_service")
 
     def __init__(self, state, backlog, sentinels, now, n_workers,
-                 profiles, degraded_service):
+                 profiles, degraded_service, log):
         self.state = state                  # the runtime's _TenantState
         self.worker_free = [now] * n_workers
         heapq.heapify(self.worker_free)
-        self.pending: List[tuple] = []      # (end, seq, slot, arrived, degr)
+        self.pending: List[tuple] = []      # (end, seq, slot, arrived, flags)
         self.sentinels = sentinels          # drained worker-exit Nones
         self.armed = False                  # arrival proc handed over?
         self.next_seq = state.spec.requests
@@ -118,7 +118,7 @@ class _AnalyticTenant:
         fallback = sum(pooled) / len(pooled) if pooled else 1_000.0
         #: (READ, WRITE, SEND) slots, in OpMix.sample's order.
         self.slots = tuple(
-            (op, op.value,
+            (op, log.op_code(op.value),
              (itertools.cycle(profiles[op]) if profiles.get(op)
               else itertools.repeat(fallback)).__next__)
             for op in (Opcode.READ, Opcode.WRITE, Opcode.SEND))
@@ -167,7 +167,7 @@ class HybridController:
     def install(self) -> "HybridController":
         """Hook into the runtime and start the control process."""
         self.runtime.hybrid = self
-        self.sim.process(self._run())
+        self.sim.spawn(self._run())
         return self
 
     def _run(self):
@@ -383,7 +383,7 @@ class HybridController:
                 for op in self._mix_ops(spec)}
             self._tenants[spec.name] = _AnalyticTenant(
                 t, backlog, sentinels, now, max(1, n_workers),
-                profiles, degraded_service)
+                profiles, degraded_service, runtime.completions)
         if not self._tenants:
             return
         self.mode = ANALYTIC
@@ -412,8 +412,10 @@ class HybridController:
         ``horizon``) queued items are assigned to the workers free by
         then, each paying the shared token bucket and drawing its
         service time; the arrival then draws its op and is admitted or
-        rejected.  Completions due by ``horizon`` are emitted as one
-        batch, in completion order.
+        rejected.  Completions due by ``horizon`` are written to the
+        completion log's columns and fed to the tracker as one batch,
+        in completion order; like the DES, a record's start is its
+        arrival backdated by the tenant's ingress.
         """
         t = at.state
         spec = t.spec
@@ -423,6 +425,7 @@ class HybridController:
         bucket = t.bucket
         payload = spec.payload
         degraded = t.lease.degraded
+        flags = OK | DEGRADED if degraded else OK
         degraded_service = at.degraded_service
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -457,7 +460,7 @@ class HybridController:
                             start += delay
                     end = start + slot[2]()
                 heappush(free, end)
-                heappush(pending, (end, item_seq, slot, arrived, degraded))
+                heappush(pending, (end, item_seq, slot, arrived, flags))
             if not arriving:
                 break
             # OpMix.sample inline: the same draw, the same thresholds.
@@ -477,23 +480,30 @@ class HybridController:
             self.analytic_arrivals += seq - first_seq
             at.next_seq = seq
             at.next_at = next_at
-        name = spec.name
-        path = t.lease.path
-        records = []
+        ingress = spec.ingress_ns
+        seqs, ops, starts, ends, row_flags = [], [], [], [], []
         while pending and pending[0][0] <= horizon:
-            end, item_seq, slot, arrived, degr = heappop(pending)
-            records.append(CompletionRecord(
-                name, item_seq, slot[1], path, arrived, end, True, 1, degr))
-        if records:
-            self._emit(t, records)
+            end, item_seq, slot, arrived, item_flags = heappop(pending)
+            seqs.append(item_seq)
+            ops.append(slot[1])
+            starts.append(arrived - ingress)
+            ends.append(end)
+            row_flags.append(item_flags)
+        if ends:
+            self._emit(t, seqs, ops, starts, ends, row_flags)
 
-    def _emit(self, t, records: List[CompletionRecord]) -> None:
-        """Book synthesized completions: runtime, tracker and totals."""
-        t.finished += len(records)
-        t.degraded_served += sum(1 for r in records if r.degraded)
-        self.runtime.completions.extend(records)
-        self.tracker.observe_batch(t.spec.name, records, t.spec.payload)
-        self.analytic_completions += len(records)
+    def _emit(self, t, seqs: List[int], ops: List[int], starts: List[float],
+              ends: List[float], flags: List[int]) -> None:
+        """Book synthesized completions: log, tracker and totals."""
+        n = len(ends)
+        t.finished += n
+        t.degraded_served += flags.count(OK | DEGRADED)
+        log = self.runtime.completions
+        log.add_batch(t.code, log.path_code(t.lease.path), seqs, ops, starts,
+                      ends, flags)
+        self.tracker.observe_rows(t.spec.name, zip(starts, ends, flags),
+                                  t.spec.payload)
+        self.analytic_completions += n
 
     def _release_finished(self, now: float) -> None:
         """Hand fully-synthesized tenants back so their processes exit."""
@@ -539,10 +549,10 @@ class HybridController:
             # until its analytic completion instant, and complete the
             # record from a stub process at that instant.
             for entry in sorted(at.pending):
-                end, seq, slot, arrived, degraded = entry
+                end, seq, slot, arrived, flags = entry
                 t.queue.offer(("hold", end))
-                self.sim.process(
-                    self._stub(t, end, seq, slot[1], arrived, degraded))
+                self.sim.spawn(
+                    self._stub(t, end, seq, slot[1], arrived, flags))
             at.pending = []
             for seq, slot, arrived in at.queue:
                 t.queue.offer((seq, slot[0], arrived))
@@ -554,11 +564,10 @@ class HybridController:
         self.mode = GUARD
         self.splices += 1
 
-    def _stub(self, t, end: float, seq: int, op: str,
-              arrived: float, degraded: bool):
+    def _stub(self, t, end: float, seq: int, op: int, arrived: float,
+              flags: int):
         delay = end - self.sim.now
         if delay > 0:
             yield self.sim.timeout(delay)
-        self._emit(t, [CompletionRecord(t.spec.name, seq, op, t.lease.path,
-                                        arrived, self.sim.now, True, 1,
-                                        degraded)])
+        self._emit(t, [seq], [op], [arrived - t.spec.ingress_ns],
+                   [self.sim.now], [flags])

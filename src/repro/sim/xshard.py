@@ -317,7 +317,7 @@ class ShardChannel:
 
     def _arm_timeout(self, msg_id: int) -> None:
         if self.fault_timeout_ns is not None:
-            self.sim.process(self._expire(msg_id))
+            self.sim.spawn(self._expire(msg_id))
 
     def _expire(self, msg_id: int):
         yield self.sim.timeout(self.fault_timeout_ns)
@@ -382,7 +382,7 @@ class ShardChannel:
                 raise ValueError(f"message for {message.dst!r} delivered "
                                  f"to {self.shard!r}")
             self.handed_count += 1
-            sim.process(self._receive(message))
+            sim.spawn(self._receive(message))
 
     def flow_counts(self) -> Tuple[int, int, int, int]:
         """``(sent, handed, fired, timeouts)`` for the watchdog."""

@@ -37,7 +37,7 @@ FAMILY_PINS = {
     "fault-transient": "4b3089ddee853825",
 }
 SHARDED_PIN = "9e8f6c7d0745be68"
-RACK_PIN = "caa0818d48a9e2f0"
+RACK_PIN = "168ba64538959f20"
 
 
 def _sha(material) -> str:
