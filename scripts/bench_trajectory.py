@@ -7,7 +7,7 @@ and warm, a DES hot-loop microbench, the serving-engine comparison
 the canonical declarative rack at growing machine counts,
 and (optionally) the full pytest-benchmark suite — and writes
 ``BENCH_sweep.json``: wall-clock, DES events/sec, simulated requests
-and ns per wall-second of both serving engines, and cache hit rates.
+and ns per wall-second of both serving engines.
 Intended to run in CI so
 performance regressions show up in the artifact diff, not in
 reviewers' patience.
@@ -49,14 +49,13 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from repro.core.batch import BatchSolver, numpy_available    # noqa: E402
 from repro.core.harness import LatencyBench, ThroughputBench   # noqa: E402
 from repro.faults.bench import faulted_sweep                 # noqa: E402
-from repro.core.cache import clear_all, registered_caches    # noqa: E402
 from repro.core.paths import CommPath, Opcode                # noqa: E402
 from repro.core.sweeps import SweepRunner                    # noqa: E402
 from repro.core.throughput import (                          # noqa: E402
+    RESULT_CACHE,
     Flow,
     Scenario,
     ThroughputSolver,
-    configure_result_cache,
 )
 from repro.net.topology import paper_testbed                 # noqa: E402
 from repro.sim import Simulator                              # noqa: E402
@@ -104,7 +103,7 @@ def smoke_sweep(testbed) -> int:
 def vector_sweep(testbed, reps: int = 5) -> dict:
     """Scalar vs vector cold wall-time over the 384-point Fig-4 grid.
 
-    Both engines run against cleared caches each repetition; the best
+    The scalar solver's memo is cleared each repetition; the best
     (minimum) time of ``reps`` repetitions is recorded, the standard
     way to strip scheduler noise from a microbenchmark.
     """
@@ -120,7 +119,7 @@ def vector_sweep(testbed, reps: int = 5) -> dict:
     def best(fn) -> float:
         low = float("inf")
         for _ in range(reps):
-            clear_all()
+            RESULT_CACHE.clear()
             start = time.perf_counter()
             fn()
             low = min(low, time.perf_counter() - start)
@@ -130,17 +129,10 @@ def vector_sweep(testbed, reps: int = 5) -> dict:
                              for flows in grid])
     vector_s = best(lambda: batch.solve(testbed, grid))
 
-    clear_all()
-    batch.solve(testbed, grid)           # fill the result cache
-    start = time.perf_counter()
-    batch.solve(testbed, grid)
-    warm_s = time.perf_counter() - start
-
     return {
         "points": len(grid),
         "scalar_cold_s": round(scalar_s, 4),
         "vector_cold_s": round(vector_s, 4),
-        "vector_warm_s": round(warm_s, 4),
         "vector_points_per_sec": round(len(grid) / vector_s),
         "speedup_vs_scalar": round(scalar_s / vector_s, 2),
     }
@@ -470,7 +462,7 @@ def timed_smoke(testbed, reps: int = 1):
     points = 0
     cold_s = float("inf")
     for _ in range(reps):
-        clear_all()
+        RESULT_CACHE.clear()
         start = time.perf_counter()
         points = smoke_sweep(testbed)
         cold_s = min(cold_s, time.perf_counter() - start)
@@ -596,21 +588,11 @@ def main(argv=None) -> int:
     reps = args.reps if args.reps is not None else (3 if args.check else 1)
 
     testbed = paper_testbed()
-    configure_result_cache(enabled=True, disk_dir=None)
 
     points, cold_s, warm_s = timed_smoke(testbed, reps=reps)
     if args.check:
         return check_regression(args.out, cold_s, des_microbench(),
                                 serving_bench())
-
-    caches = {
-        cache.name: {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "hit_rate": round(cache.hit_rate, 4),
-        }
-        for cache in registered_caches()
-    }
 
     report = {
         "generated_by": "scripts/bench_trajectory.py",
@@ -620,7 +602,6 @@ def main(argv=None) -> int:
             "cold_s": round(cold_s, 4),
             "warm_s": round(warm_s, 4),
             "warm_speedup": round(cold_s / warm_s, 1) if warm_s else None,
-            "caches": caches,
         },
         "vector_sweep": vector_sweep(testbed),
         "des": des_microbench(),

@@ -6,8 +6,8 @@ Everything a typical user needs rides on two names:
   latency/throughput queries and sweeps, the offload advisor, span
   tracing and the online serving runtime, all sharing one testbed and
   one set of run options.
-* :class:`RunOptions` — sweep knobs (result cache, disk cache,
-  profiling) shared by every bench, the CLI and the facade.
+* :class:`RunOptions` — the sweep knob (``profile``) shared by every
+  bench, the CLI and the facade.
 
 Deeper modules (:mod:`repro.core`, :mod:`repro.sched`, :mod:`repro.rdma`)
 remain importable for power users, but their layouts may shift between

@@ -56,8 +56,8 @@ class Session:
     """One facade over models, benches, advisor, tracing and serving.
 
     All heavy members (benches, the advisor) are built lazily and
-    shared, so a session amortizes solver caches across calls; the
-    ``options`` run configuration applies to every sweep it runs.
+    shared across calls; the ``options`` run configuration applies to
+    every sweep it runs.
     """
 
     def __init__(self, testbed: Optional[Testbed] = None,

@@ -133,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="render an ASCII chart instead of a table")
     RunOptions.add_arguments(p)
     p.add_argument("--cache-stats", action="store_true",
-                   help="append cache hit/miss counters to the output")
+                   help="append the solver memo's hit/miss counters and "
+                        "per-backend solve stats to the output")
 
     p = sub.add_parser("compare", help="RNIC vs SmartNIC summary")
     p.add_argument("--nic", choices=sorted(CATALOG), default="bluefield-2")

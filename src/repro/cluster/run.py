@@ -79,6 +79,10 @@ class ClusterReport:
         return self.serve.path_gbps
 
     @property
+    def machine_path_gbps(self):
+        return self.serve.machine_path_gbps
+
+    @property
     def elapsed_ns(self) -> float:
         return self.serve.elapsed_ns
 

@@ -35,6 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set
 from repro.cluster.machine import MachineSpec
 from repro.core.advisor import Advisor
 from repro.core.paths import CommPath, Opcode
+from repro.hw.cpu import RELAY_GIBPS
 from repro.sched.tenant import TenantSpec
 from repro.sim.xshard import ShardMessage, ShardTopology
 from repro.units import gib_per_s, to_mpps
@@ -42,9 +43,6 @@ from repro.units import gib_per_s, to_mpps
 #: Stand-in for the remote host's CPU dispatch inside the relay-cost
 #: estimate (the exact value comes from the testbed at serve time).
 _RELAY_CPU_NS = 2_000.0
-
-#: Remote relay copy throughput, mirroring the fabric's host relay.
-_RELAY_GIBPS = 16.0
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +445,7 @@ class ClusterScheduler:
         """Estimated remote-serve latency: two fabric traversals plus
         the remote host relay (CPU dispatch + DRAM-speed copy)."""
         return (2.0 * self.topology.link_latency_ns + _RELAY_CPU_NS
-                + max(1, spec.payload) / gib_per_s(_RELAY_GIBPS))
+                + max(1, spec.payload) / gib_per_s(RELAY_GIBPS))
 
     def _pick_donor(self, local: Sequence[str]) -> Optional[str]:
         """The tenant whose departure relieves the machine most, among

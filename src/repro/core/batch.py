@@ -39,9 +39,8 @@ from __future__ import annotations
 import operator
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.core.cache import testbed_fingerprint
 from repro.core.demand import demand_model
 from repro.core.paths import CommPath, Opcode
 from repro.core.throughput import Flow, Scenario, SolverResult
@@ -233,7 +232,7 @@ def assemble_demand_tensor(testbed: Testbed,
                    flow.rate_cap is not None)
             groups.setdefault(sig, []).append((p_idx, flow))
 
-    model = demand_model(testbed, testbed_fingerprint(testbed))
+    model = demand_model(testbed)
     registry = ResourceRegistry()
     built = []
     for sig, members in groups.items():
@@ -316,31 +315,20 @@ def waterfill(tensor: DemandTensor):
 class BatchSolver:
     """Solve many scenarios as one demand tensor.
 
-    Consults (and refills) the same content-keyed ``RESULT_CACHE`` as
-    the scalar solver, so the backends interoperate: a point solved by
-    either is a dictionary lookup for both afterwards.
+    Every point is solved cold: a sweep grid rarely repeats a point,
+    so the scalar solver's memo is not consulted here.
     """
 
     def solve(self, testbed: Testbed, flow_sets: Sequence,
-              use_cache: bool = True, timings=None) -> List[SolverResult]:
+              timings=None) -> List[SolverResult]:
         np = require_numpy()
         from contextlib import nullcontext
-
-        from repro.core import throughput
 
         scenarios = [flows if isinstance(flows, Scenario)
                      else Scenario(testbed, list(flows))
                      for flows in flow_sets]
-        results: List[Optional[SolverResult]] = [None] * len(scenarios)
-        cache_on = use_cache and throughput._cache_enabled
-        if cache_on:
-            self._prime_keys(testbed, scenarios)
-            cache_get = throughput.RESULT_CACHE.get
-            for i, scenario in enumerate(scenarios):
-                results[i] = cache_get(scenario.key)
-        todo = [i for i, result in enumerate(results) if result is None]
-        if not todo:
-            return results
+        if not scenarios:
+            return []
 
         def stage(name):
             return timings.stage(name) if timings is not None \
@@ -348,8 +336,7 @@ class BatchSolver:
 
         start = time.perf_counter()
         with stage("demand_assembly"):
-            tensor = assemble_demand_tensor(
-                testbed, [scenarios[i] for i in todo])
+            tensor = assemble_demand_tensor(testbed, scenarios)
         self._check_bounded(np, tensor)
         with stage("solve"):
             rates, bottlenecks, usage = waterfill(tensor)
@@ -382,46 +369,24 @@ class BatchSolver:
         bneck_rows = name_lookup[bottlenecks].tolist()
         usage_rows = usage.tolist()
         width = rates.shape[1]
-        cache_put = throughput.RESULT_CACHE.put
-        for j, i in enumerate(todo):
-            scenario = scenarios[i]
+        results = []
+        for j, scenario in enumerate(scenarios):
             n = len(scenario.flows)
             pattern = packed_bytes[j * row_width:(j + 1) * row_width]
             selector = selectors.get(pattern)
             if selector is None:
                 selector = selectors[pattern] = selector_for(j)
             getter, touched_names = selector
-            result = SolverResult(
+            results.append(SolverResult(
                 flows=list(scenario.flows),
                 rates=rates_rows[j] if n == width else rates_rows[j][:n],
                 bottlenecks=(bneck_rows[j] if n == width
                              else bneck_rows[j][:n]),
-                utilization=dict(zip(touched_names, getter(usage_rows[j]))))
-            if cache_on:
-                cache_put(scenario.key, result)
-            results[i] = result
-        ENGINE_STATS.record("vector", len(todo),
+                utilization=dict(zip(touched_names,
+                                     getter(usage_rows[j])))))
+        ENGINE_STATS.record("vector", len(scenarios),
                             time.perf_counter() - start)
         return results
-
-    @staticmethod
-    def _prime_keys(testbed: Testbed, scenarios: Sequence[Scenario]) -> None:
-        """Fill each scenario's memoized cache key with shared lookups.
-
-        Equivalent to touching ``scenario.key`` per point, but the
-        testbed fingerprint is resolved once for the whole batch
-        instead of through a weakref lookup per scenario.
-        """
-        from repro.core.cache import (ScenarioKey, _flow_fingerprint,
-                                      testbed_fingerprint)
-
-        tb_fp = testbed_fingerprint(testbed)
-        for scenario in scenarios:
-            if scenario._key is None and scenario.testbed is testbed:
-                scenario._key = ScenarioKey(
-                    testbed=tb_fp,
-                    flows=tuple(_flow_fingerprint(flow)
-                                for flow in scenario.flows))
 
     @staticmethod
     def _check_bounded(np, tensor: DemandTensor) -> None:

@@ -22,10 +22,10 @@ Its spec numbers go in :mod:`repro.nic.specs`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.arrays import namespace_of
-from repro.core.cache import LRUCache, memoized
 from repro.core.packets import PacketCountModel, PathPacketCounts
 from repro.core.paths import CommPath, Opcode
 from repro.net.topology import Testbed
@@ -298,10 +298,7 @@ class DemandModel:
             terms.add("cpu:soc", 1.0 / testbed.snic.soc.echo_capacity())
 
 
-#: One :class:`DemandModel` per testbed content, keyed by fingerprint.
-_MODELS = LRUCache(maxsize=64, name="demand_model", register=False)
-
-
-def demand_model(testbed: Testbed, testbed_fp) -> DemandModel:
-    """The shared demand model of ``testbed`` (fingerprint ``testbed_fp``)."""
-    return memoized(_MODELS, testbed_fp, lambda: DemandModel(testbed))
+@lru_cache(maxsize=64)
+def demand_model(testbed: Testbed) -> DemandModel:
+    """The shared demand model of ``testbed``, built once per testbed."""
+    return DemandModel(testbed)

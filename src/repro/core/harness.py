@@ -154,7 +154,7 @@ class ThroughputBench:
 
     All sweeps evaluate their points through a :class:`SweepRunner`,
     which solves a whole sweep as one numpy demand tensor when numpy
-    is installed and point by point (content-cached) otherwise.
+    is installed and point by point otherwise.
     """
 
     def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None,

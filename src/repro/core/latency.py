@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.core.cache import LRUCache, memoized, testbed_fingerprint
 from repro.core.paths import CommPath, Opcode
 from repro.net.topology import Testbed
 from repro.nic.core import Endpoint
@@ -29,10 +28,6 @@ _COMPLETION_NS = 250.0
 # Posted-write hand-off before the responder NIC acks (the 0.1 us that
 # makes the paper's WRITE delta 0.4 us rather than one bare traversal).
 _POSTED_HANDOFF_NS = 100.0
-
-#: Memoized breakdowns keyed by testbed content — shared across model
-#: instances, so rebuilding a ``LatencyModel`` costs nothing.
-LATENCY_CACHE = LRUCache(maxsize=1 << 14, name="latency")
 
 
 @dataclass(frozen=True)
@@ -69,17 +64,9 @@ class LatencyModel:
 
     def latency(self, path: CommPath, op: Opcode, payload: int,
                 range_bytes: float = 10 * GB) -> LatencyBreakdown:
-        """Unloaded end-to-end latency of one request (memoized)."""
+        """Unloaded end-to-end latency of one request."""
         if payload < 0:
             raise ValueError(f"negative payload: {payload}")
-        key = (testbed_fingerprint(self.testbed), path, op, payload,
-               range_bytes)
-        return memoized(LATENCY_CACHE, key,
-                        lambda: self._latency_cold(path, op, payload,
-                                                   range_bytes))
-
-    def _latency_cold(self, path: CommPath, op: Opcode, payload: int,
-                      range_bytes: float) -> LatencyBreakdown:
         if path.intra_machine:
             return self._path3_latency(path, op, payload, range_bytes)
         return self._client_latency(path, op, payload, range_bytes)

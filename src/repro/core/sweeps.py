@@ -9,10 +9,9 @@ it picks the solver backend itself:
   the whole point list goes to the numpy batch solver
   (:mod:`repro.core.batch`): one demand tensor, one water-fill;
 * otherwise each point is solved in order by the scalar reference
-  solver through the content-keyed result caches
-  (:mod:`repro.core.cache`), so any point seen before — in this run,
-  an earlier benchmark, or (with the disk cache) an earlier process —
-  is a dictionary lookup.
+  solver, whose one-scenario memo
+  (:data:`repro.core.throughput.RESULT_CACHE`) answers a point this
+  process has already solved on the same testbed.
 
 Both backends return numerically identical results in identical order,
 so the choice only affects wall-time.

@@ -31,7 +31,7 @@ and in :mod:`repro.core.batch` on numpy arrays over a group of
 same-shaped flows.  A new device's demand terms go in
 :mod:`repro.core.demand` once and reach both solvers.  This module
 keeps the flow and scenario types, the per-point water-filling
-(:class:`ThroughputSolver`) and the result cache.
+(:class:`ThroughputSolver`) and its one-scenario memo.
 """
 
 from __future__ import annotations
@@ -40,12 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.cache import (
-    LRUCache,
-    ScenarioKey,
-    SolverCache,
-    memoized,
-)
+from repro.core.cache import LRUCache
 from repro.core.demand import demand_model
 from repro.core.paths import CommPath, Opcode
 from repro.net.topology import Testbed
@@ -55,10 +50,12 @@ from repro.units import GB, to_gbps
 # "data-loaded" for the full-duplex derating of §3.1/Fig 5.
 _DATA_DIRECTION_THRESHOLD = 1024
 
-#: Memoized per-flow demand vectors, keyed by (testbed fingerprint,
-#: flow fingerprint, flow index, duplex flag).  Entries are shared and
-#: must be treated as read-only.
-DEMAND_CACHE = LRUCache(maxsize=1 << 14, name="demand")
+#: :meth:`ThroughputSolver.solve`'s memo, keyed by ``(testbed, flows)``:
+#: the testbed object (a frozen dataclass whose NICs compare by
+#: identity, so two separately built testbeds never share an entry)
+#: and the tuple of frozen flows.  A hit is the very ``SolverResult``
+#: the cold solve returned; treat it as read-only.
+RESULT_CACHE = LRUCache(maxsize=1 << 13, name="solver")
 
 
 @dataclass(frozen=True)
@@ -104,9 +101,7 @@ class Flow:
 class Scenario:
     """A set of flows sharing one testbed's resources.
 
-    Demand vectors are built lazily: a solver-cache hit never touches
-    them, and per-flow vectors are memoized by content so a flow shape
-    shared between scenarios is only ever priced once.
+    Demand vectors are built lazily, so a memo hit never touches them.
     """
 
     def __init__(self, testbed: Testbed, flows: Sequence[Flow]):
@@ -115,14 +110,6 @@ class Scenario:
         self.testbed = testbed
         self.flows = list(flows)
         self._demands: Optional[List[Dict[str, float]]] = None
-        self._key: Optional[ScenarioKey] = None
-
-    @property
-    def key(self) -> ScenarioKey:
-        """Content-based cache key: testbed fingerprint + flow tuple."""
-        if self._key is None:
-            self._key = ScenarioKey.of(self.testbed, self.flows)
-        return self._key
 
     @property
     def demands(self) -> List[Dict[str, float]]:
@@ -132,7 +119,6 @@ class Scenario:
 
     @classmethod
     def solve_batch(cls, testbed: Testbed, flow_sets: Sequence,
-                    use_cache: bool = True,
                     timings=None) -> List["SolverResult"]:
         """Solve many scenarios at once, one :class:`SolverResult` each.
 
@@ -140,15 +126,13 @@ class Scenario:
         scenarios).  With numpy importable and at least two scenarios
         they are solved as one numpy demand tensor
         (:mod:`repro.core.batch`); otherwise each goes through the
-        per-point reference solver.  Both backends share
-        :data:`RESULT_CACHE` and agree on every solved rate, so the
-        choice only affects wall-time.
+        per-point reference solver.  Both backends agree on every
+        solved rate, so the choice only affects wall-time.
         """
         from repro.core import batch
 
         if len(flow_sets) >= 2 and batch.numpy_available():
             return batch.BatchSolver().solve(testbed, flow_sets,
-                                             use_cache=use_cache,
                                              timings=timings)
         import time as _time
         from contextlib import nullcontext
@@ -158,8 +142,7 @@ class Scenario:
         start = _time.perf_counter()
         with (timings.stage("solve") if timings is not None
               else nullcontext()):
-            results = [solver.solve(s, use_cache=use_cache)
-                       for s in scenarios]
+            results = [solver.solve(s) for s in scenarios]
         batch.ENGINE_STATS.record("scalar", len(scenarios),
                                   _time.perf_counter() - start)
         return results
@@ -168,16 +151,9 @@ class Scenario:
 
     def _build_all(self) -> List[Dict[str, float]]:
         duplex = self._network_duplex_loaded()
-        key = self.key
-        model = demand_model(self.testbed, key.testbed)
-        demands = []
-        for idx, (flow, flow_fp) in enumerate(zip(self.flows, key.flows)):
-            memo_key = (key.testbed, flow_fp, idx, duplex)
-            demands.append(memoized(
-                DEMAND_CACHE, memo_key,
-                lambda f=flow, i=idx: model.build(f.path, f.op, i, duplex,
-                                                  f)))
-        return demands
+        model = demand_model(self.testbed)
+        return [model.build(flow.path, flow.op, idx, duplex, flow)
+                for idx, flow in enumerate(self.flows)]
 
     def _network_duplex_loaded(self) -> bool:
         """True when client-path data flows load both network directions."""
@@ -239,25 +215,21 @@ class SolverResult:
 class ThroughputSolver:
     """Max-min water-filling over a scenario's demand vectors.
 
-    ``solve`` consults the module-level :data:`RESULT_CACHE` keyed by
-    scenario content; a hit skips demand construction entirely and
-    returns the exact ``SolverResult`` of the cold solve (treat it as
-    read-only).  Pass ``use_cache=False`` to force a cold solve.
+    ``solve`` consults :data:`RESULT_CACHE`: one-scenario questions
+    repeat (bin-packing asks the same Fig-11 question per tenant and
+    machine), and a hit skips demand construction entirely.
     """
 
     def __init__(self, tolerance: float = 1e-12):
         self.tolerance = tolerance
 
-    def solve(self, scenario: Scenario,
-              use_cache: bool = True) -> SolverResult:
-        if use_cache and _cache_enabled:
-            key = scenario.key
-            result = RESULT_CACHE.get(key)
-            if result is None:
-                result = self._solve_cold(scenario)
-                RESULT_CACHE.put(key, result)
-            return result
-        return self._solve_cold(scenario)
+    def solve(self, scenario: Scenario) -> SolverResult:
+        key = (scenario.testbed, tuple(scenario.flows))
+        result = RESULT_CACHE.get(key)
+        if result is None:
+            result = self._solve_cold(scenario)
+            RESULT_CACHE.put(key, result)
+        return result
 
     def _solve_cold(self, scenario: Scenario) -> SolverResult:
         flows = scenario.flows
@@ -308,56 +280,3 @@ class ThroughputSolver:
         """Convenience: solve a single-flow scenario."""
         return self.solve(Scenario(testbed, [flow]))
 
-
-# ---------------------------------------------------------------------------
-# Result cache (in-memory LRU + optional disk layer)
-# ---------------------------------------------------------------------------
-
-
-def _flow_to_json(flow: Flow) -> dict:
-    return {"path": flow.path.value, "op": flow.op.value,
-            "payload": flow.payload, "requesters": flow.requesters,
-            "range_bytes": flow.range_bytes,
-            "doorbell_batch": flow.doorbell_batch, "weight": flow.weight,
-            "rate_cap": flow.rate_cap, "label": flow.label}
-
-
-def _flow_from_json(obj: dict) -> Flow:
-    return Flow(path=CommPath(obj["path"]), op=Opcode(obj["op"]),
-                payload=obj["payload"], requesters=obj["requesters"],
-                range_bytes=obj["range_bytes"],
-                doorbell_batch=obj["doorbell_batch"], weight=obj["weight"],
-                rate_cap=obj["rate_cap"], label=obj["label"])
-
-
-def _result_encode(result: SolverResult) -> dict:
-    return {"flows": [_flow_to_json(f) for f in result.flows],
-            "rates": result.rates, "bottlenecks": result.bottlenecks,
-            "utilization": result.utilization}
-
-
-def _result_decode(obj: dict) -> SolverResult:
-    return SolverResult(flows=[_flow_from_json(f) for f in obj["flows"]],
-                        rates=list(obj["rates"]),
-                        bottlenecks=list(obj["bottlenecks"]),
-                        utilization=dict(obj["utilization"]))
-
-
-#: Memoized ``SolverResult``s keyed by :class:`ScenarioKey`.
-RESULT_CACHE = SolverCache(maxsize=1 << 13, name="solver",
-                           encode=_result_encode, decode=_result_decode)
-
-_cache_enabled = True
-
-
-def configure_result_cache(enabled: bool = True,
-                           disk_dir: Optional[str] = None) -> SolverCache:
-    """Switch the solver result cache on/off and set its disk layer.
-
-    ``disk_dir`` enables a JSON file per scenario under that directory,
-    making repeated points free across processes and CLI invocations.
-    """
-    global _cache_enabled
-    _cache_enabled = enabled
-    RESULT_CACHE.disk_dir = disk_dir
-    return RESULT_CACHE

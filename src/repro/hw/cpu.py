@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import mrps
+from repro.units import gib_per_s, mrps
+
+#: Host-relay copy throughput, GiB/s: a request the host serves in the
+#: SoC's stead (degraded locally, or relayed from another machine) is
+#: a memcpy through host DRAM instead of a DMA hop to SoC memory.
+RELAY_GIBPS = 16.0
 
 
 @dataclass(frozen=True)
@@ -74,6 +79,13 @@ class CPUSpec:
         if threads < 1:
             raise ValueError(f"thread count must be >= 1: {threads}")
         return min(threads, self.total_cores)
+
+
+def relay_service_ns(cpu: CPUSpec, nbytes: int) -> float:
+    """Host-relay service time (ns) of one request: ``cpu``'s two-sided
+    dispatch plus a copy of ``nbytes`` (at least one) at
+    :data:`RELAY_GIBPS`."""
+    return cpu.two_sided_latency_ns + max(1, nbytes) / gib_per_s(RELAY_GIBPS)
 
 
 # Table 2 SRV host CPU: 2x Intel Xeon Gold 5317 (12 cores, 3.6 GHz).

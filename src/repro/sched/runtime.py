@@ -32,13 +32,14 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.apps.logship import TokenBucket
 from repro.core.paths import CommPath, Opcode
+from repro.hw.cpu import relay_service_ns
 from repro.net.cluster import SimCluster
 from repro.rdma.qp import QPState, QueuePair
 from repro.rdma.verbs import RdmaContext
 from repro.sched.policy import Placement
 from repro.sched.slo import SloTracker
 from repro.sched.tenant import CompletionLog, CompletionRecord, TenantSpec
-from repro.units import gbps, gib_per_s, to_mpps
+from repro.units import gbps, to_mpps
 from repro.sim import Store
 from repro.sim.events import URGENT, Timeout
 from repro.sim.links import LOST
@@ -48,10 +49,6 @@ from repro.sim.links import LOST
 #: let the (possibly migrated) lease drive the retry instead.
 _RETRY_CNT = 2
 _TIMEOUT_NS = 4_000.0
-
-#: Host-local relay throughput while degraded (SoC down): a memcpy
-#: through host DRAM instead of a DMA hop to SoC memory.
-_RELAY_GIBPS = 16.0
 
 
 @dataclass
@@ -344,9 +341,8 @@ class ServingRuntime:
                 else:
                     # Host-local relay: CPU service + DRAM-speed copy.
                     host = self.cluster.node("host")
-                    service = (host.cpu.two_sided_latency_ns
-                               + payload / gib_per_s(_RELAY_GIBPS))
-                    yield self.sim.timeout(service)
+                    yield self.sim.timeout(relay_service_ns(host.cpu,
+                                                            payload))
                 t.degraded_served += 1
                 self._finish(t, seq, op, arrived_ns, ok=True,
                              attempts=attempts, degraded=True)

@@ -83,6 +83,12 @@ class ServeReport:
     #: ``(arrivals, completed, rejected, lost, in_flight)``.
     conservation: Dict[str, Tuple[int, int, int, int, int]] = field(
         default_factory=dict)
+    #: Each machine's ``path_gbps`` in a merged multi-shard report,
+    #: keyed by shard name (empty for a one-machine run): the
+    #: utilization invariant checks every machine against its own
+    #: fabric.
+    machine_path_gbps: Dict[str, Dict[str, float]] = field(
+        default_factory=dict)
 
     def p99(self, tenant: str, confidence: float = 0.95) -> Estimate:
         """Batch-means estimate of the tenant's per-window p99 (ns)."""

@@ -55,9 +55,10 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.paths import Opcode
+from repro.hw.cpu import relay_service_ns
 from repro.sched.tenant import DEGRADED, OK
 from repro.sim.events import URGENT
-from repro.units import gbps, gib_per_s
+from repro.units import gbps
 
 #: Mode names (kept as plain strings for cheap comparison and repr).
 GUARD = "guard"
@@ -375,8 +376,10 @@ class HybridController:
             sentinels = sum(1 for item in drained if item is None)
             backlog = [item for item in drained if item is not None]
             n_workers = spec.workers if not t.arrivals_done else sentinels
-            degraded_service = (self._degraded_service(spec)
-                                if t.lease.degraded else 0.0)
+            degraded_service = (
+                relay_service_ns(runtime.cluster.node("host").cpu,
+                                 spec.payload)
+                if t.lease.degraded else 0.0)
             generation = t.lease.generation
             profiles = {
                 op: tuple(self._profiles.get((spec.name, op, generation), ()))
@@ -392,12 +395,6 @@ class HybridController:
             # Clean re-validation: the (possibly escalated) envelope
             # admitted a flip again — relax it one step.
             self._escalations -= 1
-
-    def _degraded_service(self, spec) -> float:
-        from repro.sched.runtime import _RELAY_GIBPS
-        host = self.runtime.cluster.node("host")
-        return (host.cpu.two_sided_latency_ns
-                + max(1, spec.payload) / gib_per_s(_RELAY_GIBPS))
 
     # -- the recurrence -----------------------------------------------------
 

@@ -608,10 +608,17 @@ def _run_lockstep_inprocess(shards: Sequence[ShardSpec],
 
 
 def merge_reports(reports: Sequence[ServeReport],
-                  trackers: Sequence[SloTracker]) -> ServeReport:
-    """Fold per-shard reports (and trackers) into one cluster view."""
+                  trackers: Sequence[SloTracker],
+                  names: Optional[Sequence[str]] = None) -> ServeReport:
+    """Fold per-shard reports (and trackers) into one cluster view.
+
+    ``names`` labels each report's machine in ``machine_path_gbps``
+    (default ``shard0``, ``shard1``, ...).
+    """
     if not reports:
         raise ValueError("nothing to merge")
+    if names is None:
+        names = [f"shard{i}" for i in range(len(reports))]
     merged_tracker = trackers[0]
     for tracker in trackers[1:]:
         merged_tracker.merge(tracker)
@@ -661,6 +668,9 @@ def merge_reports(reports: Sequence[ServeReport],
         hybrid_stats=hybrid_stats,
         windows=windows,
         conservation=conservation,
+        machine_path_gbps=({name: dict(report.path_gbps)
+                            for name, report in zip(names, reports)}
+                           if len(reports) > 1 else {}),
     )
 
 
@@ -771,7 +781,8 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
         log.save(cfg.checkpoint_dir)
     if cfg.incident_report:
         incidents.save(cfg.incident_report)
-    report = merge_reports(reports, trackers)
+    report = merge_reports(reports, trackers,
+                           names=[shard.name for shard in shards])
     if injector is not None:
         report.counters.update(injector.counters())
     if controller is not None:

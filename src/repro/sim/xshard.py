@@ -37,10 +37,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.hw.cpu import relay_service_ns
 from repro.sim.events import URGENT
 from repro.sim.links import LOST
 from repro.sim.resources import Resource
-from repro.units import gib_per_s
 
 #: Default inter-shard one-way latency: two machines in different racks
 #: behind the load-balancer tier — several switch traversals plus cable
@@ -50,10 +50,6 @@ DEFAULT_LINK_LATENCY_NS = 25_000.0
 #: Host-relay service parallelism for *inbound* cross-shard work: how
 #: many remote relay/bulk transfers a host absorbs concurrently.
 _RELAY_UNITS = 4
-
-#: Remote relay throughput (host DRAM memcpy), matching the local
-#: degraded relay in :mod:`repro.sched.runtime`.
-_RELAY_GIBPS = 16.0
 
 _KINDS = ("bulk", "failover")
 
@@ -413,9 +409,8 @@ class ShardChannel:
         yield self._relay.request()
         try:
             host = self.cluster.node("host")
-            service = (host.cpu.two_sided_latency_ns
-                       + max(1, message.nbytes) / gib_per_s(_RELAY_GIBPS))
-            yield self.sim.timeout(service)
+            yield self.sim.timeout(relay_service_ns(host.cpu,
+                                                    message.nbytes))
         finally:
             self._relay.release()
         self.served_count += 1

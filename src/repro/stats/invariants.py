@@ -19,9 +19,12 @@ merged report of a sharded run):
   completion *counter*, so the identity only closes when the counter
   agrees with the archived events — a tampered or drifted counter
   breaks it.
-* **utilization** — delivered bandwidth cannot exceed capacity: the
-  network paths (①/②) together stay within the 200 Gbps fabric, and
-  each PCIe-only path-③ direction within the 256 Gbps root complex.
+* **utilization** — delivered bandwidth cannot exceed capacity: on
+  each machine the network paths (①/②) together stay within its
+  200 Gbps fabric, and each PCIe-only path-③ direction within its
+  256 Gbps root complex.  A merged multi-machine report
+  (``machine_path_gbps``) is checked machine by machine, plus the
+  rack's network total against the summed fabric capacity.
 * **cluster-flow** — sharded/rack runs only: every message put onto
   the cross-shard fabric (``xshard.sent`` plus the cluster scheduler's
   ``clustersched.ctl_sent`` directives) is delivered to some shard or
@@ -106,26 +109,50 @@ def _check_little(report) -> List[InvariantResult]:
 
 def _check_utilization(report, network_gbps: float,
                        pcie_gbps: float) -> List[InvariantResult]:
+    machines = (getattr(report, "machine_path_gbps", None)
+                or {"": report.path_gbps})
+    results = []
+    rack_total = 0.0
+    for machine, path_gbps in machines.items():
+        prefix = f"{machine}/" if len(machines) > 1 else ""
+        net_total, checks = _machine_utilization(prefix, path_gbps,
+                                                 network_gbps, pcie_gbps)
+        rack_total += net_total
+        results.extend(checks)
+    if len(machines) > 1:
+        capacity = network_gbps * len(machines)
+        results.append(InvariantResult(
+            name="utilization", subject="rack/network",
+            ok=rack_total <= capacity * (1 + _CAPACITY_SLACK),
+            detail=f"network paths deliver {rack_total:.1f} Gbps <= "
+                   f"{len(machines)} fabrics {capacity:.0f} Gbps"))
+    return results
+
+
+def _machine_utilization(prefix: str, path_gbps, network_gbps: float,
+                         pcie_gbps: float):
+    """(network Gbps, checks) of one machine's delivered path rates."""
     from repro.core.paths import CommPath
 
     results = []
     net_total = 0.0
     for path in CommPath:
-        gbps = report.path_gbps.get(path.value, 0.0)
+        gbps = path_gbps.get(path.value, 0.0)
         if path.uses_network:
             net_total += gbps
         else:
             cap = pcie_gbps * (1 + _CAPACITY_SLACK)
             results.append(InvariantResult(
-                name="utilization", subject=path.value, ok=gbps <= cap,
+                name="utilization", subject=prefix + path.value,
+                ok=gbps <= cap,
                 detail=f"delivered {gbps:.1f} Gbps <= PCIe "
                        f"{pcie_gbps:.0f} Gbps"))
     cap = network_gbps * (1 + _CAPACITY_SLACK)
     results.insert(0, InvariantResult(
-        name="utilization", subject="network", ok=net_total <= cap,
+        name="utilization", subject=prefix + "network", ok=net_total <= cap,
         detail=f"network paths deliver {net_total:.1f} Gbps <= fabric "
                f"{network_gbps:.0f} Gbps"))
-    return results
+    return net_total, results
 
 
 def _check_cluster_flow(report) -> List[InvariantResult]:

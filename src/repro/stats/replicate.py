@@ -7,11 +7,10 @@ the statistical questions: the cross-seed mean ± CI of any per-tenant
 metric, the warm-up-truncated batch-means CI within one run, and the
 invariant verdicts over every replicate.
 
-Results are memoised in a registered :class:`~repro.core.cache.
-LRUCache` keyed by ``(family, seed, duration, engine)``, so
-``repro validate`` re-running a family it already measured (or the
-same family under a second metric) is a dictionary lookup, and the
-cache counters show up in ``--cache-stats`` like every other cache.
+Results are memoised in an :class:`~repro.core.cache.LRUCache` keyed
+by ``(family, seed, duration, engine)``, so ``repro validate``
+re-running a family it already measured (or the same family under a
+second metric) is a dictionary lookup.
 
 The special family ``"broken-counter"`` is the harness's proof that it
 can fail: a normal adaptive run whose completion counter is mutated
@@ -25,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.cache import LRUCache, registered_caches
+from repro.core.cache import LRUCache
 from repro.stats.invariants import InvariantResult, check_report
 from repro.stats.kernels import Estimate, batch_means, mean_estimate
 from repro.stats.warmup import apply_warmup
@@ -77,37 +76,6 @@ def _run_one(family: str, seed: int, duration_ns: float, engine: str,
     kwargs = dict(families[family])
     factory = kwargs.pop("factory")
     return run_serve(factory(), engine=engine, testbed=testbed, **kwargs)
-
-
-# -- pool plumbing (module-level so it pickles) -------------------------------
-
-
-def _counter_state() -> Dict[str, Tuple[int, int, int]]:
-    return {cache.name: (cache.hits, cache.misses,
-                         getattr(cache, "disk_hits", 0))
-            for cache in registered_caches()}
-
-
-def _counter_delta(before: Dict[str, Tuple[int, int, int]]
-                   ) -> Dict[str, Tuple[int, int, int]]:
-    return {name: tuple(now - then for now, then in zip(counters, before[name]))
-            for name, counters in _counter_state().items()
-            if name in before}
-
-
-def _absorb_counters(delta: Dict[str, Tuple[int, int, int]]) -> None:
-    for cache in registered_caches():
-        counts = delta.get(cache.name)
-        if counts and any(counts):
-            cache.absorb(*counts)
-
-
-def _pool_replicate(task: Tuple[str, int, float, str]):
-    """One replicate in a worker, plus the worker's cache-counter delta
-    (folded back into the parent so ``--cache-stats`` counts it)."""
-    before = _counter_state()
-    report = _run_one(*task)
-    return report, _counter_delta(before)
 
 
 def report_estimate(report, tenant: str, field: str = "p99_ns",
@@ -203,8 +171,7 @@ def replicate(family: str, seeds: Union[int, Sequence[int]] = 3,
 
     ``seeds`` is either a count (replicates at ``base_seed ..
     base_seed + N - 1``) or an explicit sequence.  ``jobs > 1`` runs
-    uncached replicates on a process pool, one seed per task, and
-    folds the workers' cache counters back into the parent.
+    uncached replicates on a process pool, one seed per task.
     Replicates are cached under ``(family, seed, duration,
     engine)`` — cross-seed estimates over a family already validated
     cost nothing.
@@ -240,11 +207,7 @@ def replicate(family: str, seeds: Union[int, Sequence[int]] = 3,
         if jobs > 1 and len(tasks) > 1:
             workers = min(jobs, len(tasks))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                pooled = list(pool.map(_pool_replicate, tasks))
-            fresh = []
-            for report, counter_delta in pooled:
-                fresh.append(report)
-                _absorb_counters(counter_delta)
+                fresh = list(pool.map(_run_one, *zip(*tasks)))
         else:
             fresh = [_run_one(*task) for task in tasks]
         for seed, report in zip(missing, fresh):

@@ -136,40 +136,26 @@ class Telemetry:
 
 
 # ---------------------------------------------------------------------------
-# Model-evaluation performance counters (the sweep engine's caches)
+# Model-evaluation performance counters (the solver memo and backends)
 # ---------------------------------------------------------------------------
 
 
-def perf_counters() -> Dict[str, float]:
-    """Counters of every model result cache plus the solver backends.
+def perf_report() -> str:
+    """Formatted tables of the solver memo and per-backend solve stats.
 
-    These sit alongside the simulated hardware counters: the same
-    monitoring surface reports both what the simulated device did and
-    how cheaply the models produced it.  ``engine.<name>.points`` /
-    ``.batches`` / ``.solve_s`` account for which solver backend
-    (scalar or vector) solved how many points in how much wall-time.
+    The second table accounts for which solver backend (scalar or
+    vector) solved how many points in how much wall-time.
     """
     from repro.core.batch import ENGINE_STATS
-    from repro.core.cache import counter_snapshot
+    from repro.core.throughput import RESULT_CACHE
 
-    counters = counter_snapshot()
-    counters.update(ENGINE_STATS.counters())
-    return counters
-
-
-def perf_report() -> str:
-    """Formatted tables of cache counters and per-backend solve stats."""
-    from repro.core.batch import ENGINE_STATS
-    from repro.core.cache import registered_caches
-
-    rows = []
-    for cache in registered_caches():
-        total = cache.hits + cache.misses
-        rows.append([cache.name, f"{cache.hits:g}", f"{cache.misses:g}",
-                     f"{len(cache):g}",
-                     f"{cache.hit_rate:.0%}" if total else "-"])
-    out = format_table(["cache", "hits", "misses", "entries", "hit rate"],
-                       rows, title="model result caches")
+    cache = RESULT_CACHE
+    total = cache.hits + cache.misses
+    out = format_table(
+        ["memo", "hits", "misses", "entries", "hit rate"],
+        [[cache.name, f"{cache.hits:g}", f"{cache.misses:g}",
+          f"{len(cache):g}", f"{cache.hit_rate:.0%}" if total else "-"]],
+        title="solver memo")
     if ENGINE_STATS.points:
         backend_rows = []
         for backend in sorted(ENGINE_STATS.points):

@@ -3,8 +3,8 @@
 The batch engine is a performance layer, not a second model: every
 rate it produces must match the scalar water-filling solver (the same
 IEEE-754 arithmetic, evaluated elementwise), its demand tensor must
-hold exactly the scalar per-flow demand dicts, and both engines must
-interoperate through the shared content-keyed result cache.
+hold exactly the scalar per-flow demand dicts, and it must solve every
+point cold, leaving the scalar solver's memo untouched.
 """
 
 import pytest
@@ -21,7 +21,6 @@ from repro.core.batch import (
     numpy_available,
     waterfill,
 )
-from repro.core.cache import clear_all
 from repro.core.paths import CommPath, Opcode
 from repro.core.sweeps import StageTimings, SweepRunner
 from repro.core.throughput import (
@@ -29,7 +28,6 @@ from repro.core.throughput import (
     Flow,
     Scenario,
     ThroughputSolver,
-    configure_result_cache,
 )
 from repro.net.topology import paper_testbed
 from repro.units import GB, KB, MB
@@ -39,12 +37,10 @@ REL_TOL = 1e-9
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    clear_all()
-    configure_result_cache(enabled=True, disk_dir=None)
+    RESULT_CACHE.clear()
     ENGINE_STATS.clear()
     yield
-    clear_all()
-    configure_result_cache(enabled=True, disk_dir=None)
+    RESULT_CACHE.clear()
     ENGINE_STATS.clear()
 
 
@@ -105,9 +101,9 @@ def flow_st(draw):
 def test_vector_matches_scalar_property(flow_sets):
     testbed = paper_testbed()
     solver = ThroughputSolver()
-    scalar = [solver.solve(Scenario(testbed, flows), use_cache=False)
+    scalar = [solver.solve(Scenario(testbed, flows))
               for flows in flow_sets]
-    vector = BatchSolver().solve(testbed, flow_sets, use_cache=False)
+    vector = BatchSolver().solve(testbed, flow_sets)
     for s, v in zip(scalar, vector):
         assert_equivalent(s, v)
 
@@ -118,9 +114,9 @@ def test_vector_bit_identical_on_payload_grid(testbed):
     grid = [[Flow(path=path, op=op, payload=payload, requesters=11)]
             for path in CommPath for op in Opcode for payload in PAYLOADS]
     solver = ThroughputSolver()
-    scalar = [solver.solve(Scenario(testbed, flows), use_cache=False)
+    scalar = [solver.solve(Scenario(testbed, flows))
               for flows in grid]
-    vector = BatchSolver().solve(testbed, grid, use_cache=False)
+    vector = BatchSolver().solve(testbed, grid)
     for s, v in zip(scalar, vector):
         assert s.rates == v.rates
         assert s.utilization == v.utilization
@@ -200,34 +196,22 @@ def _grid(n=6):
                   requesters=11)] for i in range(n)]
 
 
-def test_vector_fills_cache_scalar_hits(testbed):
-    grid = _grid()
-    vector = BatchSolver().solve(testbed, grid)
-    hits = RESULT_CACHE.hits
-    solver = ThroughputSolver()
-    scalar = [solver.solve(Scenario(testbed, flows)) for flows in grid]
-    assert RESULT_CACHE.hits - hits == len(grid)
-    for s, v in zip(scalar, vector):
-        assert s is v                       # the very same cached object
-
-
-def test_scalar_fills_cache_vector_hits(testbed):
+def test_vector_sweep_leaves_the_memo_alone(testbed):
+    # A sweep grid rarely repeats a point, so the vector path neither
+    # consults nor fills the scalar solver's memo, and solves every
+    # point itself, even ones the scalar solver has seen.
     grid = _grid()
     solver = ThroughputSolver()
-    scalar = [solver.solve(Scenario(testbed, flows)) for flows in grid]
-    hits = RESULT_CACHE.hits
-    vector = BatchSolver().solve(testbed, grid)
-    assert RESULT_CACHE.hits - hits == len(grid)
-    for s, v in zip(scalar, vector):
-        assert s is v
-
-
-def test_partial_cache_solves_only_missing_points(testbed):
-    grid = _grid()
-    BatchSolver().solve(testbed, grid[:3])
+    scalar = [solver.solve(Scenario(testbed, flows)) for flows in grid[:3]]
+    lookups = RESULT_CACHE.hits + RESULT_CACHE.misses
     ENGINE_STATS.clear()
-    BatchSolver().solve(testbed, grid)
-    assert ENGINE_STATS.points.get("vector") == len(grid) - 3
+    vector = BatchSolver().solve(testbed, grid)
+    SweepRunner(testbed).solve_flows([flows[0] for flows in grid])
+    assert RESULT_CACHE.hits + RESULT_CACHE.misses == lookups
+    assert ENGINE_STATS.points == {"vector": 2 * len(grid)}
+    for s, v in zip(scalar, vector):
+        assert s is not v
+        assert s.rates == v.rates
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +226,9 @@ def test_numpy_available_true_here():
 def test_solve_batch_engines_agree(testbed):
     grid = _grid()
     solver = ThroughputSolver()
-    scalar = [solver.solve(Scenario(testbed, flows), use_cache=False)
+    scalar = [solver.solve(Scenario(testbed, flows))
               for flows in grid]
-    vector = BatchSolver().solve(testbed, grid, use_cache=False)
+    vector = BatchSolver().solve(testbed, grid)
     for s, v in zip(scalar, vector):
         assert s.rates == v.rates
 
@@ -269,7 +253,7 @@ def test_runner_vector_matches_scalar_solve_flows(testbed):
     assert ENGINE_STATS.points == {"vector": 3}
     solver = ThroughputSolver()
     for flow, v in zip(flows, vector):
-        s = solver.solve(Scenario(testbed, [flow]), use_cache=False)
+        s = solver.solve(Scenario(testbed, [flow]))
         assert s.rates == v.rates
         assert s.bottlenecks == v.bottlenecks
 
@@ -278,7 +262,6 @@ def test_engine_stats_record_both_backends(testbed):
     flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p)
              for p in (64, 128, 256)]
     SweepRunner(testbed).solve_flows(flows)
-    clear_all()
     runner = SweepRunner(testbed)
     for flow in flows:
         runner.solve_flows([flow])

@@ -12,14 +12,13 @@ import sys
 import pytest
 
 from repro.core import batch
-from repro.core.cache import clear_all
 from repro.core.paths import CommPath, Opcode
 from repro.core.sweeps import SweepRunner
 from repro.core.throughput import (
+    RESULT_CACHE,
     Flow,
     Scenario,
     ThroughputSolver,
-    configure_result_cache,
 )
 from repro.net.topology import paper_testbed
 
@@ -34,12 +33,10 @@ def no_numpy(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    clear_all()
-    configure_result_cache(enabled=True, disk_dir=None)
+    RESULT_CACHE.clear()
     batch.ENGINE_STATS.clear()
     yield
-    clear_all()
-    configure_result_cache(enabled=True, disk_dir=None)
+    RESULT_CACHE.clear()
     batch.ENGINE_STATS.clear()
     batch._reset_numpy_cache()
 
@@ -72,8 +69,8 @@ def test_auto_engine_falls_back_to_scalar(no_numpy, testbed):
     counters = batch.ENGINE_STATS.counters()
     assert counters["engine.scalar.points"] == len(flows)
     assert "engine.vector.points" not in counters
-    reference = [ThroughputSolver().solve(Scenario(testbed, [flow]),
-                                          use_cache=False)
+    RESULT_CACHE.clear()                    # the reference solves cold
+    reference = [ThroughputSolver().solve(Scenario(testbed, [flow]))
                  for flow in flows]
     for got, want in zip(results, reference):
         assert got.rates == want.rates

@@ -18,7 +18,6 @@ import itertools
 import pytest
 
 from repro.core import batch
-from repro.core.cache import clear_all
 from repro.core.paths import CommPath, Opcode
 from repro.core.throughput import Flow, Scenario
 from repro.net.topology import paper_testbed
@@ -79,13 +78,6 @@ def _vector_rows():
                 row = tensor.demand[p, f].tolist()
                 yield {names[r]: value for r, value in enumerate(row)
                        if value != 0.0}
-
-
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    clear_all()
-    yield
-    clear_all()
 
 
 def test_scalar_demands_match_golden():

@@ -1,8 +1,8 @@
-"""Correctness of the sweep engine and the content-keyed result caches.
+"""Correctness of the sweep engine and the scalar solver's memo.
 
-The performance layer must be invisible: a memoized result is the exact
-``SolverResult`` a cold solve would produce, and cache keys track
-testbed *content* (not object identity).
+The memo must be invisible: a memoized result is the exact
+``SolverResult`` a cold solve would produce, and a different testbed
+never reads another testbed's entry.
 """
 
 import dataclasses
@@ -10,7 +10,6 @@ import dataclasses
 import pytest
 
 from repro.core.harness import Measurement, Sweep
-from repro.core.cache import ScenarioKey, clear_all
 from repro.core.paths import CommPath, Opcode
 from repro.core.sweeps import SweepRunner
 from repro.core.throughput import (
@@ -18,22 +17,19 @@ from repro.core.throughput import (
     Flow,
     Scenario,
     ThroughputSolver,
-    configure_result_cache,
 )
-from repro.net.topology import Testbed, paper_testbed
+from repro.net.topology import paper_testbed
 from repro.nic.smartnic import SmartNIC
 from repro.nic.specs import BLUEFIELD2
-from repro.units import KB, MB
+from repro.units import MB
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Each test starts cold, with the default cache configuration."""
-    clear_all()
-    configure_result_cache(enabled=True, disk_dir=None)
+    """Each test starts with an empty memo."""
+    RESULT_CACHE.clear()
     yield
-    clear_all()
-    configure_result_cache(enabled=True, disk_dir=None)
+    RESULT_CACHE.clear()
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +55,12 @@ def assert_results_identical(a, b):
 def test_memoized_result_bit_identical_to_cold_solve(testbed, path, op):
     solver = ThroughputSolver()
     flow = Flow(path=path, op=op, payload=512, requesters=8)
-    cold = solver.solve(Scenario(testbed, [flow]), use_cache=False)
-    first = solver.solve(Scenario(testbed, [flow]))    # fills the cache
-    warm = solver.solve(Scenario(testbed, [flow]))     # hits the cache
-    assert warm is first                                # a real cache hit
+    first = solver.solve(Scenario(testbed, [flow]))    # fills the memo
+    warm = solver.solve(Scenario(testbed, [flow]))     # hits the memo
+    assert warm is first                                # a real memo hit
+    RESULT_CACHE.clear()
+    cold = solver.solve(Scenario(testbed, [flow]))
+    assert cold is not warm
     assert_results_identical(cold, warm)
 
 
@@ -76,42 +74,35 @@ def test_cache_hit_counted(testbed):
     assert RESULT_CACHE.hits == before[0] + 1
 
 
-def test_cache_disabled_resolves_cold(testbed):
+def test_separately_built_testbeds_do_not_share_entries():
+    # The memo keys on the testbed object, whose NICs compare by
+    # identity: two equal-looking testbeds each get a cold solve.
     solver = ThroughputSolver()
     flow = Flow(path=CommPath.RNIC1, op=Opcode.WRITE, payload=256)
-    configure_result_cache(enabled=False)
-    a = solver.solve(Scenario(testbed, [flow]))
-    b = solver.solve(Scenario(testbed, [flow]))
+    a = solver.solve(Scenario(paper_testbed(), [flow]))
+    b = solver.solve(Scenario(paper_testbed(), [flow]))
+    assert (RESULT_CACHE.hits, RESULT_CACHE.misses) == (0, 2)
     assert a is not b
     assert_results_identical(a, b)
 
 
-# ---------------------------------------------------------------------------
-# Key content-sensitivity
-# ---------------------------------------------------------------------------
-
-
-def test_equal_content_gives_equal_key():
-    flow = Flow(path=CommPath.SNIC2, op=Opcode.READ, payload=1024)
-    key_a = ScenarioKey.of(paper_testbed(), [flow])
-    key_b = ScenarioKey.of(paper_testbed(), [flow])
-    assert key_a == key_b
-    assert key_a.digest == key_b.digest
-
-
 def test_mutated_spec_changes_key(testbed):
+    # An edited spec is a different testbed, so a different key.
+    solver = ThroughputSolver()
     flow = Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=64)
-    base_key = ScenarioKey.of(testbed, [flow])
+    solver.solve(Scenario(testbed, [flow]))
     faster_switch = dataclasses.replace(BLUEFIELD2, switch_hop_ns=10.0)
     mutated = dataclasses.replace(testbed, snic=SmartNIC(faster_switch))
-    assert ScenarioKey.of(mutated, [flow]) != base_key
+    solver.solve(Scenario(mutated, [flow]))
+    assert (RESULT_CACHE.hits, RESULT_CACHE.misses) == (0, 2)
 
 
 def test_mutated_flow_changes_key(testbed):
+    solver = ThroughputSolver()
     base = Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=64)
-    assert (ScenarioKey.of(testbed, [base])
-            != ScenarioKey.of(testbed,
-                              [dataclasses.replace(base, payload=128)]))
+    solver.solve(Scenario(testbed, [base]))
+    solver.solve(Scenario(testbed, [dataclasses.replace(base, payload=128)]))
+    assert (RESULT_CACHE.hits, RESULT_CACHE.misses) == (0, 2)
 
 
 def test_mutated_spec_changes_result(testbed):
@@ -130,42 +121,8 @@ def test_mutated_spec_changes_result(testbed):
 
 
 # ---------------------------------------------------------------------------
-# Disk cache
-# ---------------------------------------------------------------------------
-
-
-def test_disk_cache_roundtrip_bit_identical(testbed, tmp_path):
-    solver = ThroughputSolver()
-    flow = Flow(path=CommPath.SNIC2, op=Opcode.WRITE, payload=4 * KB,
-                requesters=11)
-    cold = solver.solve(Scenario(testbed, [flow]), use_cache=False)
-
-    configure_result_cache(enabled=True, disk_dir=str(tmp_path))
-    solver.solve(Scenario(testbed, [flow]))
-    assert list(tmp_path.glob("*.json")), "disk layer wrote nothing"
-
-    # Drop the in-memory layer: the next solve must come from disk.
-    RESULT_CACHE.clear()
-    from_disk = solver.solve(Scenario(testbed, [flow]))
-    assert RESULT_CACHE.disk_hits >= 1
-    assert_results_identical(cold, from_disk)
-
-
-# ---------------------------------------------------------------------------
 # Sweep runner
 # ---------------------------------------------------------------------------
-
-
-def test_lru_absorb_adds_foreign_counters():
-    from repro.core.cache import LRUCache, SolverCache
-
-    cache = LRUCache(name="absorb-test", register=False)
-    cache.absorb(hits=3, misses=2, disk_hits=7)   # disk_hits ignored
-    assert (cache.hits, cache.misses) == (3, 2)
-
-    solver_cache = SolverCache(name="absorb-disk-test", register=False)
-    solver_cache.absorb(hits=1, misses=1, disk_hits=4)
-    assert solver_cache.disk_hits == 4
 
 
 def test_small_batch_stays_serial(testbed):
@@ -176,8 +133,8 @@ def test_small_batch_stays_serial(testbed):
     ENGINE_STATS.clear()
     flows = [Flow(path=CommPath.RNIC1, op=Opcode.READ, payload=64)]
     (result,) = SweepRunner(testbed).solve_flows(flows)
-    cold = ThroughputSolver().solve(Scenario(testbed, flows),
-                                    use_cache=False)
+    RESULT_CACHE.clear()
+    cold = ThroughputSolver().solve(Scenario(testbed, flows))
     assert_results_identical(cold, result)
     assert ENGINE_STATS.points == {"scalar": 1}
 

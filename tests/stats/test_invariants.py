@@ -75,3 +75,40 @@ def test_utilization_respects_custom_testbed(clean_report):
     default = check_report(clean_report)
     assert [(r.name, r.subject, r.ok) for r in explicit] == \
         [(r.name, r.subject, r.ok) for r in default]
+
+
+def _two_machine_report(network_gbps_each):
+    """Two machines' reports merged the way a sharded run merges them,
+    each delivering ``network_gbps_each`` Gbps on path ①."""
+    from repro.core.paths import CommPath
+    from repro.sched.serve import ServeReport
+    from repro.sched.slo import SloTracker
+    from repro.sim.shard import merge_reports
+
+    reports = [ServeReport(adaptive=True, elapsed_ns=100_000.0, tenants={},
+                           decisions=[],
+                           path_gbps={CommPath.SNIC1.value: gbps})
+               for gbps in network_gbps_each]
+    return merge_reports(reports, [SloTracker([]) for _ in reports])
+
+
+def _utilization(report):
+    return {r.subject: r.ok for r in check_report(report)
+            if r.name == "utilization"}
+
+
+def test_utilization_checks_each_machine_against_its_own_fabric():
+    # 150 + 150 Gbps is within two 200 Gbps fabrics; summing the rack
+    # and comparing it with one machine's fabric would flag it.
+    ok = _utilization(_two_machine_report([150.0, 150.0]))
+    assert all(ok.values())
+    assert {"shard0/network", "shard1/network", "rack/network"} <= set(ok)
+
+
+def test_utilization_flags_the_overloaded_machine_only():
+    # 250 Gbps on one machine exceeds its fabric even though the rack
+    # total (260 of 400 Gbps) is within the summed capacity.
+    ok = _utilization(_two_machine_report([250.0, 10.0]))
+    assert not ok["shard0/network"]
+    assert ok["shard1/network"]
+    assert ok["rack/network"]

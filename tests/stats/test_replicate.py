@@ -64,25 +64,6 @@ def test_pool_matches_serial(adaptive_rep):
             assert a.p99_ns == b.p99_ns
 
 
-def test_pool_folds_worker_cache_counters():
-    # A worker returns its cache-counter delta with each report; the
-    # parent absorbs it so --cache-stats counts work done in the pool.
-    from repro.core.paths import CommPath, Opcode
-    from repro.core.throughput import (RESULT_CACHE, Flow, Scenario,
-                                       ThroughputSolver)
-    from repro.net.topology import paper_testbed
-    from repro.stats import replicate as rep
-
-    before = rep._counter_state()
-    ThroughputSolver().solve(Scenario(paper_testbed(), [Flow(
-        CommPath.SNIC2, Opcode.WRITE, payload=12_345, requesters=7)]))
-    delta = rep._counter_delta(before)
-    assert delta["solver"][1] == 1
-    misses = RESULT_CACHE.misses
-    rep._absorb_counters(delta)
-    assert RESULT_CACHE.misses == misses + 1
-
-
 def test_estimates_cover_every_metric(adaptive_rep):
     for metric in METRICS:
         est = adaptive_rep.estimate("alpha", metric)
