@@ -124,7 +124,7 @@ class ReplicatedKV:
         self.log.write_local(offset, entry)
         self._log_head += len(entry)
         self._unshipped_bytes += len(entry)
-        self._pending.put((offset, len(entry), at))
+        self._pending.offer((offset, len(entry), at))
 
     def _drain_backlog(self) -> None:
         """Commit parked puts into the (now fully shipped) log."""

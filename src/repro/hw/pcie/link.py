@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 
 from repro.sim.events import Event
 from repro.sim.links import DuplexChannel
-from repro.sim.monitor import Counter
 from repro.hw.pcie.config import PCIeLinkSpec
 from repro.hw.pcie.tlp import TLP_HEADER_BYTES, segment_count
 
@@ -34,10 +33,10 @@ class PCIeLink:
         self.spec = spec
         self.name = name or spec.name
         self.channel = DuplexChannel(sim, spec.bandwidth, latency, name=self.name)
-        self.tlps_fwd = Counter()
-        self.tlps_rev = Counter()
-        self.data_bytes_fwd = Counter()
-        self.data_bytes_rev = Counter()
+        self.tlps_fwd: float = 0.0
+        self.tlps_rev: float = 0.0
+        self.data_bytes_fwd: float = 0.0
+        self.data_bytes_rev: float = 0.0
 
     def send_data(self, nbytes: int, mps: int, forward: bool = True) -> Event:
         """Transfer ``nbytes`` segmented into TLPs of at most ``mps``.
@@ -63,11 +62,11 @@ class PCIeLink:
         """
         if tlps:
             if forward:
-                self.tlps_fwd.add(tlps)
-                self.data_bytes_fwd.add(nbytes)
+                self.tlps_fwd += tlps
+                self.data_bytes_fwd += nbytes
             else:
-                self.tlps_rev.add(tlps)
-                self.data_bytes_rev.add(nbytes)
+                self.tlps_rev += tlps
+                self.data_bytes_rev += nbytes
             tail = nbytes - size * (tlps - 1)
             delivery = self.channel.send(
                 tail + TLP_HEADER_BYTES, forward=forward, count=tlps - 1,
@@ -91,9 +90,9 @@ class PCIeLink:
     @property
     def total_tlps(self) -> float:
         """Total TLPs carried in both directions."""
-        return self.tlps_fwd.total + self.tlps_rev.total
+        return self.tlps_fwd + self.tlps_rev
 
     @property
     def total_data_bytes(self) -> float:
         """Total data payload bytes carried in both directions."""
-        return self.data_bytes_fwd.total + self.data_bytes_rev.total
+        return self.data_bytes_fwd + self.data_bytes_rev

@@ -9,12 +9,11 @@ paper's observation that bottlenecks are always the links or the NIC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.sim.events import NORMAL, SEQ_BITS, Event
-from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -31,8 +30,6 @@ class SwitchPort:
 
     name: str
     link: Optional["PCIeLink"] = None
-    tlps_in: Counter = field(default_factory=Counter)
-    tlps_out: Counter = field(default_factory=Counter)
 
 
 class PCIeSwitch:
@@ -62,15 +59,12 @@ class PCIeSwitch:
             raise KeyError(f"switch {self.name!r} has no port {name!r}") from None
 
     def forward(self, src: str, dst: str, payload: int = 0) -> Event:
-        """Forward one TLP from ``src`` port to ``dst`` port.
+        """Forward one DMA leg from ``src`` port to ``dst`` port.
 
-        Fires after the hop latency.  Per-port TLP counters update
-        immediately (they model ingress/egress counts).
+        Fires after the hop latency; an unknown port raises at once.
         """
-        src_port = self.port(src)
-        dst_port = self.port(dst)
-        src_port.tlps_in.add(1)
-        dst_port.tlps_out.add(1)
+        self.port(src)
+        self.port(dst)
         sim = self.sim
         done = Event(sim)
         done._value = payload

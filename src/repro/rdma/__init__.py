@@ -22,7 +22,6 @@ from repro.rdma.opcodes import WorkOpcode, CompletionStatus
 from repro.rdma.mr import MemoryRegion, ProtectionDomain, AccessError
 from repro.rdma.cq import CompletionQueue, Completion
 from repro.rdma.qp import QueuePair, QPType, QPState, QPError
-from repro.rdma.srq import SharedReceiveQueue
 from repro.rdma.doorbell import DoorbellBatcher
 from repro.rdma.verbs import RdmaContext
 
@@ -38,7 +37,6 @@ __all__ = [
     "QPType",
     "QPState",
     "QPError",
-    "SharedReceiveQueue",
     "DoorbellBatcher",
     "RdmaContext",
 ]

@@ -30,7 +30,6 @@ from repro.rdma import transport
 from repro.rdma.cq import Completion, CompletionQueue
 from repro.rdma.mr import AccessError, MemoryRegion
 from repro.rdma.opcodes import CompletionStatus, WorkOpcode
-from repro.rdma.srq import SharedReceiveQueue
 from repro.sim.events import Timeout
 from repro.sim.links import LOST
 from repro.sim.process import Process
@@ -99,7 +98,7 @@ class QueuePair:
     def __init__(self, node: "Node", qp_type: QPType,
                  send_cq: CompletionQueue, recv_cq: CompletionQueue,
                  max_inline: int = 188, max_send_wr: int = 1024,
-                 max_recv_wr: int = 4096, srq: "SharedReceiveQueue" = None):
+                 max_recv_wr: int = 4096):
         if max_send_wr < 1 or max_recv_wr < 1:
             raise QPError("queue depths must be >= 1")
         if node.cluster is None:
@@ -116,9 +115,6 @@ class QueuePair:
         self.max_inline = max_inline
         self.max_send_wr = max_send_wr
         self.max_recv_wr = max_recv_wr
-        self.srq = srq
-        if srq is not None and srq.node is not node:
-            raise QPError("SRQ belongs to another node")
         self.qpn = node.cluster.register_qp(self)
         self.peer: Optional["QueuePair"] = None
         self._recv_queue: Deque[Tuple[int, MemoryRegion, int, int]] = deque()
@@ -208,8 +204,6 @@ class QueuePair:
     def post_recv(self, wr_id: int, mr: MemoryRegion, offset: int = 0,
                   length: Optional[int] = None) -> None:
         """Queue a receive buffer for inbound SENDs."""
-        if self.srq is not None:
-            raise QPError("QP uses an SRQ; post receives there")
         if self.state is QPState.RESET:
             raise QPError("cannot post receives on a RESET QP")
         if mr.node is not self.node:
@@ -223,8 +217,6 @@ class QueuePair:
 
     @property
     def recv_queue_depth(self) -> int:
-        if self.srq is not None:
-            return len(self.srq)
         return len(self._recv_queue)
 
     # -- send side --------------------------------------------------------------------
@@ -639,10 +631,9 @@ class QueuePair:
         Returns False when no buffer is posted — an RC sender treats
         that as an RNR NAK; a UD sender just drops the datagram.
         """
-        queue = self._recv_queue if self.srq is None else self.srq.queue
-        if not queue:
+        if not self._recv_queue:
             return False
-        wr_id, mr, offset, capacity = queue.popleft()
+        wr_id, mr, offset, capacity = self._recv_queue.popleft()
         if len(data) > capacity:
             self.dropped_receives += 1
             self.recv_cq.push(Completion(

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.net.cluster import Node, SimCluster
+from repro.net.cluster import SimCluster
 from repro.rdma.cq import CompletionQueue
 from repro.rdma.mr import MemoryRegion, ProtectionDomain
 from repro.rdma.qp import QPError, QPType, QueuePair
-from repro.rdma.srq import SharedReceiveQueue
 
 
 class RdmaContext:
@@ -39,8 +38,7 @@ class RdmaContext:
 
     def create_qp(self, node_name: str, qp_type: QPType = QPType.RC,
                   send_cq: Optional[CompletionQueue] = None,
-                  recv_cq: Optional[CompletionQueue] = None,
-                  srq: Optional[SharedReceiveQueue] = None) -> QueuePair:
+                  recv_cq: Optional[CompletionQueue] = None) -> QueuePair:
         node = self.cluster.node(node_name)
         # Explicit None checks: an empty CompletionQueue is falsy
         # (len() == 0), so ``or`` would silently replace a caller's CQ.
@@ -48,11 +46,7 @@ class RdmaContext:
             send_cq = CompletionQueue(self.cluster.sim)
         if recv_cq is None:
             recv_cq = CompletionQueue(self.cluster.sim)
-        return QueuePair(node, qp_type, send_cq, recv_cq, srq=srq)
-
-    def create_srq(self, node_name: str, max_wr: int = 4096) -> SharedReceiveQueue:
-        """A shared receive queue on a node."""
-        return SharedReceiveQueue(self.cluster.node(node_name), max_wr)
+        return QueuePair(node, qp_type, send_cq, recv_cq)
 
     def connect_rc(self, requester: str,
                    responder: str) -> Tuple[QueuePair, QueuePair]:
@@ -61,12 +55,6 @@ class RdmaContext:
         qp_b = self.create_qp(responder, QPType.RC)
         qp_a.connect(qp_b)
         return qp_a, qp_b
-
-    def create_ud_pair(self, requester: str,
-                       responder: str) -> Tuple[QueuePair, QueuePair]:
-        """Two unconnected UD QPs (requester addresses responder explicitly)."""
-        return (self.create_qp(requester, QPType.UD),
-                self.create_qp(responder, QPType.UD))
 
     def rebind_rc(self, qp: QueuePair,
                   responder: str) -> Tuple[QueuePair, QueuePair]:

@@ -280,7 +280,7 @@ class ServingRuntime:
         while True:
             # A queued item is taken inline unless another event is due
             # now: the get event would be popped next, with nothing run
-            # before it (Simulator.due_now; nothing interrupts workers).
+            # before it (Simulator.due_now).
             if queue and not sim.due_now():
                 item = queue.take()
             else:

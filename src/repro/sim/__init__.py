@@ -2,8 +2,8 @@
 
 A small, dependency-free SimPy-style engine: an event queue ordered by
 simulated time (nanoseconds), coroutine *processes* that ``yield`` events,
-and a library of resources (FIFO resources, stores, bandwidth channels)
-plus measurement monitors.
+and the few resources the verbs need (a FIFO-granted counted resource,
+an unbounded store, bandwidth channels) plus a sample histogram.
 
 Example
 -------
@@ -21,34 +21,29 @@ Example
 """
 
 from repro.sim.engine import Simulator
-from repro.sim.errors import SimulationError, Interrupt
-from repro.sim.events import Event, Timeout, AllOf, AnyOf, URGENT, NORMAL, LOW
+from repro.sim.errors import SimulationError
+from repro.sim.events import Event, Timeout, AllOf, AnyOf, URGENT, NORMAL
 from repro.sim.process import Process
 from repro.sim.resources import Resource, Store
 from repro.sim.links import SimplexChannel, DuplexChannel, LOST
-from repro.sim.monitor import Counter, RateMeter, Histogram, TimeWeighted
+from repro.sim.monitor import Histogram
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "Simulator",
     "SimulationError",
-    "Interrupt",
     "Event",
     "Timeout",
     "AllOf",
     "AnyOf",
     "URGENT",
     "NORMAL",
-    "LOW",
     "Process",
     "Resource",
     "Store",
     "SimplexChannel",
     "DuplexChannel",
     "LOST",
-    "Counter",
-    "RateMeter",
     "Histogram",
-    "TimeWeighted",
     "RandomStreams",
 ]

@@ -94,38 +94,23 @@ class Simulator:
         waiter is the running process.  When nothing is due now, that
         hop would be the next event popped and nothing would run before
         it, so the process may continue inline: every later event is
-        queued in the same relative order.  Two preconditions make that
+        queued in the same relative order.  One precondition makes that
         exact: the event that resumed the process has exactly one
-        callback (the process's own resume), and nobody interrupts the
-        process mid-hop.  See docs/performance.md, "Verb datapath".
+        callback (the process's own resume).  A waiting process cannot
+        be woken any other way, since the kernel has no interrupts.
+        See docs/performance.md, "Verb datapath".
         """
         queue = self._queue
         return bool(queue) and queue[0][0] <= self._now
 
-    def step(self) -> None:
-        """Pop and fire exactly one event."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _key, event = heapq.heappop(self._queue)
-        self._now = when
-        self._event_count += 1
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the queue drains or ``until`` ns is reached.
 
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
-        """Run until the queue drains, ``until`` ns is reached, or
-        ``max_events`` more events have fired.
-
-        ``until`` is an absolute simulated timestamp.  The clock is
-        fast-forwarded to exactly ``until`` only when the queue is
-        exhausted or the horizon is actually reached — a run stopped
-        early by the ``max_events`` budget keeps the clock at the last
-        fired event, so chunked ``run(until=..., max_events=...)``
-        loops observe consistent time.  An unbudgeted horizon run that
-        empties the queue records the instant it did in ``drained_ns``
-        before fast-forwarding (a lockstep shard's elapsed time).
+        ``until`` is an absolute simulated timestamp; the clock ends at
+        exactly ``until`` whether the horizon was reached or the queue
+        emptied first.  A horizon run that empties the queue records the
+        instant it did in ``drained_ns`` before fast-forwarding (a
+        lockstep shard's elapsed time).
         """
         if until is not None and until < self._now:
             raise SimulationError(
@@ -135,22 +120,12 @@ class Simulator:
         fired = 0
         # Each loop fires an event by swapping its callbacks list for
         # None and calling every callback with the event.  The horizon
-        # and budget guards are hoisted out of the common loops: a
-        # drain-to-empty run (every serving run, every cross-check)
-        # pays only pop + fire, a lockstep window only one compare more.
-        if max_events is None:
-            try:
-                if until is None:
-                    while queue:
-                        when, _key, event = pop(queue)
-                        self._now = when
-                        fired += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                    return
-                while queue and queue[0][0] <= until:
+        # guard is hoisted out of the drain loop: a drain-to-empty run
+        # (every serving run, every cross-check) pays only pop + fire,
+        # a lockstep window only one compare more.
+        try:
+            if until is None:
+                while queue:
                     when, _key, event = pop(queue)
                     self._now = when
                     fired += 1
@@ -158,20 +133,8 @@ class Simulator:
                     event.callbacks = None
                     for callback in callbacks:
                         callback(event)
-            finally:
-                self._event_count += fired
-            if fired and not queue:
-                self.drained_ns = self._now
-            self._now = until
-            return
-        try:
-            while queue:
-                if fired >= max_events:
-                    return
-                when = queue[0][0]
-                if until is not None and when > until:
-                    self._now = until
-                    return
+                return
+            while queue and queue[0][0] <= until:
                 when, _key, event = pop(queue)
                 self._now = when
                 fired += 1
@@ -181,5 +144,6 @@ class Simulator:
                     callback(event)
         finally:
             self._event_count += fired
-        if until is not None:
-            self._now = until
+        if fired and not queue:
+            self.drained_ns = self._now
+        self._now = until

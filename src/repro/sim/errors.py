@@ -5,15 +5,3 @@ from __future__ import annotations
 
 class SimulationError(RuntimeError):
     """Base class for kernel misuse (double-trigger, bad yield, ...)."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`repro.sim.process.Process.interrupt`.
-
-    The interrupted process may catch it and clean up; the ``cause``
-    attribute carries whatever the interrupter passed along.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause

@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # Scheduling priorities: lower sorts earlier at equal timestamps.
 URGENT = 0
 NORMAL = 1
-LOW = 2
 
 # A queue entry is ``(time, key, event)`` with ``time = now + delay``.
 # The key ``priority << SEQ_BITS | seq`` packs the priority above the

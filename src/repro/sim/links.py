@@ -14,7 +14,6 @@ from heapq import heappush
 from typing import TYPE_CHECKING
 
 from repro.sim.events import NORMAL, SEQ_BITS, Event
-from repro.sim.monitor import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
@@ -58,8 +57,8 @@ class SimplexChannel:
         self.latency = latency
         self.name = name
         self._free_at: float = 0.0
-        self.bytes_sent = Counter()
-        self.transfers = Counter()
+        self.bytes_sent: float = 0.0
+        self.transfers: float = 0.0
 
     def busy_until(self) -> float:
         """Simulated time at which the sender side becomes idle."""
@@ -73,8 +72,7 @@ class SimplexChannel:
         PCIe transfer's TLPs).  The FIFO advances once per transfer in
         the same float order as ``count + 1`` separate sends, so the
         delivery time is bit-identical to theirs; for integer byte
-        counts so is the ``.total`` of ``bytes_sent`` and ``transfers``
-        (their ``.events`` counts calls, not transfers).  Only the
+        counts so are ``bytes_sent`` and ``transfers``.  Only the
         intermediate deliveries, which nobody waits on, are not
         scheduled.
         """
@@ -90,8 +88,8 @@ class SimplexChannel:
                 free = free + step
         free = free + nbytes / self.bandwidth
         self._free_at = free
-        self.bytes_sent.add(size * count + nbytes)
-        self.transfers.add(count + 1)
+        self.bytes_sent += size * count + nbytes
+        self.transfers += count + 1
         # The delivery event, triggered and queued in place.  Its time
         # keeps the ``now + delay`` expression of every queued event.
         done = Event(sim)
@@ -105,7 +103,7 @@ class SimplexChannel:
         """Fraction of ``elapsed`` ns spent serializing bytes."""
         if elapsed <= 0:
             return 0.0
-        return min(1.0, (self.bytes_sent.total / self.bandwidth) / elapsed)
+        return min(1.0, (self.bytes_sent / self.bandwidth) / elapsed)
 
     def last_delivery_delay(self) -> float:
         """Delay from now until the most recently submitted transfer
@@ -137,4 +135,4 @@ class DuplexChannel:
     @property
     def bytes_sent(self) -> float:
         """Total bytes carried in both directions."""
-        return self.fwd.bytes_sent.total + self.rev.bytes_sent.total
+        return self.fwd.bytes_sent + self.rev.bytes_sent

@@ -1,74 +1,9 @@
-"""Measurement primitives: counters, rate meters, histograms."""
+"""Measurement primitives: a sample histogram."""
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
-
-
-class Counter:
-    """A monotonically accumulating counter."""
-
-    __slots__ = ("total", "events")
-
-    def __init__(self):
-        self.total: float = 0.0
-        self.events: int = 0
-
-    def add(self, amount: float = 1.0) -> None:
-        self.total += amount
-        self.events += 1
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.events = 0
-
-
-class RateMeter:
-    """Counts events over a window of simulated time, yielding a rate.
-
-    The caller marks the window with :meth:`start` / :meth:`stop` (or just
-    queries :meth:`rate` with an explicit ``now``).
-    """
-
-    __slots__ = ("count", "volume", "_started_at", "_stopped_at")
-
-    def __init__(self):
-        self.count: int = 0
-        self.volume: float = 0.0
-        self._started_at: Optional[float] = None
-        self._stopped_at: Optional[float] = None
-
-    def start(self, now: float) -> None:
-        self.count = 0
-        self.volume = 0.0
-        self._started_at = now
-        self._stopped_at = None
-
-    def record(self, volume: float = 0.0) -> None:
-        self.count += 1
-        self.volume += volume
-
-    def stop(self, now: float) -> None:
-        self._stopped_at = now
-
-    def elapsed(self, now: Optional[float] = None) -> float:
-        if self._started_at is None:
-            return 0.0
-        end = self._stopped_at if self._stopped_at is not None else now
-        if end is None:
-            raise ValueError("RateMeter still running: pass `now`")
-        return max(0.0, end - self._started_at)
-
-    def rate(self, now: Optional[float] = None) -> float:
-        """Events per ns over the window (0 when the window is empty)."""
-        elapsed = self.elapsed(now)
-        return self.count / elapsed if elapsed > 0 else 0.0
-
-    def throughput(self, now: Optional[float] = None) -> float:
-        """Volume per ns over the window (bytes/ns when volume is bytes)."""
-        elapsed = self.elapsed(now)
-        return self.volume / elapsed if elapsed > 0 else 0.0
+from typing import List
 
 
 class Histogram:
@@ -116,36 +51,3 @@ class Histogram:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-
-class TimeWeighted:
-    """Tracks a piecewise-constant value's time-weighted average."""
-
-    __slots__ = ("_value", "_last_change", "_weighted_sum", "_origin")
-
-    def __init__(self, initial: float = 0.0, now: float = 0.0):
-        self._value = initial
-        self._last_change = now
-        self._weighted_sum = 0.0
-        self._origin = now
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float, now: float) -> None:
-        if now < self._last_change:
-            raise ValueError("time went backwards")
-        self._weighted_sum += self._value * (now - self._last_change)
-        self._value = value
-        self._last_change = now
-
-    def add(self, delta: float, now: float) -> None:
-        self.set(self._value + delta, now)
-
-    def average(self, now: float) -> float:
-        elapsed = now - self._origin
-        if elapsed <= 0:
-            return self._value
-        pending = self._value * (now - self._last_change)
-        return (self._weighted_sum + pending) / elapsed

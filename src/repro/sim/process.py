@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Generator, TYPE_CHECKING
+from typing import Generator, TYPE_CHECKING
 
-from repro.sim.errors import Interrupt, SimulationError
+from repro.sim.errors import SimulationError
 from repro.sim.events import _PENDING, SEQ_BITS, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -21,8 +21,7 @@ class Process(Event):
     The process event itself succeeds with the generator's return value.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name", "_send", "_throw",
-                 "_trace_ctx")
+    __slots__ = ("generator", "name", "_send", "_throw", "_trace_ctx")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "send"):
@@ -39,7 +38,6 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Event = None
         # Span-tracing context (repro.trace): the verb trace this
         # process was spawned under, restored on every resume so spans
         # land in the right tree even with many verbs in flight.
@@ -62,34 +60,12 @@ class Process(Event):
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        waited = self._waiting_on
-        if waited is not None:
-            if waited.callbacks is not None:
-                try:
-                    waited.callbacks.remove(self._resume)
-                except ValueError:
-                    pass
-            # Withdraw cancellable requests (resource grants, store
-            # get/put) so the interrupted wait doesn't leak capacity.
-            withdraw = getattr(waited, "_withdraw", None)
-            if withdraw is not None:
-                withdraw()
-        self._waiting_on = None
-        poke = Event(self.sim)
-        poke.add_callback(self._resume)
-        poke.fail(Interrupt(cause), priority=URGENT)
-
     # -- engine plumbing --------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.on_resume(self)
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._send(event._value)
@@ -123,5 +99,4 @@ class Process(Event):
             # like every other resume.
             self._resume(target)
         else:
-            self._waiting_on = target
             callbacks.append(self._resume)

@@ -78,8 +78,8 @@ class Telemetry:
         snic = self.cluster.snic
         if snic is not None:
             for name, link in (("pcie1", snic.pcie1), ("pcie0", snic.pcie0)):
-                counters[f"{name}.tlps_to_nic"] = link.tlps_fwd.total
-                counters[f"{name}.tlps_to_endpoint"] = link.tlps_rev.total
+                counters[f"{name}.tlps_to_nic"] = link.tlps_fwd
+                counters[f"{name}.tlps_to_endpoint"] = link.tlps_rev
                 counters[f"{name}.bytes"] = link.total_data_bytes
                 counters[f"{name}.tlps"] = link.total_tlps
         else:
@@ -87,14 +87,12 @@ class Telemetry:
             counters["hostlink.tlps"] = link.total_tlps
             counters["hostlink.bytes"] = link.total_data_bytes
         server = self.cluster.server_channel
-        counters["net.server.tx_bytes"] = server.fwd.bytes_sent.total
-        counters["net.server.rx_bytes"] = server.rev.bytes_sent.total
+        counters["net.server.tx_bytes"] = server.fwd.bytes_sent
+        counters["net.server.rx_bytes"] = server.rev.bytes_sent
         for node in self.cluster.clients():
             channel = self.cluster.channel(node)
-            counters[f"net.{node.name}.tx_bytes"] = (
-                channel.fwd.bytes_sent.total)
-            counters[f"net.{node.name}.rx_bytes"] = (
-                channel.rev.bytes_sent.total)
+            counters[f"net.{node.name}.tx_bytes"] = channel.fwd.bytes_sent
+            counters[f"net.{node.name}.rx_bytes"] = channel.rev.bytes_sent
         counters["nic.pipeline_in_use"] = self.cluster.nic_pipeline.in_use
         counters["nic.pipeline_queued"] = (
             self.cluster.nic_pipeline.queue_length)

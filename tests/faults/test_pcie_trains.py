@@ -130,12 +130,12 @@ def test_send_data_folds_the_train_exactly(spec, nbytes, mps, backlog, wait,
 
     assert delivered == expected
     assert simplex.busy_until() == ref.busy_until()
-    assert simplex.bytes_sent.total == ref.bytes_sent.total
-    assert simplex.transfers.total == ref.transfers.total
+    assert simplex.bytes_sent == ref.bytes_sent
+    assert simplex.transfers == ref.transfers
     tlps = link.tlps_fwd if forward else link.tlps_rev
     data = link.data_bytes_fwd if forward else link.data_bytes_rev
-    assert tlps.total == len(sizes)
-    assert data.total == nbytes
+    assert tlps == len(sizes)
+    assert data == nbytes
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -166,9 +166,9 @@ def test_a_train_send_is_a_fold_of_sends(bandwidth, size, count, tail,
     assert done.value == last.value == tail
     assert train.sim.now == ref.sim.now
     assert train.busy_until() == ref.busy_until()
-    assert train.bytes_sent.total == ref.bytes_sent.total
+    assert train.bytes_sent == ref.bytes_sent
     # The backlog was one transfer too.
-    assert train.transfers.total == ref.transfers.total == count + 2
+    assert train.transfers == ref.transfers == count + 2
 
 
 def test_a_train_send_rejects_negative_sizes():

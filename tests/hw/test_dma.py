@@ -30,8 +30,8 @@ def test_write_is_posted_single_direction():
     sim.run()
     assert done.processed
     # Data TLPs flow forward only; nothing returns.
-    assert pcie1.tlps_fwd.total == 1 and pcie1.tlps_rev.total == 0
-    assert pcie0.tlps_fwd.total == 1 and pcie0.tlps_rev.total == 0
+    assert pcie1.tlps_fwd == 1 and pcie1.tlps_rev == 0
+    assert pcie0.tlps_fwd == 1 and pcie0.tlps_rev == 0
 
 
 def test_read_crosses_fabric_twice():
@@ -42,9 +42,9 @@ def test_read_crosses_fabric_twice():
     sim.run()
     assert done.processed
     # Request header out, completion with data back.
-    assert pcie1.tlps_fwd.total == 1 and pcie1.tlps_rev.total == 1
-    assert pcie0.tlps_fwd.total == 1 and pcie0.tlps_rev.total == 1
-    assert pcie1.data_bytes_rev.total == 512
+    assert pcie1.tlps_fwd == 1 and pcie1.tlps_rev == 1
+    assert pcie0.tlps_fwd == 1 and pcie0.tlps_rev == 1
+    assert pcie1.data_bytes_rev == 512
 
 
 def test_read_latency_exceeds_write_latency():
@@ -69,7 +69,7 @@ def test_write_segments_into_mps_tlps():
     engine = DmaEngine(sim)
     engine.dma_write(route, nbytes=4096, mps=128)
     sim.run()
-    assert pcie1.tlps_fwd.total == 32
+    assert pcie1.tlps_fwd == 32
 
 
 def test_switch_hop_latency_accumulates():

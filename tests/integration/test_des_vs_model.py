@@ -61,7 +61,7 @@ def test_des_tlp_counters_match_packet_model_write_to_soc():
     qp.post_write(1, local, remote, 4 * KB)
     cluster.sim.run()
     expected = PacketCountModel().counts(CommPath.SNIC2, Opcode.WRITE, 4 * KB)
-    assert cluster.snic.pcie1.tlps_fwd.total == expected.pcie1_to_switch
+    assert cluster.snic.pcie1.tlps_fwd == expected.pcie1_to_switch
     assert cluster.snic.pcie0.total_tlps == 0
 
 
@@ -75,9 +75,9 @@ def test_des_tlp_counters_match_packet_model_read_from_host():
     cluster.sim.run()
     expected = PacketCountModel().counts(CommPath.SNIC1, Opcode.READ, 4 * KB)
     # Completions flow back toward the NIC on PCIe1.
-    assert cluster.snic.pcie1.tlps_rev.total == expected.pcie1_to_nic
+    assert cluster.snic.pcie1.tlps_rev == expected.pcie1_to_nic
     # The read request crosses toward the host.
-    assert cluster.snic.pcie0.tlps_fwd.total == expected.pcie0_to_host
+    assert cluster.snic.pcie0.tlps_fwd == expected.pcie0_to_host
 
 
 def test_des_path3_tlps_cross_pcie1_twice():

@@ -108,8 +108,8 @@ def test_route_dma_executes():
                               mps=snic.mps_for(Endpoint.SOC))
     sim.run()
     assert done.processed
-    assert snic.pcie1.tlps_rev.total == 32
-    assert snic.pcie1.tlps_fwd.total == 32
+    assert snic.pcie1.tlps_rev == 32
+    assert snic.pcie1.tlps_fwd == 32
 
 
 def test_connectx4_is_single_port_gen3():

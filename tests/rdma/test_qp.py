@@ -176,12 +176,12 @@ def test_path3_crosses_pcie1_twice(ctx):
     soc_mr = ctx.reg_mr("soc", 8192)
     host_mr = ctx.reg_mr("host", 8192)
     qp, _ = ctx.connect_rc("soc", "host")
-    before_fwd = ctx.cluster.snic.pcie1.tlps_fwd.total
-    before_rev = ctx.cluster.snic.pcie1.tlps_rev.total
+    before_fwd = ctx.cluster.snic.pcie1.tlps_fwd
+    before_rev = ctx.cluster.snic.pcie1.tlps_rev
     qp.post_write(1, soc_mr, host_mr, 4096)
     run(ctx)
-    assert ctx.cluster.snic.pcie1.tlps_fwd.total > before_fwd
-    assert ctx.cluster.snic.pcie1.tlps_rev.total > before_rev
+    assert ctx.cluster.snic.pcie1.tlps_fwd > before_fwd
+    assert ctx.cluster.snic.pcie1.tlps_rev > before_rev
 
 
 def test_read_latency_ordering_matches_paper(ctx):

@@ -1,4 +1,4 @@
-"""Tests for the QP state machine, queue depths, flushing and SRQs."""
+"""Tests for the QP state machine, queue depths and flushing."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.rdma import (
     QPState,
     QPType,
     RdmaContext,
-    SharedReceiveQueue,
 )
 
 
@@ -132,7 +131,7 @@ def test_error_completions_ignore_unsignaled(ctx):
 def test_send_queue_depth_enforced(ctx):
     server = ctx.reg_mr("host", 1 << 16)
     local = ctx.reg_mr("client0", 1 << 16)
-    a = ctx.create_qp("client0", QPType.RC, srq=None)
+    a = ctx.create_qp("client0", QPType.RC)
     b = ctx.create_qp("host", QPType.RC)
     a.max_send_wr = 4
     a.connect(b)
@@ -164,58 +163,3 @@ def test_depth_validation(ctx):
     with pytest.raises(QPError):
         QueuePair(node, QPType.RC, CompletionQueue(sim), CompletionQueue(sim),
                   max_send_wr=0)
-
-
-# -- shared receive queues ----------------------------------------------------------------
-
-
-def test_srq_shared_between_qps(ctx):
-    srq = ctx.create_srq("host")
-    mr = ctx.reg_mr("host", 4096)
-    for i in range(4):
-        srq.post_recv(i, mr, offset=i * 64, length=64)
-    server_a = ctx.create_qp("host", QPType.UD, srq=srq)
-    server_b = ctx.create_qp("host", QPType.UD, srq=srq)
-    sender = ctx.create_qp("client0", QPType.UD)
-    sender.post_send(1, b"to-a", dest=server_a)
-    sender.post_send(2, b"to-b", dest=server_b)
-    ctx.cluster.sim.run()
-    assert len(srq) == 2  # two buffers consumed from the shared pool
-    assert len(server_a.recv_cq) == 1
-    assert len(server_b.recv_cq) == 1
-
-
-def test_srq_qp_rejects_direct_post_recv(ctx):
-    srq = ctx.create_srq("host")
-    qp = ctx.create_qp("host", QPType.UD, srq=srq)
-    mr = ctx.reg_mr("host", 64)
-    with pytest.raises(QPError):
-        qp.post_recv(1, mr)
-
-
-def test_srq_node_mismatch_rejected(ctx):
-    srq = ctx.create_srq("host")
-    with pytest.raises(QPError):
-        ctx.create_qp("client0", QPType.UD, srq=srq)
-
-
-def test_srq_validation(ctx):
-    node = ctx.cluster.node("host")
-    with pytest.raises(ValueError):
-        SharedReceiveQueue(node, max_wr=0)
-    srq = SharedReceiveQueue(node, max_wr=1)
-    mr = ctx.reg_mr("host", 64)
-    srq.post_recv(1, mr)
-    with pytest.raises(OverflowError):
-        srq.post_recv(2, mr)
-    with pytest.raises(ValueError):
-        SharedReceiveQueue(node).post_recv(1, mr, offset=100, length=10)
-
-
-def test_srq_exhaustion_drops(ctx):
-    srq = ctx.create_srq("host")
-    server = ctx.create_qp("host", QPType.UD, srq=srq)
-    sender = ctx.create_qp("client0", QPType.UD)
-    sender.post_send(1, b"no-buffer", dest=server)
-    ctx.cluster.sim.run()
-    assert server.dropped_receives == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, SimulationError, NORMAL, URGENT, LOW
+from repro.sim import Simulator, SimulationError, NORMAL, URGENT
 
 
 def test_clock_starts_at_zero():
@@ -37,11 +37,10 @@ def test_equal_time_fifo_order():
 def test_priority_breaks_time_ties():
     sim = Simulator()
     order = []
-    sim.timeout(5, priority=LOW).add_callback(lambda e: order.append("low"))
-    sim.timeout(5, priority=URGENT).add_callback(lambda e: order.append("urgent"))
     sim.timeout(5, priority=NORMAL).add_callback(lambda e: order.append("normal"))
+    sim.timeout(5, priority=URGENT).add_callback(lambda e: order.append("urgent"))
     sim.run()
-    assert order == ["urgent", "normal", "low"]
+    assert order == ["urgent", "normal"]
 
 
 def test_run_until_stops_clock_exactly():
@@ -69,44 +68,6 @@ def test_run_until_past_raises():
     sim.run()
     with pytest.raises(SimulationError):
         sim.run(until=5)
-
-
-def test_run_max_events():
-    sim = Simulator()
-    for _ in range(10):
-        sim.timeout(1)
-    sim.run(max_events=3)
-    assert sim.events_executed == 3
-
-
-def test_run_max_events_with_until_keeps_clock_at_last_event():
-    # A run stopped early by the event budget must not fast-forward to
-    # the horizon: the remaining events are still pending before it.
-    sim = Simulator()
-    for delay in (1, 2, 3, 4, 5):
-        sim.timeout(delay)
-    sim.run(until=100, max_events=2)
-    assert sim.events_executed == 2
-    assert sim.now == 2.0
-    # Resuming the same horizon finishes the queue and then reaches it.
-    sim.run(until=100)
-    assert sim.events_executed == 5
-    assert sim.now == 100.0
-
-
-def test_run_max_events_exhausted_queue_reaches_until():
-    # When the budget is not the binding constraint, `until` still
-    # advances the clock exactly as before.
-    sim = Simulator()
-    sim.timeout(1)
-    sim.run(until=50, max_events=10)
-    assert sim.events_executed == 1
-    assert sim.now == 50.0
-
-
-def test_step_on_empty_queue_raises():
-    with pytest.raises(SimulationError):
-        Simulator().step()
 
 
 def test_peek_empty_is_inf():

@@ -13,8 +13,9 @@ hop, or that counted only NORMAL entries, reorders them.  The
 "tied delivery" ties are the serving case: two DMAs ending at once, the
 other one's NORMAL delivery still queued.  (A step resumed by a NORMAL
 event cannot find an URGENT entry due now unless it queued one itself,
-and a same-instant LOW entry fires after the NORMAL hop either way, so
-those two cases need no hop.)
+so that case needs no hop.)  URGENT and NORMAL are the only priorities,
+and the kernel has no interrupts, so nothing but the hop's own event
+can wake the process between the hop and its resume.
 
 The property test then runs small tie-heavy serving configs twice, as
 they are and with every hop scheduled (``due_now`` patched to always

@@ -11,13 +11,14 @@ same ``(now, tag, value)`` firing trace and the same event count.
 """
 
 import heapq
+import os
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.sim as real
-from repro.sim import Interrupt, SimulationError
+from repro.sim import SimulationError
 from repro.sim.process import Process
 
 # -- the reference kernel ----------------------------------------------------------
@@ -97,28 +98,12 @@ class _RefCondition(_RefEvent):
 class _RefProcess(_RefEvent):
     def __init__(self, sim, generator):
         super().__init__(sim)
-        self.generator, self.waiting_on = generator, None
+        self.generator = generator
         bootstrap = _RefEvent(sim)
         bootstrap.add_callback(self._resume)
         bootstrap.succeed(priority=URGENT)
 
-    @property
-    def is_alive(self):
-        return not self.triggered
-
-    def interrupt(self, cause=None):
-        waited = self.waiting_on
-        if waited is not None:
-            if waited.callbacks is not None and self._resume in waited.callbacks:
-                waited.callbacks.remove(self._resume)
-            getattr(waited, "withdraw", lambda: None)()
-        self.waiting_on = None
-        poke = _RefEvent(self.sim)
-        poke.add_callback(self._resume)
-        poke.fail(Interrupt(cause), priority=URGENT)
-
     def _resume(self, event):
-        self.waiting_on = None
         try:
             send = self.generator.send if event._ok else self.generator.throw
             target = send(event._value)
@@ -128,7 +113,6 @@ class _RefProcess(_RefEvent):
         except Exception as exc:
             self.fail(exc)
             return
-        self.waiting_on = target
         target.add_callback(self._resume)
 
 
@@ -155,31 +139,15 @@ class _RefSimulator:
     def peek(self):
         return self.queue[0][0] if self.queue else float("inf")
 
-    def step(self):
-        self.now, _key, event = heapq.heappop(self.queue)
-        self.events_executed += 1
-        event._fire()
-
-    def run(self, until=None, max_events=None):
-        fired = 0
+    def run(self, until=None):
         while self.queue:
-            if max_events is not None and fired >= max_events:
-                return
             if until is not None and self.queue[0][0] > until:
                 break
-            fired += 1
-            self.step()
+            self.now, _key, event = heapq.heappop(self.queue)
+            self.events_executed += 1
+            event._fire()
         if until is not None:
             self.now = until
-
-
-class _RefGrant(_RefEvent):
-    def __init__(self, owner):
-        super().__init__(owner.sim)
-        self.owner = owner
-
-    def withdraw(self):
-        self.owner.withdraw(self)
 
 
 class _RefResource:
@@ -187,7 +155,7 @@ class _RefResource:
         self.sim, self.capacity, self.in_use, self.waiters = sim, capacity, 0, deque()
 
     def request(self):
-        grant = _RefGrant(self)
+        grant = _RefEvent(self.sim)
         if self.in_use < self.capacity and not self.waiters:
             self.in_use += 1
             grant.succeed()
@@ -203,40 +171,24 @@ class _RefResource:
         else:
             self.in_use -= 1
 
-    def withdraw(self, grant):
-        if not grant.triggered:
-            self.waiters.remove(grant)
-        else:
-            self.release()
-
 
 class _RefStore:
     def __init__(self, sim):
         self.sim, self.items, self.getters = sim, deque(), deque()
 
-    def put(self, item):
-        done = _RefEvent(self.sim)
+    def offer(self, item):
         if self.getters:
             self.getters.popleft().succeed(item)
         else:
             self.items.append(item)
-        return done.succeed()
 
     def get(self):
-        got = _RefGrant(self)
+        got = _RefEvent(self.sim)
         if self.items:
             got.succeed(self.items.popleft())
         else:
             self.getters.append(got)
         return got
-
-    def withdraw(self, got):
-        if not got.triggered:
-            self.getters.remove(got)
-        elif self.getters:
-            self.getters.popleft().succeed(got._value)
-        else:
-            self.items.appendleft(got._value)
 
 
 class _RefChannel:
@@ -267,23 +219,26 @@ REF = _Kernel(_RefSimulator, _RefResource, _RefStore, _RefChannel,
 # Few distinct delays, so exact time ties are common; 0.7 puts inexact
 # clocks under the channels' delivery times.
 DELAYS = st.sampled_from([0.0, 0.0, 0.7, 1.0, 2.5, 3.0, 7.0])
-STEP = st.one_of(
-    st.tuples(st.just("timeout"), DELAYS),
-    st.tuples(st.just("hold"), st.integers(0, 1), DELAYS),
-    st.tuples(st.just("put"), st.integers(0, 1), st.integers(0, 99)),
-    st.tuples(st.just("get"), st.integers(0, 1)),
-    st.tuples(st.just("all"), st.lists(DELAYS, max_size=3)),
-    st.tuples(st.just("any"), st.lists(DELAYS, min_size=1, max_size=3)),
-    st.tuples(st.just("fail"), DELAYS),
-    st.tuples(st.just("interrupt"), st.integers(0, 4)),
-    st.tuples(st.just("send"), st.integers(0, 1), st.integers(0, 300)),
-    st.tuples(st.just("spawn"), DELAYS),
-    st.tuples(st.just("again"),),
-)
+# Each step kind with the strategies of its arguments.
+STEP_ARGS = {
+    "timeout": (DELAYS,),
+    "hold": (st.integers(0, 1), DELAYS),
+    "offer": (st.integers(0, 1), st.integers(0, 99)),
+    "get": (st.integers(0, 1),),
+    "all": (st.lists(DELAYS, max_size=3),),
+    "any": (st.lists(DELAYS, min_size=1, max_size=3),),
+    "fail": (DELAYS,),
+    "send": (st.integers(0, 1), st.integers(0, 300)),
+    "spawn": (DELAYS,),
+    "again": (),
+}
+STEP = st.one_of(*(st.tuples(st.just(kind), *args)
+                   for kind, args in STEP_ARGS.items()))
 PROGRAM = st.lists(st.lists(STEP, max_size=8), min_size=1, max_size=5)
-RUN_MODE = st.one_of(st.just(("drain",)), st.just(("step",)),
-                     st.tuples(st.just("until"), st.sampled_from([0.5, 1.0, 4.0])),
-                     st.tuples(st.just("budget"), st.integers(1, 5)))
+RUN_MODE = st.one_of(st.just(("drain",)),
+                     st.tuples(st.just("until"), st.sampled_from([0.5, 1.0, 4.0])))
+# Tier-1 runs the default; a deeper sweep sets KERNEL_ORDER_EXAMPLES.
+_MAX_EXAMPLES = int(os.environ.get("KERNEL_ORDER_EXAMPLES", "300"))
 
 
 def execute(kernel, program, mode):
@@ -295,7 +250,7 @@ def execute(kernel, program, mode):
     # Awkward rates and latencies, so the float expression of each
     # delivery time matters.
     channels = [kernel.channel(sim, b, lat) for b, lat in ((1.0, 0.0), (3.0, 0.1))]
-    trace, procs, interrupted = [], [], set()
+    trace, procs = [], []
 
     def child(pid, delay):
         yield sim.timeout(delay)
@@ -317,9 +272,9 @@ def execute(kernel, program, mode):
                         value = yield sim.timeout(step[2])
                     finally:
                         resource.release()
-                elif kind == "put":
-                    last = stores[step[1]].put(step[2])
-                    value = yield last
+                elif kind == "offer":
+                    stores[step[1]].offer(step[2])
+                    value = "offered"
                 elif kind == "get":
                     last = stores[step[1]].get()
                     value = yield last
@@ -330,13 +285,6 @@ def execute(kernel, program, mode):
                 elif kind == "fail":
                     last = sim.event().fail(ValueError(pid), delay=step[1])
                     value = yield last
-                elif kind == "interrupt":
-                    target = step[1]
-                    if (target < len(procs) and target != pid
-                            and target not in interrupted and procs[target].is_alive):
-                        interrupted.add(target)
-                        procs[target].interrupt(pid)
-                    value = "poked"
                 elif kind == "spawn":
                     last = sim.process(child(pid, step[1]))
                     value = yield last
@@ -345,8 +293,6 @@ def execute(kernel, program, mode):
                     value = yield last
                 else:                       # yield an event again (fired or not)
                     value = yield last
-            except Interrupt as exc:
-                value = ("interrupt", exc.cause)
             except ValueError as exc:
                 value = ("failed", exc.args)
             trace.append((sim.now, pid, index, kind, value))
@@ -362,26 +308,18 @@ def execute(kernel, program, mode):
     try:
         if mode[0] == "drain":
             sim.run()
-        elif mode[0] == "step":
-            while sim.peek() < float("inf"):
-                sim.step()
-                trace.append(("chunk", sim.now, sim.events_executed))
-        elif mode[0] == "until":
+        else:
             horizon = 0.0
             while sim.peek() < float("inf"):
                 horizon += mode[1]
                 sim.run(until=horizon)
-                trace.append(("chunk", sim.now, sim.events_executed))
-        else:
-            while sim.peek() < float("inf"):
-                sim.run(max_events=mode[1])
                 trace.append(("chunk", sim.now, sim.events_executed))
     except Exception as exc:        # the same misuse must escape both kernels
         error = type(exc).__name__
     return trace, sim.events_executed, sim.now, error
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=_MAX_EXAMPLES, deadline=None)
 @given(PROGRAM, RUN_MODE)
 def test_kernel_matches_reference_order(program, mode):
     assert execute(REAL, program, mode) == execute(REF, program, mode)
@@ -391,12 +329,13 @@ def test_reference_programs_are_not_trivial():
     """A hand-written program touching every step kind fires the same
     non-empty trace on both kernels."""
     program = [
-        [("hold", 0, 3.0), ("put", 0, 7), ("all", [1.0, 2.5]), ("again",)],
+        [("hold", 0, 3.0), ("offer", 0, 7), ("all", [1.0, 2.5]), ("again",)],
         [("hold", 0, 1.0), ("get", 0), ("any", [0.0, 7.0]), ("send", 1, 900)],
         [("fail", 2.5), ("spawn", 0.0), ("timeout", 0.0), ("get", 1)],
-        [("interrupt", 2), ("interrupt", 3), ("send", 0, 10), ("send", 0, 10)],
+        [("timeout", 3.0), ("offer", 1, 5), ("send", 0, 10), ("send", 0, 10)],
     ]
-    for mode in (("drain",), ("step",), ("until", 1.0), ("budget", 2)):
+    assert {step[0] for steps in program for step in steps} == set(STEP_ARGS)
+    for mode in (("drain",), ("until", 1.0)):
         got = execute(REAL, program, mode)
         assert got == execute(REF, program, mode)
         assert len(got[0]) > 10 and got[1] > 20

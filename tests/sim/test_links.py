@@ -41,8 +41,8 @@ def test_counters_accumulate():
     chan.send(10)
     chan.send(20)
     sim.run()
-    assert chan.bytes_sent.total == 30
-    assert chan.transfers.total == 2
+    assert chan.bytes_sent == 30
+    assert chan.transfers == 2
 
 
 def test_utilization():

@@ -1,46 +1,10 @@
-"""Unit tests for measurement monitors."""
+"""Unit tests for the sample histogram."""
 
 import math
 
 import pytest
 
-from repro.sim import Counter, RateMeter, Histogram, TimeWeighted
-
-
-def test_counter():
-    c = Counter()
-    c.add()
-    c.add(4.5)
-    assert c.total == 5.5
-    assert c.events == 2
-    c.reset()
-    assert c.total == 0 and c.events == 0
-
-
-def test_rate_meter_rate_and_throughput():
-    m = RateMeter()
-    m.start(now=0.0)
-    for _ in range(10):
-        m.record(volume=100)
-    m.stop(now=50.0)
-    assert m.rate() == pytest.approx(0.2)          # 10 events / 50 ns
-    assert m.throughput() == pytest.approx(20.0)   # 1000 bytes / 50 ns
-
-
-def test_rate_meter_running_window_needs_now():
-    m = RateMeter()
-    m.start(0.0)
-    m.record()
-    with pytest.raises(ValueError):
-        m.rate()
-    assert m.rate(now=10.0) == pytest.approx(0.1)
-
-
-def test_rate_meter_empty_window():
-    m = RateMeter()
-    assert m.rate(now=0.0) == 0.0
-    m.start(5.0)
-    assert m.rate(now=5.0) == 0.0
+from repro.sim import Histogram
 
 
 def test_histogram_stats():
@@ -64,19 +28,3 @@ def test_histogram_empty_is_nan():
 def test_histogram_percentile_validation():
     with pytest.raises(ValueError):
         Histogram().percentile(101)
-
-
-def test_time_weighted_average():
-    tw = TimeWeighted(initial=0.0, now=0.0)
-    tw.set(10.0, now=5.0)    # 0 for [0,5)
-    tw.set(0.0, now=15.0)    # 10 for [5,15)
-    # average over [0, 20]: (0*5 + 10*10 + 0*5)/20 = 5
-    assert tw.average(now=20.0) == pytest.approx(5.0)
-
-
-def test_time_weighted_add_and_backwards_guard():
-    tw = TimeWeighted(initial=1.0, now=0.0)
-    tw.add(2.0, now=10.0)
-    assert tw.value == 3.0
-    with pytest.raises(ValueError):
-        tw.set(0.0, now=5.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, SimulationError, Interrupt
+from repro.sim import Simulator, SimulationError
 
 
 def test_process_runs_and_returns_value():
@@ -96,40 +96,6 @@ def test_process_requires_generator():
     sim = Simulator()
     with pytest.raises(TypeError):
         sim.process(lambda: None)  # type: ignore[arg-type]
-
-
-def test_interrupt_wakes_process():
-    sim = Simulator()
-    trace = []
-
-    def sleeper(sim):
-        try:
-            yield sim.timeout(1000)
-            trace.append("overslept")
-        except Interrupt as intr:
-            trace.append(("interrupted", sim.now, intr.cause))
-
-    proc = sim.process(sleeper(sim))
-
-    def interrupter(sim):
-        yield sim.timeout(10)
-        proc.interrupt("wake up")
-
-    sim.process(interrupter(sim))
-    sim.run()
-    assert trace == [("interrupted", 10.0, "wake up")]
-
-
-def test_interrupt_finished_process_raises():
-    sim = Simulator()
-
-    def quick(sim):
-        yield sim.timeout(1)
-
-    proc = sim.process(quick(sim))
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
 
 
 def test_is_alive():

@@ -49,7 +49,7 @@ def test_resource_capacity_validation():
 def test_store_put_then_get():
     sim = Simulator()
     store = Store(sim)
-    store.put("x")
+    store.offer("x")
     got = store.get()
     sim.run()
     assert got.value == "x"
@@ -66,7 +66,7 @@ def test_store_get_blocks_until_put():
 
     def producer(sim):
         yield sim.timeout(50)
-        yield store.put("late")
+        store.offer("late")
 
     sim.process(consumer(sim))
     sim.process(producer(sim))
@@ -78,38 +78,20 @@ def test_store_is_fifo():
     sim = Simulator()
     store = Store(sim)
     for item in ("a", "b", "c"):
-        store.put(item)
+        store.offer(item)
     values = [store.get() for _ in range(3)]
     sim.run()
     assert [v.value for v in values] == ["a", "b", "c"]
-
-
-def test_bounded_store_blocks_putter():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put("first")
-    second = store.put("second")
-    assert not second.triggered
-    got = store.get()
-    sim.run()
-    assert got.value == "first"
-    assert second.processed
-    assert store.items == ("second",)
 
 
 def test_store_len_and_items():
     sim = Simulator()
     store = Store(sim)
     assert len(store) == 0
-    store.put(1)
-    store.put(2)
+    store.offer(1)
+    store.offer(2)
     assert len(store) == 2
     assert store.items == (1, 2)
-
-
-def test_store_capacity_validation():
-    with pytest.raises(ValueError):
-        Store(Simulator(), capacity=0)
 
 
 def test_multiple_getters_served_in_order():
@@ -126,8 +108,8 @@ def test_multiple_getters_served_in_order():
 
     def producer(sim):
         yield sim.timeout(1)
-        yield store.put("x")
-        yield store.put("y")
+        store.offer("x")
+        store.offer("y")
 
     sim.process(producer(sim))
     sim.run()
@@ -148,23 +130,37 @@ def test_try_acquire_grants_only_a_free_uncontended_unit():
 
 def test_offer_hands_to_a_getter_or_appends_with_no_event_of_its_own():
     sim = Simulator()
-    store = Store(sim, capacity=1)
+    store = Store(sim)
     got = store.get()
-    assert store.offer("a") and got.triggered and len(store) == 0
-    assert store.offer("b") and store.items == ("b",)
-    assert not store.offer("c") and store.items == ("b",)   # full
+    store.offer("a")
+    assert got.triggered and len(store) == 0
+    store.offer("b")
+    assert store.items == ("b",)
     sim.run()
     assert got.value == "a" and sim.events_executed == 1
 
 
 def test_take_is_an_event_free_get():
     sim = Simulator()
-    store = Store(sim, capacity=1)
+    store = Store(sim)
     with pytest.raises(SimulationError):
         store.take()
-    store.put("a")
-    blocked = store.put("b")
+    store.offer("a")
+    store.offer("b")
     assert store.take() == "a"
-    assert store.items == ("b",)        # the blocked putter was admitted
+    assert store.items == ("b",)
     sim.run()
-    assert blocked.processed
+    assert sim.events_executed == 0
+
+
+def test_drain_empties_the_store_and_leaves_getters_parked():
+    sim = Simulator()
+    store = Store(sim)
+    store.offer("a")
+    store.offer("b")
+    assert store.drain() == ["a", "b"] and len(store) == 0
+    got = store.get()
+    assert store.drain() == [] and not got.triggered
+    store.offer("c")
+    sim.run()
+    assert got.value == "c"

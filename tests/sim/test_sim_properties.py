@@ -31,7 +31,7 @@ def test_channel_conserves_bytes_and_orders_deliveries(sizes, bandwidth):
         channel.send(size).add_callback(
             lambda e, i=index: deliveries.append((sim.now, i)))
     sim.run()
-    assert channel.bytes_sent.total == sum(sizes)
+    assert channel.bytes_sent == sum(sizes)
     assert [i for _t, i in sorted(deliveries)] == list(range(len(sizes)))
     # Total time >= serialization of everything.
     assert sim.now >= sum(sizes) / bandwidth
@@ -79,6 +79,6 @@ def test_store_is_lossless_and_fifo(items):
 
     sim.process(consumer())
     for item in items:
-        store.put(item)
+        store.offer(item)
     sim.run()
     assert received == items

@@ -1,7 +1,9 @@
 """The stable public surface: export snapshots and a warning-free import.
 
 ``repro`` and ``repro.api`` are the supported import points; this file
-pins their exports so accidental additions/removals fail review, and
+pins their exports, and those of the event kernel (``repro.sim``) and
+the verbs stack (``repro.rdma``), so accidental additions/removals fail
+review, and
 checks the supported spellings import cleanly under
 ``-W error::DeprecationWarning`` (the CI gate).
 """
@@ -15,6 +17,8 @@ import sys
 
 import repro
 import repro.api
+import repro.rdma
+import repro.sim
 
 _SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -43,6 +47,21 @@ REPRO_EXPORTS = [
 API_EXPORTS = ["ClusterScenario", "MachineDoc", "RunOptions",
                "SchedulerDoc", "Session", "TenantDoc"]
 
+# The kernel keeps what the simulator runs: no interrupts, no LOW
+# priority, no rate or time-weighted monitors.
+SIM_EXPORTS = [
+    "AllOf", "AnyOf", "DuplexChannel", "Event", "Histogram", "LOST",
+    "NORMAL", "Process", "RandomStreams", "Resource", "SimplexChannel",
+    "SimulationError", "Simulator", "Store", "Timeout", "URGENT",
+]
+
+# No shared receive queue.
+RDMA_EXPORTS = [
+    "AccessError", "Completion", "CompletionQueue", "CompletionStatus",
+    "DoorbellBatcher", "MemoryRegion", "ProtectionDomain", "QPError",
+    "QPState", "QPType", "QueuePair", "RdmaContext", "WorkOpcode",
+]
+
 
 def test_repro_export_snapshot():
     assert sorted(repro.__all__) == REPRO_EXPORTS
@@ -52,11 +71,18 @@ def test_api_export_snapshot():
     assert sorted(repro.api.__all__) == API_EXPORTS
 
 
+def test_sim_export_snapshot():
+    assert sorted(repro.sim.__all__) == SIM_EXPORTS
+
+
+def test_rdma_export_snapshot():
+    assert sorted(repro.rdma.__all__) == RDMA_EXPORTS
+
+
 def test_every_export_resolves():
-    for name in repro.__all__:
-        assert getattr(repro, name) is not None
-    for name in repro.api.__all__:
-        assert getattr(repro.api, name) is not None
+    for module in (repro, repro.api, repro.sim, repro.rdma):
+        for name in module.__all__:
+            assert getattr(module, name) is not None
 
 
 def test_new_spellings_are_warning_free():
@@ -90,6 +116,20 @@ def test_serving_option_snapshot():
     assert _params(PathPolicy) == ["testbed"]
     assert _params(HybridController) == [
         "runtime", "tracker", "faults", "tick_ns"]
+
+
+def test_kernel_option_snapshot():
+    """No event budget, bounded store or SRQ option comes back unnoticed."""
+    from repro.rdma import QueuePair, RdmaContext
+    from repro.sim import Simulator, Store
+
+    assert _params(Simulator.run) == ["self", "until"]
+    assert _params(Store) == ["sim"]
+    assert _params(RdmaContext.create_qp) == [
+        "self", "node_name", "qp_type", "send_cq", "recv_cq"]
+    assert _params(QueuePair) == [
+        "node", "qp_type", "send_cq", "recv_cq", "max_inline",
+        "max_send_wr", "max_recv_wr"]
 
 
 def test_supervisor_field_snapshot():
