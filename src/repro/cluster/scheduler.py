@@ -38,7 +38,7 @@ from repro.core.paths import CommPath, Opcode
 from repro.hw.cpu import RELAY_GIBPS
 from repro.sched.tenant import TenantSpec
 from repro.sim.xshard import ShardMessage, ShardTopology
-from repro.units import gib_per_s, to_mpps
+from repro.units import gib_per_s
 
 #: Stand-in for the remote host's CPU dispatch inside the relay-cost
 #: estimate (the exact value comes from the testbed at serve time).
@@ -77,8 +77,7 @@ class _MachineLoad:
         if tenant.bulk:
             self.bulk_gbps += tenant.offered_gbps
         else:
-            self.mrps[path] = (self.mrps.get(path, 0.0)
-                               + to_mpps(1.0 / tenant.interval_ns))
+            self.mrps[path] = self.mrps.get(path, 0.0) + tenant.rate_mrps
             self.clients += 1
 
     @property
@@ -111,7 +110,7 @@ def _fits(tenant: TenantSpec, load: _MachineLoad, advisor: Advisor,
     if budget is None or budget <= 0:
         return True
     bound = load.mrps.get(path, 0.0)
-    return bound + to_mpps(1.0 / tenant.interval_ns) <= headroom * budget
+    return bound + tenant.rate_mrps <= headroom * budget
 
 
 def _seed_pins(loads: Dict[str, _MachineLoad], advisor: Advisor,
@@ -164,7 +163,7 @@ def bin_pack_placement(tenants: Sequence[TenantSpec],
     order = (sorted((t for t in free if t.bulk),
                     key=lambda t: (-t.offered_gbps, t.name))
              + sorted((t for t in free if not t.bulk),
-                      key=lambda t: (-to_mpps(1.0 / t.interval_ns), t.name)))
+                      key=lambda t: (-t.rate_mrps, t.name)))
     for spec in order:
         eligible = [load for name, load in sorted(loads.items())
                     if _eligible(spec, load, max_clients)]

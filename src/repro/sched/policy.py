@@ -29,7 +29,6 @@ from repro.core.paths import CommPath, Opcode
 from repro.net.topology import Testbed
 from repro.sched.slo import WindowStats
 from repro.sched.tenant import TenantSpec
-from repro.units import to_mpps
 
 
 @dataclass(frozen=True)
@@ -215,6 +214,5 @@ class PathPolicy:
         budget = budgets.get(target)
         if budget is None or budget <= 0:
             return True
-        tenant_mrps = to_mpps(1.0 / spec.interval_ns)
         bound = offered_mrps_by_path.get(target, 0.0)
-        return bound + tenant_mrps <= HEADROOM * budget
+        return bound + spec.rate_mrps <= HEADROOM * budget

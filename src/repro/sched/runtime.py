@@ -3,7 +3,8 @@
 :class:`ServingRuntime` is the data plane under the scheduler.  Each
 tenant gets:
 
-* an **open-loop arrival process** (one request per ``interval_ns``,
+* an **open-loop arrival process** walking its
+  :class:`~repro.sched.tenant.ArrivalStream` (one request per gap,
   regardless of completions — the serving-system regime where queueing
   delay is real);
 * a **bounded admission queue** — arrivals that find it full are
@@ -26,7 +27,6 @@ is lossless as long as the retry budget holds out.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -38,8 +38,9 @@ from repro.rdma.qp import QPState, QueuePair
 from repro.rdma.verbs import RdmaContext
 from repro.sched.policy import Placement
 from repro.sched.slo import SloTracker
-from repro.sched.tenant import CompletionLog, CompletionRecord, TenantSpec
-from repro.units import gbps, to_mpps
+from repro.sched.tenant import (
+    ArrivalStream, CompletionLog, CompletionRecord, TenantSpec)
+from repro.units import gbps
 from repro.sim import Store
 from repro.sim.events import URGENT, Timeout
 from repro.sim.links import LOST
@@ -84,10 +85,7 @@ class _TenantState:
         self.local_mrs = []
         self.remote_mrs = []
         self.bucket: Optional[TokenBucket] = None
-        # The op draws of the tenant's request stream.  Only the opcode
-        # shapes serving traffic: every request moves ``spec.payload``
-        # bytes, so no address pattern is drawn.
-        self.op_rng = random.Random(spec.seed)
+        self.arrivals = ArrivalStream(spec)
         self.wr_ids = itertools.count(1)
         self.admitted = 0
         self.finished = 0
@@ -205,8 +203,7 @@ class ServingRuntime:
             if t.lease is None:
                 continue
             path = t.lease.path
-            offered[path] = (offered.get(path, 0.0)
-                             + to_mpps(1.0 / t.spec.interval_ns))
+            offered[path] = offered.get(path, 0.0) + t.spec.rate_mrps
         return offered
 
     # -- wiring -------------------------------------------------------------
@@ -241,35 +238,39 @@ class ServingRuntime:
     # -- data plane ---------------------------------------------------------
 
     def _arrivals(self, t: _TenantState):
-        """Open-loop arrival process with bounded-queue admission.
+        """Open-loop arrival process over the tenant's arrival stream,
+        with bounded-queue admission.
 
-        The relative ``timeout(interval_ns)`` stepping is load-bearing:
-        arrival instants accumulate float rounding one hop at a time,
-        and the pure-DES bit-identity contract pins that exact sequence.
-        The hybrid handover below is the only absolute-time splice, and
-        it only runs under ``engine="hybrid"``.
+        The relative ``timeout(gap)`` stepping is load-bearing: arrival
+        instants accumulate float rounding one hop at a time, and the
+        pure-DES bit-identity contract pins that exact sequence.  The
+        hybrid handover below is the only absolute-time splice, and it
+        only runs under ``engine="hybrid"``.
         """
         spec = t.spec
-        seq = 0
-        while seq < spec.requests:
-            yield self.sim.timeout(spec.interval_ns)
+        sim = self.sim
+        arrivals = t.arrivals
+        while arrivals.seq < spec.requests:
+            gap = arrivals.gap()
+            arrivals.at = sim.now + gap      # the instant the timeout fires
+            yield sim.timeout(gap)
             hybrid = self.hybrid
             if hybrid is not None and hybrid.wants(t):
                 # Hand the stream to the analytic recurrence.  It
-                # synthesizes arrivals from ``seq`` onward and resumes
-                # us at the exact instant of the first event-mode
-                # arrival (or past the end of the stream).
-                seq = yield from hybrid.handover(t, seq)
-                if seq >= spec.requests:
+                # synthesizes arrivals from the cursor onward and
+                # resumes us at the instant of the first event-mode
+                # arrival (or once the stream is exhausted).
+                yield from hybrid.handover(t)
+                if arrivals.seq >= spec.requests:
                     break
-            op = spec.mix.sample(t.op_rng)
+            op = arrivals.op()
             if len(t.queue) >= spec.queue_limit:
-                self.tracker.observe_reject(spec.name, self.sim.now)
+                self.tracker.observe_reject(spec.name, sim.now)
                 self.cluster.bump("sched.rejected")
             else:
                 t.admitted += 1
-                t.queue.offer((seq, op, self.sim.now))
-            seq += 1
+                t.queue.offer((arrivals.seq, op, sim.now))
+            arrivals.seq += 1
         t.arrivals_done = True
         for _ in range(spec.workers):
             t.queue.offer(None)          # wake idle workers to exit

@@ -8,15 +8,18 @@ runtime and the SLO tracker.
 
 from __future__ import annotations
 
+import itertools
+import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Iterator, List, NamedTuple, Optional
 
 from repro.core.advisor import WorkloadProfile
 from repro.core.paths import CommPath
-from repro.units import GB, to_gbps
+from repro.units import GB, to_gbps, to_mpps
 from repro.workloads import OpMix
 
 
@@ -102,6 +105,11 @@ class TenantSpec:
         """Offered load of the open-loop stream."""
         return to_gbps(self.payload / self.interval_ns)
 
+    @property
+    def rate_mrps(self) -> float:
+        """Offered request rate of the open-loop stream (Mrps)."""
+        return to_mpps(1.0 / self.interval_ns)
+
     def profile(self) -> WorkloadProfile:
         """The advisor-facing description of this tenant."""
         one_sided = self.mix.read + self.mix.write
@@ -114,6 +122,30 @@ class TenantSpec:
             working_set_bytes=self.working_set_bytes,
             host_soc_transfer=self.bulk,
         )
+
+
+class ArrivalStream:
+    """One tenant's open-loop arrivals, whichever engine advances them.
+
+    The cursor is ``seq`` and ``at``: the next arrival's sequence number
+    and nominal instant.  ``gap()`` is the next interarrival gap
+    (``interval_ns`` every time: the stream is periodic), and ``op()``
+    draws the next op, ``mix`` cutting ``rng``'s roll at its
+    thresholds; only the opcode shapes serving traffic, so no address
+    is drawn.  The DES sleeps each gap as a relative timeout; the hybrid
+    recurrence steps the cursor itself and writes it back, so either
+    engine resumes the stream where the other stopped.
+    """
+
+    __slots__ = ("seq", "at", "gap", "rng", "mix", "op")
+
+    def __init__(self, spec: TenantSpec):
+        self.seq = 0
+        self.at = 0.0
+        self.gap = itertools.repeat(spec.interval_ns).__next__
+        self.rng = random.Random(spec.seed)
+        self.mix = spec.mix
+        self.op = partial(spec.mix.sample, self.rng)
 
 
 class CompletionRecord(NamedTuple):

@@ -22,14 +22,16 @@ between two modes:
 * **ANALYTIC** — fast-forward.  Once the run has been steady for
   ``STABLE_TICKS`` control ticks (enough window samples per tenant, no
   new losses, no fault window within lookahead), the controller drains
-  each tenant's admission queue into a deterministic recurrence and
-  takes over the arrival processes via a handover protocol
-  (:meth:`ServingRuntime._arrivals` cooperates).  Per synthesized
-  arrival it replays the admission check, the shared token bucket and
-  a cyclic replay of the recorded service profile — advancing
-  completion counts, the :class:`~repro.sched.slo.SloTracker` windows
-  and the clock without scheduling events.  Only the control ticks
-  remain at event level (~6 events per tick instead of thousands).
+  each tenant's admission queue into a deterministic recurrence.  Each
+  arrival process parks in :meth:`HybridController.handover`, and the
+  recurrence advances the tenant's one
+  :class:`~repro.sched.tenant.ArrivalStream` (the DES's cursor, gaps
+  and op draws) until splice-back resumes the process at its cursor.
+  Per synthesized arrival it replays the admission check, the shared
+  token bucket and a cyclic replay of the recorded service profile —
+  advancing completion counts, the :class:`~repro.sched.slo.SloTracker`
+  windows and the clock without scheduling events.  Only the control
+  ticks remain at event level (~6 events per tick instead of thousands).
 
 Faithfulness contract (checked by ``repro.sim.crosscheck`` and the
 property tests):
@@ -59,6 +61,7 @@ from repro.hw.cpu import relay_service_ns
 from repro.sched.tenant import DEGRADED, OK
 from repro.sim.events import URGENT
 from repro.units import gbps
+from repro.workloads import OpMix
 
 #: Mode names (kept as plain strings for cheap comparison and repr).
 GUARD = "guard"
@@ -98,11 +101,11 @@ class _AnalyticTenant:
     replay its recorded profile cyclically; an op never observed under
     this lease generation (possible only for a zero-probability op
     raced onto the stream) replays the mean of everything recorded.
+    Arrivals come from the tenant's stream once ``resume`` is set.
     """
 
     __slots__ = ("state", "queue", "worker_free", "pending", "sentinels",
-                 "armed", "next_seq", "next_at", "resume", "slots",
-                 "degraded_service")
+                 "resume", "slots", "degraded_service")
 
     def __init__(self, state, backlog, sentinels, now, n_workers,
                  profiles, degraded_service, log):
@@ -111,18 +114,15 @@ class _AnalyticTenant:
         heapq.heapify(self.worker_free)
         self.pending: List[tuple] = []      # (end, seq, slot, arrived, flags)
         self.sentinels = sentinels          # drained worker-exit Nones
-        self.armed = False                  # arrival proc handed over?
-        self.next_seq = state.spec.requests
-        self.next_at = now
-        self.resume = None                  # handover resume event
+        self.resume = None                  # set once arrivals hand over
         pooled = [s for profile in profiles.values() for s in profile]
         fallback = sum(pooled) / len(pooled) if pooled else 1_000.0
-        #: (READ, WRITE, SEND) slots, in OpMix.sample's order.
+        #: One slot per op, in the order the mix's thresholds cut.
         self.slots = tuple(
             (op, log.op_code(op.value),
              (itertools.cycle(profiles[op]) if profiles.get(op)
               else itertools.repeat(fallback)).__next__)
-            for op in (Opcode.READ, Opcode.WRITE, Opcode.SEND))
+            for op in OpMix.OPS)
         by_op = {slot[0]: slot for slot in self.slots}
         self.queue = deque((seq, by_op[op], arrived)
                            for seq, op, arrived in backlog)
@@ -203,24 +203,20 @@ class HybridController:
         """Should this tenant's arrival process hand over its stream?"""
         return t.spec.name in self._tenants
 
-    def handover(self, t, seq: int):
+    def handover(self, t):
         """Called *from* the arrival process at an arrival instant.
 
-        Arms the tenant's recurrence starting at arrival ``seq`` (whose
-        nominal time is now) and parks the process until splice-back.
-        Returns the next event-mode sequence number, with the clock at
-        that arrival's instant.
+        Arms the tenant's recurrence at the arrival stream's cursor
+        (whose instant is now) and parks the process until splice-back,
+        returning with the clock at the cursor's instant.
         """
         at = self._tenants[t.spec.name]
-        at.armed = True
-        at.next_seq = seq
-        at.next_at = self.sim.now
         at.resume = self.sim.event()
         self._advance_tenant(at, self.sim.now)
-        new_seq, resume_at = yield at.resume
+        yield at.resume
+        resume_at = t.arrivals.at
         if resume_at > self.sim.now:
             yield self.sim.timeout(resume_at - self.sim.now)
-        return new_seq
 
     def on_decision(self, decision) -> None:
         """Scheduler listener: any decision is a transient."""
@@ -320,23 +316,12 @@ class HybridController:
             if t.lease.degraded:
                 continue                    # deterministic host relay
             generation = t.lease.generation
-            for op in self._mix_ops(spec):
+            for op in spec.mix.support:
                 profile = self._profiles.get((spec.name, op, generation))
                 if profile is None or len(profile) < MIN_SAMPLES:
                     steady = False
         self._last_stats = current
         return steady and any_active
-
-    @staticmethod
-    def _mix_ops(spec) -> List[Opcode]:
-        ops = []
-        if spec.mix.read > 0:
-            ops.append(Opcode.READ)
-        if spec.mix.write > 0:
-            ops.append(Opcode.WRITE)
-        if spec.mix.send > 0:
-            ops.append(Opcode.SEND)
-        return ops
 
     def _fault_blackouts(self, faults) -> List[Tuple[float, Optional[float]]]:
         """(start, end) windows where analytic mode is forbidden."""
@@ -383,7 +368,7 @@ class HybridController:
             generation = t.lease.generation
             profiles = {
                 op: tuple(self._profiles.get((spec.name, op, generation), ()))
-                for op in self._mix_ops(spec)}
+                for op in spec.mix.support}
             self._tenants[spec.name] = _AnalyticTenant(
                 t, backlog, sentinels, now, max(1, n_workers),
                 profiles, degraded_service, runtime.completions)
@@ -408,8 +393,9 @@ class HybridController:
         One fused loop: before each synthesized arrival (and finally at
         ``horizon``) queued items are assigned to the workers free by
         then, each paying the shared token bucket and drawing its
-        service time; the arrival then draws its op and is admitted or
-        rejected.  Completions due by ``horizon`` are written to the
+        service time; the arrival then draws its op from the tenant's
+        arrival stream, is admitted or rejected, and steps the stream's
+        cursor one gap.  Completions due by ``horizon`` are written to the
         completion log's columns and fed to the tracker as one batch,
         in completion order; like the DES, a record's start is its
         arrival backdated by the tenant's ingress.
@@ -427,17 +413,17 @@ class HybridController:
         heappush = heapq.heappush
         heappop = heapq.heappop
         popleft = queue.popleft
-        arriving = at.armed
+        arrivals = t.arrivals
+        arriving = at.resume is not None
         if arriving:
-            seq = at.next_seq
-            next_at = at.next_at
+            seq = arrivals.seq
+            next_at = arrivals.at
             requests = spec.requests
-            interval = spec.interval_ns
+            gap = arrivals.gap
             limit = spec.queue_limit
-            random = t.op_rng.random
+            random = arrivals.rng.random
+            read_below, write_below = arrivals.mix.thresholds
             read_slot, write_slot, send_slot = at.slots
-            p_read = spec.mix.read
-            p_read_write = spec.mix.read + spec.mix.write
             admitted = 0
             first_seq = seq
         while True:
@@ -462,8 +448,8 @@ class HybridController:
                 break
             # OpMix.sample inline: the same draw, the same thresholds.
             roll = random()
-            slot = (read_slot if roll < p_read
-                    else write_slot if roll < p_read_write else send_slot)
+            slot = (read_slot if roll < read_below
+                    else write_slot if roll < write_below else send_slot)
             if len(queue) >= limit:
                 self.tracker.observe_reject(spec.name, next_at)
                 self.runtime.cluster.bump("sched.rejected")
@@ -471,12 +457,12 @@ class HybridController:
                 admitted += 1
                 queue.append((seq, slot, next_at))
             seq += 1
-            next_at += interval
-        if at.armed:
+            next_at += gap()
+        if at.resume is not None:
             t.admitted += admitted
             self.analytic_arrivals += seq - first_seq
-            at.next_seq = seq
-            at.next_at = next_at
+            arrivals.seq = seq
+            arrivals.at = next_at
         ingress = spec.ingress_ns
         seqs, ops, starts, ends, row_flags = [], [], [], [], []
         while pending and pending[0][0] <= horizon:
@@ -508,9 +494,13 @@ class HybridController:
             t = at.state
             if at.queue or at.pending:
                 continue
-            if at.armed:
-                if at.next_seq >= t.spec.requests:
-                    at.resume.succeed((at.next_seq, now))
+            if at.resume is not None:
+                arrivals = t.arrivals
+                if arrivals.seq >= t.spec.requests:
+                    # The stream ended inside the recurrence: its
+                    # process exits now, not a gap later.
+                    arrivals.at = now
+                    at.resume.succeed()
                     del self._tenants[name]
             elif t.arrivals_done:
                 for _ in range(at.sentinels):
@@ -555,8 +545,8 @@ class HybridController:
                 t.queue.offer((seq, slot[0], arrived))
             for _ in range(at.sentinels):
                 t.queue.offer(None)
-            if at.armed:
-                at.resume.succeed((at.next_seq, at.next_at))
+            if at.resume is not None:
+                at.resume.succeed()
         self._tenants = {}
         self.mode = GUARD
         self.splices += 1

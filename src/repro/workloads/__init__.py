@@ -9,11 +9,7 @@ from repro.workloads.payloads import (
     FIG11_MACHINES,
     power_of_two_sweep,
 )
-from repro.workloads.access import (
-    UniformPattern,
-    RangeLimitedPattern,
-    ZipfPattern,
-)
+from repro.workloads.access import UniformPattern
 from repro.workloads.mix import OpMix, RequestStream
 from repro.workloads.traces import Trace, TraceRecord
 from repro.workloads.population import (
@@ -34,8 +30,6 @@ __all__ = [
     "FIG11_MACHINES",
     "power_of_two_sweep",
     "UniformPattern",
-    "RangeLimitedPattern",
-    "ZipfPattern",
     "OpMix",
     "RequestStream",
     "PopulationSample",

@@ -1,14 +1,10 @@
 """Memory access patterns for one-sided workloads.
 
-The paper's default is uniform over a 10 GB region (§3); the Fig 7 skew
-study narrows the range.  A Zipfian pattern is included for KV-style
-popularity skew (its *effective* range feeds the same skew model).
+The paper's default is uniform over a 10 GB region (§3).
 """
 
 from __future__ import annotations
 
-import bisect
-import math
 import random
 from typing import Optional
 
@@ -35,47 +31,3 @@ class UniformPattern:
     def effective_range(self) -> float:
         """Bytes of memory the pattern spreads over (drives skew models)."""
         return self.region.size
-
-
-class RangeLimitedPattern(UniformPattern):
-    """Uniform accesses confined to a sub-range (the Fig 7 x-axis)."""
-
-    def __init__(self, region: AddressRegion, payload: int, range_bytes: int,
-                 alignment: int = 64, rng: Optional[random.Random] = None):
-        if range_bytes > region.size:
-            raise ValueError(
-                f"range {range_bytes} exceeds region {region.size}")
-        super().__init__(region.sub_region(range_bytes), payload,
-                         alignment, rng)
-
-
-class ZipfPattern:
-    """Zipfian slot popularity over a region of fixed-size slots."""
-
-    def __init__(self, region: AddressRegion, payload: int, theta: float = 0.99,
-                 slots: int = 1024, rng: Optional[random.Random] = None):
-        if not 0 < theta < 1:
-            raise ValueError(f"theta must be in (0, 1): {theta}")
-        if slots < 1 or slots * payload > region.size:
-            raise ValueError("slots do not fit the region")
-        self.region = region
-        self.payload = payload
-        self.slots = slots
-        self.rng = rng or random.Random(0)
-        weights = [1.0 / math.pow(rank + 1, theta) for rank in range(slots)]
-        total = sum(weights)
-        cumulative = 0.0
-        self._cdf = []
-        for weight in weights:
-            cumulative += weight / total
-            self._cdf.append(cumulative)
-
-    def next(self) -> int:
-        slot = bisect.bisect_left(self._cdf, self.rng.random())
-        return self.region.base + min(slot, self.slots - 1) * self.payload
-
-    @property
-    def effective_range(self) -> float:
-        """The range covering ~90 % of accesses — what the DRAM sees."""
-        rank = bisect.bisect_left(self._cdf, 0.9) + 1
-        return rank * self.payload

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Iterator, Optional, Tuple
 
 from repro.core.paths import Opcode
 
@@ -24,11 +25,27 @@ class OpMix:
         if min(self.read, self.write, self.send) < 0:
             raise ValueError("mix fractions must be >= 0")
 
+    #: The ops a mix draws, in the order its thresholds cut [0, 1).
+    OPS = (Opcode.READ, Opcode.WRITE, Opcode.SEND)
+
+    @cached_property
+    def thresholds(self) -> Tuple[float, float]:
+        """Cumulative cut points of a uniform roll: below the first is
+        READ, below the second WRITE, anything above SEND."""
+        return self.read, self.read + self.write
+
+    @property
+    def support(self) -> Tuple[Opcode, ...]:
+        """The ops drawn with positive probability, in :attr:`OPS` order."""
+        mix = (self.read, self.write, self.send)
+        return tuple(op for op, p in zip(self.OPS, mix) if p > 0)
+
     def sample(self, rng: random.Random) -> Opcode:
         roll = rng.random()
-        if roll < self.read:
+        read_below, write_below = self.thresholds
+        if roll < read_below:
             return Opcode.READ
-        if roll < self.read + self.write:
+        if roll < write_below:
             return Opcode.WRITE
         return Opcode.SEND
 

@@ -12,10 +12,8 @@ from repro.workloads import (
     FIG7_RANGES,
     FIG8_PAYLOADS,
     OpMix,
-    RangeLimitedPattern,
     RequestStream,
     UniformPattern,
-    ZipfPattern,
     power_of_two_sweep,
 )
 
@@ -42,38 +40,6 @@ def test_uniform_pattern_range():
         addr = pattern.next()
         assert 0 <= addr <= 1 * MB - 64
     assert pattern.effective_range == 1 * MB
-
-
-def test_range_limited_pattern_confines_accesses():
-    region = AddressRegion(0, 1 * MB)
-    pattern = RangeLimitedPattern(region, payload=64, range_bytes=1536,
-                                  rng=random.Random(0))
-    assert pattern.effective_range == 1536
-    for _ in range(100):
-        assert pattern.next() <= 1536 - 64
-    with pytest.raises(ValueError):
-        RangeLimitedPattern(region, 64, range_bytes=2 * MB)
-
-
-def test_zipf_pattern_is_skewed():
-    region = AddressRegion(0, 1 * MB)
-    pattern = ZipfPattern(region, payload=64, theta=0.99, slots=1024,
-                          rng=random.Random(0))
-    counts = {}
-    for _ in range(5000):
-        addr = pattern.next()
-        counts[addr] = counts.get(addr, 0) + 1
-    top = max(counts.values())
-    assert top > 5000 * 0.05          # hottest slot dominates
-    assert pattern.effective_range < 1024 * 64 * 0.5
-
-
-def test_zipf_validation():
-    region = AddressRegion(0, 1 * MB)
-    with pytest.raises(ValueError):
-        ZipfPattern(region, 64, theta=0)
-    with pytest.raises(ValueError):
-        ZipfPattern(region, 1 * MB, slots=2)
 
 
 def test_op_mix_sampling():
