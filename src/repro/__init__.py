@@ -9,17 +9,18 @@ anomaly detectors and the offloading advisor.
 
 Typical entry points::
 
-    from repro import Session          # the one-object facade
     from repro import paper_testbed, Flow, CommPath, Opcode, ThroughputSolver
     from repro.core import LatencyModel, Advisor
+    from repro.sched import run_serve
+    from repro.cluster import run_cluster
     from repro.net.cluster import SimCluster
     from repro.rdma import RdmaContext
 
-:class:`Session` (also at :mod:`repro.api`) is the stable public
-surface — see docs/api.md.
+This package's exports plus :mod:`repro.api` (the scenario schema) are
+the stable public surface — see docs/api.md.  The ``repro`` CLI
+(:mod:`repro.cli`) calls the same functions.
 """
 
-from repro.api import RunOptions, Session
 from repro.core.paths import CommPath, Opcode
 from repro.core.throughput import Flow, Scenario, SolverResult, ThroughputSolver
 from repro.core.latency import LatencyModel
@@ -32,8 +33,6 @@ from repro.net.topology import Testbed, paper_testbed
 __version__ = "1.0.0"
 
 __all__ = [
-    "Session",
-    "RunOptions",
     "CommPath",
     "Opcode",
     "Flow",

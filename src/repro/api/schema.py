@@ -7,7 +7,7 @@ tier, the placement/migration policy and an optional fault plan — and
 round-trips losslessly through JSON::
 
     scenario = ClusterScenario.from_file("examples/rack_scenario.json")
-    report = Session().serve_cluster(scenario)
+    report = repro.cluster.run_cluster(scenario)
 
 ``examples/rack_scenario.json`` is the canonical document; the CLI
 front door is ``repro serve --cluster <doc.json>``.  Compilation to an

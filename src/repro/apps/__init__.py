@@ -3,8 +3,6 @@
 * :mod:`repro.apps.kvstore` — the Fig 1 scenario: a distributed
   in-memory key-value store served either with one-sided READs (network
   amplification) or with the index offloaded to the SmartNIC SoC.
-* :mod:`repro.apps.rpc` — a two-sided UD echo/RPC server (the Fig 4
-  SEND/RECV responder).
 * :mod:`repro.apps.offload` — a bulk host->SoC offload engine applying
   Advice #3 (segmentation) and Advice #4 (SoC-side doorbell batching).
 * :mod:`repro.apps.logship` — log shipping with a token-bucket budget
@@ -14,7 +12,6 @@
 """
 
 from repro.apps.kvstore import KVServer, OneSidedKVClient, OffloadedKVClient
-from repro.apps.rpc import RpcServer, RpcClient
 from repro.apps.offload import OffloadEngine, OffloadConfig, OffloadStats
 from repro.apps.logship import (
     LogShipper,
@@ -29,8 +26,6 @@ __all__ = [
     "KVServer",
     "OneSidedKVClient",
     "OffloadedKVClient",
-    "RpcServer",
-    "RpcClient",
     "OffloadEngine",
     "OffloadConfig",
     "OffloadStats",

@@ -3,20 +3,22 @@
 The server lays its state out in one registered region so one-sided
 clients can navigate it remotely:
 
-* a hash index of fixed 64 B buckets (key fingerprint, value offset,
-  value length), followed by
+* a linear-probing hash index of fixed 64 B buckets (key fingerprint,
+  value offset, value length), followed by
 * a bump-allocated value log.
 
 Two client strategies reproduce Fig 1:
 
 * :class:`OneSidedKVClient` — *(a)*: a ``get`` costs one READ for the
-  bucket and a second READ for the value: **network amplification**.
+  bucket (one more per bucket it probes past) and a second READ for the
+  value: **network amplification**.
 * :class:`OffloadedKVClient` — *(b)*: the store lives in SoC memory and
   a SoC-side handler answers a single RPC per ``get``; one round trip.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Generator, Optional
@@ -36,8 +38,9 @@ _FP_EMPTY = 0
 
 
 def _fingerprint(key: bytes) -> int:
-    """A 64-bit non-zero key fingerprint."""
-    fp = hash(key) & 0xFFFFFFFFFFFFFFFF
+    """A 64-bit non-zero key fingerprint, the same in every process."""
+    fp = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(),
+                        "little")
     return fp or 1
 
 
@@ -71,20 +74,39 @@ class KVServer:
         return bucket_id * BUCKET_BYTES
 
     def bucket_of(self, key: bytes) -> int:
+        """The key's home bucket (see :meth:`probe`)."""
         return _fingerprint(key) & (self.n_buckets - 1)
+
+    def probe(self, key: bytes):
+        """The buckets a lookup of ``key`` visits: its home bucket, then
+        the next ones in turn (linear probing), each bucket once."""
+        home = self.bucket_of(key)
+        mask = self.n_buckets - 1
+        return ((home + i) & mask for i in range(self.n_buckets))
+
+    def _header(self, bucket_id: int):
+        """A bucket's ``(fingerprint, value offset, value length)``."""
+        return _BUCKET.unpack(self.mr.read_local(
+            self.bucket_offset(bucket_id), _BUCKET.size))
 
     # -- server-side operations ------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        """Insert or update a key (executed by the server's CPU)."""
+        """Insert or update a key (executed by the server's CPU).
+
+        A new key takes the first empty bucket :meth:`probe` reaches,
+        so keys sharing a home bucket never overwrite each other.
+        """
         if not key:
             raise ValueError("empty key")
+        bucket = self._keys.get(key)
+        if bucket is None:
+            bucket = next((b for b in self.probe(key)
+                           if self._header(b)[0] == _FP_EMPTY), None)
+            if bucket is None:
+                raise KVStoreFullError("index full")
         if self._log_head + len(value) > self.mr.length:
             raise KVStoreFullError("value log exhausted")
-        bucket = self.bucket_of(key)
-        existing = self._keys.get(key)
-        if existing is not None and existing != bucket:
-            raise AssertionError("key moved buckets")  # pragma: no cover
         offset = self._log_head
         self.mr.write_local(offset, value)
         self._log_head += len(value)
@@ -94,12 +116,14 @@ class KVServer:
 
     def get_local(self, key: bytes) -> Optional[bytes]:
         """Server-side lookup (used by the SoC handler)."""
-        bucket = self.bucket_of(key)
-        raw = self.mr.read_local(self.bucket_offset(bucket), _BUCKET.size)
-        fp, offset, length = _BUCKET.unpack(raw)
-        if fp != _fingerprint(key) or fp == _FP_EMPTY:
-            return None
-        return self.mr.read_local(offset, length)
+        wanted = _fingerprint(key)
+        for bucket in self.probe(key):
+            fp, offset, length = self._header(bucket)
+            if fp == wanted:
+                return self.mr.read_local(offset, length)
+            if fp == _FP_EMPTY:
+                break
+        return None
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -188,21 +212,26 @@ class OneSidedKVClient:
         self._refresh()
         sim = self.qp.sim
         start = sim.now
-        bucket = self.server.bucket_of(key)
-        # Round trip 1: READ the bucket header.
-        self._wr += 1
-        yield self.qp.post_read(
-            self._wr, self.scratch, self.server.mr, _BUCKET.size,
-            local_offset=0, remote_offset=self.server.bucket_offset(bucket))
-        fp, offset, length = _BUCKET.unpack(
-            self.scratch.read_local(0, _BUCKET.size))
-        self.stats.network_round_trips += 1
+        wanted = _fingerprint(key)
+        for bucket in self.server.probe(key):
+            # One READ per bucket header: the home bucket, plus one
+            # more round trip per bucket the key was probed past.
+            self._wr += 1
+            yield self.qp.post_read(
+                self._wr, self.scratch, self.server.mr, _BUCKET.size,
+                local_offset=0,
+                remote_offset=self.server.bucket_offset(bucket))
+            fp, offset, length = _BUCKET.unpack(
+                self.scratch.read_local(0, _BUCKET.size))
+            self.stats.network_round_trips += 1
+            if fp == wanted or fp == _FP_EMPTY:
+                break
         self.stats.gets += 1
-        if fp != _fingerprint(key) or fp == _FP_EMPTY:
+        if fp != wanted:
             self.stats.misses += 1
             self.stats.latency.record(sim.now - start)
             return None
-        # Round trip 2: READ the value.
+        # Last round trip: READ the value.
         self._wr += 1
         yield self.qp.post_read(
             self._wr, self.scratch, self.server.mr, length,

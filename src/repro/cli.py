@@ -47,10 +47,10 @@ from repro.core.advisor import Advisor, WorkloadProfile
 from repro.core.anomalies import detect_all
 from repro.core.harness import LatencyBench, ThroughputBench
 from repro.core.latency import LatencyModel
-from repro.core.options import RunOptions
 from repro.core.paths import CommPath, Opcode
 from repro.core.plot import plot_sweeps
 from repro.core.report import format_table
+from repro.core.sweeps import StageTimings, SweepRunner
 from repro.core.throughput import Flow, Scenario, ThroughputSolver
 from repro.net.topology import paper_testbed
 from repro.nic.catalog import CATALOG, lookup
@@ -65,15 +65,6 @@ from repro.workloads import (
     FIG10_BATCHES,
     FIG11_MACHINES,
 )
-
-_PATHS = {p.value: p for p in CommPath}
-_PATHS.update({p.name.lower(): p for p in CommPath})
-# Bare figure-2 numbers as shorthand; "3" means the host->SoC direction
-# (use snic-3-s2h for the other one).
-_PATHS.update({"1": CommPath.SNIC1, "2": CommPath.SNIC2,
-               "3": CommPath.SNIC3_H2S})
-_OPS = {o.value: o for o in Opcode}
-
 
 def _parse_size(text: str) -> int:
     """Parse ``64``, ``4K``, ``9M``, ``10G`` into bytes."""
@@ -90,21 +81,18 @@ def _parse_size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"cannot parse size: {text!r}")
 
 
-def _path(text: str) -> CommPath:
-    key = text.lower().replace("_", "-")
-    try:
-        return _PATHS.get(key) or _PATHS[key.replace("-", "_")]
-    except KeyError:
-        choices = ", ".join(sorted({p.value for p in CommPath}))
-        raise argparse.ArgumentTypeError(
-            f"unknown path {text!r}; choose from {choices}")
+def _spelling(parse):
+    """An argparse ``type=`` over ``CommPath.parse``/``Opcode.parse``."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _op(text: str) -> Opcode:
-    try:
-        return _OPS[text.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"unknown op {text!r}")
+_path = _spelling(CommPath.parse)
+_op = _spelling(Opcode.parse)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,7 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "fig10", "fig11"])
     p.add_argument("--plot", action="store_true",
                    help="render an ASCII chart instead of a table")
-    RunOptions.add_arguments(p)
+    p.add_argument("--profile", action="store_true",
+                   help="append a per-stage wall-time breakdown "
+                        "(grid build / demand assembly / solve / aggregate)")
     p.add_argument("--cache-stats", action="store_true",
                    help="append the solver memo's hit/miss counters and "
                         "per-backend solve stats to the output")
@@ -400,12 +390,12 @@ def _cmd_compare(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
-    options = RunOptions.from_args(args)
     testbed = paper_testbed()
-    runner = options.runner(testbed)
+    runner = SweepRunner(testbed,
+                         timings=StageTimings() if args.profile else None)
     tp = ThroughputBench(testbed, runner)
     out = _run_sweep(args, testbed, tp, runner)
-    if options.profile:
+    if args.profile:
         out += "\n\nsweep stage profile\n" + runner.timings.report()
     if args.cache_stats:
         from repro.telemetry import perf_report
@@ -528,8 +518,8 @@ def _cmd_audit(args) -> str:
     flows = []
     for item in raw:
         flows.append(Flow(
-            path=_path(item["path"]),
-            op=_op(item["op"]),
+            path=CommPath.parse(item["path"]),
+            op=Opcode.parse(item["op"]),
             payload=int(item["payload"]),
             requesters=int(item.get("requesters", 11)),
             range_bytes=float(item.get("range_bytes", 10 * GB)),

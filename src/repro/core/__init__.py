@@ -12,7 +12,6 @@ Public surface:
 * :mod:`repro.core.anomalies` — detectors for the four anomalies.
 * :mod:`repro.core.advisor` — the offloading advice engine (Advice #1-4).
 * :mod:`~repro.core.harness` — measurement harness driving solver and DES.
-* :mod:`repro.core.options` — the shared :class:`RunOptions` knobs.
 """
 
 from repro.core.paths import CommPath, Opcode, PathEnds
@@ -29,7 +28,6 @@ from repro.core.batch import (
     ResourceRegistry,
     numpy_available,
 )
-from repro.core.options import RunOptions
 from repro.core.sweeps import StageTimings, SweepRunner
 from repro.core.latency import LatencyModel, LatencyBreakdown
 from repro.core.flows import FlowPattern, ConcurrencyAnalyzer
@@ -67,7 +65,6 @@ __all__ = [
     "DemandTensor",
     "ResourceRegistry",
     "numpy_available",
-    "RunOptions",
     "StageTimings",
     "SweepRunner",
     "LatencyModel",

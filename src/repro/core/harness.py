@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.latency import LatencyModel
-from repro.core.options import RunOptions
 from repro.core.packets import PacketCountModel
 from repro.core.paths import CommPath, Opcode
 from repro.core.report import format_table
@@ -70,24 +69,13 @@ class Sweep:
         return format_table([self.parameter, unit], rows, title=title)
 
 
-def _build_runner(testbed: Testbed, runner: Optional[SweepRunner],
-                  options: Optional[RunOptions]) -> SweepRunner:
-    """Resolve the bench's sweep backend from either spelling."""
-    if runner is not None and options is not None:
-        raise ValueError("pass either runner= or options=, not both")
-    if runner is not None:
-        return runner
-    return (options or RunOptions()).runner(testbed)
-
-
 class LatencyBench:
     """Model-based latency sweeps with DES cross-validation."""
 
-    def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None,
-                 options: Optional[RunOptions] = None):
+    def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None):
         self.testbed = testbed
         self.model = LatencyModel(testbed)
-        self.runner = _build_runner(testbed, runner, options)
+        self.runner = runner if runner is not None else SweepRunner(testbed)
 
     def payload_sweep(self, path: CommPath, op: Opcode,
                       payloads: Sequence[int]) -> Sweep:
@@ -157,10 +145,9 @@ class ThroughputBench:
     is installed and point by point otherwise.
     """
 
-    def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None,
-                 options: Optional[RunOptions] = None):
+    def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None):
         self.testbed = testbed
-        self.runner = _build_runner(testbed, runner, options)
+        self.runner = runner if runner is not None else SweepRunner(testbed)
         self.solver = self.runner.solver
         self.packets = PacketCountModel(testbed.snic.spec)
 

@@ -24,6 +24,16 @@ class Opcode(Enum):
     WRITE = "write"
     SEND = "send"   # two-sided SEND/RECV over UD, echo-server responder
 
+    @classmethod
+    def parse(cls, text) -> "Opcode":
+        """The verb spelled ``text``, in any letter case."""
+        try:
+            return cls(str(text).lower())
+        except ValueError:
+            choices = ", ".join(op.value for op in cls)
+            raise ValueError(
+                f"unknown op {text!r}; choose from {choices}") from None
+
     @property
     def one_sided(self) -> bool:
         return self is not Opcode.SEND
@@ -42,6 +52,18 @@ class CommPath(Enum):
     SNIC2 = "snic-2"
     SNIC3_H2S = "snic-3-h2s"
     SNIC3_S2H = "snic-3-s2h"
+
+    @classmethod
+    def parse(cls, text) -> "CommPath":
+        """The path spelled ``text``: its value (``snic-1``), its name
+        (``SNIC3_H2S``) or a bare Fig-2 number, in any letter case and
+        with ``_`` and ``-`` interchangeable."""
+        try:
+            return _PATH_SPELLINGS[str(text).lower().replace("_", "-")]
+        except KeyError:
+            choices = ", ".join(path.value for path in cls)
+            raise ValueError(
+                f"unknown path {text!r}; choose from {choices}") from None
 
     @property
     def uses_smartnic(self) -> bool:
@@ -65,6 +87,15 @@ class CommPath(Enum):
     def label(self) -> str:
         """Paper-style display label."""
         return _LABELS[self]
+
+
+_PATH_SPELLINGS = {spelling: path for path in CommPath
+                   for spelling in (path.value,
+                                    path.name.lower().replace("_", "-"))}
+# Bare Fig-2 numbers as shorthand; "3" means the host->SoC direction
+# (use snic-3-s2h for the other one).
+_PATH_SPELLINGS.update({"1": CommPath.SNIC1, "2": CommPath.SNIC2,
+                        "3": CommPath.SNIC3_H2S})
 
 
 @dataclass(frozen=True)

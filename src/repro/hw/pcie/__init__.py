@@ -18,12 +18,9 @@ from repro.hw.pcie.tlp import (
     TLP_READ_REQUEST_BYTES,
     TlpKind,
     Tlp,
-    negotiate_mps,
     segment_count,
     segment_sizes,
     wire_bytes,
-    read_wire_cost,
-    write_wire_cost,
 )
 from repro.hw.pcie.config import PCIeGen, PCIeLinkSpec, PCIE_GEN3, PCIE_GEN4, PCIE_GEN5
 from repro.hw.pcie.link import PCIeLink
@@ -36,12 +33,9 @@ __all__ = [
     "TLP_READ_REQUEST_BYTES",
     "TlpKind",
     "Tlp",
-    "negotiate_mps",
     "segment_count",
     "segment_sizes",
     "wire_bytes",
-    "read_wire_cost",
-    "write_wire_cost",
     "PCIeGen",
     "PCIeLinkSpec",
     "PCIE_GEN3",

@@ -32,8 +32,7 @@ class PCIeLinkSpec:
 
     ``mps`` is the endpoint's advertised maximum payload size in bytes
     ("PCIe MTU" in the paper, Table 3); the effective value on a link is
-    the minimum of both partners' (see
-    :func:`repro.hw.pcie.tlp.negotiate_mps`).
+    the minimum of both partners'.
     """
 
     gen: PCIeGen

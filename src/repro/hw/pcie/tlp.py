@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Tuple
+from typing import List
 
 # Header + framing overhead per TLP on the wire.  A memory-request TLP
 # carries ~12-16 B of TLP header plus DLLP/physical framing; 24 B is the
@@ -50,18 +50,6 @@ class Tlp:
         return self.payload + TLP_HEADER_BYTES
 
 
-def negotiate_mps(a_mps: int, b_mps: int) -> int:
-    """Maximum payload size negotiated between two link partners.
-
-    PCIe endpoints advertise a maximum payload size at enumeration and
-    the smaller one wins — this is why the SoC side of Bluefield runs at
-    128 B while the host side runs at 512 B (Table 3).
-    """
-    if a_mps <= 0 or b_mps <= 0:
-        raise ValueError(f"MPS must be positive, got {a_mps}, {b_mps}")
-    return min(a_mps, b_mps)
-
-
 def segment_count(nbytes: int, mps: int) -> int:
     """Number of data TLPs needed for ``nbytes`` (``ceil(N / MTU)``).
 
@@ -87,35 +75,3 @@ def segment_sizes(nbytes: int, mps: int) -> List[int]:
 def wire_bytes(nbytes: int, mps: int) -> int:
     """Total wire bytes to move ``nbytes`` of data TLPs at ``mps``."""
     return nbytes + segment_count(nbytes, mps) * TLP_HEADER_BYTES
-
-
-def write_wire_cost(nbytes: int, mps: int) -> Tuple[int, int]:
-    """(tlp_count, wire_bytes) for a posted write of ``nbytes``.
-
-    Writes are posted: data TLPs flow toward the target, nothing returns.
-    A zero-byte write still costs one header-only TLP when issued (but
-    NICs skip the DMA entirely for 0 B, which callers model themselves).
-    """
-    count = segment_count(nbytes, mps)
-    return count, wire_bytes(nbytes, mps)
-
-
-def read_wire_cost(nbytes: int, mps: int,
-                   max_read_request: int = 4096) -> Tuple[int, int, int, int]:
-    """Wire cost of a DMA read of ``nbytes``.
-
-    Returns ``(request_tlps, request_bytes, completion_tlps,
-    completion_bytes)``.  The reader issues one read-request TLP per
-    ``max_read_request`` chunk; the target answers with completion TLPs
-    segmented at the negotiated ``mps``.
-    """
-    if nbytes == 0:
-        return 0, 0, 0, 0
-    requests = segment_count(nbytes, max_read_request)
-    completions = segment_count(nbytes, mps)
-    return (
-        requests,
-        requests * TLP_READ_REQUEST_BYTES,
-        completions,
-        wire_bytes(nbytes, mps),
-    )

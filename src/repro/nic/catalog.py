@@ -1,16 +1,15 @@
-"""A catalog of SmartNIC spec sheets, plus spec loading from dicts.
+"""A catalog of SmartNIC spec sheets.
 
 §5 argues the study generalizes: every off-path SmartNIC extends an
 RNIC with a SoC behind a PCIe switch, so the models apply with different
 constants.  This module ships the known parts (Bluefield-2/3 and a
-Broadcom Stingray PS225 sketch) and a loader so users can describe their
-own device in JSON/TOML-shaped dictionaries and run the whole framework
-against it.
+Broadcom Stingray PS225 sketch); a custom device is a
+``dataclasses.replace`` of one of them (``replace(BLUEFIELD2,
+soc_mps=512)``) run through the same framework.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict
 
 from repro.hw.cpu import CPUSpec
@@ -81,50 +80,3 @@ def lookup(name: str) -> SmartNICSpec:
     except KeyError:
         known = ", ".join(sorted(CATALOG))
         raise KeyError(f"unknown SmartNIC {name!r}; catalog has: {known}")
-
-
-# Fields users may override when deriving a spec from a dict.  Scalar
-# overrides only — structured members (CPU, memory) come from the base.
-_CORE_FIELDS = {
-    "ports", "port_gbps", "verb_rate_host_only", "verb_rate_soc_only",
-    "verb_rate_concurrent", "verb_rate_write_host", "verb_rate_write_soc",
-    "verb_rate_write_concurrent", "pcie_pps", "dma_ops_host", "dma_ops_soc",
-    "hol_threshold", "hol_threshold_s2h", "hol_pps", "read_slots",
-    "write_buffers", "nic_base_ns", "send_derate_snic", "max_read_request",
-    "network_mtu", "net_header_bytes", "link_efficiency", "duplex_derate",
-    "pipeline_ns",
-}
-_RATE_FIELDS = {
-    "verb_rate_host_only", "verb_rate_soc_only", "verb_rate_concurrent",
-    "verb_rate_write_host", "verb_rate_write_soc",
-    "verb_rate_write_concurrent", "pcie_pps", "dma_ops_host",
-    "dma_ops_soc", "hol_pps",
-}
-_SPEC_FIELDS = {"host_mps", "soc_mps", "switch_hop_ns", "link_latency_ns",
-                "switch_derate", "soc_dram_bytes"}
-
-
-def spec_from_dict(config: dict, base: str = "bluefield-2") -> SmartNICSpec:
-    """Derive a SmartNIC spec from a plain dictionary.
-
-    ``config`` holds a ``name``, optional top-level overrides
-    (``host_mps``, ``soc_mps``, ``switch_hop_ns``, ...) and an optional
-    ``cores`` sub-dict with core overrides.  Rate fields under ``cores``
-    are given in Mpps.  Everything unspecified inherits from ``base``.
-    """
-    base_spec = lookup(base)
-    unknown = (set(config) - _SPEC_FIELDS - {"name", "cores", "base"})
-    if unknown:
-        raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-    core_over = dict(config.get("cores", {}))
-    unknown_cores = set(core_over) - _CORE_FIELDS
-    if unknown_cores:
-        raise ValueError(f"unknown core fields: {sorted(unknown_cores)}")
-    for key in list(core_over):
-        if key in _RATE_FIELDS:
-            core_over[key] = mpps(float(core_over[key]))
-    cores = replace(base_spec.cores, **core_over) if core_over else base_spec.cores
-    spec_over = {key: config[key] for key in _SPEC_FIELDS if key in config}
-    return replace(base_spec, cores=cores,
-                   name=config.get("name", base_spec.name + "-custom"),
-                   **spec_over)

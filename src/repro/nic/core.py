@@ -6,6 +6,9 @@ Two capacity models live here:
   cores retire.  §4's 0 B microbenchmark shows the pool is mostly shared
   between the host and SoC endpoints with small reserved slices, so
   using both paths concurrently buys 4–13 % (READ) and nothing (WRITE).
+  The rates are :class:`~repro.nic.specs.NICCoreSpec` fields
+  (``verb_rate_*``) that the throughput solver reads
+  (:mod:`repro.core.demand`); this module counts verb slots per request.
 * **PCIe DMA pps capacity** — how many TLPs per second the DMA engine
   sustains.  Requests larger than the head-of-line threshold that
   involve a *non-posted* (read) DMA leg collapse this capacity to
@@ -17,8 +20,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import FrozenSet, Iterable
-
 from repro.nic.specs import NICCoreSpec
 
 
@@ -36,31 +37,6 @@ class NICCores:
         self.spec = spec
 
     # -- verb-op capacity -------------------------------------------------------
-
-    def verb_capacity(self, endpoints: Iterable[Endpoint], op: str) -> float:
-        """Sustainable verb ops/ns for small requests toward ``endpoints``.
-
-        ``op`` is ``"read"``, ``"write"`` or ``"send"``.  Only READ
-        processing exhibits the reserved-core partitioning (§4).
-        """
-        targets: FrozenSet[Endpoint] = frozenset(endpoints)
-        if not targets:
-            raise ValueError("need at least one endpoint")
-        if op not in ("read", "write", "send"):
-            raise ValueError(f"unknown op: {op!r}")
-        if op == "read":
-            rates = (self.spec.verb_rate_host_only,
-                     self.spec.verb_rate_soc_only,
-                     self.spec.verb_rate_concurrent)
-        else:
-            rates = (self.spec.verb_rate_write_host,
-                     self.spec.verb_rate_write_soc,
-                     self.spec.verb_rate_write_concurrent)
-        if targets == {Endpoint.HOST}:
-            return rates[0]
-        if targets == {Endpoint.SOC}:
-            return rates[1]
-        return rates[2]
 
     def verb_ops_per_request(self, payload: int) -> int:
         """Network packets (and hence verb pipeline slots) per request."""

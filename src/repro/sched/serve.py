@@ -1,7 +1,7 @@
 """``run_serve``: one call from tenant specs to a serving report.
 
-This is the engine behind ``Session.serve`` and
-``benchmarks/bench_scheduler.py``; ``repro serve`` runs the same
+This is the engine behind ``benchmarks/bench_scheduler.py`` and the
+crosscheck and validation replicates; ``repro serve`` runs the same
 session in lockstep.  It wires the whole stack — cluster, RDMA
 context, SLO tracker, runtime, policy, scheduler, optional fault plan
 and tracer — runs the simulation to completion, and distils the raw

@@ -1,52 +1,48 @@
-"""Tests for the run-options dataclass."""
-
-import argparse
-import dataclasses
+"""Tests for the sweep options: ``repro sweep --profile`` is the one."""
 
 import pytest
 
-from repro.core.options import RunOptions
+from repro.cli import _build_parser, main
+from repro.core.harness import LatencyBench, ThroughputBench
 from repro.core.sweeps import SweepRunner
 from repro.net.topology import paper_testbed
 
 
+def _sweep_args(*flags):
+    return _build_parser().parse_args(["sweep", "fig4", *flags])
+
+
 def test_defaults():
-    options = RunOptions()
-    assert [f.name for f in dataclasses.fields(options)] == ["profile"]
-    assert not options.profile
-
-
-def test_validation():
-    # Serving and cluster settings are Session.serve/serve_cluster
-    # keywords, not run options, and the solver memo has no switch:
-    # the old spellings are refused.
-    for knob in ("engine", "jobs", "chunk_size", "machines",
-                 "population_seed", "cache", "disk_cache"):
-        with pytest.raises(TypeError):
-            RunOptions(**{knob: 1})
+    assert not _sweep_args().profile
 
 
 def test_runner_carries_the_options():
-    runner = RunOptions().runner(paper_testbed())
-    assert isinstance(runner, SweepRunner)
-    assert runner.timings is None
+    # A bench built without a runner gets a plain one: no timings.
+    for bench in (LatencyBench, ThroughputBench):
+        runner = bench(paper_testbed()).runner
+        assert isinstance(runner, SweepRunner)
+        assert runner.timings is None
 
 
-def test_profile_attaches_timings():
-    runner = RunOptions(profile=True).runner(paper_testbed())
-    assert runner.timings is not None
+def test_validation():
+    # Serving and cluster settings are ``serve`` flags and the solver
+    # memo has no switch: ``sweep`` refuses the old spellings.
+    for gone in (["--engine", "vector"], ["--jobs", "2"],
+                 ["--chunk-size", "8"], ["--machines", "4"],
+                 ["--population-seed", "1"]):
+        with pytest.raises(SystemExit):
+            _sweep_args(*gone)
+
+
+def test_profile_attaches_timings(capsys):
+    assert main(["sweep", "fig4", "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "sweep stage profile" in out
+    assert "grid_build" in out and "solve" in out
 
 
 def test_argparse_round_trip():
-    parser = argparse.ArgumentParser()
-    RunOptions.add_arguments(parser)
-    options = RunOptions.from_args(parser.parse_args(["--profile"]))
-    assert options == RunOptions(profile=True)
+    assert _sweep_args("--profile").profile
     for gone in (["--no-cache"], ["--disk-cache", "/nonexistent"]):
         with pytest.raises(SystemExit):
-            parser.parse_args(gone)
-
-
-def test_from_args_tolerates_missing_attributes():
-    options = RunOptions.from_args(argparse.Namespace())
-    assert options == RunOptions()
+            _sweep_args(*gone)

@@ -110,16 +110,49 @@ def test_many_keys_roundtrip(ctx):
     server = KVServer(ctx, "host", n_buckets=4096, log_bytes=1 << 20)
     client = OneSidedKVClient(ctx, "client0", server)
     keys = {f"key-{i}".encode(): f"value-{i}".encode() for i in range(200)}
-    stored = {}
     for key, value in keys.items():
-        bucket = server.bucket_of(key)
-        if bucket in stored:  # skip hash-collided buckets in this test
-            continue
-        stored[bucket] = (key, value)
         server.put(key, value)
-    hits = 0
-    for key, value in stored.values():
-        got = run_get(ctx, client, key)
-        assert got == value
-        hits += 1
-    assert hits == len(stored) > 150
+    # Keys sharing a home bucket included: each reads back its own value.
+    for key, value in keys.items():
+        assert run_get(ctx, client, key) == value
+    assert client.stats.misses == 0
+
+
+def _keys_sharing_a_bucket(server, count):
+    """The first ``count`` keys ``k0, k1, ...`` with one home bucket."""
+    by_bucket = {}
+    for i in range(10_000):
+        key = f"k{i}".encode()
+        group = by_bucket.setdefault(server.bucket_of(key), [])
+        group.append(key)
+        if len(group) == count:
+            return group
+    raise AssertionError("no bucket collision found")
+
+
+def test_keys_sharing_a_bucket_are_all_readable(ctx):
+    server = KVServer(ctx, "host", n_buckets=8)
+    first, second = _keys_sharing_a_bucket(server, 2)
+    server.put(first, b"one")
+    server.put(second, b"two")       # probes past the taken home bucket
+    server.put(first, b"one again")  # an update stays in its bucket
+    assert server.get_local(first) == b"one again"
+    assert server.get_local(second) == b"two"
+    assert len(server) == 2
+    client = OneSidedKVClient(ctx, "client0", server)
+    assert run_get(ctx, client, first) == b"one again"
+    assert client.stats.network_round_trips == 2
+    # The displaced key costs one more bucket READ.
+    assert run_get(ctx, client, second) == b"two"
+    assert client.stats.network_round_trips == 2 + 3
+
+
+def test_full_index_raises_instead_of_overwriting(ctx):
+    server = KVServer(ctx, "host", n_buckets=2)
+    server.put(b"a", b"1")
+    server.put(b"b", b"2")
+    with pytest.raises(KVStoreFullError, match="index full"):
+        server.put(b"c", b"3")
+    assert server.get_local(b"a") == b"1"
+    assert server.get_local(b"b") == b"2"
+    assert server.get_local(b"c") is None

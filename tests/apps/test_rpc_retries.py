@@ -1,9 +1,6 @@
-"""Client-side retries: RPC and offloaded KV gets under lossy links."""
-
-import pytest
+"""Client-side retries: offloaded KV gets under lossy links."""
 
 from repro.apps.kvstore import KVServer, KVTimeoutError, OffloadedKVClient
-from repro.apps.rpc import RpcClient, RpcServer, RpcTimeoutError
 from repro.faults import FaultPlan, LinkDown
 from repro.net.cluster import SimCluster
 from repro.net.topology import paper_testbed
@@ -24,82 +21,12 @@ def run_call(ctx, generator):
     def driver():
         try:
             result["value"] = yield from generator
-        except (RpcTimeoutError, KVTimeoutError) as exc:
+        except KVTimeoutError as exc:
             result["error"] = exc
 
     ctx.cluster.sim.process(driver())
     ctx.cluster.sim.run()
     return result.get("value"), result.get("error")
-
-
-# -- RPC ---------------------------------------------------------------------
-
-
-def test_rpc_retry_rides_out_a_transient_outage():
-    # The outage swallows the first request; the resend gets through.
-    ctx = make_ctx(FaultPlan(faults=(LinkDown("net.client0", end=5_000.0),)))
-    server = RpcServer(ctx, "host")
-    client = RpcClient(ctx, "client0", server,
-                       timeout_ns=50_000.0, max_retries=3)
-    value, error = run_call(ctx, client.call(b"hello"))
-    assert error is None
-    assert value == b"hello"
-    assert client.stats.timeouts == 1
-    assert client.stats.calls == 1
-    assert 0.0 < client.stats.timeout_rate < 1.0
-
-
-def test_rpc_exhaustion_raises_timeout_error():
-    ctx = make_ctx(FaultPlan(faults=(LinkDown("net.client0"),)))
-    server = RpcServer(ctx, "host")
-    client = RpcClient(ctx, "client0", server,
-                       timeout_ns=20_000.0, max_retries=2)
-    value, error = run_call(ctx, client.call(b"hello"))
-    assert value is None
-    assert isinstance(error, RpcTimeoutError)
-    # One timeout per attempt: the original send plus both resends.
-    assert client.stats.timeouts == 3
-    assert client.stats.calls == 0  # never completed
-    assert client.stats.timeout_rate == 1.0
-
-
-def test_rpc_fault_free_reliable_client_matches_plain():
-    plain_ctx = make_ctx()
-    plain = RpcClient(plain_ctx, "client0", RpcServer(plain_ctx, "host"))
-    armed_ctx = make_ctx()
-    armed = RpcClient(armed_ctx, "client0", RpcServer(armed_ctx, "host"),
-                      timeout_ns=1_000_000.0, max_retries=3)
-    for client, ctx in ((plain, plain_ctx), (armed, armed_ctx)):
-        value, error = run_call(ctx, client.call(b"payload"))
-        assert error is None
-        assert value == b"payload"
-    assert armed.stats.timeouts == 0
-    assert armed.stats.timeout_rate == 0.0
-    # Same answer, same call count; the retry arm never fired.
-    assert armed.stats.calls == plain.stats.calls == 1
-
-
-def test_rpc_too_short_timeout_still_converges_via_straggler():
-    # Fault-free link, but the timeout undercuts the true RTT: the
-    # reply to an earlier attempt carries the same request id and is
-    # accepted, so the call completes despite recorded timeouts.
-    ctx = make_ctx()
-    server = RpcServer(ctx, "host")
-    client = RpcClient(ctx, "client0", server,
-                       timeout_ns=1_000.0, max_retries=8)
-    value, error = run_call(ctx, client.call(b"ping"))
-    assert error is None
-    assert value == b"ping"
-    assert client.stats.timeouts > 0
-
-
-def test_rpc_client_parameter_validation():
-    ctx = make_ctx()
-    server = RpcServer(ctx, "host")
-    with pytest.raises(ValueError):
-        RpcClient(ctx, "client0", server, timeout_ns=0.0)
-    with pytest.raises(ValueError):
-        RpcClient(ctx, "client0", server, timeout_ns=100.0, max_retries=-1)
 
 
 # -- offloaded KV gets -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""End-to-end cluster runs: PR-8 parity, bit-identity, the facade.
+"""End-to-end cluster runs: cluster-chaos parity, bit-identity, the entry point.
 
 The load-bearing contracts:
 
@@ -9,14 +9,13 @@ The load-bearing contracts:
   byte for byte;
 * a scenario with live LB-routed migration mid-run is bit-identical
   across ``jobs={1,N}`` (hypothesis, across population seeds);
-* ``Session.serve_cluster`` is the facade spelling.
+* ``run_cluster`` takes a document and keyword overrides.
 """
 
 import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.api import Session
 from repro.api.schema import (ClusterScenario, MachineDoc, SchedulerDoc,
                               TenantDoc)
 from repro.cluster import ClusterReport, run_cluster
@@ -137,7 +136,7 @@ def test_migrating_cluster_runs_bit_identical_across_jobs(seed):
 
 def test_serve_cluster_facade_and_option_defaults():
     scenario = _hot_cold_scenario(3)
-    report = Session().serve_cluster(scenario, jobs=1)
+    report = run_cluster(scenario, jobs=1)
     assert isinstance(report, ClusterReport)
     assert set(report.placement) == set(report.tenants)
     assert report.summary().startswith("cluster 'hot-cold'")

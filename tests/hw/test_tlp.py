@@ -7,17 +7,13 @@ from hypothesis import given, strategies as st
 
 from repro.hw.pcie import (
     TLP_HEADER_BYTES,
-    TLP_READ_REQUEST_BYTES,
     Tlp,
     TlpKind,
-    negotiate_mps,
-    read_wire_cost,
     segment_count,
     segment_sizes,
     wire_bytes,
-    write_wire_cost,
 )
-from repro.units import KB, MB
+from repro.units import MB
 
 
 def test_tlp_wire_bytes():
@@ -28,18 +24,6 @@ def test_tlp_wire_bytes():
 def test_tlp_negative_payload_rejected():
     with pytest.raises(ValueError):
         Tlp(TlpKind.MEM_WRITE, payload=-1)
-
-
-def test_negotiate_mps_takes_minimum():
-    # Host advertises 512 B, the SoC endpoint 128 B (Table 3).
-    assert negotiate_mps(512, 128) == 128
-    assert negotiate_mps(128, 512) == 128
-    assert negotiate_mps(512, 512) == 512
-
-
-def test_negotiate_mps_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        negotiate_mps(0, 512)
 
 
 def test_segment_count_matches_paper_table3():
@@ -67,30 +51,6 @@ def test_wire_bytes_adds_header_per_tlp():
     assert wire_bytes(1024, 512) == 1024 + 2 * TLP_HEADER_BYTES
 
 
-def test_write_wire_cost_is_posted():
-    count, total = write_wire_cost(4 * KB, 512)
-    assert count == 8
-    assert total == 4 * KB + 8 * TLP_HEADER_BYTES
-
-
-def test_read_wire_cost_zero_bytes_is_free():
-    assert read_wire_cost(0, 512) == (0, 0, 0, 0)
-
-
-def test_read_wire_cost_small_read():
-    reqs, req_bytes, cpls, cpl_bytes = read_wire_cost(64, 512)
-    assert reqs == 1
-    assert req_bytes == TLP_READ_REQUEST_BYTES
-    assert cpls == 1
-    assert cpl_bytes == 64 + TLP_HEADER_BYTES
-
-
-def test_read_wire_cost_large_read_chunks_requests():
-    reqs, _, cpls, _ = read_wire_cost(1 * MB, 128, max_read_request=4096)
-    assert reqs == 256            # 1 MB / 4 KB read requests
-    assert cpls == 8192           # 1 MB / 128 B completions
-
-
 @given(st.integers(min_value=0, max_value=64 * MB),
        st.sampled_from([128, 256, 512, 4096]))
 def test_segment_count_is_ceil(nbytes, mps):
@@ -113,11 +73,3 @@ def test_smaller_mtu_never_needs_fewer_tlps(nbytes):
     # The SoC's 128 B MTU always costs at least as many TLPs as 512 B —
     # the root cause of the Fig 8 collapse.
     assert segment_count(nbytes, 128) >= segment_count(nbytes, 512)
-
-
-@given(st.integers(min_value=1, max_value=16 * MB),
-       st.sampled_from([128, 512]))
-def test_read_completions_dominate_requests(nbytes, mps):
-    reqs, _, cpls, cpl_bytes = read_wire_cost(nbytes, mps)
-    assert cpls >= reqs
-    assert cpl_bytes > nbytes  # headers always add overhead

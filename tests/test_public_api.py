@@ -1,7 +1,7 @@
 """The stable public surface: export snapshots and a warning-free import.
 
-``repro`` and ``repro.api`` are the supported import points; this file
-pins their exports, and those of the event kernel (``repro.sim``) and
+``repro`` (the core names) and ``repro.api`` (the scenario schema) are
+the supported import points; this file pins their exports, and those of the event kernel (``repro.sim``) and
 the verbs stack (``repro.rdma``), so accidental additions/removals fail
 review, and
 checks the supported spellings import cleanly under
@@ -32,9 +32,7 @@ REPRO_EXPORTS = [
     "LatencyModel",
     "Opcode",
     "PacketCountModel",
-    "RunOptions",
     "Scenario",
-    "Session",
     "SolverResult",
     "Testbed",
     "ThroughputSolver",
@@ -44,8 +42,7 @@ REPRO_EXPORTS = [
     "paper_testbed",
 ]
 
-API_EXPORTS = ["ClusterScenario", "MachineDoc", "RunOptions",
-               "SchedulerDoc", "Session", "TenantDoc"]
+API_EXPORTS = ["ClusterScenario", "MachineDoc", "SchedulerDoc", "TenantDoc"]
 
 # The kernel keeps what the simulator runs: no interrupts, no LOW
 # priority, no rate or time-weighted monitors.
@@ -88,7 +85,8 @@ def test_every_export_resolves():
 def test_new_spellings_are_warning_free():
     """The supported imports stay clean under -W error."""
     code = ("import repro, repro.api, repro.sched\n"
-            "from repro import Session, RunOptions\n"
+            "from repro import CommPath, Opcode, paper_testbed\n"
+            "from repro.api import ClusterScenario\n"
             "from repro.core.harness import LatencyBench, ThroughputBench\n")
     subprocess.run(
         [sys.executable, "-W", "error::DeprecationWarning", "-c", code],
