@@ -412,6 +412,7 @@ def stats_ci_bench() -> dict:
     would catch.  Zero cross-seed half-width is expected — the serving
     families are seed-invariant (docs/validation.md).
     """
+    from repro.stats.kernels import CONFIDENCE
     from repro.stats.replicate import replicate
 
     rep = replicate("adaptive", seeds=STATS_CI_SEEDS,
@@ -433,7 +434,7 @@ def stats_ci_bench() -> dict:
         "family": "adaptive",
         "seeds": STATS_CI_SEEDS,
         "duration_ns": STATS_CI_DURATION_NS,
-        "confidence": 0.95,
+        "confidence": CONFIDENCE,
         "tenants": tenants,
         "slo_goodput_gbps": {
             "mean": round(total.mean, 4),

@@ -95,6 +95,19 @@ _path = _spelling(CommPath.parse)
 _op = _spelling(Opcode.parse)
 
 
+def _duration(text: str) -> float:
+    """A ``--duration`` in ns: finite and positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid duration: {text!r}") from None
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of ns: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -221,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "catalog (flow conservation, cluster-flow, "
                         "Little's law, capacity bounds) and exit "
                         "non-zero on any violation")
-    p.add_argument("--duration", type=float, default=None,
+    p.add_argument("--duration", type=_duration, default=None,
                    help="arrival-window length in ns of the built-in mix "
                         "(default 1.5 ms)")
     p.add_argument("--seed", type=int, default=None,
@@ -279,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck",
                        help="grade the hybrid serving engine against "
                             "pure DES")
-    p.add_argument("--duration", type=float, default=1_500_000.0,
+    p.add_argument("--duration", type=_duration, default=1_500_000.0,
                    help="arrival-window length in ns (default 1.5 ms)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the tenants' request streams")
@@ -303,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "only runs when named explicitly)")
     p.add_argument("--seeds", type=int, default=3,
                    help="replicates per serving family (default 3)")
-    p.add_argument("--duration", type=float, default=400_000.0,
+    p.add_argument("--duration", type=_duration, default=400_000.0,
                    help="serving arrival-window length in ns "
                         "(default 400 us)")
     p.add_argument("--jobs", type=int, default=0,

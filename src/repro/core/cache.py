@@ -1,10 +1,9 @@
 """A bounded in-memory memo with hit/miss accounting.
 
 Used where a question really repeats: the scalar solver's one-scenario
-memo (:data:`repro.core.throughput.RESULT_CACHE`) and the cross-seed
-replicate memo (:data:`repro.stats.replicate.REPLICATE_CACHE`).  Keys
-are the caller's own hashable objects; this module knows nothing of
-what they mean.
+memo (:data:`repro.core.throughput.RESULT_CACHE`), the toolkit's only
+memo.  Keys are the caller's own hashable objects; this module knows
+nothing of what they mean.
 """
 
 from __future__ import annotations

@@ -116,8 +116,7 @@ class LatencyBench:
         return sim.now
 
     def dma_model_agreement(self, path: CommPath, op: Opcode,
-                            payloads: Sequence[int],
-                            confidence: float = 0.95) -> Estimate:
+                            payloads: Sequence[int]) -> Estimate:
         """DES-vs-model DMA disagreement across payloads, as mean ± CI.
 
         For each payload the DES replays the responder's DMA on the
@@ -134,7 +133,7 @@ class LatencyBench:
             breakdown = self.model.latency(path, op, payload, 10 * GB)
             model_ns = breakdown.as_dict().get("responder_dma", 0.0)
             errors.append(abs(des_ns - model_ns) / max(model_ns, 1e-9))
-        return mean_estimate(errors, confidence=confidence)
+        return mean_estimate(errors)
 
 
 class ThroughputBench:

@@ -90,23 +90,20 @@ class ServeReport:
     machine_path_gbps: Dict[str, Dict[str, float]] = field(
         default_factory=dict)
 
-    def p99(self, tenant: str, confidence: float = 0.95) -> Estimate:
+    def p99(self, tenant: str) -> Estimate:
         """Batch-means estimate of the tenant's per-window p99 (ns)."""
         series = [w.p99_ns for w in self.windows.get(tenant, ())
                   if w.count > 0]
         if not series:
             return Estimate(mean=self.tenants[tenant].p99_ns,
-                            half_width=float("inf"), n=1,
-                            confidence=confidence)
-        return batch_means(series, confidence=confidence)
+                            half_width=float("inf"), n=1)
+        return batch_means(series)
 
-    def worst_p99(self, confidence: float = 0.95) -> Estimate:
+    def worst_p99(self) -> Estimate:
         """The worst tenant's p99 as a mean ± CI over warm windows."""
         if not self.tenants:
-            return Estimate(mean=0.0, half_width=0.0, n=0,
-                            confidence=confidence)
-        estimates = [self.p99(name, confidence=confidence)
-                     for name in self.tenants]
+            return Estimate(mean=0.0, half_width=0.0, n=0)
+        estimates = [self.p99(name) for name in self.tenants]
         return max(estimates, key=lambda e: e.mean)
 
     @property

@@ -110,7 +110,7 @@ class _Rolling:
     ``events`` holds ``(end_ns, latency_ns, payload, ok)`` in arrival
     order.  ``latencies`` (sorted), ``good_bytes`` and ``violations``
     mirror its ok events exactly: :meth:`add`,
-    :meth:`SloTracker.observe_batch` and :meth:`prune` are their only
+    :meth:`SloTracker.observe_rows` and :meth:`prune` are their only
     writers, and pruning updates them in the same ``popleft`` loop that
     drops an event.  A window read therefore costs
     O(pruned + log n) instead of one sort and three passes.
@@ -201,17 +201,6 @@ class SloTracker:
         self.observe_rows(record.tenant, ((
             record.start_ns, record.end_ns,
             OK * record.ok | DEGRADED * record.degraded),), payload)
-
-    def observe_batch(self, tenant: str,
-                      records: Iterable[CompletionRecord],
-                      payload: int) -> None:
-        """Feed one tenant's completions, in completion order.
-
-        Like :meth:`observe`, it goes through :meth:`observe_rows`.
-        """
-        self.observe_rows(tenant, [
-            (r.start_ns, r.end_ns, OK * r.ok | DEGRADED * r.degraded)
-            for r in records], payload)
 
     def observe_rows(self, tenant: str,
                      rows: Iterable[Tuple[float, float, int]],

@@ -179,8 +179,8 @@ class AgreementRow:
     detail: str
 
 
-def ci_agreement(des: ServeReport, hybrid: ServeReport,
-                 confidence: float = 0.95) -> Tuple[AgreementRow, ...]:
+def ci_agreement(des: ServeReport,
+                 hybrid: ServeReport) -> Tuple[AgreementRow, ...]:
     """Grade DES-vs-hybrid agreement with CI-overlap gates.
 
     The original :func:`crosscheck` grades point estimates against
@@ -214,10 +214,8 @@ def ci_agreement(des: ServeReport, hybrid: ServeReport,
         for metric, tol in (("p50_ns", LATENCY_TOL),
                             ("p99_ns", LATENCY_TOL),
                             ("goodput_gbps", GOODPUT_TOL)):
-            a = report_estimate(des, name, field=metric,
-                                confidence=confidence)
-            b = report_estimate(hybrid, name, field=metric,
-                                confidence=confidence)
+            a = report_estimate(des, name, field=metric)
+            b = report_estimate(hybrid, name, field=metric)
             ok, detail = agreement(a, b, tolerance=tol)
             rows.append(AgreementRow(tenant=name, metric=metric,
                                      des=a, hybrid=b, ok=ok, detail=detail))

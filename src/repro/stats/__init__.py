@@ -11,7 +11,7 @@ kernels without dragging in the serving stack:
 * :mod:`repro.stats.invariants` — the machine-checked catalog: flow
   conservation, Little's law, utilization ≤ capacity, report sanity.
 * :mod:`repro.stats.replicate` / :mod:`repro.stats.validate` —
-  cross-seed replication (pooled + cached) and the ``repro validate``
+  cross-seed replication (serial or pooled) and the ``repro validate``
   verification report.  Imported lazily (PEP 562) because they reach
   into :mod:`repro.sched` and :mod:`repro.sim`, which themselves use
   the kernels.

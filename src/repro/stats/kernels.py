@@ -8,10 +8,10 @@ means).  Pure stdlib — no scipy, no numpy — because the toolkit's only
 hard dependency is CPython.
 
 The central type is :class:`Estimate`: a ``(mean, half_width)`` pair
-with its sample size and confidence level attached.  APIs that used to
-return a bare point now return (or are paired with) an ``Estimate`` so
-headline numbers ship with their uncertainty instead of as single-run
-points.
+with its sample size attached, every interval quoted at the one level
+:data:`CONFIDENCE`.  APIs that used to return a bare point now return
+(or are paired with) an ``Estimate`` so headline numbers ship with
+their uncertainty instead of as single-run points.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 __all__ = [
+    "CONFIDENCE",
     "Estimate",
     "batch_means",
     "mean_estimate",
@@ -29,6 +30,9 @@ __all__ = [
     "student_t_cdf",
     "student_t_ppf",
 ]
+
+#: The one confidence level every interval in the toolkit is quoted at.
+CONFIDENCE = 0.95
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +186,6 @@ class Estimate:
     mean: float
     half_width: float
     n: int
-    confidence: float = 0.95
     sd: float = 0.0
 
     @property
@@ -212,14 +215,9 @@ class Estimate:
         text = f"{self.mean:.{precision}f} ± {hw}"
         return f"{text} {unit}".rstrip()
 
-    def as_dict(self) -> dict:
-        return {"mean": self.mean, "half_width": self.half_width,
-                "n": self.n, "confidence": self.confidence, "sd": self.sd}
 
-
-def mean_estimate(values: Sequence[float],
-                  confidence: float = 0.95) -> Estimate:
-    """Sample mean with a Student-t confidence interval.
+def mean_estimate(values: Sequence[float]) -> Estimate:
+    """Sample mean with a Student-t :data:`CONFIDENCE` interval.
 
     For independent replicates (cross-seed replication, batch means)
     this is the textbook ``x̄ ± t_{1-α/2, n-1} · s/√n``.  A single
@@ -229,28 +227,23 @@ def mean_estimate(values: Sequence[float],
     values = list(values)
     if not values:
         raise ValueError("cannot estimate from an empty sample")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1): {confidence}")
     n = len(values)
     mean = math.fsum(values) / n
     if n < 2:
-        return Estimate(mean=mean, half_width=float("inf"), n=n,
-                        confidence=confidence, sd=0.0)
+        return Estimate(mean=mean, half_width=float("inf"), n=n)
     if all(v == values[0] for v in values):
         # Identical replicates get an *exactly* zero width — the
         # seed-invariance signature must not be blurred by the
         # round-off of mean subtraction at large magnitudes.
-        return Estimate(mean=values[0], half_width=0.0, n=n,
-                        confidence=confidence, sd=0.0)
+        return Estimate(mean=values[0], half_width=0.0, n=n)
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     sd = math.sqrt(max(var, 0.0))
-    t = student_t_ppf(0.5 + confidence / 2.0, n - 1)
+    t = student_t_ppf(0.5 + CONFIDENCE / 2.0, n - 1)
     return Estimate(mean=mean, half_width=t * sd / math.sqrt(n), n=n,
-                    confidence=confidence, sd=sd)
+                    sd=sd)
 
 
-def batch_means(series: Sequence[float], batches: int = 10,
-                confidence: float = 0.95) -> Estimate:
+def batch_means(series: Sequence[float], batches: int = 10) -> Estimate:
     """Batch-means confidence interval over one (warm) time series.
 
     The series is cut into ``batches`` contiguous batches of equal
@@ -268,11 +261,11 @@ def batch_means(series: Sequence[float], batches: int = 10,
     batches = min(batches, max(2, n // 2)) if n >= 4 else 2
     size = n // batches
     if size == 0:
-        return mean_estimate(series, confidence=confidence)
+        return mean_estimate(series)
     trimmed = series[n - size * batches:]
     means = [math.fsum(trimmed[i * size:(i + 1) * size]) / size
              for i in range(batches)]
-    return mean_estimate(means, confidence=confidence)
+    return mean_estimate(means)
 
 
 def quantile(values: Sequence[float], q: float) -> float:

@@ -1,4 +1,4 @@
-"""Cross-seed replication of serving scenarios, pooled and cached.
+"""Cross-seed replication of serving scenarios.
 
 ``replicate("adaptive", seeds=5)`` runs the named scenario family once
 per seed — serially, or one seed per task on a process pool — and
@@ -6,11 +6,6 @@ wraps the reports in a :class:`Replication` that answers
 the statistical questions: the cross-seed mean ± CI of any per-tenant
 metric, the warm-up-truncated batch-means CI within one run, and the
 invariant verdicts over every replicate.
-
-Results are memoised in an :class:`~repro.core.cache.LRUCache` keyed
-by ``(family, seed, duration, engine)``, so ``repro validate``
-re-running a family it already measured (or the same family under a
-second metric) is a dictionary lookup.
 
 The special family ``"broken-counter"`` is the harness's proof that it
 can fail: a normal adaptive run whose completion counter is mutated
@@ -22,17 +17,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from repro.core.cache import LRUCache
 from repro.stats.invariants import InvariantResult, check_report
 from repro.stats.kernels import Estimate, batch_means, mean_estimate
 from repro.stats.warmup import apply_warmup
 
-__all__ = ["REPLICATE_CACHE", "Replication", "replicate",
-           "replicate_families", "report_estimate"]
-
-REPLICATE_CACHE = LRUCache(maxsize=256, name="replicate")
+__all__ = ["Replication", "replicate", "report_estimate"]
 
 #: Per-tenant report metrics :meth:`Replication.estimate` accepts.
 METRICS = ("p50_ns", "p99_ns", "goodput_gbps", "slo_goodput_gbps",
@@ -42,25 +33,14 @@ METRICS = ("p50_ns", "p99_ns", "goodput_gbps", "slo_goodput_gbps",
 _SABOTAGE_BUMP = 7
 
 
-def replicate_families(duration_ns: float = 600_000.0,
-                       seed: int = 0) -> Tuple[str, ...]:
-    """Every family :func:`replicate` accepts (standard + injected)."""
-    from repro.sim.crosscheck import standard_scenarios
-
-    names = tuple(standard_scenarios(duration_ns=duration_ns, seed=seed))
-    return names + ("broken-counter",)
-
-
-def _run_one(family: str, seed: int, duration_ns: float, engine: str,
-             testbed=None):
+def _run_one(family: str, seed: int, duration_ns: float, engine: str):
     from repro.sched.serve import (ServeSession, mixed_tenant_workload,
                                    run_serve)
     from repro.sim.crosscheck import standard_scenarios
 
     if family == "broken-counter":
         tenants = mixed_tenant_workload(duration_ns=duration_ns, seed=seed)
-        session = ServeSession(tenants, adaptive=True, engine=engine,
-                               testbed=testbed)
+        session = ServeSession(tenants, adaptive=True, engine=engine)
         session.advance(duration_ns / 2)
         # The injected violation: a completion counter drifts from the
         # event stream.  Flow conservation and Little's law must both
@@ -75,13 +55,10 @@ def _run_one(family: str, seed: int, duration_ns: float, engine: str,
                          f"from {sorted(families) + ['broken-counter']}")
     kwargs = dict(families[family])
     factory = kwargs.pop("factory")
-    return run_serve(factory(), engine=engine, testbed=testbed, **kwargs)
+    return run_serve(factory(), engine=engine, **kwargs)
 
 
-def report_estimate(report, tenant: str, field: str = "p99_ns",
-                    confidence: float = 0.95,
-                    warmup_batch: int = 5,
-                    max_warmup_fraction: float = 0.5) -> Estimate:
+def report_estimate(report, tenant: str, field: str = "p99_ns") -> Estimate:
     """Within-run batch-means estimate of one tenant's windowed metric.
 
     Reads the fixed-window archive (``report.windows``), drops the
@@ -93,11 +70,9 @@ def report_estimate(report, tenant: str, field: str = "p99_ns",
     series = [getattr(w, field) for w in report.windows.get(tenant, ())
               if w.count > 0]
     if not series:
-        return Estimate(mean=0.0, half_width=float("inf"), n=0,
-                        confidence=confidence)
-    warm, _result = apply_warmup(series, batch=warmup_batch,
-                                 max_fraction=max_warmup_fraction)
-    return batch_means(warm, confidence=confidence)
+        return Estimate(mean=0.0, half_width=float("inf"), n=0)
+    warm, _result = apply_warmup(series)
+    return batch_means(warm)
 
 
 @dataclass(frozen=True)
@@ -129,25 +104,20 @@ class Replication:
         return [float(getattr(r.tenants[tenant], metric))
                 for r in self.reports]
 
-    def estimate(self, tenant: str, metric: str,
-                 confidence: float = 0.95) -> Estimate:
+    def estimate(self, tenant: str, metric: str) -> Estimate:
         """Cross-seed mean ± t-CI of one per-tenant report metric."""
-        return mean_estimate(self.values(tenant, metric),
-                             confidence=confidence)
+        return mean_estimate(self.values(tenant, metric))
 
-    def total_slo_goodput(self, confidence: float = 0.95) -> Estimate:
+    def total_slo_goodput(self) -> Estimate:
         """Cross-seed CI on the aggregate SLO-goodput headline."""
         return mean_estimate(
-            [r.total_slo_goodput_gbps for r in self.reports],
-            confidence=confidence)
+            [r.total_slo_goodput_gbps for r in self.reports])
 
-    def within_run(self, tenant: str, field: str = "p99_ns",
-                   confidence: float = 0.95) -> Estimate:
+    def within_run(self, tenant: str, field: str = "p99_ns") -> Estimate:
         """Warm-up-truncated batch-means CI inside the first replicate."""
-        return report_estimate(self.reports[0], tenant, field=field,
-                               confidence=confidence)
+        return report_estimate(self.reports[0], tenant, field=field)
 
-    def invariants(self, testbed=None) -> List[InvariantResult]:
+    def invariants(self) -> List[InvariantResult]:
         """The invariant catalog evaluated over every replicate.
 
         Subjects are qualified with the seed (``alpha@seed1``) so a
@@ -155,7 +125,7 @@ class Replication:
         """
         out: List[InvariantResult] = []
         for seed, report in zip(self.seeds, self.reports):
-            for res in check_report(report, testbed=testbed):
+            for res in check_report(report):
                 out.append(InvariantResult(
                     name=res.name, subject=f"{res.subject}@seed{seed}",
                     ok=res.ok, detail=res.detail))
@@ -164,57 +134,27 @@ class Replication:
 
 def replicate(family: str, seeds: Union[int, Sequence[int]] = 3,
               duration_ns: float = 600_000.0, engine: str = "event",
-              jobs: int = 0, base_seed: int = 0,
-              use_cache: bool = True,
-              testbed=None) -> Replication:
+              jobs: int = 0) -> Replication:
     """Run ``family`` once per seed and wrap the runs for estimation.
 
-    ``seeds`` is either a count (replicates at ``base_seed ..
-    base_seed + N - 1``) or an explicit sequence.  ``jobs > 1`` runs
-    uncached replicates on a process pool, one seed per task.
-    Replicates are cached under ``(family, seed, duration,
-    engine)`` — cross-seed estimates over a family already validated
-    cost nothing.
+    ``seeds`` is either a count (replicates at ``0 .. N - 1``) or an
+    explicit sequence.  ``jobs > 1`` runs the replicates on a process
+    pool, one seed per task; the reports equal the serial ones.
     """
     if isinstance(seeds, int):
         if seeds < 1:
             raise ValueError(f"need at least one replicate: {seeds}")
-        seed_list = tuple(range(base_seed, base_seed + seeds))
+        seed_list = tuple(range(seeds))
     else:
         seed_list = tuple(seeds)
         if not seed_list:
             raise ValueError("need at least one replicate seed")
 
-    keys = {seed: ("replicate", family, seed, duration_ns, engine)
-            for seed in seed_list}
-    reports: Dict[int, object] = {}
-    if use_cache and testbed is None:
-        for seed, key in keys.items():
-            hit = REPLICATE_CACHE.get(key)
-            if hit is not None:
-                reports[seed] = hit
-    missing = [seed for seed in seed_list if seed not in reports]
-
-    if missing and testbed is not None:
-        # Custom testbeds bypass the pool + cache (not content-keyed).
-        for seed in missing:
-            reports[seed] = _run_one(family, seed, duration_ns, engine,
-                                     testbed=testbed)
-        missing = []
-
-    if missing:
-        tasks = [(family, seed, duration_ns, engine) for seed in missing]
-        if jobs > 1 and len(tasks) > 1:
-            workers = min(jobs, len(tasks))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                fresh = list(pool.map(_run_one, *zip(*tasks)))
-        else:
-            fresh = [_run_one(*task) for task in tasks]
-        for seed, report in zip(missing, fresh):
-            reports[seed] = report
-            if use_cache:
-                REPLICATE_CACHE.put(keys[seed], report)
-
+    tasks = [(family, seed, duration_ns, engine) for seed in seed_list]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            reports = tuple(pool.map(_run_one, *zip(*tasks)))
+    else:
+        reports = tuple(_run_one(*task) for task in tasks)
     return Replication(family=family, duration_ns=duration_ns,
-                       engine=engine, seeds=seed_list,
-                       reports=tuple(reports[seed] for seed in seed_list))
+                       engine=engine, seeds=seed_list, reports=reports)

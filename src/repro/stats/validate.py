@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.stats.invariants import InvariantResult
-from repro.stats.kernels import Estimate, mean_estimate
+from repro.stats.kernels import CONFIDENCE, mean_estimate
 from repro.stats.replicate import Replication, replicate
 
 __all__ = ["ValidationRow", "VerificationReport", "run_validation",
@@ -92,7 +92,6 @@ class VerificationReport:
     families: Tuple[str, ...]
     seeds: Tuple[int, ...]
     duration_ns: float
-    confidence: float
 
     @property
     def ok(self) -> bool:
@@ -109,7 +108,7 @@ class VerificationReport:
             f"Families: {', '.join(self.families)}.",
             f"Replication: seeds {list(self.seeds)}, serving duration "
             f"{self.duration_ns:.0f} ns, "
-            f"{self.confidence:.0%} confidence intervals "
+            f"{CONFIDENCE:.0%} confidence intervals "
             "(Student-t, batch-means over MSER-truncated windows; "
             "see docs/validation.md).",
             "",
@@ -137,7 +136,7 @@ class VerificationReport:
             "families": list(self.families),
             "seeds": list(self.seeds),
             "duration_ns": self.duration_ns,
-            "confidence": self.confidence,
+            "confidence": CONFIDENCE,
             "ok": self.ok,
             "rows": [
                 {"family": r.family, "check": r.check, "value": r.value,
@@ -164,11 +163,10 @@ def _verdict(ok: bool) -> str:
 # -- serving families ---------------------------------------------------------
 
 
-def _measure_rows(family: str, rep: Replication,
-                  confidence: float) -> List[ValidationRow]:
+def _measure_rows(family: str, rep: Replication) -> List[ValidationRow]:
     rows = []
     for tenant in rep.tenant_names():
-        est = rep.within_run(tenant, "p99_ns", confidence=confidence)
+        est = rep.within_run(tenant, "p99_ns")
         formed = est.n >= 2 and math.isfinite(est.half_width)
         rows.append(ValidationRow(
             family=family, check=f"p99[{tenant}]",
@@ -177,7 +175,7 @@ def _measure_rows(family: str, rep: Replication,
             verdict=_verdict(formed),
             detail=f"{est.n} batch means over warm windows of "
                    f"replicate seed{rep.seeds[0]}"))
-    total = rep.total_slo_goodput(confidence=confidence)
+    total = rep.total_slo_goodput()
     # A single replicate legitimately has an unbounded interval; only
     # multi-seed replications must produce a finite CI.
     ok = total.mean > 0 and (total.n < 2
@@ -213,15 +211,14 @@ def _invariant_rows(family: str, rep: Replication) -> List[ValidationRow]:
     return rows
 
 
-def _engine_rows(family: str, des: Replication, hyb: Replication,
-                 confidence: float) -> List[ValidationRow]:
+def _engine_rows(family: str, des: Replication,
+                 hyb: Replication) -> List[ValidationRow]:
     from repro.sim.crosscheck import ci_agreement
 
     worst: Dict[str, Tuple] = {}
     all_ok: Dict[str, bool] = {}
     for des_report, hyb_report in zip(des.reports, hyb.reports):
-        for row in ci_agreement(des_report, hyb_report,
-                                confidence=confidence):
+        for row in ci_agreement(des_report, hyb_report):
             all_ok[row.metric] = all_ok.get(row.metric, True) and row.ok
             gap = abs(row.des.mean - row.hybrid.mean)
             if row.metric not in worst or gap > worst[row.metric][0]:
@@ -247,23 +244,23 @@ def _engine_rows(family: str, des: Replication, hyb: Replication,
 
 
 def _serving_family_rows(family: str, seeds: Sequence[int],
-                         duration_ns: float, jobs: int,
-                         confidence: float) -> List[ValidationRow]:
+                         duration_ns: float,
+                         jobs: int) -> List[ValidationRow]:
     des = replicate(family, seeds=seeds, duration_ns=duration_ns,
                     engine="event", jobs=jobs)
-    rows = _measure_rows(family, des, confidence)
+    rows = _measure_rows(family, des)
     rows += _invariant_rows(family, des)
     if family not in INJECTED_FAMILIES:
         hyb = replicate(family, seeds=seeds, duration_ns=duration_ns,
                         engine="hybrid", jobs=jobs)
-        rows += _engine_rows(family, des, hyb, confidence)
+        rows += _engine_rows(family, des, hyb)
     return rows
 
 
 # -- figure families ----------------------------------------------------------
 
 
-def _fig4_rows(confidence: float) -> List[ValidationRow]:
+def _fig4_rows() -> List[ValidationRow]:
     from repro.core.harness import LatencyBench
     from repro.core.paths import CommPath, Opcode
     from repro.net.topology import paper_testbed
@@ -273,8 +270,7 @@ def _fig4_rows(confidence: float) -> List[ValidationRow]:
     payloads = [64, 256, 1 * KB, 4 * KB]
     rows = []
     for op in (Opcode.READ, Opcode.WRITE):
-        est = bench.dma_model_agreement(CommPath.SNIC1, op, payloads,
-                                        confidence=confidence)
+        est = bench.dma_model_agreement(CommPath.SNIC1, op, payloads)
         ok = est.mean <= FIG4_DMA_TOL
         rows.append(ValidationRow(
             family="fig4-dma", check=f"des-vs-model[{op.value}]",
@@ -298,7 +294,7 @@ def _fig4_rows(confidence: float) -> List[ValidationRow]:
     return rows
 
 
-def _fig9_rows(confidence: float) -> List[ValidationRow]:
+def _fig9_rows() -> List[ValidationRow]:
     from repro.core.harness import ThroughputBench
     from repro.core.paths import CommPath, Opcode
     from repro.net.topology import paper_testbed
@@ -310,10 +306,8 @@ def _fig9_rows(confidence: float) -> List[ValidationRow]:
     sweep = bench.payload_sweep(CommPath.SNIC3_S2H, Opcode.WRITE,
                                 plateau_payloads + collapse_payloads,
                                 requesters=8, metric="gbps")
-    plateau = mean_estimate([sweep.value_at(p) for p in plateau_payloads],
-                            confidence=confidence)
-    collapse = mean_estimate([sweep.value_at(p) for p in collapse_payloads],
-                             confidence=confidence)
+    plateau = mean_estimate([sweep.value_at(p) for p in plateau_payloads])
+    collapse = mean_estimate([sweep.value_at(p) for p in collapse_payloads])
     rows = [
         ValidationRow(
             family="fig9-bandwidth", check="s2h plateau",
@@ -345,7 +339,7 @@ def _fig9_rows(confidence: float) -> List[ValidationRow]:
     return rows
 
 
-def _fig11_rows(confidence: float) -> List[ValidationRow]:
+def _fig11_rows() -> List[ValidationRow]:
     from repro.core.flows import ConcurrencyAnalyzer
     from repro.core.paths import Opcode
     from repro.net.topology import paper_testbed
@@ -359,7 +353,7 @@ def _fig11_rows(confidence: float) -> List[ValidationRow]:
         budgets = analyzer.concurrent_endpoint_budgets(Opcode.READ)
         budget_sets.append({p.value: v for p, v in budgets.items()})
         totals.append(sum(budgets.values()))
-    total = mean_estimate(totals, confidence=confidence)
+    total = mean_estimate(totals)
     rows = [ValidationRow(
         family="fig11-partition", check="concurrent total",
         value=total.fmt("Mrps"),
@@ -372,7 +366,7 @@ def _fig11_rows(confidence: float) -> List[ValidationRow]:
                "(half-width 0 proves determinism)")]
     for path, solo in sorted(FIG11_SOLO_MRPS.items()):
         values = [bs.get(path, 0.0) for bs in budget_sets]
-        est = mean_estimate(values, confidence=confidence)
+        est = mean_estimate(values)
         ok = est.mean < solo * 1.01 and est.half_width == 0.0
         rows.append(ValidationRow(
             family="fig11-partition", check=f"budget[{path}]",
@@ -389,8 +383,7 @@ def _fig11_rows(confidence: float) -> List[ValidationRow]:
 
 def run_validation(families: Optional[Sequence[str]] = None,
                    seeds: int = 3, duration_ns: float = 400_000.0,
-                   jobs: int = 0, confidence: float = 0.95,
-                   base_seed: int = 0) -> VerificationReport:
+                   jobs: int = 0) -> VerificationReport:
     """Grade ``families`` (default: all standard) into a report.
 
     ``families`` accepts the serving families, the figure families,
@@ -408,18 +401,17 @@ def run_validation(families: Optional[Sequence[str]] = None,
                              f"{list(known) + ['all']}")
         selected = tuple(dict.fromkeys(families))
 
-    seed_list = tuple(range(base_seed, base_seed + seeds))
+    seed_list = tuple(range(seeds))
     rows: List[ValidationRow] = []
     for family in selected:
         if family == "fig4-dma":
-            rows += _fig4_rows(confidence)
+            rows += _fig4_rows()
         elif family == "fig9-bandwidth":
-            rows += _fig9_rows(confidence)
+            rows += _fig9_rows()
         elif family == "fig11-partition":
-            rows += _fig11_rows(confidence)
+            rows += _fig11_rows()
         else:
             rows += _serving_family_rows(family, seed_list, duration_ns,
-                                         jobs, confidence)
+                                         jobs)
     return VerificationReport(rows=tuple(rows), families=selected,
-                              seeds=seed_list, duration_ns=duration_ns,
-                              confidence=confidence)
+                              seeds=seed_list, duration_ns=duration_ns)

@@ -1,10 +1,6 @@
-"""Property tests for the tracker's batch feed, merge aggregates and the
+"""Property tests for the tracker's merge aggregates and the
 closed-window digest.
 
-* ``observe_batch`` must leave exactly the state one ``observe`` per
-  record leaves, for any record stream: ok and lost, degraded or not,
-  end times out of order across fixed windows (as splice-back stubs
-  produce them), interleaved with rejections and window reads.
 * Merging per-shard trackers must give the report aggregates (totals,
   first start, last end, degraded count, ok latencies, window series)
   of one tracker that saw every record.
@@ -36,20 +32,6 @@ def _tracker(names=NAMES):
     return SloTracker([_spec(n) for n in names], window_ns=WINDOW)
 
 
-def _state(tracker):
-    """Everything a tracker holds, as comparable plain values."""
-    rolling = {name: (list(r.events), list(r.rejects), list(r.latencies),
-                      r.good_bytes, r.violations)
-               for name, r in tracker._rolling.items()}
-    archive = {name: {idx: (acc.latencies, acc.good_bytes, acc.rejected,
-                            acc.lost, acc.violations)
-                      for idx, acc in windows.items()}
-               for name, windows in tracker._archive.items()}
-    return (rolling, archive, tracker._indices, tracker.completed,
-            tracker.rejected, tracker.lost, tracker.first_start,
-            tracker.last_end, tracker.degraded)
-
-
 def _aggregates(tracker, name):
     return (tracker.completed[name], tracker.rejected[name],
             tracker.lost[name], tracker.first_start[name],
@@ -62,14 +44,6 @@ _record = st.builds(
     st.floats(0.0, 8 * WINDOW, allow_nan=False),
     st.sampled_from((0.0, 500.0, DEADLINE, DEADLINE + 1, 25_000.0)),
     st.booleans(), st.booleans())
-_batch = st.tuples(st.just("batch"), st.sampled_from(NAMES),
-                   st.lists(_record, max_size=12),
-                   st.sampled_from((64, 512, 4096)))
-_reject = st.tuples(st.just("reject"), st.sampled_from(NAMES),
-                    st.floats(0.0, 8 * WINDOW, allow_nan=False))
-_window = st.tuples(st.just("window"), st.sampled_from(NAMES),
-                    st.floats(0.0, 9 * WINDOW, allow_nan=False))
-_ops = st.lists(st.one_of(_batch, _batch, _reject, _window), max_size=40)
 
 
 def _records(name, raw):
@@ -77,27 +51,6 @@ def _records(name, raw):
                              path=CommPath.SNIC2, start_ns=end - latency,
                              end_ns=end, ok=ok, degraded=degraded)
             for i, (end, latency, ok, degraded) in enumerate(raw)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(_ops)
-def test_batch_feed_equals_per_record_observe(ops):
-    batched, single = _tracker(), _tracker()
-    for op in ops:
-        if op[0] == "batch":
-            _, name, raw, payload = op
-            records = _records(name, raw)
-            batched.observe_batch(name, records, payload)
-            for record in records:
-                single.observe(record, payload)
-        elif op[0] == "reject":
-            _, name, now = op
-            batched.observe_reject(name, now)
-            single.observe_reject(name, now)
-        else:
-            _, name, now = op
-            assert batched.window(name, now) == single.window(name, now)
-        assert _state(batched) == _state(single)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,8 +1,7 @@
-"""Cross-seed replication: caching, pooling, and the estimates.
+"""Cross-seed replication: pooling and the estimates.
 
-The pool path must produce the same reports as the serial path, the
-cache must make a re-replication free, and the estimates must read the
-window archive the serving layer now exports.
+The pool path must produce the same reports as the serial path, and
+the estimates must read the window archive the serving layer exports.
 """
 
 import math
@@ -10,12 +9,11 @@ import math
 import pytest
 
 from repro.stats.kernels import Estimate
+from repro.sim.crosscheck import standard_scenarios
 from repro.stats.replicate import (
     METRICS,
-    REPLICATE_CACHE,
     Replication,
     replicate,
-    replicate_families,
     report_estimate,
 )
 
@@ -44,24 +42,13 @@ def test_replicate_accepts_count_or_sequence():
         assert a.total_slo_goodput_gbps == b.total_slo_goodput_gbps
 
 
-def test_second_replication_is_cache_hits(adaptive_rep):
-    hits_before = REPLICATE_CACHE.hits
-    again = replicate("adaptive", seeds=(0, 1, 2),
-                      duration_ns=DURATION_NS)
-    assert REPLICATE_CACHE.hits >= hits_before + 3
-    for a, b in zip(adaptive_rep.reports, again.reports):
-        assert a is b   # literally the cached object
-
-
 def test_pool_matches_serial(adaptive_rep):
     pooled = replicate("adaptive", seeds=(0, 1, 2),
-                       duration_ns=DURATION_NS, jobs=2, use_cache=False)
+                       duration_ns=DURATION_NS, jobs=2)
     for serial, parallel in zip(adaptive_rep.reports, pooled.reports):
-        for name in serial.tenants:
-            a, b = serial.tenants[name], parallel.tenants[name]
-            assert (a.completed, a.rejected, a.lost) == \
-                (b.completed, b.rejected, b.lost)
-            assert a.p99_ns == b.p99_ns
+        assert parallel is not serial
+        assert parallel.tenants == serial.tenants
+        assert parallel.windows == serial.windows
 
 
 def test_estimates_cover_every_metric(adaptive_rep):
@@ -104,32 +91,12 @@ def test_broken_counter_family_fails_loudly():
 
 
 def test_family_catalog_and_unknown_family():
-    families = replicate_families(duration_ns=DURATION_NS)
-    assert "adaptive" in families and "broken-counter" in families
-    with pytest.raises(ValueError):
+    families = standard_scenarios(duration_ns=DURATION_NS)
+    assert "adaptive" in families
+    with pytest.raises(ValueError, match="broken-counter"):
         replicate("no-such-family", seeds=1, duration_ns=DURATION_NS)
     with pytest.raises(ValueError):
         replicate("adaptive", seeds=0)
-
-
-def test_custom_testbed_runs_every_family(adaptive_rep):
-    # A custom testbed skips the cache and the pool but runs the same
-    # families as the default one: the injected broken-counter family,
-    # the ValueError that names the families, and the same answers.
-    from repro.net.topology import paper_testbed
-
-    testbed = paper_testbed()
-    broken = replicate("broken-counter", seeds=1, duration_ns=DURATION_NS,
-                       testbed=testbed)
-    assert {r.name for r in broken.invariants() if not r.ok} \
-        >= {"flow-conservation", "littles-law"}
-    with pytest.raises(ValueError, match="broken-counter"):
-        replicate("nope", seeds=1, duration_ns=DURATION_NS,
-                  testbed=testbed)
-    custom = replicate("adaptive", seeds=(0,), duration_ns=DURATION_NS,
-                       testbed=testbed)
-    assert custom.reports[0] is not adaptive_rep.reports[0]
-    assert custom.reports[0].tenants == adaptive_rep.reports[0].tenants
 
 
 def test_replication_requires_matched_lengths(adaptive_rep):

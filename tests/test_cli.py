@@ -168,6 +168,19 @@ def test_unknown_path_rejected(capsys):
         main(["latency", "--path", "bogus"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["serve", "--duration", "-5"],
+    ["serve", "--duration", "nan"],
+    ["validate", "--families", "adaptive", "--duration", "0"],
+    ["crosscheck", "--scenario", "adaptive", "--duration", "-100"]])
+def test_non_positive_duration_is_an_argument_error(capsys, argv):
+    # Refused before any run starts, naming the flag.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --duration" in capsys.readouterr().err
+
+
 # Every spelling the CLI and the old facade object accepted, and
 # the member it names: values, lower-cased names and the bare Fig-2
 # numbers ("3" is host->SoC), in any case and with "_" and "-"

@@ -145,4 +145,25 @@ def test_crosscheck_signature_snapshot():
 
     assert _params(crosscheck) == ["scenario", "factory", "serve_kwargs"]
     assert _params(crosscheck_suite) == ["duration_ns", "seed", "scenarios"]
-    assert _params(ci_agreement) == ["des", "hybrid", "confidence"]
+    assert _params(ci_agreement) == ["des", "hybrid"]
+
+
+def test_stats_knob_snapshot():
+    """One confidence level (``kernels.CONFIDENCE``) and no replicate
+    memo: no confidence, seed-offset, cache or warm-up knob comes back
+    unnoticed."""
+    from repro.stats.kernels import (CONFIDENCE, Estimate, batch_means,
+                                     mean_estimate)
+    from repro.stats.replicate import replicate, report_estimate
+    from repro.stats.validate import run_validation
+
+    assert CONFIDENCE == 0.95
+    assert _params(replicate) == [
+        "family", "seeds", "duration_ns", "engine", "jobs"]
+    assert _params(run_validation) == [
+        "families", "seeds", "duration_ns", "jobs"]
+    assert _params(report_estimate) == ["report", "tenant", "field"]
+    assert _params(mean_estimate) == ["values"]
+    assert _params(batch_means) == ["series", "batches"]
+    assert [f.name for f in dataclasses.fields(Estimate)] == [
+        "mean", "half_width", "n", "sd"]
