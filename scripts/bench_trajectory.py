@@ -413,7 +413,7 @@ def stats_ci_bench() -> dict:
     families are seed-invariant (docs/validation.md).
     """
     from repro.stats.kernels import CONFIDENCE
-    from repro.stats.replicate import replicate
+    from repro.stats.replication import replicate
 
     rep = replicate("adaptive", seeds=STATS_CI_SEEDS,
                     duration_ns=STATS_CI_DURATION_NS)

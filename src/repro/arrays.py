@@ -18,7 +18,7 @@ time.  The caller's input picks it (:func:`namespace_of`):
   zeros: a zero column entry is an absent resource.
 
 Both evaluate the same IEEE-754 operations in the same order, so a
-scalar demand dict and the matching tensor row are bitwise equal.
+scalar demand dict and the matching column entries are bitwise equal.
 ``where`` evaluates both branches under either namespace, so a branch
 that divides by a payload divides by ``where(payload > 0, payload, 1)``.
 """

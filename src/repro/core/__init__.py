@@ -22,12 +22,7 @@ from repro.core.throughput import (
     SolverResult,
     ThroughputSolver,
 )
-from repro.core.batch import (
-    BatchSolver,
-    DemandTensor,
-    ResourceRegistry,
-    numpy_available,
-)
+from repro.core.batch import BatchSolver, numpy_available
 from repro.core.sweeps import StageTimings, SweepRunner
 from repro.core.latency import LatencyModel, LatencyBreakdown
 from repro.core.flows import FlowPattern, ConcurrencyAnalyzer
@@ -62,8 +57,6 @@ __all__ = [
     "SolverResult",
     "ThroughputSolver",
     "BatchSolver",
-    "DemandTensor",
-    "ResourceRegistry",
     "numpy_available",
     "StageTimings",
     "SweepRunner",

@@ -7,8 +7,8 @@ solver prices a whole group of same-shaped flows on numpy arrays.
 Either way the terms come from the same expressions here, from the
 Table-3 packet counts (:class:`~repro.core.packets.PacketCountModel`),
 from the memory subsystems' capacity and latency queries, and from the
-testbed's posting rates, so a scalar demand dict and its tensor row
-are equal by construction.
+testbed's posting rates, so a scalar demand dict and its row of the
+batch solver's demand matrix are equal by construction.
 
 The branch a flow takes is fixed by its group signature ``(path, op,
 slot, duplex, has_cap)``; only payload, requesters, range, doorbell

@@ -34,11 +34,9 @@ class FlowPattern:
 class ConcurrencyAnalyzer:
     """Runs flow combinations through the throughput solver.
 
-    Batched combination queries (see :meth:`combine_all`) solve every
-    named combination as one numpy demand tensor when numpy is
-    installed — concurrent-flow proportional scaling happens inside the
-    same tensor — and fall back to the scalar per-combination solver
-    otherwise.
+    Every combination goes through the scalar water-filling solver
+    (and its memo); :meth:`combine_all` only batches a set of one-flow
+    combinations.
     """
 
     def __init__(self, testbed: Testbed,
@@ -52,11 +50,12 @@ class ConcurrencyAnalyzer:
 
     def combine_all(self, named: Dict[str, Sequence[Flow]]
                     ) -> Dict[str, SolverResult]:
-        """Solve several named combinations, batched when possible.
+        """Solve several named combinations through ``Scenario.solve_batch``.
 
-        With numpy all combinations share one demand tensor; without
-        it each is solved in turn.  Both give the same numbers — the
-        batch is purely a wall-time win for wide comparison grids.
+        A set holding any multi-flow combination (every Fig-5 and §4
+        query here) is solved combination by combination on the scalar
+        solver; only all-one-flow sets of two or more go to the numpy
+        closed form.  Both give bit-identical numbers.
         """
         results = Scenario.solve_batch(self.testbed, list(named.values()))
         return dict(zip(named.keys(), results))

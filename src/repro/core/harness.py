@@ -140,8 +140,8 @@ class ThroughputBench:
     """Solver-based peak-throughput sweeps.
 
     All sweeps evaluate their points through a :class:`SweepRunner`,
-    which solves a whole sweep as one numpy demand tensor when numpy
-    is installed and point by point otherwise.
+    which solves a whole sweep in closed form on numpy when numpy is
+    installed and point by point otherwise.
     """
 
     def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None):
@@ -175,10 +175,9 @@ class ThroughputBench:
                          requesters=requesters) for payload in payloads]
         results = self._peaks(grid)
         with self.runner.stage("aggregate"):
-            points = [
-                (payload, Measurement(
-                    f"{path.label} {op.value}", value_of(result, 0), unit))
-                for payload, result in zip(payloads, results)]
+            label = f"{path.label} {op.value}"
+            points = [(payload, Measurement(label, value_of(result, 0), unit))
+                      for payload, result in zip(payloads, results)]
         return Sweep("payload", "bytes", points)
 
     def pps_sweep(self, path: CommPath, op: Opcode,

@@ -5,16 +5,17 @@ range, doorbell batch or requester count against the latency model or
 the throughput solver.  :class:`SweepRunner` is the shared backend, and
 it picks the solver backend itself:
 
-* with numpy installed (the ``[fast]`` extra) and at least two points,
-  the whole point list goes to the numpy batch solver
-  (:mod:`repro.core.batch`): one demand tensor, one water-fill;
-* otherwise each point is solved in order by the scalar reference
-  solver, whose one-scenario memo
-  (:data:`repro.core.throughput.RESULT_CACHE`) answers a point this
-  process has already solved on the same testbed.
+* with numpy installed (the ``[fast]`` extra) and at least two
+  one-flow points, the whole point list goes to the numpy batch solver
+  (:mod:`repro.core.batch`): one demand matrix per (path, op, cap)
+  group, solved in closed form;
+* otherwise (one point, a multi-flow point, or no numpy) each point is
+  solved in order by the scalar reference solver, whose one-scenario
+  memo (:data:`repro.core.throughput.RESULT_CACHE`) answers a point
+  this process has already solved on the same testbed.
 
-Both backends return numerically identical results in identical order,
-so the choice only affects wall-time.
+Both backends return bit-identical results in identical order, so the
+choice only affects wall-time.
 
 Pass a :class:`StageTimings` to collect a per-stage wall-time breakdown
 (grid build / demand assembly / solve / aggregate) — the ``sweep
@@ -80,8 +81,8 @@ class StageTimings:
 class SweepRunner:
     """Evaluates sweep points in-process, vectorized when it pays.
 
-    A solver sweep of at least two points runs as one numpy demand
-    tensor when numpy is importable, and point by point through the
+    A solver sweep of at least two one-flow points runs in closed form
+    on numpy when numpy is importable, and point by point through the
     scalar reference solver otherwise (see the module docstring);
     latency points are always evaluated in order.
     """
@@ -104,7 +105,7 @@ class SweepRunner:
         return self.solve_scenarios([flow] for flow in flows)
 
     def solve_scenarios(self, flow_sets: Sequence) -> List[SolverResult]:
-        """Multi-flow scenarios (one per entry), batched when possible."""
+        """One scenario per entry; batched when every entry has one flow."""
         return Scenario.solve_batch(self.testbed, list(flow_sets),
                                     timings=self.timings)
 

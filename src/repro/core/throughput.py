@@ -28,7 +28,7 @@ The demand vectors come from one builder,
 :meth:`repro.core.demand.DemandModel.build`, evaluated under two array
 namespaces (:mod:`repro.arrays`): here on one flow's Python numbers,
 and in :mod:`repro.core.batch` on numpy arrays over a group of
-same-shaped flows.  A new device's demand terms go in
+same-shaped one-flow points.  A new device's demand terms go in
 :mod:`repro.core.demand` once and reach both solvers.  This module
 keeps the flow and scenario types, the per-point water-filling
 (:class:`ThroughputSolver`) and its one-scenario memo.
@@ -122,23 +122,25 @@ class Scenario:
                     timings=None) -> List["SolverResult"]:
         """Solve many scenarios at once, one :class:`SolverResult` each.
 
-        ``flow_sets`` is a sequence of flow lists (or prebuilt
-        scenarios).  With numpy importable and at least two scenarios
-        they are solved as one numpy demand tensor
-        (:mod:`repro.core.batch`); otherwise each goes through the
-        per-point reference solver.  Both backends agree on every
-        solved rate, so the choice only affects wall-time.
+        ``flow_sets`` is a sequence of flow lists.  When numpy is
+        importable, there are at least two of them and each holds one
+        flow, they are solved in closed form by the numpy batch solver
+        (:mod:`repro.core.batch`); otherwise, and for any batch holding
+        a multi-flow point, each goes through the per-point reference
+        solver.  Both backends give bit-identical one-flow results, so
+        the choice only affects wall-time.
         """
         from repro.core import batch
 
-        if len(flow_sets) >= 2 and batch.numpy_available():
+        if (len(flow_sets) >= 2
+                and all(len(flows) == 1 for flows in flow_sets)
+                and batch.numpy_available()):
             return batch.BatchSolver().solve(testbed, flow_sets,
                                              timings=timings)
         import time as _time
         from contextlib import nullcontext
         solver = ThroughputSolver()
-        scenarios = [flows if isinstance(flows, cls)
-                     else cls(testbed, list(flows)) for flows in flow_sets]
+        scenarios = [cls(testbed, list(flows)) for flows in flow_sets]
         start = _time.perf_counter()
         with (timings.stage("solve") if timings is not None
               else nullcontext()):
@@ -247,7 +249,11 @@ class ThroughputSolver:
         while active:
             best_delta = math.inf
             best_resource = None
-            for key in {k for i in active for k in demands[i]}:
+            # First-seen key order: ties break the same way in every
+            # process (a set would break them in string-hash order).
+            keys = list(dict.fromkeys(k for i in sorted(active)
+                                      for k in demands[i]))
+            for key in keys:
                 load = sum(flows[i].weight * demands[i].get(key, 0.0)
                            for i in active)
                 if load <= 0:
@@ -262,7 +268,7 @@ class ThroughputSolver:
             # Grow every active flow by its weighted share.
             for i in active:
                 rates[i] += flows[i].weight * best_delta
-            for key in set().union(*(demands[i].keys() for i in active)):
+            for key in keys:
                 usage[key] = usage.get(key, 0.0) + best_delta * sum(
                     flows[i].weight * demands[i].get(key, 0.0)
                     for i in active)

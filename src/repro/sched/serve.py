@@ -143,8 +143,10 @@ def mixed_tenant_workload(duration_ns: float = 1_500_000.0,
       at the budget, the fabric stays feasible.
 
     Each tenant's request count is sized so all streams span roughly
-    ``duration_ns`` of simulated time.
+    ``duration_ns`` of simulated time, which must be positive.
     """
+    if not duration_ns > 0:
+        raise ValueError(f"duration_ns must be positive: {duration_ns}")
 
     def _n(interval_ns: float) -> int:
         return max(1, int(duration_ns / interval_ns))

@@ -193,7 +193,7 @@ def ci_agreement(des: ServeReport,
     rejection / loss counts stay exact — no interval excuses a count.
     """
     from repro.stats.kernels import Estimate, agreement
-    from repro.stats.replicate import report_estimate
+    from repro.stats.replication import report_estimate
 
     rows = []
     for name in sorted(des.tenants):
@@ -232,8 +232,13 @@ def standard_scenarios(duration_ns: float = 1_500_000.0,
     Steady adaptive traffic (where fast-forwarding pays), the static
     baseline (which must never flip — overloaded tenants reject), and
     three fault shapes that force guard windows and splice-backs.
+    ``duration_ns`` must be positive: the fault plans are placed at
+    fractions of it.
     """
     from repro.sched.serve import mixed_tenant_workload
+
+    if not duration_ns > 0:
+        raise ValueError(f"duration_ns must be positive: {duration_ns}")
 
     def tenants():
         return mixed_tenant_workload(duration_ns=duration_ns, seed=seed)

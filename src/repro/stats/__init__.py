@@ -10,7 +10,7 @@ kernels without dragging in the serving stack:
   truncation for window series.
 * :mod:`repro.stats.invariants` — the machine-checked catalog: flow
   conservation, Little's law, utilization ≤ capacity, report sanity.
-* :mod:`repro.stats.replicate` / :mod:`repro.stats.validate` —
+* :mod:`repro.stats.replication` / :mod:`repro.stats.validate` —
   cross-seed replication (serial or pooled) and the ``repro validate``
   verification report.  Imported lazily (PEP 562) because they reach
   into :mod:`repro.sched` and :mod:`repro.sim`, which themselves use
@@ -52,9 +52,9 @@ __all__ = [
 ]
 
 _LAZY = {
-    "Replication": "repro.stats.replicate",
-    "replicate": "repro.stats.replicate",
-    "report_estimate": "repro.stats.replicate",
+    "Replication": "repro.stats.replication",
+    "replicate": "repro.stats.replication",
+    "report_estimate": "repro.stats.replication",
     "ValidationRow": "repro.stats.validate",
     "VerificationReport": "repro.stats.validate",
     "run_validation": "repro.stats.validate",

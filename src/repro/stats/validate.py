@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.stats.invariants import InvariantResult
 from repro.stats.kernels import CONFIDENCE, mean_estimate
-from repro.stats.replicate import Replication, replicate
+from repro.stats.replication import Replication, replicate
 
 __all__ = ["ValidationRow", "VerificationReport", "run_validation",
            "validation_families"]
@@ -389,7 +389,10 @@ def run_validation(families: Optional[Sequence[str]] = None,
     ``families`` accepts the serving families, the figure families,
     ``"all"`` (everything standard), and — only when explicitly named —
     ``"broken-counter"``, whose rows are *expected* to FAIL.
+    ``duration_ns`` (each serving run's span) must be positive.
     """
+    if not duration_ns > 0:
+        raise ValueError(f"duration_ns must be positive: {duration_ns}")
     known = validation_families(include_injected=True)
     if not families or "all" in families:
         selected: Tuple[str, ...] = validation_families()

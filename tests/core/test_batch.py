@@ -1,11 +1,17 @@
 """The vector batch solver against the scalar reference.
 
 The batch engine is a performance layer, not a second model: every
-rate it produces must match the scalar water-filling solver (the same
-IEEE-754 arithmetic, evaluated elementwise), its demand tensor must
-hold exactly the scalar per-flow demand dicts, and it must solve every
-point cold, leaving the scalar solver's memo untouched.
+one-flow point it solves must match the scalar water-filling solver
+bit for bit (the same IEEE-754 arithmetic, evaluated elementwise), its
+demand columns must hold exactly the scalar per-flow demand dicts, a
+point's answer must not depend on what else shares its batch, and it
+must solve every point cold, leaving the scalar solver's memo
+untouched.  Multi-flow points never reach it: ``Scenario.solve_batch``
+sends them to the scalar solver.
 """
+
+import itertools
+import random
 
 import pytest
 
@@ -14,13 +20,14 @@ np = pytest.importorskip("numpy")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.arrays import namespace_of
 from repro.core.batch import (
     ENGINE_STATS,
     BatchSolver,
-    assemble_demand_tensor,
+    _FlowColumns,
     numpy_available,
-    waterfill,
 )
+from repro.core.demand import DemandModel, demand_model
 from repro.core.paths import CommPath, Opcode
 from repro.core.sweeps import StageTimings, SweepRunner
 from repro.core.throughput import (
@@ -31,8 +38,6 @@ from repro.core.throughput import (
 )
 from repro.net.topology import paper_testbed
 from repro.units import GB, KB, MB
-
-REL_TOL = 1e-9
 
 
 @pytest.fixture(autouse=True)
@@ -49,28 +54,24 @@ def testbed():
     return paper_testbed()
 
 
-def rel_close(a: float, b: float) -> bool:
-    return abs(a - b) <= REL_TOL * max(abs(a), abs(b), 1e-300)
+def as_tuple(result):
+    return (result.flows, result.rates, result.bottlenecks,
+            list(result.utilization.items()))
 
 
-def assert_equivalent(scalar, vector):
-    """Rates and utilization agree to 1e-9 relative.
-
-    Max-min fair rates are unique, so they must match; bottleneck
-    *labels* may differ when two resources saturate at the same delta
-    (the engines break ties differently), so they are not compared.
-    """
-    assert len(scalar.rates) == len(vector.rates)
-    for a, b in zip(scalar.rates, vector.rates):
-        assert rel_close(a, b), (a, b)
-    keys = set(scalar.utilization) | set(vector.utilization)
-    for key in keys:
-        assert rel_close(scalar.utilization.get(key, 0.0),
-                         vector.utilization.get(key, 0.0)), key
+def assert_matches_scalar(testbed, flows, vector):
+    """Every result equals the scalar solver's, bit for bit: rates,
+    bottleneck names and utilization items in order (both break ties
+    by the demand builder's key order)."""
+    solver = ThroughputSolver()
+    assert len(vector) == len(flows)
+    for flow, v in zip(flows, vector):
+        s = solver.solve(Scenario(testbed, [flow]))
+        assert as_tuple(s) == as_tuple(v)
 
 
 # ---------------------------------------------------------------------------
-# Property: vector == scalar on randomized flow sets
+# Property: vector == scalar on randomized one-flow points
 # ---------------------------------------------------------------------------
 
 PAYLOADS = [0, 1, 64, 256, 1024, 4 * KB, 64 * KB, 1 * MB,
@@ -96,34 +97,59 @@ def flow_st(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(flow_st(), min_size=1, max_size=3),
-                min_size=1, max_size=5))
-def test_vector_matches_scalar_property(flow_sets):
+@given(st.lists(flow_st(), min_size=1, max_size=8))
+def test_vector_matches_scalar_property(flows):
     testbed = paper_testbed()
-    solver = ThroughputSolver()
-    scalar = [solver.solve(Scenario(testbed, flows))
-              for flows in flow_sets]
-    vector = BatchSolver().solve(testbed, flow_sets)
-    for s, v in zip(scalar, vector):
-        assert_equivalent(s, v)
+    vector = BatchSolver().solve(testbed, [[flow] for flow in flows])
+    assert_matches_scalar(testbed, flows, vector)
 
 
 def test_vector_bit_identical_on_payload_grid(testbed):
-    # On the Fig-4 grid the engines agree not just to tolerance but to
-    # the bit: identical expressions, identical evaluation order.
-    grid = [[Flow(path=path, op=op, payload=payload, requesters=11)]
-            for path in CommPath for op in Opcode for payload in PAYLOADS]
-    solver = ThroughputSolver()
-    scalar = [solver.solve(Scenario(testbed, flows))
-              for flows in grid]
-    vector = BatchSolver().solve(testbed, grid)
-    for s, v in zip(scalar, vector):
-        assert s.rates == v.rates
-        assert s.utilization == v.utilization
+    # The engines agree not just to tolerance but to the bit: identical
+    # expressions, identical evaluation order, across weights, rate
+    # caps, zero payloads, in-cache and 10 GB ranges and 1-50 requesters.
+    flows = [Flow(path=path, op=op, payload=payload, requesters=requesters,
+                  range_bytes=max(range_bytes, float(max(1, payload))),
+                  weight=weight, rate_cap=cap)
+             for path, op, payload, weight, cap, range_bytes, requesters
+             in itertools.product(CommPath, Opcode, PAYLOADS,
+                                  (0.2, 1.0, 1.5), (None, 5e-2),
+                                  (64.0 * KB, 10.0 * GB), (1, 11, 50))]
+    vector = BatchSolver().solve(testbed, [[flow] for flow in flows])
+    assert_matches_scalar(testbed, flows, vector)
+
+
+def test_mixed_batch_matches_group_at_a_time(testbed):
+    # One shuffled batch over several (path, op, cap) groups gives every
+    # point the very answer its group gives alone: rates, bottlenecks
+    # and utilization items in order.
+    groups = [[Flow(path=path, op=op, payload=payload, rate_cap=cap)
+               for payload in (0, 64, 4 * KB, 1 * MB)]
+              for path, op, cap in ((CommPath.SNIC1, Opcode.READ, None),
+                                    (CommPath.SNIC3_H2S, Opcode.WRITE, None),
+                                    (CommPath.RNIC1, Opcode.SEND, 5e-2),
+                                    (CommPath.SNIC2, Opcode.READ, 1e-3))]
+    alone = {}
+    for group in groups:
+        for flow, result in zip(group, BatchSolver().solve(
+                testbed, [[flow] for flow in group])):
+            alone[flow] = as_tuple(result)
+    mixed = [flow for group in groups for flow in group]
+    random.Random(7).shuffle(mixed)
+    results = BatchSolver().solve(testbed, [[flow] for flow in mixed])
+    assert [as_tuple(result) for result in results] == \
+        [alone[flow] for flow in mixed]
+
+
+def test_batch_solver_takes_one_flow_per_point(testbed):
+    flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=64),
+             Flow(path=CommPath.SNIC1, op=Opcode.WRITE, payload=64)]
+    with pytest.raises(ValueError, match="one flow per point"):
+        BatchSolver().solve(testbed, [flows[:1], flows])
 
 
 # ---------------------------------------------------------------------------
-# Demand tensor structure
+# Demand columns
 # ---------------------------------------------------------------------------
 
 
@@ -137,53 +163,37 @@ def test_vector_bit_identical_on_payload_grid(testbed):
     Flow(path=CommPath.RNIC1, op=Opcode.SEND, payload=256,
          doorbell_batch=16),
 ])
-def test_demand_tensor_matches_scalar_dicts(testbed, flows):
+def test_demand_columns_match_scalar_dicts(testbed, flows):
     # Both backends evaluate one builder, so every entry is equal, not
-    # merely close; absent resources are exact zeros in the tensor.
+    # merely close; a resource a flow does not use is an exact zero.
     scenario = Scenario(testbed, flows)
-    tensor = assemble_demand_tensor(testbed, [scenario])
-    names = tensor.resources
-    for i, demand in enumerate(scenario.demands):
+    duplex = scenario._network_duplex_loaded()
+    model = demand_model(testbed)
+    for i, (flow, demand) in enumerate(zip(flows, scenario.demands)):
+        columns = _FlowColumns(np, [flow], flow.rate_cap is not None)
+        cols = model.build(flow.path, flow.op, i, duplex, columns)
         for name, value in demand.items():
-            assert name in names
-            assert tensor.demand[0, i, names.index(name)] == value
-        for j, name in enumerate(names):
-            if name not in demand:
-                assert tensor.demand[0, i, j] == 0.0
+            assert np.broadcast_to(cols[name], (1,))[0] == value
+        for name in cols.keys() - demand.keys():
+            assert np.broadcast_to(cols[name], (1,))[0] == 0.0
 
 
-def test_tensor_slots_follow_flow_order(testbed):
-    flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=64),
-             Flow(path=CommPath.SNIC1, op=Opcode.WRITE, payload=64)]
-    tensor = assemble_demand_tensor(testbed, [Scenario(testbed, flows)])
-    assert tensor.valid.shape == (1, 2)
-    assert tensor.valid.all()
-    assert (tensor.weights == 1.0).all()
-
-
-def test_waterfill_shapes(testbed):
-    flow_sets = [[Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=64)],
-                 [Flow(path=CommPath.SNIC2, op=Opcode.READ, payload=64),
-                  Flow(path=CommPath.SNIC2, op=Opcode.WRITE, payload=64)]]
-    tensor = assemble_demand_tensor(
-        testbed, [Scenario(testbed, flows) for flows in flow_sets])
-    rates, bottlenecks, usage = waterfill(tensor)
-    assert rates.shape == tensor.valid.shape
-    assert bottlenecks.shape == tensor.valid.shape
-    assert usage.shape == (2, len(tensor.resources))
-    assert (rates[tensor.valid] > 0).all()
-    assert bottlenecks[0, 1] == -1          # no second flow at point 0
-    assert (bottlenecks[tensor.valid] >= 0).all()
-
-
-def test_unbounded_flow_rejected_like_scalar(testbed):
+def test_unbounded_flow_rejected_like_scalar(testbed, monkeypatch):
     # A flow whose demand vector is all-zero cannot be rate-bounded;
     # the vector engine mirrors the scalar solver's refusal.
-    flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=64)]
-    tensor = assemble_demand_tensor(testbed, [Scenario(testbed, flows)])
-    tensor.demand[:] = 0.0
-    with pytest.raises(ValueError, match="no demand"):
-        BatchSolver._check_bounded(np, tensor)
+    def probe_only(self, path, op, idx, duplex, flow):
+        xp = namespace_of(flow.payload)
+        terms = xp.terms()
+        terms.add("probe", xp.where(flow.payload > 0, 1.0, 0.0))
+        return terms
+
+    flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p)
+             for p in (64, 0)]
+    monkeypatch.setattr(DemandModel, "build", probe_only)
+    with pytest.raises(ValueError, match="read 0B' has no demand"):
+        BatchSolver().solve(testbed, [[flow] for flow in flows])
+    with pytest.raises(ValueError, match="read 0B' has no demand"):
+        ThroughputSolver().solve(Scenario(testbed, flows[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +245,8 @@ def test_solve_batch_engines_agree(testbed):
 
 def test_runner_engine_selection(testbed):
     # The runner picks the backend itself: a sweep of two or more
-    # points runs as one tensor, a single point on the scalar solver.
+    # one-flow points runs in closed form, a single point, or a batch
+    # holding any multi-flow point, on the scalar solver.
     runner = SweepRunner(testbed)
     runner.solve_flows([flows[0] for flows in _grid(10)])
     assert ENGINE_STATS.points == {"vector": 10}
@@ -244,6 +255,16 @@ def test_runner_engine_selection(testbed):
     assert ENGINE_STATS.points == {"vector": 10, "scalar": 1}
     Scenario.solve_batch(testbed, _grid(3)[:1])
     assert ENGINE_STATS.points["scalar"] == 2
+    pair = [Flow(path=CommPath.SNIC1, op=op, payload=4 * KB)
+            for op in (Opcode.READ, Opcode.WRITE)]
+    results = Scenario.solve_batch(testbed, [pair[:1], pair])
+    assert ENGINE_STATS.points == {"vector": 10, "scalar": 4}
+    RESULT_CACHE.clear()
+    solver = ThroughputSolver()
+    for got, flows in zip(results, [pair[:1], pair]):
+        want = solver.solve(Scenario(testbed, flows))
+        assert got.rates == want.rates
+        assert got.bottlenecks == want.bottlenecks
 
 
 def test_runner_vector_matches_scalar_solve_flows(testbed):

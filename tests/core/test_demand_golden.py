@@ -8,8 +8,9 @@ doorbell batching on and off, clamped and unclamped requester counts,
 an admission cap, and the full-duplex derating (each flow is priced
 alone and again beside an opposite-direction 4 KiB ``SNIC1`` flow).
 
-The scalar dicts and the vector tensor rows must hash to the same
-digest, and the digest must not move: it is the model's reference.
+The scalar dicts and the rows the batch solver's column evaluation
+gives must hash to the same digest, and the digest must not move: it
+is the model's reference.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ import itertools
 import pytest
 
 from repro.core import batch
+from repro.core.demand import demand_model
 from repro.core.paths import CommPath, Opcode
 from repro.core.throughput import Flow, Scenario
 from repro.net.topology import paper_testbed
@@ -69,15 +71,31 @@ def _scalar_rows():
 
 
 def _vector_rows():
+    """The same rows, each built by evaluating the demand builder once
+    per ``(path, op, slot, duplex, cap present)`` group on the batch
+    solver's float64 columns."""
+    np = batch.require_numpy()
     for testbed in TESTBEDS:
-        scenarios = [Scenario(testbed, flows) for flows in _grid()]
-        tensor = batch.assemble_demand_tensor(testbed, scenarios)
-        names = tensor.resources
-        for p, scenario in enumerate(scenarios):
-            for f in range(len(scenario.flows)):
-                row = tensor.demand[p, f].tolist()
-                yield {names[r]: value for r, value in enumerate(row)
-                       if value != 0.0}
+        model = demand_model(testbed)
+        rows = []
+        groups = {}
+        for flows in _grid():
+            duplex = Scenario(testbed, flows)._network_duplex_loaded()
+            for slot, flow in enumerate(flows):
+                sig = (flow.path, flow.op, slot, duplex,
+                       flow.rate_cap is not None)
+                groups.setdefault(sig, []).append((len(rows), flow))
+                rows.append(None)
+        for (path, op, slot, duplex, has_cap), members in groups.items():
+            columns = batch._FlowColumns(np, [f for _r, f in members],
+                                         has_cap)
+            cols = model.build(path, op, slot, duplex, columns)
+            full = {name: np.broadcast_to(col, len(members)).tolist()
+                    for name, col in cols.items()}
+            for k, (row, _flow) in enumerate(members):
+                rows[row] = {name: values[k] for name, values in full.items()
+                             if values[k] != 0.0}
+        yield from rows
 
 
 def test_scalar_demands_match_golden():

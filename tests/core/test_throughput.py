@@ -4,6 +4,11 @@ The quantitative assertions mirror the paper's §3/§4 claims; see
 EXPERIMENTS.md for the full paper-vs-model table.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.paths import CommPath, Opcode
@@ -270,3 +275,25 @@ def test_throughput_monotone_in_requesters():
     rates = [peak(CommPath.SNIC1, Opcode.READ, 0, requesters=m).mrps_of(0)
              for m in range(1, 12)]
     assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
+
+
+def test_tied_bottlenecks_do_not_depend_on_the_hash_seed():
+    # RNIC READ+WRITE saturates both network directions at once; the
+    # tie must break the same way in every process (first-seen key
+    # order), not by string-hash order.
+    script = (
+        "from repro.core.paths import CommPath, Opcode\n"
+        "from repro.core.throughput import Flow, Scenario, ThroughputSolver\n"
+        "from repro.net.topology import paper_testbed\n"
+        "flows = [Flow(path=CommPath.RNIC1, op=op, payload=4096)\n"
+        "         for op in (Opcode.READ, Opcode.WRITE)]\n"
+        "r = ThroughputSolver().solve(Scenario(paper_testbed(), flows))\n"
+        "print(r.bottlenecks, list(r.utilization))\n")
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = {subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src,
+                         "PYTHONHASHSEED": str(seed)}).stdout
+        for seed in range(4)}
+    assert len(outputs) == 1, outputs
+    assert outputs.pop().startswith("['rnet:c2s', 'rnet:c2s']")

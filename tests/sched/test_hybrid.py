@@ -11,7 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults.plan import FaultPlan, SocCrash
 from repro.sched.serve import mixed_tenant_workload, run_serve
-from repro.sim.crosscheck import crosscheck, crosscheck_suite
+from repro.sim.crosscheck import (
+    crosscheck,
+    crosscheck_suite,
+    standard_scenarios,
+)
 from repro.sim.hybrid import LOOKAHEAD_NS, MAX_ENVELOPE_NS
 
 
@@ -139,3 +143,16 @@ def test_crosscheck_grades_the_standard_families():
     assert [r.scenario for r in results] == ["adaptive", "static"]
     for result in results:
         assert result.ok, (result.scenario, result.failures())
+
+
+@pytest.mark.parametrize("duration_ns", [0.0, -100.0])
+def test_standard_scenarios_reject_nonpositive_duration(duration_ns):
+    # Named after the span, not after the crash-recover fault plan
+    # that a non-positive span would otherwise trip over.
+    with pytest.raises(ValueError, match="duration_ns"):
+        standard_scenarios(duration_ns=duration_ns)
+
+
+def test_crosscheck_suite_rejects_nonpositive_duration():
+    with pytest.raises(ValueError, match="duration_ns"):
+        crosscheck_suite(duration_ns=-100.0, scenarios=["adaptive"])

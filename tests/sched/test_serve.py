@@ -80,3 +80,11 @@ def test_static_mode_records_no_decisions():
     assert report.decisions == []
     assert not report.adaptive
     assert report.lost == 0
+
+
+@pytest.mark.parametrize("duration_ns", [0.0, -5.0])
+def test_mixed_workload_rejects_nonpositive_duration(duration_ns):
+    # Clamping every tenant to one request would serve a run nobody
+    # asked for; the library refuses the span instead.
+    with pytest.raises(ValueError, match="duration_ns"):
+        mixed_tenant_workload(duration_ns=duration_ns)

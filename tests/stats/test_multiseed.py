@@ -14,7 +14,7 @@ from repro.core.flows import ConcurrencyAnalyzer
 from repro.core.paths import Opcode
 from repro.net.topology import paper_testbed
 from repro.stats.kernels import mean_estimate
-from repro.stats.replicate import replicate
+from repro.stats.replication import replicate
 
 DURATION_NS = 300_000.0
 SEEDS = (0, 1, 2)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.stats.kernels import Estimate
 from repro.sim.crosscheck import standard_scenarios
-from repro.stats.replicate import (
+from repro.stats.replication import (
     METRICS,
     Replication,
     replicate,
@@ -104,3 +104,12 @@ def test_replication_requires_matched_lengths(adaptive_rep):
         Replication(family="adaptive", duration_ns=DURATION_NS,
                     engine="event", seeds=(0, 1),
                     reports=adaptive_rep.reports)
+
+
+def test_package_replicate_is_the_function_after_validate_imports():
+    # The submodule is ``replication``, so importing it (as validate
+    # does) cannot shadow the package's ``replicate`` function.
+    import repro.stats.validate  # noqa: F401
+    from repro.stats import replicate as exported
+
+    assert exported is replicate

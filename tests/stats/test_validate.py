@@ -120,3 +120,8 @@ def test_cli_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert all(row["verdict"] == PASS for row in payload["rows"])
+
+
+def test_nonpositive_duration_is_rejected():
+    with pytest.raises(ValueError, match="duration_ns"):
+        run_validation(families=["adaptive"], duration_ns=0.0)

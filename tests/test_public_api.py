@@ -154,7 +154,7 @@ def test_stats_knob_snapshot():
     unnoticed."""
     from repro.stats.kernels import (CONFIDENCE, Estimate, batch_means,
                                      mean_estimate)
-    from repro.stats.replicate import replicate, report_estimate
+    from repro.stats.replication import replicate, report_estimate
     from repro.stats.validate import run_validation
 
     assert CONFIDENCE == 0.95
