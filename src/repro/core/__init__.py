@@ -23,7 +23,7 @@ from repro.core.throughput import (
     ThroughputSolver,
 )
 from repro.core.batch import BatchSolver, numpy_available
-from repro.core.sweeps import StageTimings, SweepRunner
+from repro.core.sweeps import StageTimings, SweepGrid, SweepRunner
 from repro.core.latency import LatencyModel, LatencyBreakdown
 from repro.core.flows import FlowPattern, ConcurrencyAnalyzer
 from repro.core.anomalies import (
@@ -59,6 +59,7 @@ __all__ = [
     "BatchSolver",
     "numpy_available",
     "StageTimings",
+    "SweepGrid",
     "SweepRunner",
     "LatencyModel",
     "LatencyBreakdown",

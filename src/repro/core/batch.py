@@ -1,49 +1,43 @@
-"""Vectorized sweep solver: one-flow points in closed form over numpy.
+"""Vectorized sweep solver: a sweep grid's rate column in closed form.
 
-Every throughput figure (Fig 4 lower, Fig 8, Fig 9, the per-path peaks
-of Fig 11) is a sweep of one-flow bottleneck questions, and for one
-flow max-min water-filling ends after its first round: the flow grows
-until its first resource saturates.  With weight ``w`` and demand
-``d_k`` on resource ``k``, the saturating resource ``b`` is the first
-column with the smallest ``1 / (w d)``; the rate is ``w (1 / (w d_b))``
-and resource ``k`` ends at utilization ``(1 / (w d_b)) (w d_k)``.
-:class:`BatchSolver` evaluates exactly those expressions, the ones the
-reference water-filling's first round evaluates, and both break exact
-ties by the demand builder's key order, so its rates, bottleneck names
-and utilization dicts (key order included) equal the scalar solver's
-bit for bit.
+Every throughput figure (Fig 4 lower, Fig 7, Fig 8, Fig 9, Fig 10b,
+the per-path peaks of Fig 11) is a sweep of one-flow bottleneck
+questions, and for one flow max-min water-filling ends after its first
+round: the flow grows until its first resource saturates.  With weight
+``w`` and demand ``d_k`` on resource ``k``, the saturating resource
+``b`` is the column with the smallest ``1 / (w d_b)`` and the rate is
+``w (1 / (w d_b))``.  A sweep point has weight 1, and division rounds
+monotonically, so that rate is exactly ``1 / max_k d_k``, bit for bit
+the scalar solver's first-round answer.
 
-Points are grouped by ``(path, opcode, rate cap present)``, everything
-that selects a branch (and so a fixed resource-key set) in the one
-demand builder, :meth:`repro.core.demand.DemandModel.build`.  Each
-group's demand columns come from that builder evaluated on the group's
-payload / requester / range / doorbell arrays, which select the numpy
-namespace (:class:`repro.arrays.NumpyNamespace`), and are stacked into
-one 2-D ``(points x resources)`` matrix in the builder's key order.
-That order alone fixes the tie-break and the key order of every
-utilization dict, so a point's answer does not depend on what else
-shares its batch.
+:meth:`BatchSolver.solve` takes a :class:`~repro.core.sweeps.SweepGrid`
+(one path and verb, one swept column, the other fields broadcast
+numbers), evaluates the one demand builder,
+:meth:`repro.core.demand.DemandModel.build`, once over the grid's
+columns (the float64 payload column picks the numpy namespace,
+:class:`repro.arrays.NumpyNamespace`), and returns one rate per point.
+It builds no per-point flow, result or utilization dict: bottleneck
+names and utilization are the scalar
+:class:`~repro.core.throughput.ThroughputSolver`'s answer, which is all
+``repro throughput`` and ``repro trace-solve`` print.
 
-A point with several flows needs the general iterative water-filling;
-:meth:`~repro.core.throughput.Scenario.solve_batch` sends any batch
-holding one to the scalar reference solver
-(:class:`~repro.core.throughput.ThroughputSolver`), which is also the
-path without numpy: numpy is an *optional* dependency (the ``[fast]``
-extra), imported lazily and never required.  ``tests/core/test_batch.py``
-checks the closed form against the scalar solver, and
-``tests/core/test_demand_golden.py`` pins the demand model itself.
+:meth:`repro.core.sweeps.SweepRunner.solve_flows` picks this solver
+for a grid of two or more points when numpy is importable, and the
+scalar solver otherwise: numpy is an *optional* dependency (the
+``[fast]`` extra), imported lazily and never required.
+``tests/core/test_batch.py`` checks the rate columns against the scalar
+solver, and ``tests/core/test_demand_golden.py`` pins the demand model
+itself.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from itertools import compress
-from typing import Any, Dict, List, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Any, Dict, List
 
 from repro.core.demand import demand_model
-from repro.core.paths import CommPath, Opcode
-from repro.core.throughput import Flow, SolverResult
 from repro.net.topology import Testbed
 
 # ---------------------------------------------------------------------------
@@ -84,8 +78,8 @@ def require_numpy():
     if np is None:
         raise ValueError(
             "the batch solver needs numpy (pip install 'repro[fast]'); "
-            "Scenario.solve_batch and sweeps fall back to the scalar "
-            "solver on their own")
+            "SweepRunner.solve_flows falls back to the scalar solver on "
+            "its own")
     return np
 
 
@@ -131,60 +125,22 @@ ENGINE_STATS = EngineStats()
 
 
 # ---------------------------------------------------------------------------
-# Flow groups
-# ---------------------------------------------------------------------------
-
-#: Group signature: everything that selects a branch (and therefore a
-#: fixed resource-key set) in the demand builder for a lone flow.
-_GroupSig = Tuple[CommPath, Opcode, bool]
-
-
-class _FlowColumns:
-    """A group's flow fields as float64 arrays, under ``Flow``'s names."""
-
-    __slots__ = ("payload", "requesters", "range_bytes", "doorbell_batch",
-                 "rate_cap")
-
-    def __init__(self, np, flows: Sequence[Flow], has_cap: bool):
-        def column(values):
-            return np.array(values, dtype=np.float64)
-
-        self.payload = column([f.payload for f in flows])
-        self.requesters = column([f.requesters for f in flows])
-        self.range_bytes = column([f.range_bytes for f in flows])
-        self.doorbell_batch = column([f.doorbell_batch for f in flows])
-        self.rate_cap = (column([f.rate_cap for f in flows]) if has_cap
-                         else None)
-
-
-# ---------------------------------------------------------------------------
 # The batch solver
 # ---------------------------------------------------------------------------
 
 
 class BatchSolver:
-    """Solve many one-flow points in closed form, grouped by shape.
+    """Solve a sweep grid's points in closed form, one rate each.
 
     Every point is solved cold: a sweep grid rarely repeats a point,
     so the scalar solver's memo is not consulted here.
     """
 
-    def solve(self, testbed: Testbed, flow_sets: Sequence,
-              timings=None) -> List[SolverResult]:
-        """One :class:`SolverResult` per entry of ``flow_sets``, in order.
-
-        Each entry is a sequence holding exactly one :class:`Flow`.
-        """
+    def solve(self, testbed: Testbed, grid, timings=None) -> List[float]:
+        """The peak rate (requests/ns) of each point of ``grid``, in order."""
         np = require_numpy()
-        flows: List[Flow] = []
-        for flow_set in flow_sets:
-            if len(flow_set) != 1:
-                raise ValueError(
-                    f"the batch solver takes one flow per point, got "
-                    f"{len(flow_set)}; Scenario.solve_batch sends "
-                    "multi-flow points to the scalar solver")
-            flows.append(flow_set[0])
-        if not flows:
+        n = len(grid)
+        if not n:
             return []
 
         def stage(name):
@@ -193,53 +149,25 @@ class BatchSolver:
 
         start = time.perf_counter()
         with stage("demand_assembly"):
-            groups: Dict[_GroupSig, List[int]] = {}
-            for i, flow in enumerate(flows):
-                sig = (flow.path, flow.op, flow.rate_cap is not None)
-                groups.setdefault(sig, []).append(i)
-            model = demand_model(testbed)
-            built = []
-            for (path, op, has_cap), members in groups.items():
-                group = [flows[i] for i in members]
-                cols = model.build(path, op, 0, False,
-                                   _FlowColumns(np, group, has_cap))
-                names = list(cols)
-                demand = np.empty((len(group), len(names)))
-                for j, name in enumerate(names):
-                    demand[:, j] = cols[name]
-                built.append((members, group, names, demand))
-        results: List[Any] = [None] * len(flows)
+            fields = grid.fields()
+            fields[grid.swept] = np.array(fields[grid.swept],
+                                          dtype=np.float64)
+            if grid.swept != "payload":
+                # The payload's type picks the demand namespace, so it
+                # is a column even when another field is swept.
+                fields["payload"] = np.full(n, fields["payload"],
+                                            dtype=np.float64)
+            terms = demand_model(testbed).build(
+                grid.path, grid.op, 0, False,
+                SimpleNamespace(rate_cap=None, **fields))
         with stage("solve"):
-            for members, group, names, demand in built:
-                for i, result in zip(members, _closed_form(
-                        np, group, names, demand)):
-                    results[i] = result
-        ENGINE_STATS.record("vector", len(flows),
-                            time.perf_counter() - start)
-        return results
-
-
-def _closed_form(np, flows: List[Flow], names: List[str],
-                 demand) -> List[SolverResult]:
-    """Solve one group: ``demand[p, k]`` is flow ``p``'s ns per request
-    on resource ``names[k]``, columns in the demand builder's order."""
-    touched = demand > 0.0
-    bounded = touched.any(axis=1)
-    if not bounded.all():
-        flow = flows[int(np.argmin(bounded))]
-        raise ValueError(f"flow {flow.name!r} has no demand; "
-                         "cannot bound its rate")
-    weights = np.array([flow.weight for flow in flows])
-    load = weights[:, None] * demand
-    with np.errstate(divide="ignore"):  # an unused resource: 1/0 = inf
-        delta = 1.0 / load
-    best = np.argmin(delta, axis=1)
-    step = delta.min(axis=1)
-    usage = step[:, None] * load
-    # Bulk ndarray -> Python conversions, then plain-Python rows.
-    rates = (weights * step).tolist()
-    bottlenecks = [names[b] for b in best.tolist()]
-    return [SolverResult(flows=[flow], rates=[rate], bottlenecks=[bottleneck],
-                         utilization=dict(compress(zip(names, row), mask)))
-            for flow, rate, bottleneck, row, mask in zip(
-                flows, rates, bottlenecks, usage.tolist(), touched.tolist())]
+            peak = np.zeros(n)
+            for demand in terms.values():
+                np.maximum(peak, demand, out=peak)
+            if not peak.all():
+                flow = grid.flows()[int(np.argmin(peak))]
+                raise ValueError(f"flow {flow.name!r} has no demand; "
+                                 "cannot bound its rate")
+            rates = (1.0 / peak).tolist()
+        ENGINE_STATS.record("vector", n, time.perf_counter() - start)
+        return rates

@@ -34,9 +34,8 @@ class FlowPattern:
 class ConcurrencyAnalyzer:
     """Runs flow combinations through the throughput solver.
 
-    Every combination goes through the scalar water-filling solver
-    (and its memo); :meth:`combine_all` only batches a set of one-flow
-    combinations.
+    Every combination goes through the scalar water-filling solver and
+    its memo.
     """
 
     def __init__(self, testbed: Testbed,
@@ -50,15 +49,8 @@ class ConcurrencyAnalyzer:
 
     def combine_all(self, named: Dict[str, Sequence[Flow]]
                     ) -> Dict[str, SolverResult]:
-        """Solve several named combinations through ``Scenario.solve_batch``.
-
-        A set holding any multi-flow combination (every Fig-5 and §4
-        query here) is solved combination by combination on the scalar
-        solver; only all-one-flow sets of two or more go to the numpy
-        closed form.  Both give bit-identical numbers.
-        """
-        results = Scenario.solve_batch(self.testbed, list(named.values()))
-        return dict(zip(named.keys(), results))
+        """Solve several named combinations, each with :meth:`combine`."""
+        return {name: self.combine(flows) for name, flows in named.items()}
 
     # -- Fig 5: direction combinations per path ------------------------------------
 

@@ -16,8 +16,7 @@ from repro.core.latency import LatencyModel
 from repro.core.packets import PacketCountModel
 from repro.core.paths import CommPath, Opcode
 from repro.core.report import format_table
-from repro.core.sweeps import SweepRunner
-from repro.core.throughput import Flow, Scenario, SolverResult, ThroughputSolver
+from repro.core.sweeps import SweepGrid, SweepRunner
 from repro.net.topology import Testbed
 from repro.nic.core import Endpoint
 from repro.sim import Simulator
@@ -139,22 +138,26 @@ class LatencyBench:
 class ThroughputBench:
     """Solver-based peak-throughput sweeps.
 
-    All sweeps evaluate their points through a :class:`SweepRunner`,
-    which solves a whole sweep in closed form on numpy when numpy is
-    installed and point by point otherwise.
+    Each sweep is one :class:`~repro.core.sweeps.SweepGrid` handed to
+    :meth:`SweepRunner.solve_flows`, which returns one peak rate per
+    point: the whole grid in closed form on numpy when numpy is
+    installed, point by point on the scalar solver otherwise.
     """
 
     def __init__(self, testbed: Testbed, runner: Optional[SweepRunner] = None):
         self.testbed = testbed
         self.runner = runner if runner is not None else SweepRunner(testbed)
-        self.solver = self.runner.solver
         self.packets = PacketCountModel(testbed.snic.spec)
 
-    def _peak(self, flow: Flow) -> SolverResult:
-        return self.solver.solve(Scenario(self.testbed, [flow]))
-
-    def _peaks(self, flows: Sequence[Flow]) -> List[SolverResult]:
-        return self.runner.solve_flows(flows)
+    def _sweep(self, parameter: str, unit: str, grid: SweepGrid,
+               measure: Callable[[float, float], Measurement]) -> Sweep:
+        """Solve ``grid`` and ``measure(x, rate)`` each point, where ``x``
+        is the swept value and ``rate`` the peak in requests/ns."""
+        rates = self.runner.solve_flows(grid)
+        with self.runner.stage("aggregate"):
+            points = [(x, measure(x, rate))
+                      for x, rate in zip(getattr(grid, grid.swept), rates)]
+        return Sweep(parameter, unit, points)
 
     def payload_sweep(self, path: CommPath, op: Opcode,
                       payloads: Sequence[int], requesters: int = 11,
@@ -164,21 +167,18 @@ class ThroughputBench:
         ``metric`` is ``"mrps"`` (requests) or ``"gbps"`` (payload
         bandwidth).
         """
+        label = f"{path.label} {op.value}"
         if metric == "mrps":
-            unit, value_of = "Mreqs/s", SolverResult.mrps_of
+            def measure(payload, rate):
+                return Measurement(label, rate * 1e3, "Mreqs/s")
         elif metric == "gbps":
-            unit, value_of = "Gbps", SolverResult.gbps_of
+            def measure(payload, rate):
+                return Measurement(label, to_gbps(rate * payload), "Gbps")
         else:
             raise ValueError(f"unknown metric: {metric!r}")
         with self.runner.stage("grid_build"):
-            grid = [Flow(path=path, op=op, payload=payload,
-                         requesters=requesters) for payload in payloads]
-        results = self._peaks(grid)
-        with self.runner.stage("aggregate"):
-            label = f"{path.label} {op.value}"
-            points = [(payload, Measurement(label, value_of(result, 0), unit))
-                      for payload, result in zip(payloads, results)]
-        return Sweep("payload", "bytes", points)
+            grid = SweepGrid(path, op, payloads, requesters=requesters)
+        return self._sweep("payload", "bytes", grid, measure)
 
     def pps_sweep(self, path: CommPath, op: Opcode,
                   payloads: Sequence[int], requesters: int = 11,
@@ -191,68 +191,47 @@ class ThroughputBench:
         """
         if scope not in ("nic", "fabric"):
             raise ValueError(f"unknown scope: {scope!r}")
+        label = f"{path.label} {op.value} PCIe pps"
+
+        def measure(payload, rate):
+            counts = self.packets.counts(path, op, payload)
+            if scope == "nic":
+                tlps = (counts.pcie0_total if path is CommPath.RNIC1
+                        else counts.pcie1_total)
+            else:
+                tlps = counts.total
+            return Measurement(label, rate * tlps * 1e3, "Mpps")
+
         with self.runner.stage("grid_build"):
-            grid = [Flow(path=path, op=op, payload=payload,
-                         requesters=requesters) for payload in payloads]
-        results = self._peaks(grid)
-        with self.runner.stage("aggregate"):
-            points = []
-            for payload, result in zip(payloads, results):
-                counts = self.packets.counts(path, op, payload)
-                if scope == "nic":
-                    tlps = (counts.pcie0_total if path is CommPath.RNIC1
-                            else counts.pcie1_total)
-                else:
-                    tlps = counts.total
-                mpps = result.rate_of(0) * tlps * 1e3
-                points.append((payload, Measurement(
-                    f"{path.label} {op.value} PCIe pps", mpps, "Mpps")))
-        return Sweep("payload", "bytes", points)
+            grid = SweepGrid(path, op, payloads, requesters=requesters)
+        return self._sweep("payload", "bytes", grid, measure)
 
     def range_sweep(self, path: CommPath, op: Opcode, payload: int,
                     ranges: Sequence[float], requesters: int = 11) -> Sweep:
         """Peak request rate versus responder address range (Fig 7)."""
         with self.runner.stage("grid_build"):
-            grid = [Flow(path=path, op=op, payload=payload,
-                         requesters=requesters, range_bytes=range_bytes)
-                    for range_bytes in ranges]
-        results = self._peaks(grid)
-        with self.runner.stage("aggregate"):
-            points = [
-                (range_bytes, Measurement(
-                    f"{path.label} {op.value}", result.mrps_of(0),
-                    "Mreqs/s"))
-                for range_bytes, result in zip(ranges, results)]
-        return Sweep("range", "bytes", points)
+            grid = SweepGrid(path, op, payload, requesters=requesters,
+                             range_bytes=ranges)
+        label = f"{path.label} {op.value}"
+        return self._sweep("range", "bytes", grid, lambda _x, rate:
+                           Measurement(label, rate * 1e3, "Mreqs/s"))
 
     def requester_sweep(self, path: CommPath, op: Opcode, payload: int,
                         machine_counts: Sequence[int]) -> Sweep:
         """Peak rate versus number of requester machines (Fig 11)."""
         with self.runner.stage("grid_build"):
-            grid = [Flow(path=path, op=op, payload=payload,
-                         requesters=machines)
-                    for machines in machine_counts]
-        results = self._peaks(grid)
-        with self.runner.stage("aggregate"):
-            points = [
-                (machines, Measurement(
-                    f"{path.label} {op.value}", result.mrps_of(0),
-                    "Mreqs/s"))
-                for machines, result in zip(machine_counts, results)]
-        return Sweep("machines", "count", points)
+            grid = SweepGrid(path, op, payload, requesters=machine_counts)
+        label = f"{path.label} {op.value}"
+        return self._sweep("machines", "count", grid, lambda _x, rate:
+                           Measurement(label, rate * 1e3, "Mreqs/s"))
 
     def doorbell_sweep(self, path: CommPath, op: Opcode, payload: int,
                        batches: Sequence[int], requesters: int = 24) -> Sweep:
         """Throughput versus doorbell batch size (Fig 10b)."""
         with self.runner.stage("grid_build"):
-            grid = [Flow(path=path, op=op, payload=payload,
-                         requesters=requesters, doorbell_batch=batch)
-                    for batch in batches]
-        results = self._peaks(grid)
-        with self.runner.stage("aggregate"):
-            points = [
-                (batch, Measurement(
-                    f"{path.label} {op.value} DB={batch}",
-                    result.mrps_of(0), "Mreqs/s"))
-                for batch, result in zip(batches, results)]
-        return Sweep("batch", "count", points)
+            grid = SweepGrid(path, op, payload, requesters=requesters,
+                             doorbell_batch=batches)
+        label = f"{path.label} {op.value}"
+        return self._sweep("batch", "count", grid, lambda batch, rate:
+                           Measurement(f"{label} DB={batch}", rate * 1e3,
+                                       "Mreqs/s"))

@@ -2,19 +2,22 @@
 
 Every figure reproduction is a dense parameter sweep — payload, address
 range, doorbell batch or requester count against the latency model or
-the throughput solver.  :class:`SweepRunner` is the shared backend, and
-it picks the solver backend itself:
+the throughput solver.  A throughput sweep is a :class:`SweepGrid`: one
+path and verb, one swept column, the other flow fields broadcast.
+:class:`SweepRunner` is the shared backend, and it picks the solver
+backend itself:
 
-* with numpy installed (the ``[fast]`` extra) and at least two
-  one-flow points, the whole point list goes to the numpy batch solver
-  (:mod:`repro.core.batch`): one demand matrix per (path, op, cap)
-  group, solved in closed form;
-* otherwise (one point, a multi-flow point, or no numpy) each point is
-  solved in order by the scalar reference solver, whose one-scenario
-  memo (:data:`repro.core.throughput.RESULT_CACHE`) answers a point
-  this process has already solved on the same testbed.
+* with numpy installed (the ``[fast]`` extra) and at least two points,
+  the grid goes to the numpy batch solver (:mod:`repro.core.batch`):
+  one demand-builder call over the grid's columns, solved in closed
+  form into one rate per point;
+* otherwise (one point, or no numpy) each point becomes a
+  :class:`~repro.core.throughput.Flow` solved in order by the scalar
+  reference solver, whose one-scenario memo
+  (:data:`repro.core.throughput.RESULT_CACHE`) answers a point this
+  process has already solved on the same testbed.
 
-Both backends return bit-identical results in identical order, so the
+Both backends return bit-identical rates in identical order, so the
 choice only affects wall-time.
 
 Pass a :class:`StageTimings` to collect a per-stage wall-time breakdown
@@ -27,11 +30,19 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from numbers import Number
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.batch import ENGINE_STATS, BatchSolver, numpy_available
 from repro.core.latency import LatencyBreakdown, LatencyModel
 from repro.core.paths import CommPath, Opcode
-from repro.core.throughput import Flow, Scenario, SolverResult, ThroughputSolver
+from repro.core.throughput import (
+    Flow,
+    Scenario,
+    ThroughputSolver,
+    check_point,
+)
 from repro.net.topology import Testbed
 
 #: A latency sweep point: (path, op, payload, range_bytes).
@@ -78,13 +89,68 @@ class StageTimings:
         return "\n".join(lines)
 
 
+#: The flow fields a sweep grid can vary, in :class:`Flow`'s order.
+GRID_FIELDS = ("payload", "requesters", "range_bytes", "doorbell_batch")
+
+
+class SweepGrid:
+    """A throughput sweep: one-flow points on one path and verb.
+
+    Exactly one of ``payload``, ``requesters``, ``range_bytes`` and
+    ``doorbell_batch`` is a sequence, the swept column; the other three
+    are numbers broadcast over it (defaults as :class:`Flow`'s).  Every
+    point passes :func:`~repro.core.throughput.check_point`, the rule
+    set :class:`Flow` applies, when the grid is built.
+    """
+
+    __slots__ = ("path", "op", "swept") + GRID_FIELDS
+
+    def __init__(self, path: CommPath, op: Opcode, payload,
+                 requesters=Flow.requesters, range_bytes=Flow.range_bytes,
+                 doorbell_batch=Flow.doorbell_batch):
+        self.path = path
+        self.op = op
+        fields = {"payload": payload, "requesters": requesters,
+                  "range_bytes": range_bytes,
+                  "doorbell_batch": doorbell_batch}
+        swept = [name for name, value in fields.items()
+                 if not isinstance(value, Number)]
+        if len(swept) != 1:
+            raise ValueError(
+                "a sweep grid sweeps exactly one of "
+                f"{', '.join(GRID_FIELDS)}; got {', '.join(swept) or 'none'}")
+        self.swept = swept[0]
+        fields[self.swept] = list(fields[self.swept])
+        for name, value in fields.items():
+            setattr(self, name, value)
+        for point in self.points():
+            check_point(*point)
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.swept))
+
+    def fields(self) -> Dict[str, object]:
+        """The four fields by name: the swept list and three numbers."""
+        return {name: getattr(self, name) for name in GRID_FIELDS}
+
+    def points(self) -> Iterator[tuple]:
+        """Each point's ``(payload, requesters, range_bytes,
+        doorbell_batch)``, in order."""
+        return zip(*(value if name == self.swept else repeat(value)
+                     for name, value in self.fields().items()))
+
+    def flows(self) -> List[Flow]:
+        """One :class:`Flow` per point, in order."""
+        return [Flow(self.path, self.op, *point) for point in self.points()]
+
+
 class SweepRunner:
     """Evaluates sweep points in-process, vectorized when it pays.
 
-    A solver sweep of at least two one-flow points runs in closed form
-    on numpy when numpy is importable, and point by point through the
-    scalar reference solver otherwise (see the module docstring);
-    latency points are always evaluated in order.
+    A sweep grid of at least two points runs in closed form on numpy
+    when numpy is importable, and point by point through the scalar
+    reference solver otherwise (see the module docstring); latency
+    points are always evaluated in order.
     """
 
     def __init__(self, testbed: Testbed,
@@ -100,14 +166,18 @@ class SweepRunner:
             return nullcontext()
         return self.timings.stage(name)
 
-    def solve_flows(self, flows: Sequence[Flow]) -> List[SolverResult]:
-        """One single-flow scenario per entry, in order."""
-        return self.solve_scenarios([flow] for flow in flows)
-
-    def solve_scenarios(self, flow_sets: Sequence) -> List[SolverResult]:
-        """One scenario per entry; batched when every entry has one flow."""
-        return Scenario.solve_batch(self.testbed, list(flow_sets),
-                                    timings=self.timings)
+    def solve_flows(self, grid: SweepGrid) -> List[float]:
+        """The peak rate (requests/ns) of each point of ``grid``."""
+        if len(grid) >= 2 and numpy_available():
+            return BatchSolver().solve(self.testbed, grid,
+                                       timings=self.timings)
+        start = time.perf_counter()
+        with self.stage("solve"):
+            rates = [self.solver.solve(Scenario(self.testbed, [flow]))
+                     .rates[0] for flow in grid.flows()]
+        ENGINE_STATS.record("scalar", len(rates),
+                            time.perf_counter() - start)
+        return rates
 
     def latencies(self, points: Sequence[LatencyPoint]
                   ) -> List[LatencyBreakdown]:

@@ -27,9 +27,9 @@ Resources modelled per server NIC:
 The demand vectors come from one builder,
 :meth:`repro.core.demand.DemandModel.build`, evaluated under two array
 namespaces (:mod:`repro.arrays`): here on one flow's Python numbers,
-and in :mod:`repro.core.batch` on numpy arrays over a group of
-same-shaped one-flow points.  A new device's demand terms go in
-:mod:`repro.core.demand` once and reach both solvers.  This module
+and in :mod:`repro.core.batch` on the columns of a sweep grid.  A new
+device's demand terms go in :mod:`repro.core.demand` once and reach
+both solvers.  This module
 keeps the flow and scenario types, the per-point water-filling
 (:class:`ThroughputSolver`) and its one-scenario memo.
 """
@@ -58,6 +58,22 @@ _DATA_DIRECTION_THRESHOLD = 1024
 RESULT_CACHE = LRUCache(maxsize=1 << 13, name="solver")
 
 
+def check_point(payload, requesters, range_bytes, doorbell_batch) -> None:
+    """Raise ``ValueError`` unless these fields make a valid flow.
+
+    The one rule set for a :class:`Flow` and for every point of a sweep
+    grid (:class:`repro.core.sweeps.SweepGrid`).
+    """
+    if payload < 0:
+        raise ValueError(f"negative payload: {payload}")
+    if requesters < 1:
+        raise ValueError(f"need >= 1 requester: {requesters}")
+    if range_bytes < max(1, payload):
+        raise ValueError("address range smaller than one payload")
+    if doorbell_batch < 1:
+        raise ValueError(f"bad doorbell batch: {doorbell_batch}")
+
+
 @dataclass(frozen=True)
 class Flow:
     """One stream of identical RDMA requests on a communication path.
@@ -79,16 +95,10 @@ class Flow:
     label: str = ""
 
     def __post_init__(self):
-        if self.payload < 0:
-            raise ValueError(f"negative payload: {self.payload}")
+        check_point(self.payload, self.requesters, self.range_bytes,
+                    self.doorbell_batch)
         if self.rate_cap is not None and self.rate_cap <= 0:
             raise ValueError(f"rate cap must be positive: {self.rate_cap}")
-        if self.requesters < 1:
-            raise ValueError(f"need >= 1 requester: {self.requesters}")
-        if self.range_bytes < max(1, self.payload):
-            raise ValueError("address range smaller than one payload")
-        if self.doorbell_batch < 1:
-            raise ValueError(f"bad doorbell batch: {self.doorbell_batch}")
         if self.weight <= 0:
             raise ValueError(f"weight must be positive: {self.weight}")
 
@@ -116,38 +126,6 @@ class Scenario:
         if self._demands is None:
             self._demands = self._build_all()
         return self._demands
-
-    @classmethod
-    def solve_batch(cls, testbed: Testbed, flow_sets: Sequence,
-                    timings=None) -> List["SolverResult"]:
-        """Solve many scenarios at once, one :class:`SolverResult` each.
-
-        ``flow_sets`` is a sequence of flow lists.  When numpy is
-        importable, there are at least two of them and each holds one
-        flow, they are solved in closed form by the numpy batch solver
-        (:mod:`repro.core.batch`); otherwise, and for any batch holding
-        a multi-flow point, each goes through the per-point reference
-        solver.  Both backends give bit-identical one-flow results, so
-        the choice only affects wall-time.
-        """
-        from repro.core import batch
-
-        if (len(flow_sets) >= 2
-                and all(len(flows) == 1 for flows in flow_sets)
-                and batch.numpy_available()):
-            return batch.BatchSolver().solve(testbed, flow_sets,
-                                             timings=timings)
-        import time as _time
-        from contextlib import nullcontext
-        solver = ThroughputSolver()
-        scenarios = [cls(testbed, list(flows)) for flows in flow_sets]
-        start = _time.perf_counter()
-        with (timings.stage("solve") if timings is not None
-              else nullcontext()):
-            results = [solver.solve(s) for s in scenarios]
-        batch.ENGINE_STATS.record("scalar", len(scenarios),
-                                  _time.perf_counter() - start)
-        return results
 
     # -- demand construction ------------------------------------------------------
 

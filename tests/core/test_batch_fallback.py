@@ -12,15 +12,12 @@ import sys
 import pytest
 
 from repro.core import batch
+from repro.core.harness import ThroughputBench
 from repro.core.paths import CommPath, Opcode
-from repro.core.sweeps import SweepRunner
-from repro.core.throughput import (
-    RESULT_CACHE,
-    Flow,
-    Scenario,
-    ThroughputSolver,
-)
+from repro.core.sweeps import SweepGrid, SweepRunner
+from repro.core.throughput import RESULT_CACHE, Scenario, ThroughputSolver
 from repro.net.topology import paper_testbed
+from repro.units import GB, KB, MB
 
 
 @pytest.fixture
@@ -57,33 +54,57 @@ def test_require_numpy_names_the_extra(no_numpy):
 
 def test_vector_engine_refused_without_numpy(no_numpy, testbed):
     with pytest.raises(ValueError, match=r"repro\[fast\]"):
-        batch.BatchSolver().solve(testbed, [[Flow(path=CommPath.SNIC1,
-                                                  op=Opcode.READ,
-                                                  payload=64)]] * 2)
+        batch.BatchSolver().solve(testbed, SweepGrid(
+            CommPath.SNIC1, Opcode.READ, [64, 64]))
 
 
 def test_auto_engine_falls_back_to_scalar(no_numpy, testbed):
-    flows = [Flow(path=CommPath.SNIC1, op=Opcode.READ, payload=p,
-                  requesters=11) for p in (64, 256, 1024)]
-    results = SweepRunner(testbed).solve_flows(flows)
+    grid = SweepGrid(CommPath.SNIC1, Opcode.READ, [64, 256, 1024])
+    rates = SweepRunner(testbed).solve_flows(grid)
     counters = batch.ENGINE_STATS.counters()
-    assert counters["engine.scalar.points"] == len(flows)
+    assert counters["engine.scalar.points"] == len(grid)
     assert "engine.vector.points" not in counters
     RESULT_CACHE.clear()                    # the reference solves cold
-    reference = [ThroughputSolver().solve(Scenario(testbed, [flow]))
-                 for flow in flows]
-    for got, want in zip(results, reference):
-        assert got.rates == want.rates
-        assert got.bottlenecks == want.bottlenecks
+    assert rates == [ThroughputSolver().solve(Scenario(testbed, [flow]))
+                     .rates[0] for flow in grid.flows()]
 
 
 def test_solve_batch_auto_falls_back(no_numpy, testbed):
-    flow_sets = [[Flow(path=CommPath.SNIC2, op=Opcode.WRITE, payload=p)]
-                 for p in (64, 4096)]
-    results = Scenario.solve_batch(testbed, flow_sets)
-    assert len(results) == 2
-    assert all(result.rates[0] > 0 for result in results)
+    rates = SweepRunner(testbed).solve_flows(
+        SweepGrid(CommPath.SNIC2, Opcode.WRITE, [64, 4096]))
+    assert len(rates) == 2
+    assert all(rate > 0 for rate in rates)
     assert batch.ENGINE_STATS.points == {"scalar": 2}
+
+
+def _every_sweep(bench):
+    """Each ThroughputBench sweep kind on each path and verb."""
+    payloads = [0, 64, 4 * KB, 1 * MB, 16 * MB]
+    sweeps = []
+    for path in CommPath:
+        for op in Opcode:
+            sweeps += [
+                bench.payload_sweep(path, op, payloads),
+                bench.payload_sweep(path, op, payloads, metric="gbps"),
+                bench.pps_sweep(path, op, payloads),
+                bench.pps_sweep(path, op, payloads, scope="fabric"),
+                bench.range_sweep(path, op, 64, [1536.0, 48 * KB, 10 * GB]),
+                bench.requester_sweep(path, op, 0, [1, 6, 11]),
+                bench.doorbell_sweep(path, op, 0, [1, 16, 64]),
+            ]
+    return [(sweep.xs(), sweep.values(),
+             [m.name for _x, m in sweep.points]) for sweep in sweeps]
+
+
+def test_every_sweep_same_without_numpy(monkeypatch, testbed):
+    pytest.importorskip("numpy")
+    vector = _every_sweep(ThroughputBench(testbed))
+    assert batch.ENGINE_STATS.points.keys() == {"vector"}
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    batch._reset_numpy_cache()
+    batch.ENGINE_STATS.clear()
+    assert _every_sweep(ThroughputBench(testbed)) == vector
+    assert batch.ENGINE_STATS.points.keys() == {"scalar"}
 
 
 def test_cli_sweep_reports_missing_numpy(no_numpy, capsys):

@@ -15,6 +15,7 @@ is the model's reference.
 
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,10 +71,22 @@ def _scalar_rows():
             yield from Scenario(testbed, flows).demands
 
 
+def _columns(np, flows, has_cap):
+    """A group's flow fields as float64 columns, under ``Flow``'s names."""
+    def column(name):
+        return np.array([getattr(f, name) for f in flows], dtype=np.float64)
+
+    return SimpleNamespace(
+        payload=column("payload"), requesters=column("requesters"),
+        range_bytes=column("range_bytes"),
+        doorbell_batch=column("doorbell_batch"),
+        rate_cap=column("rate_cap") if has_cap else None)
+
+
 def _vector_rows():
     """The same rows, each built by evaluating the demand builder once
-    per ``(path, op, slot, duplex, cap present)`` group on the batch
-    solver's float64 columns."""
+    per ``(path, op, slot, duplex, cap present)`` group on float64
+    columns."""
     np = batch.require_numpy()
     for testbed in TESTBEDS:
         model = demand_model(testbed)
@@ -87,9 +100,8 @@ def _vector_rows():
                 groups.setdefault(sig, []).append((len(rows), flow))
                 rows.append(None)
         for (path, op, slot, duplex, has_cap), members in groups.items():
-            columns = batch._FlowColumns(np, [f for _r, f in members],
-                                         has_cap)
-            cols = model.build(path, op, slot, duplex, columns)
+            cols = model.build(path, op, slot, duplex, _columns(
+                np, [f for _r, f in members], has_cap))
             full = {name: np.broadcast_to(col, len(members)).tolist()
                     for name, col in cols.items()}
             for k, (row, _flow) in enumerate(members):

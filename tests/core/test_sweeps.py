@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.harness import Measurement, Sweep
 from repro.core.paths import CommPath, Opcode
-from repro.core.sweeps import SweepRunner
+from repro.core.sweeps import SweepGrid, SweepRunner
 from repro.core.throughput import (
     RESULT_CACHE,
     Flow,
@@ -127,16 +127,17 @@ def test_mutated_spec_changes_result(testbed):
 
 def test_small_batch_stays_serial(testbed):
     # One point is below the batch threshold: the scalar reference
-    # solver runs it, and the answer is the cold solve's.
+    # solver runs it, and the rate is the cold solve's.
     from repro.core.batch import ENGINE_STATS
 
     ENGINE_STATS.clear()
-    flows = [Flow(path=CommPath.RNIC1, op=Opcode.READ, payload=64)]
-    (result,) = SweepRunner(testbed).solve_flows(flows)
-    RESULT_CACHE.clear()
-    cold = ThroughputSolver().solve(Scenario(testbed, flows))
-    assert_results_identical(cold, result)
+    grid = SweepGrid(CommPath.RNIC1, Opcode.READ, [64])
+    (rate,) = SweepRunner(testbed).solve_flows(grid)
+    assert len(RESULT_CACHE) == 1           # the runner filled the memo
     assert ENGINE_STATS.points == {"scalar": 1}
+    RESULT_CACHE.clear()
+    cold = ThroughputSolver().solve(Scenario(testbed, grid.flows()))
+    assert rate == cold.rates[0]
 
 
 # ---------------------------------------------------------------------------

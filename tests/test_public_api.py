@@ -167,3 +167,28 @@ def test_stats_knob_snapshot():
     assert _params(batch_means) == ["series", "batches"]
     assert [f.name for f in dataclasses.fields(Estimate)] == [
         "mean", "half_width", "n", "sd"]
+
+
+def test_sweep_signature_snapshot():
+    """A sweep is a grid and its answer a rate column: no flow-list
+    batch entry, per-point result list or backend knob comes back
+    unnoticed."""
+    from repro.core import __all__ as core_exports
+    from repro.core.batch import BatchSolver
+    from repro.core.harness import ThroughputBench
+    from repro.core.sweeps import SweepGrid, SweepRunner
+    from repro.core.throughput import Scenario
+
+    assert _params(SweepGrid) == [
+        "path", "op", "payload", "requesters", "range_bytes",
+        "doorbell_batch"]
+    assert _params(SweepRunner) == ["testbed", "timings"]
+    assert _params(SweepRunner.solve_flows) == ["self", "grid"]
+    assert _params(BatchSolver.solve) == ["self", "testbed", "grid",
+                                          "timings"]
+    assert "SweepGrid" in core_exports
+    assert not hasattr(Scenario, "solve_batch")
+    assert not hasattr(SweepRunner, "solve_scenarios")
+    bench = ThroughputBench(repro.paper_testbed())
+    for gone in ("_peak", "_peaks", "solver"):
+        assert not hasattr(bench, gone)
