@@ -16,6 +16,8 @@ fabric and melts, so the static rack loses aggregate SLO-goodput —
 the headline the cluster layer is asserted to win.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api.schema import ClusterScenario, MachineDoc, SchedulerDoc, TenantDoc
@@ -64,8 +66,10 @@ def generate(_testbed):
     doc = scenario()
     return {
         "adaptive": run_cluster(doc, jobs=1),
-        "static": run_cluster(doc, jobs=1, placement="round-robin",
-                              migrate=False),
+        "static": run_cluster(dataclasses.replace(
+            doc, scheduler=dataclasses.replace(
+                doc.scheduler, placement="round-robin", migrate=False)),
+            jobs=1),
     }
 
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Track the cost trajectory of the figure sweeps.
 
-Runs a fixed smoke workload — representative Fig 4 / Fig 8 sweeps cold
-and warm, a DES hot-loop microbench, the serving-engine comparison
+Runs a fixed smoke workload — representative Fig 4 / Fig 8 sweeps,
+best of several cold passes — a DES hot-loop microbench, the serving-engine comparison
 (pure DES vs the analytic/DES hybrid on the same adaptive scenario),
 the canonical declarative rack at growing machine counts,
 and (optionally) the full pytest-benchmark suite — and writes
@@ -361,9 +361,11 @@ def cluster_scaling_bench(machines: tuple = CLUSTER_MACHINES) -> dict:
     path keeps the lockstep bit-identity contract end to end
     (placement, LB ingress, cluster scheduler and all).
     """
+    from repro.api.schema import ClusterScenario
     from repro.cluster import run_cluster
 
-    doc = os.path.join(REPO_ROOT, "examples", "rack_scenario.json")
+    doc = ClusterScenario.from_file(
+        os.path.join(REPO_ROOT, "examples", "rack_scenario.json"))
 
     def digest(report):
         return (sorted((t.name, t.completed, t.rejected, t.lost)
@@ -374,7 +376,7 @@ def cluster_scaling_bench(machines: tuple = CLUSTER_MACHINES) -> dict:
     reference = None
     for count in machines:
         start = time.perf_counter()
-        report = run_cluster(doc, jobs=1, machines=count)
+        report = run_cluster(doc.resized(count), jobs=1)
         wall = time.perf_counter() - start
         if count == min(machines):
             reference = report
@@ -386,7 +388,7 @@ def cluster_scaling_bench(machines: tuple = CLUSTER_MACHINES) -> dict:
             "slo_attainment": round(report.slo_attainment, 4),
             "cluster_moves": len(report.cluster_decisions),
         }
-    many = run_cluster(doc, jobs=2, machines=min(machines))
+    many = run_cluster(doc.resized(min(machines)), jobs=2)
     return {
         "scenario": "examples/rack_scenario.json",
         "machines": racks,
@@ -470,7 +472,7 @@ SMOKE_REPS = 20
 
 
 def timed_smoke(testbed, reps: int = SMOKE_REPS):
-    """(points, best cold seconds, warm seconds) of the smoke workload."""
+    """(points, best cold seconds) of the smoke workload."""
     points = 0
     cold_s = float("inf")
     for _ in range(reps):
@@ -478,10 +480,7 @@ def timed_smoke(testbed, reps: int = SMOKE_REPS):
         start = time.perf_counter()
         points = smoke_sweep(testbed)
         cold_s = min(cold_s, time.perf_counter() - start)
-    start = time.perf_counter()
-    smoke_sweep(testbed)
-    warm_s = time.perf_counter() - start
-    return points, cold_s, warm_s
+    return points, cold_s
 
 
 def check_regression(recorded_path: str, cold_s: float, des: dict,
@@ -600,7 +599,7 @@ def main(argv=None) -> int:
 
     testbed = paper_testbed()
 
-    points, cold_s, warm_s = timed_smoke(testbed, reps=args.reps)
+    points, cold_s = timed_smoke(testbed, reps=args.reps)
     if args.check:
         return check_regression(args.out, cold_s, des_microbench(),
                                 serving_bench())
@@ -611,8 +610,6 @@ def main(argv=None) -> int:
         "smoke_sweep": {
             "points": points,
             "cold_s": round(cold_s, 4),
-            "warm_s": round(warm_s, 4),
-            "warm_speedup": round(cold_s / warm_s, 1) if warm_s else None,
         },
         "vector_sweep": vector_sweep(testbed),
         "des": des_microbench(),

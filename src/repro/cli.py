@@ -108,6 +108,18 @@ def _duration(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A count that must be at least 1 (``--machines``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -216,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run a declarative rack-scale cluster scenario "
                         "(JSON ClusterScenario document, e.g. "
                         "examples/rack_scenario.json; docs/cluster.md)")
-    p.add_argument("--machines", type=int, default=None,
+    p.add_argument("--machines", type=_positive_int, default=None,
                    help="with --cluster: override the document's machine "
                         "count (the SNIC/RNIC mix is cycled)")
     p.add_argument("--population-seed", type=int, default=None,
@@ -740,6 +752,7 @@ def _serve_outputs(args, report) -> Tuple[List[str], dict]:
 
 def _cluster_outputs(args, report) -> Tuple[List[str], dict]:
     """A ``--cluster`` run's text parts and JSON payload."""
+    from repro.codec import encode
     from repro.units import fmt_ns
 
     parts = [report.summary()]
@@ -759,7 +772,7 @@ def _cluster_outputs(args, report) -> Tuple[List[str], dict]:
     return parts, {
         "scenario": report.scenario, "elapsed_ns": report.elapsed_ns,
         "total_users": report.total_users,
-        "machines": [m.to_dict() for m in report.machines],
+        "machines": [encode(m) for m in report.machines],
         "placement": report.placement,
         "slo_attainment": report.slo_attainment,
         "total_slo_goodput_gbps": report.total_slo_goodput_gbps,
@@ -767,13 +780,35 @@ def _cluster_outputs(args, report) -> Tuple[List[str], dict]:
         "tenants": [vars(t) for t in report.tenants.values()]}
 
 
+def _edited_scenario(args, cluster_faults):
+    """The ``--cluster`` document with each given flag applied as an
+    edit of the field it names."""
+    from dataclasses import replace
+
+    from repro.api.schema import ClusterScenario
+
+    scenario = ClusterScenario.from_file(args.cluster)
+    if args.machines is not None:
+        scenario = scenario.resized(args.machines)
+    if args.population_seed is not None:
+        scenario = replace(scenario, population_seed=args.population_seed)
+    if args.engine is not None:
+        scenario = replace(scenario, engine=args.engine)
+    if cluster_faults is not None:
+        scenario = replace(scenario, faults=cluster_faults)
+    if args.placement is not None:
+        scenario = replace(scenario, scheduler=replace(
+            scenario.scheduler, placement=args.placement))
+    if args.no_migrate:
+        scenario = replace(scenario, scheduler=replace(
+            scenario.scheduler, migrate=False))
+    return scenario
+
+
 def _cmd_serve(args) -> str:
     """Every mode is one shard plan run by ``run_sharded``: the built-in
     mix over ``--shards`` machines (one by default), or a ``--cluster``
     document compiled by ``run_cluster``."""
-    from dataclasses import replace
-
-    from repro.api.schema import ClusterScenario
     from repro.cluster import run_cluster
     from repro.faults import FaultPlan
     from repro.sim.shard import run_sharded
@@ -794,14 +829,8 @@ def _cmd_serve(args) -> str:
         kill_shard=args.kill_shard, kill_window=args.kill_window,
         incident_report=args.incident_report)
     if args.cluster is not None:
-        scenario = ClusterScenario.from_file(args.cluster)
-        if cluster_faults is not None:
-            scenario = replace(scenario, faults=cluster_faults)
-        report = run_cluster(
-            scenario, jobs=args.jobs, machines=args.machines,
-            population_seed=args.population_seed, placement=args.placement,
-            migrate=False if args.no_migrate else None, engine=args.engine,
-            supervisor=supervisor)
+        report = run_cluster(_edited_scenario(args, cluster_faults),
+                             jobs=args.jobs, supervisor=supervisor)
         parts, payload = _cluster_outputs(args, report)
     else:
         report = run_sharded(_builtin_plan(args, cluster_faults),

@@ -35,9 +35,3 @@ class MachineSpec:
         """Whether the machine has schedulable SoC endpoints."""
         return self.nic == "snic"
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "nic": self.nic}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MachineSpec":
-        return cls(name=raw["name"], nic=raw.get("nic", "snic"))

@@ -35,8 +35,6 @@ from repro.sim.xshard import ShardTopology
 from repro.units import fmt_ns
 from repro.workloads.population import sample_population
 
-_NIC_CYCLE = ("snic", "snic", "snic", "rnic")
-
 
 @dataclass
 class ClusterReport:
@@ -139,54 +137,28 @@ class ClusterReport:
             self.machine_rows(), title=title)
 
 
-def compile_scenario(scenario, machines: Optional[int] = None,
-                     population_seed: Optional[int] = None,
-                     placement: Optional[str] = None,
-                     testbed=None):
+def compile_scenario(scenario, testbed=None):
     """Scenario → (plan, placement map, tenant specs, machine specs,
     topology, users-per-tenant).  Pure: no simulation happens here."""
-    from repro.api.schema import ClusterScenario  # noqa: F401 — lazy:
-    # repro.api.schema imports repro.cluster.machine at module load, so
-    # importing it at *this* module's load would cycle.
     testbed = testbed or paper_testbed()
-    specs = list(scenario.machine_specs())
-    if machines:
-        if machines < 1:
-            raise ValueError(f"need >= 1 machine: {machines}")
-        # CLI-scale override: keep the scenario's SNIC/RNIC ratio by
-        # cycling a fixed pattern over the requested count.
-        pattern = [m.nic for m in specs] or list(_NIC_CYCLE)
-        specs = [MachineSpec(name=f"m{i:02d}",
-                             nic=pattern[i % len(pattern)])
-                 for i in range(machines)]
-    seed = (population_seed if population_seed is not None
-            else scenario.population_seed)
-    sample = sample_population(scenario.populations, seed=seed,
+    specs = scenario.machine_specs()
+    sample = sample_population(scenario.populations,
+                               seed=scenario.population_seed,
                                duration_ns=scenario.duration_ns,
                                ingress_ns=scenario.ingress_ns)
     tenants: List[TenantSpec] = list(sample.tenants)
     pinned: Dict[str, str] = {}
-    known = {m.name for m in specs}
     for doc in scenario.tenants:
         tenants.append(doc.to_spec(ingress_ns=scenario.ingress_ns))
         if doc.machine is not None:
-            if doc.machine not in known:
-                raise ValueError(
-                    f"tenant {doc.name!r} pinned to machine "
-                    f"{doc.machine!r}, which the machine override "
-                    f"removed; drop the pin or the override")
             pinned[doc.name] = doc.machine
-    policy = placement or scenario.scheduler.placement
-    if policy == "binpack":
+    if scenario.scheduler.placement == "binpack":
         where = bin_pack_placement(tenants, specs, testbed,
                                    headroom=scenario.scheduler.headroom,
                                    pinned=pinned)
-    elif policy == "round-robin":
+    else:
         where = round_robin_placement(tenants, specs, testbed,
                                       pinned=pinned)
-    else:
-        raise ValueError(f"unknown placement {policy!r}; "
-                         "expected 'binpack' or 'round-robin'")
     by_machine: Dict[str, List[TenantSpec]] = {}
     for spec in sorted(tenants, key=lambda t: t.name):
         by_machine.setdefault(where[spec.name], []).append(spec)
@@ -209,36 +181,32 @@ def compile_scenario(scenario, machines: Optional[int] = None,
     return plan, where, tenants, tuple(used), topology, users
 
 
-def run_cluster(scenario, jobs: Optional[int] = None,
-                machines: Optional[int] = None,
-                population_seed: Optional[int] = None,
-                placement: Optional[str] = None,
-                migrate: Optional[bool] = None,
-                testbed=None, engine: Optional[str] = None,
+def run_cluster(scenario, jobs: Optional[int] = None, testbed=None,
                 supervisor=None) -> ClusterReport:
     """Run one rack-scale scenario end to end.
 
     ``scenario`` is a :class:`~repro.api.schema.ClusterScenario` or a
-    path to its JSON document.  ``machines``/``population_seed``/
-    ``placement``/``migrate``/``engine`` override the corresponding
-    scenario fields (the CLI's knobs); ``jobs`` and ``supervisor`` pass
-    through to :func:`~repro.sim.shard.run_sharded`.
+    path to its JSON document; to change the rack, the population seed,
+    the placement policy, migration or the engine, run an edited
+    document (``dataclasses.replace``, :meth:`ClusterScenario.resized`).
+    ``jobs`` and ``supervisor`` pass through to
+    :func:`~repro.sim.shard.run_sharded`.
 
     Bit-identity: the report is identical across ``jobs={1,N}``, with
     or without a live migration controller, because placement and
     sampling are pure and the controller is a pure function of the
     (deterministic) heartbeat sequence.
     """
-    from repro.api.schema import ClusterScenario  # lazy — see above
+    # Lazy: repro.api.schema imports repro.cluster.machine at module
+    # load, so importing it at this module's load would cycle.
+    from repro.api.schema import ClusterScenario
     if isinstance(scenario, (str, bytes)) or hasattr(scenario, "read_text"):
         scenario = ClusterScenario.from_file(scenario)
     testbed = testbed or paper_testbed()
     plan, where, tenants, used, topology, users = compile_scenario(
-        scenario, machines=machines, population_seed=population_seed,
-        placement=placement, testbed=testbed)
+        scenario, testbed=testbed)
     controller = None
-    moving = scenario.scheduler.migrate if migrate is None else migrate
-    if moving and len(plan.shards) > 1:
+    if scenario.scheduler.migrate and len(plan.shards) > 1:
         injector = None
         if plan.chaotic:
             # The controller's own oracle instance: machine_down and
@@ -255,7 +223,7 @@ def run_cluster(scenario, jobs: Optional[int] = None,
             min_samples=scenario.scheduler.min_samples)
     report = run_sharded(plan, jobs=jobs, supervisor=supervisor,
                          controller=controller, testbed=testbed,
-                         engine=engine or scenario.engine)
+                         engine=scenario.engine)
     return ClusterReport(
         scenario=scenario.name,
         serve=report,

@@ -18,7 +18,7 @@ into the NIC on PCIe1, ``49 Mpps`` (512 B) back out of PCIe1, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Dict
 
 from repro.arrays import SCALAR, namespace_of
 from repro.core.paths import CommPath, Opcode
@@ -71,11 +71,19 @@ class PathPacketCounts:
         )
 
 
+#: Per-spec memos of scalar :meth:`PacketCountModel.counts`.  A model
+#: looks its spec's memo up once, when built, so a call hashes only
+#: ``(path, op, nbytes, include_requests)``; ``SmartNICSpec`` is a frozen
+#: dataclass, so equal specs share one memo.
+_MEMOS: Dict[SmartNICSpec, Dict[tuple, PathPacketCounts]] = {}
+
+
 class PacketCountModel:
     """Closed-form per-request TLP counts for a SmartNIC spec."""
 
     def __init__(self, spec: SmartNICSpec = BLUEFIELD2):
         self.spec = spec
+        self._memo = _MEMOS.setdefault(spec, {})
         self.h_mps = spec.host_mps
         self.s_mps = spec.soc_mps
         self.read_chunk = spec.cores.max_read_request
@@ -140,10 +148,14 @@ class PacketCountModel:
         thousands of times.  For an array of payloads every field is an
         array over ``nbytes``.
         """
-        if namespace_of(nbytes) is SCALAR:
-            return cached_counts(self.spec, path, op, nbytes,
-                                 include_requests)
-        return self._compute_counts(path, op, nbytes, include_requests)
+        if namespace_of(nbytes) is not SCALAR:
+            return self._compute_counts(path, op, nbytes, include_requests)
+        key = (path, op, nbytes, include_requests)
+        counts = self._memo.get(key)
+        if counts is None:
+            counts = self._memo[key] = self._compute_counts(
+                path, op, nbytes, include_requests)
+        return counts
 
     def _compute_counts(self, path: CommPath, op: Opcode, nbytes: int,
                         include_requests: bool) -> PathPacketCounts:
@@ -211,20 +223,3 @@ class PacketCountModel:
         per_request = self.counts(path, op, nbytes, include_requests).total
         requests_per_ns = bytes_per_ns / nbytes
         return per_request * requests_per_ns
-
-
-@lru_cache(maxsize=None)
-def _model_for(spec: SmartNICSpec) -> PacketCountModel:
-    return PacketCountModel(spec)
-
-
-@lru_cache(maxsize=1 << 16)
-def cached_counts(spec: SmartNICSpec, path: CommPath, op: Opcode,
-                  nbytes: int, include_requests: bool = True) -> PathPacketCounts:
-    """Memoized :meth:`PacketCountModel.counts` keyed by content.
-
-    ``SmartNICSpec`` is a frozen dataclass, so equal specs hit the same
-    entry regardless of which ``PacketCountModel`` instance asks.
-    """
-    return _model_for(spec)._compute_counts(path, op, nbytes,
-                                            include_requests)

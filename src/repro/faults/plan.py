@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from typing import Annotated, Optional, Tuple, Union
+
+from repro.codec import Tagged, decode, encode
 
 
 def _window_active(now: float, start: float, end: Optional[float]) -> bool:
@@ -218,14 +220,6 @@ class FabricReorder:
         return self.dst in ("*", dst)
 
 
-Fault = Union[PacketLoss, LinkDown, LinkFlap, NodeStall, SocCrash,
-              MachineCrash, FabricPartition, FabricLoss, FabricDelay,
-              FabricReorder]
-
-#: Cluster-scope fault types — only valid inside ``ShardPlan.cluster_faults``.
-CLUSTER_FAULTS = (MachineCrash, FabricPartition, FabricLoss, FabricDelay,
-                  FabricReorder)
-
 _KINDS = {
     "packet-loss": PacketLoss,
     "link-down": LinkDown,
@@ -238,7 +232,14 @@ _KINDS = {
     "fabric-delay": FabricDelay,
     "fabric-reorder": FabricReorder,
 }
-_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
+
+#: Any one fault; in JSON, an object whose ``"kind"`` is a key of
+#: ``_KINDS`` (``{"kind": "soc-crash", "at": 5000.0}``).
+Fault = Annotated[Union[tuple(_KINDS.values())], Tagged("fault", _KINDS)]
+
+#: Cluster-scope fault types — only valid inside ``ShardPlan.cluster_faults``.
+CLUSTER_FAULTS = (MachineCrash, FabricPartition, FabricLoss, FabricDelay,
+                  FabricReorder)
 
 
 def is_cluster_fault(fault: Fault) -> bool:
@@ -276,16 +277,7 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "FaultPlan":
-        faults = []
-        for spec in raw.get("faults", ()):
-            spec = dict(spec)
-            kind = spec.pop("kind", None)
-            if kind not in _KINDS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r}; "
-                    f"expected one of {sorted(_KINDS)}")
-            faults.append(_KINDS[kind](**spec))
-        return cls(faults=tuple(faults), seed=int(raw.get("seed", 0)))
+        return decode(cls, raw)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
@@ -297,12 +289,8 @@ class FaultPlan:
             return cls.from_dict(json.load(handle))
 
     def to_dict(self) -> dict:
-        out = {"seed": self.seed, "faults": []}
-        for fault in self.faults:
-            spec = {"kind": _KIND_OF[type(fault)]}
-            spec.update(fault.__dict__)
-            out["faults"].append(spec)
-        return out
+        # Seed first: plan_fingerprint hashes this dict's repr.
+        return {"seed": self.seed, "faults": encode(self)["faults"]}
 
     def with_faults(self, *faults: Fault) -> "FaultPlan":
         return FaultPlan(faults=self.faults + tuple(faults), seed=self.seed)

@@ -94,6 +94,9 @@ class RandomVar:
     def fixed(cls, value: float) -> "RandomVar":
         return cls(dist="fixed", mean=value)
 
+    #: A bare JSON number decodes as a fixed variable (:mod:`repro.codec`).
+    from_number = fixed
+
     def sample(self, rng: random.Random) -> float:
         if self.dist == "fixed":
             value = self.mean
@@ -106,25 +109,6 @@ class RandomVar:
         if self.hi is not None:
             value = min(self.hi, value)
         return value
-
-    def to_dict(self) -> dict:
-        out = {"dist": self.dist, "mean": self.mean}
-        if self.std:
-            out["std"] = self.std
-        if self.lo is not None:
-            out["lo"] = self.lo
-        if self.hi is not None:
-            out["hi"] = self.hi
-        return out
-
-    @classmethod
-    def from_dict(cls, raw) -> "RandomVar":
-        if isinstance(raw, (int, float)):
-            return cls.fixed(float(raw))
-        return cls(dist=raw.get("dist", "fixed"),
-                   mean=float(raw["mean"]),
-                   std=float(raw.get("std", 0.0)),
-                   lo=raw.get("lo"), hi=raw.get("hi"))
 
 
 @dataclass(frozen=True)
@@ -156,50 +140,11 @@ class PopulationSpec:
         if self.tenants < 1:
             raise ValueError(f"cohort {self.name!r} needs >= 1 tenant: "
                              f"{self.tenants}")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError(f"read fraction must be in [0, 1]: "
-                             f"{self.read_fraction}")
-        if self.slo_p99_ns <= 0:
-            raise ValueError(f"SLO p99 must be positive: {self.slo_p99_ns}")
-
-    def mix(self) -> OpMix:
-        return OpMix(read=self.read_fraction,
-                     write=1.0 - self.read_fraction, send=0.0)
-
-    def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "tenants": self.tenants,
-            "active_users": self.active_users.to_dict(),
-            "req_per_min": self.req_per_min.to_dict(),
-            "payload": self.payload,
-            "read_fraction": self.read_fraction,
-            "bulk": self.bulk,
-            "slo_p99_ns": self.slo_p99_ns,
-            "working_set_bytes": self.working_set_bytes,
-            "workers": self.workers,
-            "queue_limit": self.queue_limit,
-        }
-        if self.hot_range_bytes is not None:
-            out["hot_range_bytes"] = self.hot_range_bytes
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PopulationSpec":
-        return cls(
-            name=raw["name"],
-            tenants=int(raw["tenants"]),
-            active_users=RandomVar.from_dict(raw["active_users"]),
-            req_per_min=RandomVar.from_dict(raw["req_per_min"]),
-            payload=int(raw.get("payload", 512)),
-            read_fraction=float(raw.get("read_fraction", 1.0)),
-            bulk=bool(raw.get("bulk", False)),
-            slo_p99_ns=float(raw.get("slo_p99_ns", 50_000.0)),
-            working_set_bytes=float(raw.get("working_set_bytes", 1 * GB)),
-            hot_range_bytes=raw.get("hot_range_bytes"),
-            workers=int(raw.get("workers", 4)),
-            queue_limit=int(raw.get("queue_limit", 32)),
-        )
+        # Build one tenant of the cohort's shape, so a shape no tenant
+        # could have (no workers, a read fraction above 1) is refused
+        # here, where a document names the cohort, not at sampling.
+        tenant_spec(self, name=self.name, interval_ns=1.0, requests=1,
+                    seed=0, ingress_ns=0.0)
 
 
 @dataclass(frozen=True)
@@ -230,10 +175,6 @@ def sample_population(populations: Sequence[PopulationSpec], seed: int,
     request's recorded latency (bulk tenants originate inside the
     machine and never cross the LB tier).
     """
-    # Lazy: repro.sched.tenant imports OpMix back from this package, so
-    # a module-level import here would close an import cycle.
-    from repro.sched.tenant import SloSpec, TenantSpec
-
     if duration_ns <= 0:
         raise ValueError(f"duration must be positive: {duration_ns}")
     names = [p.name for p in populations]
@@ -248,20 +189,42 @@ def sample_population(populations: Sequence[PopulationSpec], seed: int,
             req_per_min = max(1e-9, spec.req_per_min.sample(rng))
             interval_ns = max(1.0, _MINUTE_NS / (n_users * req_per_min))
             name = f"{spec.name}{i:03d}"
-            tenants.append(TenantSpec(
-                name=name,
-                payload=spec.payload,
-                interval_ns=interval_ns,
+            tenants.append(tenant_spec(
+                spec, name=name, interval_ns=interval_ns,
                 requests=max(1, int(duration_ns / interval_ns)),
-                mix=spec.mix(),
-                slo=SloSpec(p99_ns=spec.slo_p99_ns),
-                bulk=spec.bulk,
-                hot_range_bytes=spec.hot_range_bytes,
-                working_set_bytes=spec.working_set_bytes,
-                workers=spec.workers,
-                queue_limit=spec.queue_limit,
-                seed=rng.randrange(2 ** 31),
-                ingress_ns=0.0 if spec.bulk else ingress_ns,
-            ))
+                seed=rng.randrange(2 ** 31), ingress_ns=ingress_ns))
             users[name] = n_users
     return PopulationSample(tenants=tuple(tenants), users=users)
+
+
+def tenant_spec(shape, *, name: str, interval_ns: float, requests: int,
+                seed: int, ingress_ns: float,
+                send_fraction: float = 0.0) -> TenantSpec:
+    """The :class:`~repro.sched.tenant.TenantSpec` of one stream whose
+    shape — payload, read fraction, bulk flag, SLO, working set, hot
+    range, workers, queue limit — comes from the document ``shape`` (a
+    :class:`PopulationSpec` or an explicit tenant's doc).
+
+    ``send_fraction`` of the requests are two-sided; the rest split
+    into reads and writes by ``shape.read_fraction``.  Bulk tenants
+    originate inside the machine, so they never pay ``ingress_ns``.
+    """
+    # Lazy: repro.sched.tenant imports OpMix back from this package, so
+    # a module-level import here would close an import cycle.
+    from repro.sched.tenant import SloSpec, TenantSpec
+
+    if not 0.0 <= shape.read_fraction <= 1.0:
+        raise ValueError(f"read fraction must be in [0, 1]: "
+                         f"{shape.read_fraction}")
+    one_sided = max(0.0, 1.0 - send_fraction)
+    return TenantSpec(
+        name=name, payload=shape.payload, interval_ns=interval_ns,
+        requests=requests,
+        mix=OpMix(read=one_sided * shape.read_fraction,
+                  write=one_sided * (1.0 - shape.read_fraction),
+                  send=send_fraction),
+        slo=SloSpec(p99_ns=shape.slo_p99_ns), bulk=shape.bulk,
+        hot_range_bytes=shape.hot_range_bytes,
+        working_set_bytes=shape.working_set_bytes, workers=shape.workers,
+        queue_limit=shape.queue_limit, seed=seed,
+        ingress_ns=0.0 if shape.bulk else ingress_ns)

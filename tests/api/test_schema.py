@@ -1,5 +1,6 @@
 """The declarative cluster-scenario schema: validation and round-trips."""
 
+import copy
 import json
 import pathlib
 
@@ -7,10 +8,23 @@ import pytest
 
 from repro.api.schema import (ClusterScenario, MachineDoc, SchedulerDoc,
                               SchemaError, TenantDoc)
+from repro.faults import FaultPlan
 from repro.workloads.population import PopulationSpec, RandomVar
 
-_EXAMPLE = (pathlib.Path(__file__).resolve().parents[2]
-            / "examples" / "rack_scenario.json")
+_ROOT = pathlib.Path(__file__).resolve().parents[2]
+_EXAMPLE = _ROOT / "examples" / "rack_scenario.json"
+
+#: A small valid document: one cohort and one explicit tenant.
+_DOC = {
+    "name": "mini", "duration_ns": 100_000.0,
+    "machines": [{"name": "m", "count": 2}],
+    "populations": [{"name": "web", "tenants": 2,
+                     "active_users": {"dist": "normal", "mean": 100,
+                                      "std": 10},
+                     "req_per_min": 60}],
+    "tenants": [{"name": "t0", "payload": 512, "interval_ns": 2_000.0,
+                 "requests": 10}],
+}
 
 
 def _scenario(**overrides):
@@ -100,3 +114,44 @@ def test_canonical_rack_scenario_parses_at_acceptance_scale():
         raw = json.load(handle)
     assert ClusterScenario.from_dict(raw) == scenario
     assert ClusterScenario.from_json(scenario.to_json()) == scenario
+
+
+@pytest.mark.parametrize("where, value, path", [
+    # Misspelt or unknown keys: never dropped silently.
+    (("populations", 0, "read_fracton"), 0.5, "populations[0].read_fracton"),
+    (("populations", 0, "arrivals"), "poisson", "populations[0].arrivals"),
+    (("populations", 0, "active_users", "sd"), 5,
+     "populations[0].active_users.sd"),
+    # Wrong JSON types: no truthy strings, no nulls for required lists.
+    (("populations", 0, "bulk"), "false", "populations[0].bulk"),
+    (("tenants",), None, "tenants"),
+    (("scheduler",), {"patience": None}, "scheduler.patience"),
+    (("machines",), "m", "machines"),
+    (("tenants", 0, "hot_range_bytes"), "1M", "tenants[0].hot_range_bytes"),
+    # Values the tenant spec refuses: refused at parse time.
+    (("tenants", 0, "workers"), 0, "tenants[0]"),
+    (("tenants", 0, "read_fraction"), 1.5, "tenants[0]"),
+], ids=["read_fracton", "arrivals", "sd", "bulk", "tenants-null",
+        "patience-null", "machines-str", "hot_range_bytes", "workers",
+        "read_fraction"])
+def test_malformed_documents_fail_at_their_json_path(where, value, path):
+    raw = copy.deepcopy(_DOC)
+    ClusterScenario.from_dict(copy.deepcopy(raw))     # the base is valid
+    target = raw
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with pytest.raises(SchemaError) as exc:
+        ClusterScenario.from_dict(raw)
+    assert exc.value.path == path
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("name, cls", [
+    ("examples/rack_scenario.json", ClusterScenario),
+    ("perfbench/rack.json", ClusterScenario),
+    ("examples/cluster_chaos.json", FaultPlan),
+])
+def test_committed_documents_round_trip(name, cls):
+    doc = cls.from_file(_ROOT / name)
+    assert cls.from_dict(json.loads(json.dumps(doc.to_dict()))) == doc

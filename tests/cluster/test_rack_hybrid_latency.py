@@ -22,8 +22,10 @@ def test_rack_hybrid_p50_matches_des_for_every_tenant():
     doc = dataclasses.replace(ClusterScenario.from_file(RACK_DOC),
                               duration_ns=2_000_000.0)
     assert doc.ingress_ns > 0
-    des = run_cluster(doc, jobs=1, engine="event").serve
-    hybrid = run_cluster(doc, jobs=1, engine="hybrid").serve
+    des = run_cluster(dataclasses.replace(doc, engine="event"),
+                      jobs=1).serve
+    hybrid = run_cluster(dataclasses.replace(doc, engine="hybrid"),
+                         jobs=1).serve
     assert hybrid.hybrid_stats["analytic_completions"] > 0
     assert hybrid.tenants.keys() == des.tenants.keys()
     for name, want in des.tenants.items():

@@ -9,15 +9,17 @@ The load-bearing contracts:
   byte for byte;
 * a scenario with live LB-routed migration mid-run is bit-identical
   across ``jobs={1,N}`` (hypothesis, across population seeds);
-* ``run_cluster`` takes a document and keyword overrides.
+* ``run_cluster`` takes a document; a different rack, placement or
+  migration setting is an edited document, not a keyword.
 """
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api.schema import (ClusterScenario, MachineDoc, SchedulerDoc,
-                              TenantDoc)
+                              SchemaError, TenantDoc)
 from repro.cluster import ClusterReport, run_cluster
 from repro.faults.plan import FaultPlan
 from repro.sched.serve import mixed_tenant_workload
@@ -83,7 +85,8 @@ def _reference_plan(scenario):
 
 def test_empty_population_plan_reproduces_cluster_chaos_bytes():
     scenario = _parity_scenario()
-    report = run_cluster(scenario, jobs=1, migrate=False)
+    report = run_cluster(dataclasses.replace(
+        scenario, scheduler=SchedulerDoc(migrate=False)), jobs=1)
     direct = run_sharded(_reference_plan(scenario), jobs=1, engine="event")
     assert report.tenants == direct.tenants
     assert report.counters == direct.counters
@@ -154,6 +157,21 @@ def test_machines_override_rebuilds_the_rack():
         machines=(MachineDoc(name="m", count=2),),
         populations=(cohort,),
         scheduler=SchedulerDoc(migrate=False))
-    report = run_cluster(scenario, jobs=1, machines=3)
+    report = run_cluster(scenario.resized(3), jobs=1)
     assert [m.name for m in report.machines] == ["m00", "m01", "m02"]
+
+
+def test_resize_cycles_the_nic_pattern_and_keeps_pins_honest():
+    scenario = _parity_scenario(faults=None)
+    mixed = dataclasses.replace(scenario, machines=(
+        MachineDoc(name="shard0"), MachineDoc(name="shard1", nic="rnic")),
+        tenants=tuple(dataclasses.replace(t, machine=None)
+                      for t in scenario.tenants))
+    assert [(m.name, m.nic) for m in mixed.resized(5).machine_specs()] == [
+        ("m00", "snic"), ("m01", "rnic"), ("m02", "snic"),
+        ("m03", "rnic"), ("m04", "snic")]
+    # A pinned tenant whose machine the new rack lacks is a document
+    # error at the pin, before anything compiles.
+    with pytest.raises(SchemaError, match=r"tenants\[0\]\.machine"):
+        scenario.resized(2)
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.schema import ClusterScenario
 from repro.cluster import run_cluster
 from repro.sched.serve import ServeSession, mixed_tenant_workload
 from repro.sim.crosscheck import standard_scenarios
@@ -97,7 +98,8 @@ def test_two_shard_hybrid_serve_pinned_and_jobs_invariant():
 
 
 def test_rack_scenario_hybrid_pinned():
-    report = run_cluster(RACK_DOC, jobs=1, engine="hybrid")
+    report = run_cluster(dataclasses.replace(
+        ClusterScenario.from_file(RACK_DOC), engine="hybrid"), jobs=1)
     assert report.serve.hybrid_stats["analytic_completions"] > 0
     material = (_report_material(report.serve),
                 tuple(d.as_tuple() for d in report.cluster_decisions),

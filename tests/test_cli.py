@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import _parse_size, main
 from repro.core.paths import CommPath, Opcode
+
+_RACK = (pathlib.Path(__file__).resolve().parents[1] / "examples"
+         / "rack_scenario.json")
 
 
 def run(capsys, *argv):
@@ -370,6 +374,28 @@ def test_serve_cluster_takes_jobs_and_machines(capsys, tmp_path):
     assert outs[0] == outs[1]
     machines = json.loads(outs[0])["machines"]
     assert [m["name"] for m in machines] == ["m00", "m01", "m02"]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_serve_cluster_refuses_a_rack_of_no_machines(capsys, count):
+    # An argparse error, before the document is read: 0 must not fall
+    # back to the document's own rack.
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--cluster", "examples/rack_scenario.json",
+              "--machines", count])
+    assert exc.value.code == 2
+    assert "--machines: must be >= 1" in capsys.readouterr().err
+
+
+def test_serve_cluster_names_the_json_path_of_a_bad_document(capsys,
+                                                             tmp_path):
+    raw = json.loads(_RACK.read_text())
+    raw["scheduler"]["patience"] = None
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "serve", "--cluster", str(doc))
+    assert (code, out) == (1, "")
+    assert err == "error: scheduler.patience: expected an integer, got null\n"
 
 
 def test_serve_command_static_json(capsys):

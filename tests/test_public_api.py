@@ -116,6 +116,16 @@ def test_serving_option_snapshot():
         "runtime", "tracker", "faults", "tick_ns"]
 
 
+def test_cluster_entry_snapshot():
+    """A rack, seed, placement, migration or engine change is an edit of
+    the scenario document, never a keyword of the runner."""
+    from repro.cluster import compile_scenario, run_cluster
+
+    assert _params(run_cluster) == ["scenario", "jobs", "testbed",
+                                    "supervisor"]
+    assert _params(compile_scenario) == ["scenario", "testbed"]
+
+
 def test_kernel_option_snapshot():
     """No event budget, bounded store or SRQ option comes back unnoticed."""
     from repro.rdma import QueuePair, RdmaContext

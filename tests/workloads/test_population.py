@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.codec import decode, encode
 from repro.workloads.population import (PopulationSample, PopulationSpec,
                                         RandomVar, sample_population)
 
@@ -39,9 +40,9 @@ def test_randomvar_clamps_and_roundtrips():
     rng = __import__("random").Random(0)
     draws = [var.sample(rng) for _ in range(200)]
     assert all(0.0 <= d <= 20.0 for d in draws)
-    assert RandomVar.from_dict(var.to_dict()) == var
+    assert decode(RandomVar, encode(var)) == var
     # Bare numbers parse as fixed variables.
-    assert RandomVar.from_dict(7) == RandomVar.fixed(7.0)
+    assert decode(RandomVar, 7) == RandomVar.fixed(7.0)
 
 
 def test_sample_population_expands_cohorts():
@@ -92,4 +93,4 @@ def test_sample_population_rejects_bad_input():
 
 def test_population_spec_roundtrips():
     for spec in _cohorts():
-        assert PopulationSpec.from_dict(spec.to_dict()) == spec
+        assert decode(PopulationSpec, encode(spec)) == spec
