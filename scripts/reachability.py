@@ -3,7 +3,8 @@
 
 Runs every entry point in this process under a ``sys.setprofile``
 hook: the examples, a set of CLI invocations covering every
-subcommand (``serve`` in five modes, all six sweeps) and
+subcommand (``serve`` in eight modes, with a scenario override and
+both kinds of fault plan; all six sweeps) and
 ``pytest benchmarks --benchmark-disable``.  Then it prints each
 function defined under ``src/repro`` whose code never ran, and a total.
 Worker processes (``--jobs N`` pools) are not traced, so the CLI calls
@@ -42,6 +43,11 @@ def _cli_invocations(tmp: pathlib.Path):
         {"path": "snic-2", "op": "read", "payload": 16 << 20}]))
     trace = str(tmp / "trace.jsonl")
     rack = str(ROOT / "examples" / "rack_scenario.json")
+    chaos = str(ROOT / "examples" / "cluster_chaos.json")
+    faults = tmp / "faults.json"
+    faults.write_text(json.dumps({"seed": 3, "faults": [
+        {"kind": "packet-loss", "target": "pcie1", "rate": 0.01},
+        {"kind": "soc-crash", "at": 400_000.0}]}))
     return [
         ["paths"],
         ["latency"], ["latency", "--path", "3", "--op", "write",
@@ -62,6 +68,10 @@ def _cli_invocations(tmp: pathlib.Path):
         ["serve"], ["serve", "--static"], ["serve", "--engine", "hybrid"],
         ["serve", "--shards", "2", "--jobs", "1", "--cross-traffic"],
         ["serve", "--cluster", rack, "--jobs", "1", "--check"],
+        ["serve", "--cluster", rack, "--machines", "6", "--jobs", "1"],
+        ["serve", "--fault-plan", str(faults)],
+        ["serve", "--shards", "4", "--jobs", "1", "--cross-traffic",
+         "--duration", "600000", "--cluster-fault-plan", chaos],
         ["crosscheck"],
         ["validate", "--families", "all"],
     ]

@@ -44,46 +44,54 @@ class PCIeLink:
         Returns the delivery event of the *last* TLP.  A zero-byte
         transfer completes after one propagation delay with no TLPs.
         """
-        return self._send(nbytes, segment_count(nbytes, mps), mps, forward,
-                          direction="fwd" if forward else "rev")
+        tlps = segment_count(nbytes, mps)
+        delivery = self._send(nbytes, tlps, mps, forward)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            self._trace(tracer, nbytes, tlps, forward,
+                        direction="fwd" if forward else "rev")
+        return delivery
 
     def send_read_requests(self, count: int, forward: bool = True) -> Event:
         """Transfer ``count`` header-only read-request TLPs."""
-        return self._send(0, count, 0, forward, tlp_kind="read_request")
+        delivery = self._send(0, count, 0, forward)
+        tracer = self.sim.tracer
+        if tracer is not None:
+            self._trace(tracer, 0, count, forward, tlp_kind="read_request")
+        return delivery
 
-    def _send(self, nbytes: int, tlps: int, size: int, forward: bool,
-              **span) -> Event:
+    def _send(self, nbytes: int, tlps: int, size: int,
+              forward: bool) -> Event:
         """Send ``nbytes`` as a train of ``tlps`` back-to-back TLPs: all
         but the last carry ``size`` data bytes, the last the rest.
 
         The train costs one channel send, so one delivery event (see
-        :meth:`~repro.sim.links.SimplexChannel.send`), and one ``pcie:``
-        span; ``tlps == 0`` is a bare propagation delay.
+        :meth:`~repro.sim.links.SimplexChannel.send`); ``tlps == 0`` is
+        a bare propagation delay.
         """
-        if tlps:
-            if forward:
-                self.tlps_fwd += tlps
-                self.data_bytes_fwd += nbytes
-            else:
-                self.tlps_rev += tlps
-                self.data_bytes_rev += nbytes
-            tail = nbytes - size * (tlps - 1)
-            delivery = self.channel.send(
-                tail + TLP_HEADER_BYTES, forward=forward, count=tlps - 1,
-                size=size + TLP_HEADER_BYTES)
+        if not tlps:
+            return self.channel.send(0, forward=forward)
+        if forward:
+            self.tlps_fwd += tlps
+            self.data_bytes_fwd += nbytes
         else:
-            delivery = self.channel.send(0, forward=forward)
-        tracer = self.sim.tracer
-        if tracer is not None:
-            # One span per traversal, not per TLP: delivery time of the
-            # last TLP is known at submission, so no event is added and
-            # the span starts at submission (gap-free under contention;
-            # queueing shows up as a longer span, not a hole).
-            simplex = self.channel.fwd if forward else self.channel.rev
-            tracer.point(f"pcie:{self.name}", "pcie", self.sim.now,
-                         self.sim.now + simplex.last_delivery_delay(),
-                         link=self.name, bytes=nbytes, tlps=tlps, **span)
-        return delivery
+            self.tlps_rev += tlps
+            self.data_bytes_rev += nbytes
+        return self.channel.send(
+            nbytes - size * (tlps - 1) + TLP_HEADER_BYTES, forward,
+            tlps - 1, size + TLP_HEADER_BYTES)
+
+    def _trace(self, tracer, nbytes: int, tlps: int, forward: bool,
+               **span) -> None:
+        """One ``pcie:`` span per traversal, not per TLP: the last TLP's
+        delivery time is known at submission, so no event is added and
+        the span starts at submission (gap-free under contention;
+        queueing shows up as a longer span, not a hole)."""
+        simplex = self.channel.fwd if forward else self.channel.rev
+        now = self.sim.now
+        tracer.point(f"pcie:{self.name}", "pcie", now,
+                     now + simplex.last_delivery_delay(),
+                     link=self.name, bytes=nbytes, tlps=tlps, **span)
 
     # -- counters (hardware-counter style) ---------------------------------------
 

@@ -61,10 +61,10 @@ class PCIeSwitch:
     def forward(self, src: str, dst: str, payload: int = 0) -> Event:
         """Forward one DMA leg from ``src`` port to ``dst`` port.
 
-        Fires after the hop latency; an unknown port raises at once.
+        Fires after the hop latency.  Ports are not looked up here: a
+        :class:`~repro.hw.pcie.dma.SwitchHop` validates its ports when it
+        is built.
         """
-        self.port(src)
-        self.port(dst)
         sim = self.sim
         done = Event(sim)
         done._value = payload

@@ -4,8 +4,13 @@ A :class:`MemoryRegion` holds real bytes — applications built on the
 stack (the KV store, the RPC server) move actual data.  Backing is
 sparse: 4 KiB pages are allocated on first write and untouched bytes
 read as zero, so the registered length is accounting (the PD budget),
-not host memory.  Remote access is checked against the region's rkey
-and bounds, mirroring the RNIC's protection checks.
+not host memory.  A region with no backed page reads back the shared,
+immutable :func:`zero_bytes` buffer of the length asked for, and
+storing that exact buffer leaves pages that are not backed yet
+unbacked: a verb that moves untouched bytes (every serving request)
+copies nothing.  Any other store, the zero buffer over a backed page
+included, writes as usual.  Remote access is checked against the
+region's rkey and bounds, mirroring the RNIC's protection checks.
 """
 
 from __future__ import annotations
@@ -19,6 +24,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Backing page size of a :class:`MemoryRegion`.
 PAGE_BYTES = 4096
+
+#: The shared zero buffers by length, and the bounds on what is kept.
+_ZEROS: Dict[int, bytes] = {}
+_ZEROS_MAX_BYTES = 64 * PAGE_BYTES
+_ZEROS_MAX_LENGTHS = 32
+
+
+def zero_bytes(length: int) -> bytes:
+    """The shared zero buffer of ``length`` bytes.
+
+    One immutable buffer per length, so storing what an untouched
+    region read back is recognised by identity.  At most 32 lengths of
+    up to 256 KiB are kept, the oldest dropped first; a dropped or
+    longer buffer is a plain zero buffer and stores as usual.
+    """
+    zeros = _ZEROS.get(length)
+    if zeros is None:
+        zeros = bytes(length)
+        if length <= _ZEROS_MAX_BYTES:
+            if len(_ZEROS) >= _ZEROS_MAX_LENGTHS:
+                del _ZEROS[next(iter(_ZEROS))]
+            _ZEROS[length] = zeros
+    return zeros
 
 
 class AccessError(Exception):
@@ -52,6 +80,11 @@ class MemoryRegion:
         return self._load(offset, length)
 
     def _store(self, offset: int, data: bytes) -> None:
+        # The shared zero buffer leaves unbacked pages unbacked: they
+        # read as zero already.
+        zeros = data is _ZEROS.get(len(data))
+        if zeros and not self._pages:
+            return
         view = memoryview(data)
         pos = 0
         while pos < len(view):
@@ -59,11 +92,16 @@ class MemoryRegion:
             chunk = min(PAGE_BYTES - start, len(view) - pos)
             page = self._pages.get(index)
             if page is None:
+                if zeros:
+                    pos += chunk
+                    continue
                 page = self._pages[index] = bytearray(PAGE_BYTES)
             page[start:start + chunk] = view[pos:pos + chunk]
             pos += chunk
 
     def _load(self, offset: int, length: int) -> bytes:
+        if not self._pages:
+            return zero_bytes(length)
         out = bytearray(length)
         pos = 0
         while pos < length:

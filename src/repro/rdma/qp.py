@@ -7,58 +7,33 @@ internal fabric — then delivers a completion.  Posting a verb runs its
 body as a discrete-event process; a process that waits for the verb
 anyway (a serving worker) may run the body itself instead.  The
 datapath to each responder is resolved once per queue pair
-(:class:`~repro.rdma.transport.Route`).
+(:class:`~repro.rdma.transport.Route`), and the body is
+:func:`~repro.rdma.transport.execute` over the route's plan for the
+verb's opcode and length.
 
 RC QPs implement the reliability protocol: each work request carries a
 packet sequence number, and any leg of its execution poisoned by a fault
 injector (see :mod:`repro.faults`) resolves to :data:`~repro.sim.LOST`.
-The requester then waits an ack-timeout with exponential backoff and
-retransmits, up to ``retry_cnt`` times before wedging the QP with
-``RETRY_EXC_ERR``.  An RC SEND that finds no receive buffer posted draws
-an RNR NAK and is retried after ``rnr_timer_ns``, up to ``rnr_retry``
-times.  Fault-free runs never enter any of these paths and execute the
-exact event sequence of the unmodified stack.
+The executor then retransmits under the ``retry_cnt``/``rnr_retry``
+knobs below; this module keeps the QP state machine, admission, the
+completions and the responder side (WRITE dedup, receive buffers).
+Fault-free runs never enter any of these paths and execute the exact
+event sequence of the unmodified stack.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 from typing import Deque, Dict, Generator, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.rdma import transport
 from repro.rdma.cq import Completion, CompletionQueue
 from repro.rdma.mr import AccessError, MemoryRegion
-from repro.rdma.opcodes import CompletionStatus, WorkOpcode
-from repro.sim.events import Timeout
-from repro.sim.links import LOST
+from repro.rdma.opcodes import CompletionStatus, QPState, QPType, WorkOpcode
 from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.cluster import Node
-
-
-class QPType(Enum):
-    RC = "rc"   # reliable connection: READ/WRITE/SEND
-    UD = "ud"   # unreliable datagram: SEND/RECV only
-
-
-class QPState(Enum):
-    """The ibv_qp_state subset the stack models.
-
-    RC QPs walk RESET -> INIT -> RTR -> RTS (or take the
-    :meth:`QueuePair.connect` shortcut); UD QPs are created ready.
-    A fatal error (remote access fault, retry exhaustion) moves the QP
-    to ERROR, after which posts flush with
-    :attr:`CompletionStatus.FLUSH_ERROR` until the owner recycles it
-    through RESET back up to RTS (see :meth:`QueuePair.recover`).
-    """
-
-    RESET = "reset"
-    INIT = "init"
-    RTR = "rtr"    # ready to receive
-    RTS = "rts"    # ready to send
-    ERROR = "error"
 
 
 # Legal forward transitions (plus anything -> ERROR / RESET).
@@ -76,11 +51,6 @@ _FATAL_STATUSES = frozenset({
     CompletionStatus.RETRY_EXC_ERR,
     CompletionStatus.RNR_RETRY_EXC_ERR,
 })
-
-# Attempt outcomes of the RC reliability loop (LOST is the third).
-_OK = object()
-_RNR = object()
-
 
 class QPError(Exception):
     """QP misuse: wrong type, wrong state, not connected, bad sizes."""
@@ -288,14 +258,9 @@ class QueuePair:
         route = self._route_to(target.node)
         if not self._admit_send(wr_id, WorkOpcode.SEND):
             return _flushed()
-        args = (route, target, data)
-        if self.qp_type is QPType.RC:
-            body = self._reliably(WorkOpcode.SEND, wr_id, len(data),
-                                  signaled, posting_delay, self._send_attempt,
-                                  args)
-        else:
-            body = self._datagram(wr_id, len(data), signaled, posting_delay,
-                                  args)
+        body = transport.execute(
+            self.sim, route.plan(WorkOpcode.SEND, len(data)), self, wr_id,
+            signaled, posting_delay, data=data, target=target)
         return self._traced(body, WorkOpcode.SEND, len(data), wr_id,
                             target.node)
 
@@ -312,11 +277,10 @@ class QueuePair:
         if not self._admit_send(wr_id, opcode):
             return _flushed()
         rkey = remote_mr.rkey if rkey is None else rkey
-        attempt = self._intra_attempt if route.intra else self._remote_attempt
-        body = self._reliably(opcode, wr_id, length, signaled, posting_delay,
-                              attempt, (route, opcode, local_mr, local_offset,
-                                        remote_mr, remote_offset, length,
-                                        rkey))
+        body = transport.execute(
+            self.sim, route.plan(opcode, length), self, wr_id, signaled,
+            posting_delay, local_mr, local_offset, remote_mr, remote_offset,
+            rkey)
         return self._traced(body, opcode, length, wr_id, responder)
 
     # -- checks -----------------------------------------------------------------------
@@ -384,7 +348,8 @@ class QueuePair:
                   signaled: bool,
                   status: CompletionStatus = CompletionStatus.SUCCESS) -> None:
         self.outstanding_sends = max(0, self.outstanding_sends - 1)
-        if status in _FATAL_STATUSES:
+        if (status is not CompletionStatus.SUCCESS
+                and status in _FATAL_STATUSES):
             # A fatal RC error wedges the QP (ibv semantics).
             self.state = QPState.ERROR
             self._needs_recovery = True
@@ -392,220 +357,6 @@ class QueuePair:
             self.send_cq.push(Completion(wr_id=wr_id, opcode=opcode,
                                          status=status, byte_len=nbytes,
                                          timestamp=self.sim.now))
-
-    # -- RC reliability -------------------------------------------------------------
-
-    def _reliably(self, opcode: WorkOpcode, wr_id: int, nbytes: int,
-                  signaled: bool, posting_delay: Optional[float], attempt,
-                  args: tuple):
-        """Post, then drive ``attempt(psn, *args)`` to completion under
-        the RC retry rules.
-
-        ``attempt`` is a generator function executing one transmission of
-        the work request; it returns ``_OK``, ``_RNR``, or ``LOST``.  On
-        a fault-free run the loop body executes exactly once and adds no
-        simulation events of its own.
-        """
-        sim = self.sim
-        tracer = sim.tracer
-        span = (tracer.begin("post", "cpu", node=self.node.name)
-                if tracer is not None else None)
-        yield Timeout(sim, self._posting(posting_delay))
-        if tracer is not None:
-            tracer.end(span)
-        cluster = self.cluster
-        psn = self.sq_psn
-        self.sq_psn += 1
-        transport_retries = self.retry_cnt
-        rnr_retries = self.rnr_retry
-        timeout = self.timeout_ns
-        while True:
-            if self.state is QPState.ERROR:
-                # Wedged while queued/retrying (e.g. a crash injector
-                # errored the QP): flush instead of transmitting.
-                self._complete(wr_id, opcode, 0, True,
-                               CompletionStatus.FLUSH_ERROR)
-                return
-            try:
-                outcome = yield from attempt(psn, *args)
-            except AccessError:
-                self._complete(wr_id, opcode, 0, True,
-                               CompletionStatus.REMOTE_ACCESS_ERROR)
-                return
-            if outcome is _RNR:
-                cluster.bump("rdma.rnr_naks")
-                if rnr_retries <= 0:
-                    self._complete(wr_id, opcode, 0, True,
-                                   CompletionStatus.RNR_RETRY_EXC_ERR)
-                    return
-                rnr_retries -= 1
-                tracer = self.sim.tracer
-                span = (tracer.begin("rnr_backoff", "rdma",
-                                     wait_ns=self.rnr_timer_ns)
-                        if tracer is not None else None)
-                yield self.sim.timeout(self.rnr_timer_ns)
-                if tracer is not None:
-                    tracer.end(span)
-                continue
-            if outcome is LOST:
-                if transport_retries <= 0:
-                    self._complete(wr_id, opcode, 0, True,
-                                   CompletionStatus.RETRY_EXC_ERR)
-                    return
-                transport_retries -= 1
-                cluster.bump("rdma.retransmits")
-                tracer = self.sim.tracer
-                span = (tracer.begin("retry_backoff", "rdma",
-                                     wait_ns=timeout)
-                        if tracer is not None else None)
-                yield self.sim.timeout(timeout)
-                if tracer is not None:
-                    tracer.end(span)
-                timeout = min(timeout * 2, self.max_timeout_ns)
-                continue
-            if self.state is QPState.ERROR:
-                self._complete(wr_id, opcode, 0, True,
-                               CompletionStatus.FLUSH_ERROR)
-                return
-            self._complete(wr_id, opcode, nbytes, signaled)
-            return
-
-    def _datagram(self, wr_id: int, nbytes: int, signaled: bool,
-                  posting_delay: Optional[float], args: tuple):
-        """A UD SEND: fire-and-forget.  A lost datagram is dropped
-        silently and the sender still completes successfully."""
-        sim = self.sim
-        tracer = sim.tracer
-        span = (tracer.begin("post", "cpu", node=self.node.name)
-                if tracer is not None else None)
-        yield Timeout(sim, self._posting(posting_delay))
-        if tracer is not None:
-            tracer.end(span)
-        yield from self._send_attempt(0, *args)
-        self._complete(wr_id, WorkOpcode.SEND, nbytes, signaled)
-
-    # -- one transmission --------------------------------------------------------------
-    #
-    # Retransmits re-enter the NIC pipeline, like the hardware.
-
-    def _remote_attempt(self, psn, route, opcode, local_mr, local_offset,
-                        remote_mr, remote_offset, length, rkey):
-        """A READ/WRITE to another machine, over the fabric."""
-        tracer = self.sim.tracer
-        span = (tracer.begin("nic_pipeline", "nic", node=self.node.name)
-                if tracer is not None else None)
-        yield Timeout(self.sim, route.nic_ns)
-        if tracer is not None:
-            tracer.end(span)
-        responder = route.responder
-        if opcode is WorkOpcode.READ:
-            # Request packet over, DMA read at the server, data back.
-            got = yield from transport.network_transfer(route, 0)
-            if got is LOST or responder.crashed:
-                return LOST
-            yield from transport.server_nic_stage(route)
-            got = yield from transport.server_dma_read(route.dma, length)
-            if got is LOST:
-                return LOST
-            data = remote_mr.dma_read(remote_offset, length, rkey)
-            got = yield from transport.network_transfer(route, length,
-                                                        back=True)
-            if got is LOST:
-                return LOST
-            local_mr.write_local(local_offset, data)
-        else:
-            # Data over, posted DMA write at the server, ack back.
-            data = local_mr.read_local(local_offset, length)
-            got = yield from transport.network_transfer(route, length)
-            if got is LOST or responder.crashed:
-                return LOST
-            yield from transport.server_nic_stage(route)
-            got = yield from transport.server_dma_write(route.dma, length)
-            if got is LOST:
-                return LOST
-            self._apply_write(remote_mr, remote_offset, data, rkey, psn)
-            # The ack can be lost too; the data stays applied and the
-            # retransmit is deduplicated by PSN at the responder.
-            got = yield from transport.network_transfer(route, 0, back=True)
-            if got is LOST:
-                return LOST
-        return _OK
-
-    def _intra_attempt(self, psn, route, opcode, local_mr, local_offset,
-                       remote_mr, remote_offset, length, rkey):
-        """Path ③: host <-> SoC through the internal fabric only.
-
-        On top of the data legs, the doorbell MMIO crosses the fabric to
-        the NIC (posted: half a traversal latency-visible) and the CQE
-        crosses back to the requester's memory.
-        """
-        yield from transport.server_nic_stage(route)
-        sim = self.sim
-        tracer = sim.tracer
-        endpoint = self.node.endpoint.value
-        span = (tracer.begin("doorbell_mmio", "mmio", endpoint=endpoint)
-                if tracer is not None else None)
-        yield Timeout(sim, route.doorbell_ns)
-        if tracer is not None:
-            tracer.end(span)
-        if route.responder.crashed:
-            return LOST
-        if opcode is WorkOpcode.READ:
-            data = remote_mr.dma_read(remote_offset, length, rkey)
-            got = yield from transport.intra_machine_transfer(
-                route.dma, route.local_dma, length)
-            if got is LOST:
-                return LOST
-            local_mr.write_local(local_offset, data)
-        else:
-            data = local_mr.read_local(local_offset, length)
-            got = yield from transport.intra_machine_transfer(
-                route.local_dma, route.dma, length)
-            if got is LOST:
-                return LOST
-            self._apply_write(remote_mr, remote_offset, data, rkey, psn)
-        span = (tracer.begin("cqe_delivery", "mmio", endpoint=endpoint)
-                if tracer is not None else None)
-        yield Timeout(sim, route.crossing_ns)  # CQE back to requester memory
-        if tracer is not None:
-            tracer.end(span)
-        span = (tracer.begin("nic_pipeline", "nic", node=self.node.name)
-                if tracer is not None else None)
-        yield Timeout(sim, route.nic_ns)
-        if tracer is not None:
-            tracer.end(span)
-        return _OK
-
-    def _send_attempt(self, psn, route, target, data):
-        """A SEND: data to the responder, landed in a posted receive."""
-        tracer = self.sim.tracer
-        span = (tracer.begin("nic_pipeline", "nic", node=self.node.name)
-                if tracer is not None else None)
-        yield Timeout(self.sim, route.nic_ns)
-        if tracer is not None:
-            tracer.end(span)
-        responder = route.responder
-        if route.intra:
-            got = yield from transport.intra_machine_transfer(
-                route.local_dma, route.dma, len(data))
-            if got is LOST or responder.crashed:
-                return LOST
-        else:
-            got = yield from transport.network_transfer(route, len(data))
-            if got is LOST or responder.crashed:
-                return LOST
-            if route.pipeline is not None:
-                yield from transport.server_nic_stage(route)
-                got = yield from transport.server_dma_write(route.dma,
-                                                            len(data))
-                if got is LOST:
-                    return LOST
-        if not target._deliver(data, self.qpn):
-            if self.qp_type is QPType.RC:
-                return _RNR
-            # UD: receiver not ready means the datagram is dropped.
-            target.dropped_receives += 1
-        return _OK
 
     def _apply_write(self, remote_mr: MemoryRegion, remote_offset: int,
                      data: bytes, rkey: int, psn: int) -> None:

@@ -34,6 +34,7 @@ from repro.apps.logship import TokenBucket
 from repro.core.paths import CommPath, Opcode
 from repro.hw.cpu import relay_service_ns
 from repro.net.cluster import SimCluster
+from repro.rdma.mr import zero_bytes
 from repro.rdma.qp import QPState, QueuePair
 from repro.rdma.verbs import RdmaContext
 from repro.sched.policy import Placement
@@ -391,7 +392,7 @@ class ServingRuntime:
                                 payload)
             else:
                 peer.post_recv(wr, t.remote_mrs[wid], 0, payload)
-                verb = qp.send(wr, bytes(payload))
+                verb = qp.send(wr, zero_bytes(payload))
             # The verb runs inside this worker.  As a process of its own
             # it had two hops, its URGENT bootstrap and its completion;
             # each is taken only when another event is due now

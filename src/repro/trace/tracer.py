@@ -13,8 +13,8 @@ as the current context, and the context it found is restored whenever
 the verb yields.  A verb therefore keeps its span tree whether it runs
 as a process of its own or inside the process that drives it, and
 spans emitted anywhere in its call chain — including the DMA
-transactions it runs inline — land in the right tree even with many
-verbs in flight.  Each :class:`~repro.sim.process.Process` carries the
+transactions of its plan — land in the right tree even with many verbs
+in flight.  Each :class:`~repro.sim.process.Process` carries the
 context it was spawned under, restored by the kernel on every resume.
 """
 
@@ -170,24 +170,6 @@ class Tracer:
         return trace
 
     # -- generator wrapping ----------------------------------------------------------
-
-    def wrap(self, name: str, category: str, gen: Generator,
-             **attrs: Any) -> Generator:
-        """Run ``gen`` under a span that closes when it finishes.
-
-        For sub-generators (DMA transactions, which a verb drives with
-        ``yield from``): the span opens now and closes when ``gen``
-        returns — covering queue time and all hops.
-        """
-        span = self.begin(name, category, **attrs)
-
-        def runner():
-            try:
-                return (yield from gen)
-            finally:
-                self.end(span)
-
-        return runner()
 
     def trace_verb(self, gen: Generator, *, requester: "Node",
                    responder: "Node", verb: str, payload: int,

@@ -6,10 +6,14 @@ from a non-empty admission queue, and for a verb a serving worker runs
 inline, the start and completion it had as a process of its own) only
 when ``Simulator.due_now()`` is False.  The crafted ties below put
 another event due at the hop's instant and assert the order the hop
-gives it: that event runs first.
+gives it: that event runs first.  The verb-level DMA and NIC-stage ties
+run a plan of that one step through the verb executor
+(``repro.rdma.transport.execute``).
 The "same instant spawn" ties have the tied event at URGENT priority (a
 process spawned at the same instant), so a ``due_now`` that skipped the
-hop, or that counted only NORMAL entries, reorders them.  The
+hop, or that counted only NORMAL entries, reorders them; the NIC-grant
+tie is the spawned process's first NORMAL event, since a verb reaches
+its NIC stage on a NORMAL resume.  The
 "tied delivery" ties are the serving case: two DMAs ending at once, the
 other one's NORMAL delivery still queued.  (A step resumed by a NORMAL
 event cannot find an URGENT entry due now unless it queued one itself,
@@ -21,9 +25,11 @@ The property test then runs small tie-heavy serving configs twice, as
 they are and with every hop scheduled (``due_now`` patched to always
 answer True, the kernel's behaviour before hops were skipped), and
 requires the same completion records, decisions, counters and hybrid
-statistics, with fewer events.
+statistics, with fewer events.  ``HOP_ELISION_EXAMPLES`` raises its
+example count (CI's ``fault-properties`` job).
 """
 
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -38,7 +44,7 @@ from repro.net.topology import paper_testbed
 from repro.nic.core import Endpoint
 from repro.nic.smartnic import SmartNIC
 from repro.nic.specs import BLUEFIELD2
-from repro.rdma import RdmaContext, transport
+from repro.rdma import RdmaContext, WorkOpcode, transport
 from repro.sched.runtime import PathLease, ServingRuntime
 from repro.sched.serve import ServeSession
 from repro.sched.slo import SloTracker
@@ -48,6 +54,15 @@ from repro.workloads import OpMix
 
 
 # -- crafted ties, one per hop site ----------------------------------------------
+
+
+def _posted_plan(cluster, opcode, length, *steps):
+    """A verb on a client0 -> host QP whose plan is ``steps`` alone,
+    posted at no cost: its first step runs on the resume of a zero
+    posting delay, queued when the verb started."""
+    qp, _ = RdmaContext(cluster).connect_rc("client0", "host")
+    plan = transport.Plan(steps, opcode, length)
+    return transport.execute(cluster.sim, plan, qp, posting_delay=0.0)
 
 
 def test_dma_completion_hop_lets_a_same_instant_spawn_send_first():
@@ -79,21 +94,25 @@ def test_dma_completion_hop_lets_a_tied_delivery_send_first(op):
     """Two DMAs on twin NICs end at the same instant.  The verb's
     transaction ends first, and its completion hop lets the twin's
     owner send on the verb's PCIe1 before the verb's next leg does."""
-    sim = Simulator()
+    cluster = SimCluster(paper_testbed(), n_clients=1)
+    sim = cluster.sim
     nic, twin = (SmartNIC(BLUEFIELD2).instantiate(sim) for _ in range(2))
     mps = nic.mps_for(Endpoint.HOST)
-    target = (nic.dma, nic.route_to(Endpoint.HOST),
-              nic.route_from(Endpoint.HOST), mps)
-    dma = (transport.server_dma_write if op == "write"
-           else transport.server_dma_read)
+    route = nic.route_to(Endpoint.HOST)
+    step = (nic.dma.write_step(route, 4096, mps) if op == "write"
+            else nic.dma.read_step(route, nic.route_from(Endpoint.HOST),
+                                   4096, mps))
+    opcode = WorkOpcode.WRITE if op == "write" else WorkOpcode.READ
     log = []
 
     def verb():
-        yield from dma(target, 4096)
+        yield from _posted_plan(cluster, opcode, 4096,
+                                (transport.DMA, step))
         yield nic.pcie1.send_data(4096, mps)
         log.append(("verb", sim.now))
 
     def rival():
+        yield sim.timeout(0)    # start after the verb's posting delay
         route = twin.route_to(Endpoint.HOST)
         if op == "write":
             yield from twin.dma.write(route, 4096, mps)
@@ -113,20 +132,25 @@ def test_dma_completion_hop_lets_a_tied_delivery_send_first(op):
 
 
 def test_nic_grant_hop_lets_a_same_instant_spawn_queue_first():
-    """An uncontended NIC-unit grant with a process spawned at the same
-    instant: the grant hop lets that process queue its timeout ahead
-    of the verb's service time, so at the tie it sees the unit held."""
+    """An uncontended NIC-unit grant with an event of a process spawned
+    at the same instant due: the grant hop lets that process queue its
+    timeout ahead of the verb's service time, so at the tie it sees the
+    unit held.  (A verb reaches its NIC stage on a NORMAL resume, so
+    the tied event is NORMAL too.)"""
     cluster = SimCluster(paper_testbed())
     sim = cluster.sim
     server = cluster.servers["server0"]
     route = transport.Route(cluster, cluster.node("client0"),
                             cluster.node("host"))
+    stage = next(step for step in route.plan(WorkOpcode.WRITE, 64).steps
+                 if step[0] == transport.STAGE)
     seen = []
 
     def verb():
-        yield from transport.server_nic_stage(route)
+        yield from _posted_plan(cluster, WorkOpcode.WRITE, 64, stage)
 
     def rival():
+        yield sim.timeout(0)    # due when the posted verb asks for a unit
         yield sim.timeout(server.service_ns)
         seen.append(server.pipeline.in_use)
 
@@ -286,7 +310,10 @@ def _answers(config):
             session.cluster.sim.events_executed)
 
 
-@settings(max_examples=25, deadline=None)
+_MAX_EXAMPLES = int(os.environ.get("HOP_ELISION_EXAMPLES", "25"))
+
+
+@settings(max_examples=_MAX_EXAMPLES, deadline=None)
 @given(_configs())
 def test_skipping_hops_changes_no_answer(config):
     *answers, events = _answers(config)

@@ -1,7 +1,9 @@
 """The canonical golden-trace cases, shared by the regression test and
 ``scripts/update_golden_traces.py``.
 
-One verb per numbered path of Fig 2 plus the RNIC path-① baseline.
+A WRITE per numbered path of Fig 2 plus the RNIC path-① baseline,
+and READs and SENDs over the network and the internal fabric, so every
+step kind of a verb plan is pinned.
 ``render()`` is the single definition of the canonical serialization;
 anything that changes its output must regenerate the golden files (and
 thereby show up in review as a span-timing diff).
@@ -30,6 +32,12 @@ CASES = (
     GoldenCase("snic-1-write-4k", CommPath.SNIC1, Opcode.WRITE, 4096),
     GoldenCase("snic-2-write-4k", CommPath.SNIC2, Opcode.WRITE, 4096),
     GoldenCase("snic-3-h2s-write-4k", CommPath.SNIC3_H2S, Opcode.WRITE, 4096),
+    GoldenCase("rnic-1-read-4k", CommPath.RNIC1, Opcode.READ, 4096),
+    GoldenCase("snic-1-read-512", CommPath.SNIC1, Opcode.READ, 512),
+    GoldenCase("snic-2-read-512", CommPath.SNIC2, Opcode.READ, 512),
+    GoldenCase("snic-3-s2h-read-4k", CommPath.SNIC3_S2H, Opcode.READ, 4096),
+    GoldenCase("snic-1-send-1k", CommPath.SNIC1, Opcode.SEND, 1024),
+    GoldenCase("snic-3-h2s-send-1k", CommPath.SNIC3_H2S, Opcode.SEND, 1024),
 )
 
 

@@ -4,17 +4,25 @@ The tracer's design contract is that spans only *read* the clock — no
 instrumentation point adds, removes, or reorders a simulation event.
 So a traced run must produce bit-identical completions, final clock,
 event count, and memory contents to the same run untraced (extending
-PR 3's zero-fault bit-identity pattern to the tracing hooks).
+PR 3's zero-fault bit-identity pattern to the tracing hooks).  The
+property test draws verbs of every kind on every path under packet
+loss and SoC crashes; ``TRACE_INVARIANCE_EXAMPLES`` raises its example
+count (CI's ``fault-properties`` job).
 """
 
-import pytest
+import os
 
-from repro.core.paths import Opcode
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.paths import CommPath, Opcode
+from repro.faults import FaultPlan, PacketLoss, SocCrash
 from repro.net.cluster import SimCluster
 from repro.net.topology import paper_testbed
 from repro.rdma import RdmaContext
 from repro.sched.serve import ServeSession, mixed_tenant_workload
 from repro.trace import Tracer, TraceError
+from repro.trace.capture import PATH_NODES
 from repro.units import KB
 
 
@@ -142,3 +150,71 @@ def test_traced_serving_run_is_bit_identical_to_untraced():
     assert shapes
     for key, stages in shapes.items():
         assert stages == {_posted_stages(n_clients, *key)}, key
+
+
+# -- property: any verb, path and fault -------------------------------------------
+
+_MAX_EXAMPLES = int(os.environ.get("TRACE_INVARIANCE_EXAMPLES", "15"))
+
+
+def _lossy_verbs(path, ops, payload, faults, traced):
+    """``ops`` verbs on ``path`` under ``faults``; every observable."""
+    nic = "rnic" if path is CommPath.RNIC1 else "snic"
+    cluster = SimCluster(paper_testbed(), n_clients=1, nic=nic)
+    if faults:
+        cluster.install_faults(FaultPlan(seed=5, faults=tuple(faults)))
+    ctx = RdmaContext(cluster)
+    requester, responder = PATH_NODES[path]
+    local = ctx.reg_mr(requester, 2 * payload)
+    remote = ctx.reg_mr(responder, 2 * payload)
+    local.write_local(0, bytes(range(256)) * (payload // 256))
+    qp, peer = ctx.connect_rc(requester, responder)
+    for i in range(len(ops) // 2):
+        peer.post_recv(1000 + i, remote, payload, payload)
+    tracer = Tracer().install(cluster) if traced else None
+    sim = cluster.sim
+
+    def driver():
+        for i, op in enumerate(ops):
+            if op is Opcode.READ:
+                verb = qp.post_read(i, local, remote, payload, payload)
+            elif op is Opcode.WRITE:
+                verb = qp.post_write(i, local, remote, payload)
+            else:
+                verb = qp.post_send(i, local.read_local(0, payload))
+            if i % 2:
+                yield verb
+            if qp.state.value == "error":
+                qp.recover()
+
+    sim.process(driver())
+    sim.run()
+    if tracer is not None:
+        tracer.uninstall()
+    return ([(c.wr_id, c.status, c.byte_len, c.timestamp)
+             for c in qp.send_cq.poll(1000)],
+            [(c.wr_id, c.status, c.timestamp)
+             for c in peer.recv_cq.poll(1000)],
+            sim.now, sim.events_executed, dict(cluster.stats),
+            local.read_local(0, local.length),
+            remote.read_local(0, remote.length))
+
+
+@settings(max_examples=_MAX_EXAMPLES, deadline=None)
+@given(path=st.sampled_from(sorted(PATH_NODES, key=lambda p: p.value)),
+       ops=st.lists(st.sampled_from([Opcode.READ, Opcode.WRITE,
+                                     Opcode.SEND]), min_size=1, max_size=8),
+       payload=st.sampled_from([256, 4096]),
+       loss=st.sampled_from([None, "net.server0", "net.client0", "pcie0",
+                             "pcie1"]),
+       crash=st.booleans())
+def test_traced_verbs_under_faults_are_bit_identical(path, ops, payload,
+                                                     loss, crash):
+    faults = []
+    if loss is not None and not (loss == "pcie1"
+                                 and path is CommPath.RNIC1):
+        faults.append(PacketLoss(loss, 0.2))
+    if crash and path is not CommPath.RNIC1:
+        faults.append(SocCrash(at=5_000.0))
+    untraced = _lossy_verbs(path, ops, payload, faults, traced=False)
+    assert _lossy_verbs(path, ops, payload, faults, traced=True) == untraced
