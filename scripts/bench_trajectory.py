@@ -224,8 +224,8 @@ def serving_bench() -> dict:
     Both engines run the same adaptive scheduler scenario; the hybrid
     engine must reproduce the DES completion/rejection/loss counts
     *exactly* (its faithfulness contract — see docs/performance.md and
-    ``python -m repro crosscheck``), so the recorded speedup is a
-    same-answer speedup, not an approximation trade.  Each engine also
+    the engine rows of ``python -m repro validate``), so the recorded
+    speedup is a same-answer speedup, not an approximation trade.  Each engine also
     records simulated requests and simulated ns per wall-second, its
     absolute throughput; events/s is not one, because deleting dead
     events lowers it while making the run faster.

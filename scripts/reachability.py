@@ -4,7 +4,7 @@
 Runs every entry point in this process under a ``sys.setprofile``
 hook: the examples, a set of CLI invocations covering every
 subcommand (``serve`` in eight modes, with a scenario override and
-both kinds of fault plan; all six sweeps) and
+both kinds of fault plan; all six sweeps, one plotted) and
 ``pytest benchmarks --benchmark-disable``.  Then it prints each
 function defined under ``src/repro`` whose code never ran, and a total.
 Worker processes (``--jobs N`` pools) are not traced, so the CLI calls
@@ -72,8 +72,17 @@ def _cli_invocations(tmp: pathlib.Path):
         ["serve", "--fault-plan", str(faults)],
         ["serve", "--shards", "4", "--jobs", "1", "--cross-traffic",
          "--duration", "600000", "--cluster-fault-plan", chaos],
-        ["crosscheck"],
-        ["validate", "--families", "all"],
+        ["sweep", "fig4", "--plot"],
+        # The serving families at 1.5 ms, where every fault family
+        # splices back to DES, and the cluster-fault family.
+        ["validate", "--families", "cluster-fault",
+         *(arg for family in ("adaptive", "static", "soc-crash",
+                              "crash-recover", "packet-loss",
+                              "fault-transient")
+           for arg in ("--families", family)),
+         "--duration", "1500000", "--seeds", "1"],
+        ["validate", "--families", "all", "--out",
+         str(tmp / "verification_report.md"), "--json"],
     ]
 
 

@@ -19,17 +19,14 @@ Commands:
 * ``serve`` — run the online path scheduler over a multi-tenant
   workload (adaptive vs ``--static``; ``--engine hybrid`` fast-forwards
   steady state analytically; see docs/scheduling.md).
-* ``crosscheck`` — grade the hybrid serving engine against the pure-DES
-  reference over the standard scenario families (exact counts +
-  toleranced latencies; see docs/performance.md), plus the
-  ``cluster-fault`` determinism family: sharded chaos runs must be
-  bit-identical across executors and through worker kill/respawn
-  (docs/robustness.md).
 * ``validate`` — the statistical verification report: scenario
   families replicated across seeds, invariant checks (flow
-  conservation, Little's law, utilization bounds), CI-overlap engine
-  agreement, and the Fig-4/9/11 reproductions quoted as mean ± CI
-  (``--out verification_report.md``; see docs/validation.md).
+  conservation, Little's law, utilization bounds), the hybrid engine
+  graded against pure DES on every seed (exact counts and decisions,
+  toleranced latencies; docs/performance.md), the ``cluster-fault``
+  determinism family (docs/robustness.md), and the Fig-4/9/11
+  reproductions quoted as mean ± CI (``--out verification_report.md``;
+  see docs/validation.md).
 
 ``compare`` accepts ``--nic`` to pick a catalog device
 (bluefield-2 default, bluefield-3, stingray-ps225).
@@ -301,36 +298,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the per-tenant rows as JSON instead of a table")
 
-    p = sub.add_parser("crosscheck",
-                       help="grade the hybrid serving engine against "
-                            "pure DES")
-    p.add_argument("--duration", type=_duration, default=1_500_000.0,
-                   help="arrival-window length in ns (default 1.5 ms)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the tenants' request streams")
-    p.add_argument("--scenario", action="append", dest="scenarios",
-                   metavar="NAME", default=None,
-                   help="run only this scenario family (repeatable; "
-                        "default: all of adaptive, static, soc-crash, "
-                        "crash-recover, packet-loss, fault-transient, "
-                        "cluster-fault)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the graded results as JSON instead of a table")
-
     p = sub.add_parser("validate",
                        help="statistical verification report: replicated "
                             "scenarios, invariants, CIs, figure gates")
     p.add_argument("--families", action="append", metavar="NAME",
                    default=None,
                    help="validate only this family (repeatable; 'all' or "
-                        "default: every serving + figure family; "
-                        "'broken-counter' — the injected violation — "
-                        "only runs when named explicitly)")
+                        "default: every serving, cluster-fault and figure "
+                        "family; 'broken-counter' — the injected "
+                        "violation — only runs when named explicitly)")
     p.add_argument("--seeds", type=int, default=3,
-                   help="replicates per serving family (default 3)")
+                   help="seeds per serving and cluster-fault family "
+                        "(default 3)")
     p.add_argument("--duration", type=_duration, default=400_000.0,
-                   help="serving arrival-window length in ns "
-                        "(default 400 us)")
+                   help="serving and cluster-fault arrival-window length "
+                        "in ns (default 400 us)")
     p.add_argument("--jobs", type=int, default=0,
                    help="worker processes for replication (default: "
                         "serial)")
@@ -849,77 +831,6 @@ def _cmd_serve(args) -> str:
     return json.dumps(payload, indent=2) if args.json else "\n\n".join(parts)
 
 
-def _cmd_crosscheck(args) -> str:
-    from repro.sim.crosscheck import (GOODPUT_TOL, LATENCY_TOL,
-                                      cluster_crosscheck, crosscheck_suite)
-
-    scenarios = args.scenarios
-    run_cluster = scenarios is None or "cluster-fault" in scenarios
-    if scenarios is not None:
-        scenarios = [name for name in scenarios if name != "cluster-fault"]
-    results = ()
-    if scenarios is None or scenarios:
-        results = crosscheck_suite(duration_ns=args.duration,
-                                   seed=args.seed, scenarios=scenarios)
-    cluster = cluster_crosscheck(seed=args.seed) if run_cluster else None
-    if args.json:
-        rows = [{
-            "scenario": r.scenario,
-            "ok": r.ok,
-            "speedup": r.speedup,
-            "decisions_ok": r.decisions_ok,
-            "decision_p99_err": r.decision_p99_err,
-            "hybrid_stats": r.hybrid_stats,
-            "failures": list(r.failures()),
-            "tenants": [dict(vars(t), latency_tol=LATENCY_TOL,
-                             goodput_tol=GOODPUT_TOL) for t in r.tenants],
-        } for r in results]
-        if cluster is not None:
-            rows.append({
-                "scenario": cluster.scenario,
-                "ok": cluster.ok,
-                "clauses": [{"name": name, "ok": ok, "detail": detail}
-                            for name, ok, detail in cluster.clauses],
-                "failures": list(cluster.failures()),
-            })
-        return json.dumps(rows, indent=2)
-    rows = []
-    for r in results:
-        rows.append([
-            r.scenario,
-            "PASS" if r.ok else "FAIL",
-            f"{r.speedup:.1f}x",
-            "exact" if all(t.counts_ok for t in r.tenants) else "DIFFER",
-            "exact" if r.decisions_ok else "DIFFER",
-            f"{max((t.p99_err for t in r.tenants), default=0.0):.0%}",
-            f"{max((t.goodput_err for t in r.tenants), default=0.0):.0%}",
-            str(r.hybrid_stats.get("flips", 0)),
-        ])
-    parts = []
-    if rows:
-        parts.append(format_table(
-            ["scenario", "verdict", "speedup", "counts", "decisions",
-             "max p99 err", "max gput err", "flips"],
-            rows, title="hybrid engine vs pure DES "
-                        f"({args.duration:.0f} ns, seed {args.seed})"))
-    if cluster is not None:
-        parts.append(format_table(
-            ["clause", "verdict", "detail"],
-            [[name, "PASS" if ok else "FAIL", detail]
-             for name, ok, detail in cluster.clauses],
-            title=f"cluster-chaos determinism (seed {args.seed})"))
-    table = "\n\n".join(parts)
-    failed = [r for r in results if not r.ok]
-    if cluster is not None and not cluster.ok:
-        failed.append(cluster)
-    if failed:
-        details = "; ".join(
-            f"{r.scenario}: {', '.join(r.failures())}" for r in failed)
-        print(table)
-        raise ValueError(f"crosscheck failed — {details}")
-    return table
-
-
 def _cmd_validate(args) -> str:
     from repro.stats.validate import run_validation
 
@@ -955,7 +866,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace-gen": _cmd_trace_gen,
         "trace-solve": _cmd_trace_solve,
         "serve": _cmd_serve,
-        "crosscheck": _cmd_crosscheck,
         "validate": _cmd_validate,
     }
     try:

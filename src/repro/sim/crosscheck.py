@@ -10,14 +10,16 @@ The hybrid engine's contract (docs/performance.md) is tiered:
   relative bounds declared here (:data:`LATENCY_TOL` /
   :data:`GOODPUT_TOL`).
 
-:func:`crosscheck` runs one scenario under both engines and grades
-every clause of that contract; :func:`crosscheck_suite` sweeps the
-standard scenario families (steady adaptive/static runs, SoC crash,
-crash + recovery, a packet-loss window, and a mid-window fault
-transient exercising the adaptive steadiness envelope).  The CLI exposes it as
-``python -m repro crosscheck`` and ``scripts/bench_trajectory.py
---check`` gates on it, so a hybrid change that drifts outside the
-declared tolerances fails loudly rather than silently skewing results.
+:func:`grade` grades every clause of that contract over one DES and
+one hybrid report of the same scenario; :func:`crosscheck` runs both
+engines and grades them.  :func:`standard_scenarios` names the serving
+families (steady adaptive/static runs, SoC crash, crash + recovery, a
+packet-loss window, and a mid-window fault transient exercising the
+adaptive steadiness envelope), and :func:`cluster_crosscheck` grades
+the sharded executor's determinism.  ``repro validate`` is the one
+command that runs them: it grades every seed pair of every serving
+family with :func:`grade` and runs ``cluster-fault`` as a family of its
+own (docs/validation.md).
 
 Scenarios are passed as zero-argument *factories* because
 :class:`~repro.sched.tenant.TenantSpec` carries live RNG streams —
@@ -27,9 +29,8 @@ different arrivals.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan, PacketLoss, SocCrash
 from repro.sched.serve import ServeReport, run_serve
@@ -76,13 +77,6 @@ class CrossCheck:
     tenants: Tuple[TenantCheck, ...]
     decisions_ok: bool
     decision_p99_err: float
-    des_seconds: float
-    hybrid_seconds: float
-    hybrid_stats: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def speedup(self) -> float:
-        return self.des_seconds / max(self.hybrid_seconds, 1e-9)
 
     @property
     def ok(self) -> bool:
@@ -126,24 +120,17 @@ def _check_decisions(des: ServeReport,
     return True, worst
 
 
-def crosscheck(scenario: str, factory: Callable[[], Sequence],
-               **serve_kwargs) -> CrossCheck:
-    """Run ``factory()``'s tenants under both engines and grade them.
+def grade(scenario: str, des: ServeReport,
+          hybrid: ServeReport) -> CrossCheck:
+    """Grade one hybrid report against the DES report of the same run.
 
-    ``serve_kwargs`` go to both :func:`~repro.sched.serve.run_serve`
-    calls (``adaptive=``, ``faults=`` ...).  Toleranced clauses are
-    graded against :data:`LATENCY_TOL` and :data:`GOODPUT_TOL`.
+    Counts and decision structure must be identical; p50/p99/goodput
+    and the decisions' ``observed_p99_ns`` are graded against
+    :data:`LATENCY_TOL` and :data:`GOODPUT_TOL`.
     """
-    t0 = time.perf_counter()
-    des = run_serve(factory(), **serve_kwargs)
-    des_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    hyb = run_serve(factory(), engine="hybrid", **serve_kwargs)
-    hybrid_seconds = time.perf_counter() - t0
-
     tenants = []
     for name in sorted(des.tenants):
-        want, got = des.tenants[name], hyb.tenants[name]
+        want, got = des.tenants[name], hybrid.tenants[name]
         tenants.append(TenantCheck(
             name=name,
             counts_ok=(want.completed, want.rejected, want.lost)
@@ -152,74 +139,21 @@ def crosscheck(scenario: str, factory: Callable[[], Sequence],
             p99_err=_rel_err(got.p99_ns, want.p99_ns),
             goodput_err=_rel_err(got.goodput_gbps, want.goodput_gbps),
         ))
-    decisions_ok, p99_err = _check_decisions(des, hyb)
-    return CrossCheck(
-        scenario=scenario,
-        tenants=tuple(tenants),
-        decisions_ok=decisions_ok,
-        decision_p99_err=p99_err,
-        des_seconds=des_seconds,
-        hybrid_seconds=hybrid_seconds,
-        hybrid_stats=dict(hyb.hybrid_stats or {}),
-    )
+    decisions_ok, p99_err = _check_decisions(des, hybrid)
+    return CrossCheck(scenario=scenario, tenants=tuple(tenants),
+                      decisions_ok=decisions_ok, decision_p99_err=p99_err)
 
 
-# -- CI-overlap agreement (the statistical upgrade of the tolerance gates) ---------
+def crosscheck(scenario: str, factory: Callable[[], Sequence],
+               **serve_kwargs) -> CrossCheck:
+    """Run ``factory()``'s tenants under both engines and :func:`grade`.
 
-
-@dataclass(frozen=True)
-class AgreementRow:
-    """One engine-agreement clause graded by confidence-interval overlap."""
-
-    tenant: str
-    metric: str
-    des: "Estimate"
-    hybrid: "Estimate"
-    ok: bool
-    detail: str
-
-
-def ci_agreement(des: ServeReport,
-                 hybrid: ServeReport) -> Tuple[AgreementRow, ...]:
-    """Grade DES-vs-hybrid agreement with CI-overlap gates.
-
-    The original :func:`crosscheck` grades point estimates against
-    point tolerances.  This is the statistical version ``repro
-    validate`` uses: each per-tenant metric becomes a warm-up-truncated
-    batch-means :class:`~repro.stats.kernels.Estimate` over the run's
-    fixed-window archive, and two engines *agree* when the intervals
-    overlap (falling back to the :data:`LATENCY_TOL` /
-    :data:`GOODPUT_TOL` relative tolerance for degenerate zero-width intervals).  Completion /
-    rejection / loss counts stay exact — no interval excuses a count.
+    ``serve_kwargs`` go to both :func:`~repro.sched.serve.run_serve`
+    calls (``adaptive=``, ``faults=`` ...).
     """
-    from repro.stats.kernels import Estimate, agreement
-    from repro.stats.replication import report_estimate
-
-    rows = []
-    for name in sorted(des.tenants):
-        want, got = des.tenants[name], hybrid.tenants[name]
-        counts_ok = ((want.completed, want.rejected, want.lost)
-                     == (got.completed, got.rejected, got.lost))
-        rows.append(AgreementRow(
-            tenant=name, metric="counts",
-            des=Estimate(mean=float(want.completed), half_width=0.0, n=1),
-            hybrid=Estimate(mean=float(got.completed), half_width=0.0, n=1),
-            ok=counts_ok,
-            detail=(f"completed/rejected/lost exact: "
-                    f"{want.completed}/{want.rejected}/{want.lost}"
-                    if counts_ok else
-                    f"counts differ: {want.completed}/{want.rejected}/"
-                    f"{want.lost} vs {got.completed}/{got.rejected}/"
-                    f"{got.lost}")))
-        for metric, tol in (("p50_ns", LATENCY_TOL),
-                            ("p99_ns", LATENCY_TOL),
-                            ("goodput_gbps", GOODPUT_TOL)):
-            a = report_estimate(des, name, field=metric)
-            b = report_estimate(hybrid, name, field=metric)
-            ok, detail = agreement(a, b, tolerance=tol)
-            rows.append(AgreementRow(tenant=name, metric=metric,
-                                     des=a, hybrid=b, ok=ok, detail=detail))
-    return tuple(rows)
+    des = run_serve(factory(), **serve_kwargs)
+    hybrid = run_serve(factory(), engine="hybrid", **serve_kwargs)
+    return grade(scenario, des, hybrid)
 
 
 # -- the standard scenario families ------------------------------------------------
@@ -263,25 +197,6 @@ def standard_scenarios(duration_ns: float = 1_500_000.0,
     }
 
 
-def crosscheck_suite(duration_ns: float = 1_500_000.0, seed: int = 0,
-                     scenarios: Optional[Sequence[str]] = None,
-                     ) -> Tuple[CrossCheck, ...]:
-    """Cross-check every standard scenario family (or a named subset)."""
-    families = standard_scenarios(duration_ns=duration_ns, seed=seed)
-    if scenarios:
-        unknown = set(scenarios) - families.keys()
-        if unknown:
-            raise ValueError(f"unknown scenario(s) {sorted(unknown)}; "
-                             f"choose from {sorted(families)}")
-        families = {name: families[name] for name in scenarios}
-    results = []
-    for name, spec in families.items():
-        kwargs = dict(spec)
-        factory = kwargs.pop("factory")
-        results.append(crosscheck(name, factory, **kwargs))
-    return tuple(results)
-
-
 # -- cluster-fault determinism family ----------------------------------------------
 
 
@@ -297,7 +212,6 @@ class ClusterCheck:
 
     scenario: str
     clauses: Tuple[Tuple[str, bool, str], ...]
-    des_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -397,7 +311,6 @@ def cluster_crosscheck(duration_ns: float = 400_000.0,
 
     plan, chaos = cluster_chaos_scenario(duration_ns=duration_ns, seed=seed)
     chaotic = replace(plan, cluster_faults=chaos)
-    start = time.perf_counter()
     clauses = []
 
     ref = run_sharded(chaotic, jobs=1)
@@ -431,5 +344,4 @@ def cluster_crosscheck(duration_ns: float = 400_000.0,
         if same else
         "a respawned worker diverged from the unkilled run"))
 
-    return ClusterCheck(scenario="cluster-fault", clauses=tuple(clauses),
-                        des_seconds=time.perf_counter() - start)
+    return ClusterCheck(scenario="cluster-fault", clauses=tuple(clauses))

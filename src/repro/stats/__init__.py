@@ -20,7 +20,6 @@ kernels without dragging in the serving stack:
 from repro.stats.invariants import InvariantResult, check_report, violations
 from repro.stats.kernels import (
     Estimate,
-    agreement,
     batch_means,
     mean_estimate,
     quantile,
@@ -36,7 +35,6 @@ __all__ = [
     "ValidationRow",
     "VerificationReport",
     "WarmupResult",
-    "agreement",
     "apply_warmup",
     "batch_means",
     "check_report",

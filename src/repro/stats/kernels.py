@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 __all__ = [
     "CONFIDENCE",
@@ -282,25 +282,3 @@ def quantile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
-
-def paired_gap(a: Estimate, b: Estimate) -> float:
-    """Relative gap between two estimates' means (floor-scaled)."""
-    scale = max(abs(b.mean), 1e-9)
-    return abs(a.mean - b.mean) / scale
-
-
-def agreement(a: Estimate, b: Estimate, tolerance: float) -> Tuple[bool, str]:
-    """The CI-overlap agreement gate used by ``repro validate``.
-
-    Two measurements of the same quantity *agree* when their
-    confidence intervals overlap, or — for degenerate near-zero-width
-    intervals — when the relative gap between the means is within
-    ``tolerance``.  Returns ``(ok, detail)``.
-    """
-    gap = paired_gap(a, b)
-    if a.overlaps(b):
-        return True, f"CIs overlap (gap {gap:.1%})"
-    if gap <= tolerance:
-        return True, f"gap {gap:.1%} <= tol {tolerance:.0%}"
-    return False, (f"CIs disjoint and gap {gap:.1%} > tol "
-                   f"{tolerance:.0%}: {a.fmt()} vs {b.fmt()}")

@@ -7,9 +7,12 @@ and grades every clause into a :class:`ValidationRow`:
 * **serving families** (the :func:`~repro.sim.crosscheck.
   standard_scenarios` catalog) — replicated across seeds, each
   replicate audited by the full invariant catalog, headline metrics
-  quoted as mean ± CI, and DES-vs-hybrid engine agreement graded by
-  CI-overlap (:func:`~repro.sim.crosscheck.ci_agreement`) with exact
-  counts.
+  quoted as mean ± CI, and every DES/hybrid seed pair graded by the
+  engine contract (:func:`~repro.sim.crosscheck.grade`): exact counts
+  and decision log, p50/p99/goodput within the declared tolerances.
+* **cluster-fault** — the sharded executor's determinism contract
+  (:func:`~repro.sim.crosscheck.cluster_crosscheck`), one row per
+  clause over every seed.
 * **figure families** — the paper's Fig 4 (DES-vs-model DMA
   agreement), Fig 9 (path-③ S2H bandwidth plateau and HoL collapse)
   and Fig 11 (concurrent 195/157/210 Mrps partition) reproductions,
@@ -55,6 +58,7 @@ FIG11_SOLO_MRPS = {"snic-1": 195.0, "snic-2": 157.0}
 
 SERVING_FAMILIES = ("adaptive", "static", "soc-crash", "crash-recover",
                     "packet-loss", "fault-transient")
+CLUSTER_FAMILIES = ("cluster-fault",)
 FIGURE_FAMILIES = ("fig4-dma", "fig9-bandwidth", "fig11-partition")
 #: Opt-in only: the harness's proof-of-failure scenario.
 INJECTED_FAMILIES = ("broken-counter",)
@@ -62,7 +66,7 @@ INJECTED_FAMILIES = ("broken-counter",)
 
 def validation_families(include_injected: bool = False) -> Tuple[str, ...]:
     """Every family ``repro validate`` accepts (``all`` = the default)."""
-    families = SERVING_FAMILIES + FIGURE_FAMILIES
+    families = SERVING_FAMILIES + CLUSTER_FAMILIES + FIGURE_FAMILIES
     if include_injected:
         families += INJECTED_FAMILIES
     return families
@@ -213,33 +217,58 @@ def _invariant_rows(family: str, rep: Replication) -> List[ValidationRow]:
 
 def _engine_rows(family: str, des: Replication,
                  hyb: Replication) -> List[ValidationRow]:
-    from repro.sim.crosscheck import ci_agreement
+    """Grade every DES/hybrid seed pair with the engine contract; each
+    row quotes the worst case over seeds and tenants."""
+    from repro.sim.crosscheck import GOODPUT_TOL, LATENCY_TOL, grade
 
-    worst: Dict[str, Tuple] = {}
-    all_ok: Dict[str, bool] = {}
-    for des_report, hyb_report in zip(des.reports, hyb.reports):
-        for row in ci_agreement(des_report, hyb_report):
-            all_ok[row.metric] = all_ok.get(row.metric, True) and row.ok
-            gap = abs(row.des.mean - row.hybrid.mean)
-            if row.metric not in worst or gap > worst[row.metric][0]:
-                worst[row.metric] = (gap, row)
-    rows = []
-    for metric in ("counts", "p50_ns", "p99_ns", "goodput_gbps"):
-        if metric not in worst:
-            continue
-        _gap, sample = worst[metric]
-        if metric == "counts":
-            value = f"exact ({sample.detail.split(': ')[-1]})"
-            expected = "completed/rejected/lost identical"
-        else:
-            value = f"{sample.des.fmt()} vs {sample.hybrid.fmt()}"
-            expected = "CIs overlap (or within engine tolerance)"
+    graded = [(seed, d, h, grade(family, d, h))
+              for seed, d, h in zip(des.seeds, des.reports, hyb.reports)]
+    # One (seed, DES tenant, hybrid tenant, TenantCheck) per tenant-seed.
+    tenants = [(seed, d.tenants[t.name], h.tenants[t.name], t)
+               for seed, d, h, check in graded for t in check.tenants]
+
+    def counts(t):
+        return f"{t.completed}/{t.rejected}/{t.lost}"
+
+    differ = [f"{t.name}@seed{seed}: {counts(want)} vs {counts(got)}"
+              for seed, want, got, t in tenants if not t.counts_ok]
+    rows = [ValidationRow(
+        family=family, check="engine:counts",
+        value=f"{len(differ)} of {len(tenants)} differ",
+        expected="completed/rejected/lost identical",
+        verdict=_verdict(not differ),
+        detail=("; ".join(differ[:3]) if differ else
+                f"{len(tenants)} tenant-seeds exact"))]
+
+    diverged = [seed for seed, _d, _h, check in graded
+                if not check.decisions_ok]
+    worst_seed, worst = max(((seed, check.decision_p99_err)
+                             for seed, _d, _h, check in graded),
+                            key=lambda pair: pair[1])
+    rows.append(ValidationRow(
+        family=family, check="engine:decisions",
+        value=(f"diverged at seeds {diverged}" if diverged else
+               f"exact, observed_p99 err {worst:.1%}"),
+        expected=f"identical, observed_p99 err <= {LATENCY_TOL:.0%}",
+        verdict=_verdict(not diverged and worst <= LATENCY_TOL),
+        detail=f"{sum(len(d.decisions) for _s, d, _h, _c in graded)} DES "
+               f"decisions over {len(graded)} seed(s); worst "
+               f"observed_p99 at seed{worst_seed}"))
+
+    for metric, attr, tol in (("p50_ns", "p50_err", LATENCY_TOL),
+                              ("p99_ns", "p99_err", LATENCY_TOL),
+                              ("goodput_gbps", "goodput_err", GOODPUT_TOL)):
+        seed, want, got, t = max(tenants,
+                                 key=lambda row: getattr(row[3], attr))
+        err = getattr(t, attr)
         rows.append(ValidationRow(
             family=family, check=f"engine:{metric}",
-            value=value, expected=expected,
-            verdict=_verdict(all_ok[metric]),
-            detail=f"worst pair tenant {sample.tenant!r} across "
-                   f"{des.n} seed(s): {sample.detail}"))
+            value=f"max rel err {err:.1%}",
+            expected=f"<= {tol:.0%}",
+            verdict=_verdict(err <= tol),
+            detail=f"worst tenant {t.name!r} at seed{seed}: DES "
+                   f"{getattr(want, metric):.1f} vs hybrid "
+                   f"{getattr(got, metric):.1f}"))
     return rows
 
 
@@ -254,6 +283,31 @@ def _serving_family_rows(family: str, seeds: Sequence[int],
         hyb = replicate(family, seeds=seeds, duration_ns=duration_ns,
                         engine="hybrid", jobs=jobs)
         rows += _engine_rows(family, des, hyb)
+    return rows
+
+
+def _cluster_rows(seeds: Sequence[int],
+                  duration_ns: float) -> List[ValidationRow]:
+    """One row per ``cluster_crosscheck`` clause, over every seed.
+
+    Runs in the calling process: each check starts its own shard
+    workers, so it never rides the replicate pool.
+    """
+    from repro.sim.crosscheck import cluster_crosscheck
+
+    checks = [(seed, cluster_crosscheck(duration_ns=duration_ns, seed=seed))
+              for seed in seeds]
+    rows = []
+    for i, (name, _ok, _detail) in enumerate(checks[0][1].clauses):
+        held = [(seed, check.clauses[i]) for seed, check in checks]
+        ok = sum(clause_ok for _seed, (_n, clause_ok, _d) in held)
+        rows.append(ValidationRow(
+            family="cluster-fault", check=f"cluster:{name}",
+            value=f"{ok} of {len(held)} seeds identical",
+            expected="identical on every seed",
+            verdict=_verdict(ok == len(held)),
+            detail="; ".join(f"seed{seed}: {detail}"
+                             for seed, (_n, _ok, detail) in held)))
     return rows
 
 
@@ -386,23 +440,27 @@ def run_validation(families: Optional[Sequence[str]] = None,
                    jobs: int = 0) -> VerificationReport:
     """Grade ``families`` (default: all standard) into a report.
 
-    ``families`` accepts the serving families, the figure families,
-    ``"all"`` (everything standard), and — only when explicitly named —
-    ``"broken-counter"``, whose rows are *expected* to FAIL.
-    ``duration_ns`` (each serving run's span) must be positive.
+    ``families`` accepts the serving families, ``cluster-fault``, the
+    figure families, ``"all"`` (everything standard), and — only when
+    explicitly named, alone or beside ``"all"`` — ``"broken-counter"``,
+    whose rows are *expected* to FAIL.
+    ``duration_ns`` (each serving and cluster-fault run's span) must be
+    positive.
     """
     if not duration_ns > 0:
         raise ValueError(f"duration_ns must be positive: {duration_ns}")
     known = validation_families(include_injected=True)
-    if not families or "all" in families:
-        selected: Tuple[str, ...] = validation_families()
-    else:
-        unknown = set(families) - set(known)
-        if unknown:
-            raise ValueError(f"unknown validation family(s) "
-                             f"{sorted(unknown)}; choose from "
-                             f"{list(known) + ['all']}")
-        selected = tuple(dict.fromkeys(families))
+    requested = families or ["all"]
+    unknown = set(requested) - set(known) - {"all"}
+    if unknown:
+        raise ValueError(f"unknown validation family(s) "
+                         f"{sorted(unknown)}; choose from "
+                         f"{list(known) + ['all']}")
+    # ``all`` expands in place; a family named beside it still runs.
+    selected = tuple(dict.fromkeys(
+        family for name in requested
+        for family in (validation_families() if name == "all"
+                       else (name,))))
 
     seed_list = tuple(range(seeds))
     rows: List[ValidationRow] = []
@@ -413,6 +471,8 @@ def run_validation(families: Optional[Sequence[str]] = None,
             rows += _fig9_rows()
         elif family == "fig11-partition":
             rows += _fig11_rows()
+        elif family == "cluster-fault":
+            rows += _cluster_rows(seed_list, duration_ns)
         else:
             rows += _serving_family_rows(family, seed_list, duration_ns,
                                          jobs)

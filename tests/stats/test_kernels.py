@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.stats.kernels import (
     Estimate,
-    agreement,
     batch_means,
     mean_estimate,
     normal_ppf,
@@ -173,7 +172,7 @@ def test_batch_means_interval_is_well_formed(series):
     assert min(series) - 1e-6 <= est.mean <= max(series) + 1e-6
 
 
-# -- quantiles + agreement ----------------------------------------------------
+# -- quantiles ----------------------------------------------------------------
 
 
 def test_quantile_matches_serving_convention():
@@ -184,17 +183,3 @@ def test_quantile_matches_serving_convention():
     assert quantile([7.0], 0.99) == 7.0
     with pytest.raises(ValueError):
         quantile([], 0.5)
-
-
-def test_agreement_overlap_and_tolerance_fallback():
-    a = Estimate(mean=100.0, half_width=5.0, n=4)
-    ok, detail = agreement(a, Estimate(mean=104.0, half_width=2.0, n=4),
-                           tolerance=0.01)
-    assert ok and "overlap" in detail
-    # Degenerate zero-width intervals: the relative-gap fallback.
-    ok, _ = agreement(Estimate(100.0, 0.0, 3), Estimate(101.0, 0.0, 3),
-                      tolerance=0.05)
-    assert ok
-    ok, detail = agreement(Estimate(100.0, 0.0, 3),
-                           Estimate(130.0, 0.0, 3), tolerance=0.05)
-    assert not ok and "disjoint" in detail

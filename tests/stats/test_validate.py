@@ -9,6 +9,7 @@ with the tripped invariant named — the harness can actually fail.
 import pytest
 
 from repro.cli import main as cli_main
+from repro.stats import validate
 from repro.stats.validate import (
     FAIL,
     PASS,
@@ -34,7 +35,8 @@ def test_healthy_family_grades_all_pass(adaptive_report):
     # Measurement, invariant, and engine-agreement rows all present.
     assert "p99[alpha]" in checks
     assert "invariant:flow-conservation" in checks
-    assert "engine:counts" in checks
+    assert {"engine:counts", "engine:decisions", "engine:p50_ns",
+            "engine:p99_ns", "engine:goodput_gbps"} <= checks
 
 
 def test_values_carry_intervals(adaptive_report):
@@ -71,6 +73,30 @@ def test_all_excludes_the_injected_family():
     assert "broken-counter" not in validation_families()
     assert "broken-counter" in validation_families(include_injected=True)
     assert set(SERVING_FAMILIES) <= set(validation_families())
+    assert "cluster-fault" in validation_families()
+
+
+def test_a_family_named_beside_all_still_runs(monkeypatch):
+    # ``all`` shrunk to one cheap family: the union logic is what counts.
+    monkeypatch.setattr(validate, "validation_families",
+                        lambda include_injected=False: (
+                            ("fig11-partition", "broken-counter")
+                            if include_injected else ("fig11-partition",)))
+    report = run_validation(families=["all", "broken-counter"], seeds=1,
+                            duration_ns=DURATION_NS)
+    assert report.families == ("fig11-partition", "broken-counter")
+    assert not report.ok
+    assert {row.family for row in report.failures()} == {"broken-counter"}
+
+
+def test_cluster_fault_family_grades_each_clause():
+    report = run_validation(families=["cluster-fault"], seeds=2,
+                            duration_ns=160_000.0)
+    assert [row.check for row in report.rows] == [
+        "cluster:jobs-identity", "cluster:empty-plan-baseline",
+        "cluster:kill-respawn"]
+    assert report.ok, report.failures()
+    assert all(row.value == "2 of 2 seeds identical" for row in report.rows)
 
 
 def test_unknown_family_is_rejected():

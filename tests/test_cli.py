@@ -176,13 +176,21 @@ def test_unknown_path_rejected(capsys):
     ["serve", "--duration", "-5"],
     ["serve", "--duration", "nan"],
     ["validate", "--families", "adaptive", "--duration", "0"],
-    ["crosscheck", "--scenario", "adaptive", "--duration", "-100"]])
+    ["validate", "--families", "cluster-fault", "--duration", "-100"]])
 def test_non_positive_duration_is_an_argument_error(capsys, argv):
     # Refused before any run starts, naming the flag.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "argument --duration" in capsys.readouterr().err
+
+
+def test_crosscheck_is_not_a_command(capsys):
+    # The engine grader runs under ``validate`` only.
+    with pytest.raises(SystemExit) as exc:
+        main(["crosscheck"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'crosscheck'" in capsys.readouterr().err
 
 
 # Every spelling the CLI and the old facade object accepted, and

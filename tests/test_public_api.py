@@ -150,12 +150,20 @@ def test_supervisor_field_snapshot():
 
 
 def test_crosscheck_signature_snapshot():
-    from repro.sim.crosscheck import (ci_agreement, crosscheck,
-                                      crosscheck_suite)
+    """One engine grader (``grade``); no interval-overlap sibling, suite
+    runner or agreement kernel comes back unnoticed."""
+    import repro.stats
+    from repro.sim import crosscheck as module
+    from repro.stats import kernels
 
-    assert _params(crosscheck) == ["scenario", "factory", "serve_kwargs"]
-    assert _params(crosscheck_suite) == ["duration_ns", "seed", "scenarios"]
-    assert _params(ci_agreement) == ["des", "hybrid"]
+    assert _params(module.grade) == ["scenario", "des", "hybrid"]
+    assert _params(module.crosscheck) == ["scenario", "factory",
+                                          "serve_kwargs"]
+    for gone in ("ci_agreement", "AgreementRow", "crosscheck_suite"):
+        assert not hasattr(module, gone), gone
+    for gone in ("agreement", "paired_gap"):
+        assert not hasattr(kernels, gone), gone
+        assert gone not in repro.stats.__all__
 
 
 def test_stats_knob_snapshot():
