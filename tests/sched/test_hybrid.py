@@ -165,6 +165,16 @@ def test_crosscheck_grades_the_standard_families():
     assert report.ok, report.failures()
 
 
+def test_crosscheck_suite_rejects_unknown_scenarios():
+    with pytest.raises(ValueError, match="nope"):
+        run_validation(families=["nope"])
+
+
+def test_crosscheck_suite_rejects_nonpositive_duration():
+    with pytest.raises(ValueError, match="duration_ns"):
+        run_validation(families=["adaptive"], duration_ns=-100.0)
+
+
 def test_grade_fails_a_p99_gap_that_window_intervals_hide():
     """Whole-run p99 off by more than LATENCY_TOL fails the grade even
     when the two runs' window batch-means intervals overlap (the old
