@@ -3,7 +3,7 @@
 
 Runs every entry point in this process under a ``sys.setprofile``
 hook: the examples, a set of CLI invocations covering every
-subcommand (``serve`` in eight modes, with a scenario override and
+subcommand (``serve`` in nine modes, with a scenario override and
 both kinds of fault plan; all six sweeps, one plotted) and
 ``pytest benchmarks --benchmark-disable``.  Then it prints each
 function defined under ``src/repro`` whose code never ran, and a total.
@@ -67,6 +67,8 @@ def _cli_invocations(tmp: pathlib.Path):
         ["trace-gen", trace, "--count", "200"], ["trace-solve", trace],
         ["serve"], ["serve", "--static"], ["serve", "--engine", "hybrid"],
         ["serve", "--shards", "2", "--jobs", "1", "--cross-traffic"],
+        ["serve", "--shards", "2", "--jobs", "1", "--kill-shard", "shard1",
+         "--kill-window", "2"],
         ["serve", "--cluster", rack, "--jobs", "1", "--check"],
         ["serve", "--cluster", rack, "--machines", "6", "--jobs", "1"],
         ["serve", "--fault-plan", str(faults)],

@@ -44,6 +44,12 @@ from repro.workloads import OpMix
 #: values an ``engine`` argument takes anywhere in the package.
 ENGINE_CHOICES = ("event", "hybrid")
 
+#: The serving control interval: the scheduler's tick (and the hybrid
+#: controller's, :data:`repro.sim.hybrid.TICK_NS`), in ns.
+INTERVAL_NS = 20_000.0
+#: The SLO tracker's accounting window, in ns.
+WINDOW_NS = 100_000.0
+
 
 @dataclass(frozen=True)
 class TenantReport:
@@ -201,15 +207,14 @@ class ServeSession:
     steady-state stretches through the operational-law recurrence
     (exact completion counts, latencies within the declared
     tolerances — see ``docs/performance.md``).  Per-path bandwidth is
-    accounted after a warm-up of two control ticks (``interval_ns``);
-    completions before it still count toward per-tenant totals.
+    accounted after a warm-up of two control ticks
+    (:data:`INTERVAL_NS`); completions before it still count toward
+    per-tenant totals.  SLO windows are :data:`WINDOW_NS` long.
     """
 
     def __init__(self, tenants: Sequence[TenantSpec], adaptive: bool = True,
                  testbed: Optional[Testbed] = None,
                  faults: Optional[FaultPlan] = None, fault_seed: int = 0,
-                 interval_ns: float = 20_000.0,
-                 window_ns: float = 100_000.0,
                  trace: bool = False, engine: str = "event",
                  channel=None, nic: str = "snic"):
         if engine not in ENGINE_CHOICES:
@@ -226,7 +231,7 @@ class ServeSession:
             raise ValueError("need at least one tenant")
         self.adaptive = adaptive
         self.engine = engine
-        self.interval_ns = interval_ns
+        self.interval_ns = INTERVAL_NS
         testbed = testbed or paper_testbed()
         n_clients = max(1, sum(1 for t in tenants if not t.bulk))
         self.tenants = tenants
@@ -238,7 +243,7 @@ class ServeSession:
         if faults is not None and not faults.empty:
             self.cluster.install_faults(faults, seed=fault_seed)
         self.ctx = RdmaContext(self.cluster)
-        self.tracker = SloTracker(tenants, window_ns=window_ns)
+        self.tracker = SloTracker(tenants, window_ns=WINDOW_NS)
         self.runtime = ServingRuntime(self.cluster, self.ctx, tenants,
                                       self.tracker)
         self.channel = channel
@@ -252,7 +257,8 @@ class ServeSession:
         scheduler = None
         if adaptive:
             scheduler = PathScheduler(self.runtime, self.policy,
-                                      self.tracker, interval_ns=interval_ns,
+                                      self.tracker,
+                                      interval_ns=self.interval_ns,
                                       tracer=self.tracer,
                                       machine=(channel.shard
                                                if channel is not None
@@ -267,8 +273,7 @@ class ServeSession:
         if engine == "hybrid":
             from repro.sim.hybrid import HybridController
             self.controller = HybridController(
-                self.runtime, self.tracker, faults=faults,
-                tick_ns=interval_ns).install()
+                self.runtime, self.tracker, faults=faults).install()
             if scheduler is not None:
                 scheduler.on_decision = self.controller.on_decision
 

@@ -21,16 +21,16 @@ command that runs them: it grades every seed pair of every serving
 family with :func:`grade` and runs ``cluster-fault`` as a family of its
 own (docs/validation.md).
 
-Scenarios are passed as zero-argument *factories* because
-:class:`~repro.sched.tenant.TenantSpec` carries live RNG streams —
-each engine run must consume a fresh copy or the second run would see
-different arrivals.
+A scenario's tenants are one tuple of frozen
+:class:`~repro.sched.tenant.TenantSpec` values that both engine runs
+serve: each runtime builds its own arrival streams from the specs'
+seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.faults.plan import FaultPlan, PacketLoss, SocCrash
 from repro.sched.serve import ServeReport, run_serve
@@ -144,15 +144,15 @@ def grade(scenario: str, des: ServeReport,
                       decisions_ok=decisions_ok, decision_p99_err=p99_err)
 
 
-def crosscheck(scenario: str, factory: Callable[[], Sequence],
+def crosscheck(scenario: str, tenants: Sequence,
                **serve_kwargs) -> CrossCheck:
-    """Run ``factory()``'s tenants under both engines and :func:`grade`.
+    """Serve ``tenants`` under both engines and :func:`grade`.
 
     ``serve_kwargs`` go to both :func:`~repro.sched.serve.run_serve`
     calls (``adaptive=``, ``faults=`` ...).
     """
-    des = run_serve(factory(), **serve_kwargs)
-    hybrid = run_serve(factory(), engine="hybrid", **serve_kwargs)
+    des = run_serve(tenants, **serve_kwargs)
+    hybrid = run_serve(tenants, engine="hybrid", **serve_kwargs)
     return grade(scenario, des, hybrid)
 
 
@@ -165,34 +165,33 @@ def standard_scenarios(duration_ns: float = 1_500_000.0,
 
     Steady adaptive traffic (where fast-forwarding pays), the static
     baseline (which must never flip — overloaded tenants reject), and
-    three fault shapes that force guard windows and splice-backs.
-    ``duration_ns`` must be positive: the fault plans are placed at
-    fractions of it.
+    fault shapes that force guard windows and splice-backs.  Each
+    family is the keyword set of one serving run: ``tenants`` (one
+    tuple, shared by every family) plus options.  ``duration_ns`` must
+    be positive: the fault plans are placed at fractions of it.
     """
     from repro.sched.serve import mixed_tenant_workload
 
     if not duration_ns > 0:
         raise ValueError(f"duration_ns must be positive: {duration_ns}")
 
-    def tenants():
-        return mixed_tenant_workload(duration_ns=duration_ns, seed=seed)
-
+    tenants = mixed_tenant_workload(duration_ns=duration_ns, seed=seed)
     third, two_thirds = duration_ns / 3, 2 * duration_ns / 3
     return {
-        "adaptive": dict(factory=tenants),
-        "static": dict(factory=tenants, adaptive=False),
-        "soc-crash": dict(factory=tenants, faults=FaultPlan(
+        "adaptive": dict(tenants=tenants),
+        "static": dict(tenants=tenants, adaptive=False),
+        "soc-crash": dict(tenants=tenants, faults=FaultPlan(
             faults=(SocCrash(at=third),))),
-        "crash-recover": dict(factory=tenants, faults=FaultPlan(
+        "crash-recover": dict(tenants=tenants, faults=FaultPlan(
             faults=(SocCrash(at=third, recover_at=two_thirds),))),
-        "packet-loss": dict(factory=tenants, faults=FaultPlan(
+        "packet-loss": dict(tenants=tenants, faults=FaultPlan(
             faults=(PacketLoss("net.server0", 0.02, start=third,
                                end=two_thirds),))),
         # A crash landing just off the middle of a control window — the
         # short-run transient that forces the adaptive guard envelope
         # to re-guard early enough that no analytic in-flight tail
         # straddles the crash instant (ROADMAP 2(a)).
-        "fault-transient": dict(factory=tenants, faults=FaultPlan(
+        "fault-transient": dict(tenants=tenants, faults=FaultPlan(
             faults=(SocCrash(at=duration_ns * 0.495 + 500.0),))),
     }
 

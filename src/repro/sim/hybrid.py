@@ -68,6 +68,10 @@ GUARD = "guard"
 ANALYTIC = "analytic"
 
 
+#: The control tick, in ns: equal to the serving control interval
+#: (:data:`repro.sched.serve.INTERVAL_NS`), so every scheduler tick
+#: has an URGENT hybrid tick at the same instant.
+TICK_NS = 20_000.0
 #: DES guard window re-opened around every transient, in ns.
 GUARD_NS = 40_000.0
 #: Consecutive steady control ticks required before fast-forwarding.
@@ -132,14 +136,11 @@ class _AnalyticTenant:
 class HybridController:
     """Flips a serving run between DES and the analytic recurrence."""
 
-    def __init__(self, runtime, tracker, faults=None,
-                 tick_ns: float = 20_000.0):
-        if tick_ns <= 0:
-            raise ValueError(f"tick must be positive: {tick_ns}")
+    def __init__(self, runtime, tracker, faults=None):
         self.runtime = runtime
         self.tracker = tracker
         self.sim = runtime.sim
-        self.tick_ns = tick_ns
+        self.tick_ns = TICK_NS
         self.mode = GUARD
         self.guard_until = GUARD_NS
         self._stable = 0

@@ -16,10 +16,10 @@ at their physical delivery instants.  The **one-window delivery
 guarantee** — a message sent in window *W* is delivered in window
 *W+1* — holds iff every inter-shard link latency is at least
 ``sync_window_ns``; :func:`run_sharded` validates exactly that.
-One barrier loop drives every run through a shard handle: an
-in-process :class:`ServeSession` at ``jobs=1`` (the bit-identity
-reference, asserted by ``tests/sim/test_shard.py``) or a worker
-process per shard otherwise.
+One barrier loop drives every run through a shard handle over one
+shard lifecycle (:class:`_LocalShard`): the parent hosts it at
+``jobs=1`` (the bit-identity reference, asserted by
+``tests/sim/test_shard.py``), a worker process per shard otherwise.
 
 Cluster-scale chaos layers on top (``docs/robustness.md``):
 
@@ -35,17 +35,18 @@ Cluster-scale chaos layers on top (``docs/robustness.md``):
   and the :class:`~repro.sim.supervise.WindowLog`
   — the per-window inbound-message journal, which together with the
   shard spec fully determines worker state — is replayed into it,
-  landing bit-identical to the worker that died.  The same log
-  serializes to disk for cross-process checkpoint/resume;
+  landing bit-identical to the worker that died.  The same log is
+  journaled to disk, a line per window, for checkpoint/resume;
 * a :class:`~repro.sim.supervise.ConservationWatchdog` audits every
   window of every sharded run: per-tenant arrivals must equal
   completed + rejected + lost + in-flight, and every fabric message
   sent must be handed over, pending, or accounted dropped.
 
-Merging uses :meth:`repro.sched.slo.SloTracker.merge` for the SLO
-windows, concatenates decision logs in time order, and sums per-path
-bandwidth and telemetry counters (including the ``xshard.*`` fabric
-counters).  ``elapsed_ns`` is the latest instant any shard's event
+Shards return their :class:`ServeReport` only.  Merging unions the
+per-tenant fields (tenants are disjoint across shards), concatenates
+decision logs in time order, and sums per-path bandwidth and telemetry
+counters (including the ``xshard.*`` fabric counters).
+``elapsed_ns`` is the latest instant any shard's event
 queue ran dry, so a one-shard plan reports exactly what an unsharded
 run of the same tenants does.
 """
@@ -61,10 +62,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults.cluster import ClusterInjector
 from repro.faults.plan import FaultPlan
+from repro.net.topology import Testbed
 from repro.sched.serve import ServeReport, ServeSession
-from repro.sched.slo import SloTracker
 from repro.sched.tenant import TenantSpec
-from repro.sim.supervise import (ConservationWatchdog, FabricWedgedError,
+from repro.sim import supervise
+from repro.sim.supervise import (JOIN_TIMEOUT_S, KILL_GRACE_S,
+                                 ConservationWatchdog, FabricWedgedError,
                                  IncidentLog, ShardWorkerError,
                                  SupervisorConfig, WindowLog,
                                  plan_fingerprint)
@@ -114,9 +117,6 @@ class ShardSpec:
                 raise ValueError(
                     f"shard {self.name!r} exports {export.tenant!r} "
                     "to itself")
-
-    def export_map(self) -> Dict[str, CrossTraffic]:
-        return {export.tenant: export for export in self.exports}
 
 
 @dataclass(frozen=True)
@@ -220,78 +220,15 @@ def _lowered(shard: ShardSpec, injector: ClusterInjector) -> ShardSpec:
     return replace(shard, faults=base.with_faults(*extra))
 
 
-def _make_session(shard: ShardSpec, serve_kwargs: dict,
-                  topology: Optional[ShardTopology],
-                  injector: Optional[ClusterInjector] = None,
-                  fault_timeout_ns: Optional[float] = None) -> ServeSession:
-    if serve_kwargs.get("testbed") is not None:
-        # SimCluster adopts the testbed's device objects and re-binds
-        # them to its own simulator; in-process shards sharing one
-        # Testbed would therefore fight over the same SmartNIC and the
-        # run would never drain.  Every session gets its own copy
-        # (worker processes get one implicitly, via pickling).
-        serve_kwargs = dict(serve_kwargs)
-        serve_kwargs["testbed"] = copy.deepcopy(serve_kwargs["testbed"])
-    channel = None
-    if topology is not None:
-        channel = ShardChannel(shard.name, topology, shard.export_map(),
-                               injector=injector,
-                               fault_timeout_ns=fault_timeout_ns)
-    return ServeSession(shard.tenants, faults=shard.faults,
-                        fault_seed=shard.fault_seed, channel=channel,
-                        nic=shard.nic, **serve_kwargs)
+def _inboxes(prefix: Sequence[Tuple[float, dict]],
+             name: str) -> List[Tuple[float, list]]:
+    """One shard's ``(barrier, inbox)`` pairs out of logged windows."""
+    return [(barrier, inbound.get(name, [])) for barrier, inbound in prefix]
 
 
-def _advance(session: ServeSession, barrier: float,
-             inbound: Sequence) -> tuple:
-    """One shard's half of a barrier round: hand over the routed
-    inbound messages, run to the barrier, and return ``(done, idle,
-    outbox, heartbeat)`` — the channel's idleness, the window's outbox,
-    and the digest the conservation watchdog audits."""
-    channel = session.channel
-    if channel is not None and inbound:
-        channel.deliver(inbound)
-    done = session.advance(barrier)
-    if channel is None:
-        return done, True, [], session.heartbeat()
-    return done, channel.idle, channel.collect(), session.heartbeat()
-
-
-def _shard_worker(conn, shard: ShardSpec, serve_kwargs: dict,
-                  topology: Optional[ShardTopology],
-                  injector: Optional[ClusterInjector] = None,
-                  fault_timeout_ns: Optional[float] = None) -> None:
-    """Child-process loop: advance on command, report when asked.
-
-    Each ``advance`` carries the barrier and this shard's routed
-    inbound messages; the reply carries :func:`_advance`'s result.  A
-    worker-side exception is shipped to the parent with the shard name
-    and the full traceback, so a crashed shard is attributable without
-    re-running.
-    """
-    try:
-        session = _make_session(shard, serve_kwargs, topology,
-                                injector, fault_timeout_ns)
-        while True:
-            message = conn.recv()
-            if message[0] == "advance":
-                conn.send(("ok",) + _advance(session, *message[1:]))
-            elif message[0] == "report":
-                conn.send(("report", session.finalize(), session.tracker))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise ValueError(f"unknown command {message[0]!r}")
-    except Exception:  # pragma: no cover - surfaced in parent
-        try:
-            conn.send(("error", shard.name, traceback.format_exc()))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
-
-
-def _reap_worker(proc, shard_name: str, join_timeout_s: float = 5.0,
-                 kill_grace_s: float = 2.0) -> None:
+def _reap_worker(proc, shard_name: str,
+                 join_timeout_s: float = JOIN_TIMEOUT_S,
+                 kill_grace_s: float = KILL_GRACE_S) -> None:
     """Put one worker process down for good: join, then terminate,
     then kill, each on its own timeout, warning with the shard's name
     if even SIGKILL could not reap it."""
@@ -332,58 +269,117 @@ class _WorkerGone(Exception):
 # processes advance in parallel.  ``kill()`` is the chaos hook, after
 # which ``finish()``/``report()`` raise :class:`_WorkerGone`;
 # ``respawn(prefix)`` rebuilds the shard by replaying logged windows;
-# ``report()`` returns the final ``(ServeReport, SloTracker)``.
+# ``report()`` returns the final :class:`ServeReport`.
 
 
 class _LocalShard:
-    """A shard advanced in this process: one :class:`ServeSession`."""
+    """A shard advanced in this process: one :class:`ServeSession`,
+    driven by the lockstep parent at ``jobs=1`` and by
+    :func:`_shard_worker` inside a worker process otherwise."""
 
     def __init__(self, shard: ShardSpec, session_args: tuple):
         self.name = shard.name
         self._shard = shard
         self._session_args = session_args
-        self._session: Optional[ServeSession] = _make_session(
-            shard, *session_args)
+        self._session: Optional[ServeSession] = self._build()
         self._round: tuple = ()
+
+    def _build(self) -> ServeSession:
+        options, topology, injector, fault_timeout_ns = self._session_args
+        if options["testbed"] is not None:
+            # SimCluster adopts the testbed's device objects and
+            # re-binds them to its own simulator; in-process shards
+            # sharing one Testbed would therefore fight over the same
+            # SmartNIC and the run would never drain.  Every session
+            # gets its own copy.
+            options = dict(options,
+                           testbed=copy.deepcopy(options["testbed"]))
+        shard, channel = self._shard, None
+        if topology is not None:
+            exports = {export.tenant: export for export in shard.exports}
+            channel = ShardChannel(shard.name, topology, exports,
+                                   injector=injector,
+                                   fault_timeout_ns=fault_timeout_ns)
+        return ServeSession(shard.tenants, faults=shard.faults,
+                            fault_seed=shard.fault_seed, channel=channel,
+                            nic=shard.nic, **options)
 
     def _live(self) -> ServeSession:
         if self._session is None:
             raise _WorkerGone("session discarded by the chaos hook")
         return self._session
 
+    def advance(self, barrier: float, inbound: Sequence) -> tuple:
+        """One barrier round: hand over the routed inbound messages,
+        run to the barrier, and return ``(done, idle, outbox,
+        heartbeat)`` — the channel's idleness, the window's outbox, and
+        the digest the conservation watchdog audits."""
+        session = self._live()
+        channel = session.channel
+        if channel is not None and inbound:
+            channel.deliver(inbound)
+        done = session.advance(barrier)
+        if channel is None:
+            return done, True, [], session.heartbeat()
+        return done, channel.idle, channel.collect(), session.heartbeat()
+
+    def replay(self, inboxes: Sequence[Tuple[float, list]]) -> None:
+        # A session is a pure function of its spec and its inboxes, so
+        # re-living them lands bit-identical to the one that lived them.
+        for barrier, inbox in inboxes:
+            self.advance(barrier, inbox)
+
     def begin(self, barrier: float, inbound: list) -> None:
         self._round = (barrier, inbound)
 
     def finish(self) -> tuple:
-        return _advance(self._live(), *self._round)
+        return self.advance(*self._round)
 
     def kill(self) -> None:
         self._session = None
 
     def respawn(self, prefix: Sequence[Tuple[float, dict]]) -> None:
-        # A ServeSession is a pure function of its spec and the logged
-        # inboxes, so a fresh one re-living them is bit-identical to
-        # the one that was lost.
-        self._session = _make_session(self._shard, *self._session_args)
-        for barrier, inbound in prefix:
-            _advance(self._session, barrier, inbound.get(self.name, []))
+        self._session = self._build()
+        self.replay(_inboxes(prefix, self.name))
 
-    def report(self) -> tuple:
-        session = self._live()
-        return session.finalize(), session.tracker
+    def report(self) -> ServeReport:
+        return self._live().finalize()
 
     def close(self) -> None:
         pass
 
 
+def _shard_worker(conn, shard: ShardSpec, session_args: tuple) -> None:
+    """Child-process loop: host a :class:`_LocalShard` and call its
+    ``advance``/``replay``/``report`` on command, answering all but
+    ``replay`` (a respawn's whole log prefix, in one message).  A
+    worker-side exception is shipped to the parent with the shard name
+    and the full traceback, so a crashed shard is attributable without
+    re-running."""
+    try:
+        local = _LocalShard(shard, session_args)
+        while True:
+            command, *args = conn.recv()
+            result = getattr(local, command)(*args)
+            if command != "replay":
+                conn.send(("ok", result))
+            if command == "report":
+                return
+    except Exception:  # pragma: no cover - surfaced in parent
+        try:
+            conn.send(("error", shard.name, traceback.format_exc()))
+        except (BrokenPipeError, OSError):
+            pass
+    finally:
+        conn.close()
+
+
 class _WorkerShard:
     """A shard on a supervised worker process, driven over a pipe."""
 
-    def __init__(self, shard: ShardSpec, session_args: tuple,
-                 config: SupervisorConfig):
+    def __init__(self, shard: ShardSpec, session_args: tuple):
         self.name = shard.name
-        self._args = (shard,) + session_args
-        self._cfg = config
+        self._args = (shard, session_args)
         self._spawn()
 
     def _spawn(self) -> None:
@@ -402,8 +398,8 @@ class _WorkerShard:
         except (BrokenPipeError, OSError):
             pass                   # death surfaces on the recv side
 
-    def _recv(self) -> tuple:
-        timeout = self._cfg.exchange_timeout_s
+    def _recv(self):
+        timeout = supervise.EXCHANGE_TIMEOUT_S
         try:
             if not self._conn.poll(timeout):
                 state = ("alive but stalled" if self._proc.is_alive()
@@ -417,7 +413,7 @@ class _WorkerShard:
             # A worker-side exception is deterministic: a respawn would
             # replay straight into it.  Surface it with its traceback.
             raise ShardWorkerError(reply[1], reply[2])
-        return reply[1:]
+        return reply[1]
 
     def begin(self, barrier: float, inbound: list) -> None:
         self._send(("advance", barrier, inbound))
@@ -434,11 +430,9 @@ class _WorkerShard:
             self._proc.terminate()
         self.close()
         self._spawn()
-        for barrier, inbound in prefix:
-            self.begin(barrier, inbound.get(self.name, []))
-            self.finish()
+        self._send(("replay", _inboxes(prefix, self.name)))
 
-    def report(self) -> tuple:
+    def report(self) -> ServeReport:
         self._send(("report",))
         return self._recv()
 
@@ -447,8 +441,7 @@ class _WorkerShard:
             self._conn.close()
         except OSError:
             pass
-        _reap_worker(self._proc, self.name, self._cfg.join_timeout_s,
-                     self._cfg.kill_grace_s)
+        _reap_worker(self._proc, self.name)
 
 
 def _controller_step(controller, router, injector, barrier: float,
@@ -479,14 +472,14 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
               sync_window_ns: float, topology: Optional[ShardTopology],
               injector: Optional[ClusterInjector], cfg: SupervisorConfig,
               log: WindowLog, incidents: IncidentLog, resumed: bool,
-              controller=None):
+              controller=None) -> List[ServeReport]:
     """The barrier loop, over one shard handle per shard.
 
     Every window: take (and chaos-shuffle) each shard's inbox, log it,
     advance every live shard to the barrier, route the outboxes, then
     audit — cluster controller first, conservation watchdog second.  A
     handle that dies mid-round is respawned from the window log and
-    re-advanced, within the supervisor's respawn budget.
+    re-advanced, within :data:`~repro.sim.supervise.MAX_RESPAWNS`.
     """
     router = ShardRouter(topology) if topology is not None else None
     watchdog = ConservationWatchdog()
@@ -499,9 +492,9 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
     def respawn(handle, prefix, failure: _WorkerGone,
                 window_no: int) -> None:
         incidents.record("respawn", handle.name, window_no, str(failure))
-        if incidents.respawns > cfg.max_respawns:
+        if incidents.respawns > supervise.MAX_RESPAWNS:
             raise ShardWorkerError(
-                handle.name, f"respawn budget ({cfg.max_respawns}) "
+                handle.name, f"respawn budget ({supervise.MAX_RESPAWNS}) "
                              f"exhausted; last failure: {failure}")
         handle.respawn(prefix)
 
@@ -572,8 +565,6 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
             barrier += sync_window_ns
             inbound = take_inbound(barrier)
             log.record(barrier, inbound)
-            if cfg.checkpoint_dir:
-                log.save(cfg.checkpoint_dir)
             if cfg.kill_shard is not None and window_no == cfg.kill_window:
                 incidents.record("kill-injected", cfg.kill_shard, window_no,
                                  "chaos hook")
@@ -584,16 +575,15 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
                 raise FabricWedgedError(done=done, idle=idle,
                                         pending=router.pending_by_shard())
         watchdog.assert_drained(barrier, heartbeats)
-        results = []
+        reports = []
         for handle in handles:
             while True:
                 try:
-                    results.append(handle.report())
+                    reports.append(handle.report())
                     break
                 except _WorkerGone as failure:
                     respawn(handle, log.windows, failure, window_no)
-        return ([report for report, _tracker in results],
-                [tracker for _report, tracker in results])
+        return reports
     finally:
         for handle in handles:
             handle.close()
@@ -608,33 +598,24 @@ def _run_lockstep_inprocess(shards: Sequence[ShardSpec],
 
 
 def merge_reports(reports: Sequence[ServeReport],
-                  trackers: Sequence[SloTracker],
                   names: Optional[Sequence[str]] = None) -> ServeReport:
-    """Fold per-shard reports (and trackers) into one cluster view.
+    """Fold per-shard reports into one cluster view.
 
     ``names`` labels each report's machine in ``machine_path_gbps``
-    (default ``shard0``, ``shard1``, ...).
+    (default ``shard0``, ``shard1``, ...).  Tenants must be disjoint
+    across reports (a :class:`ShardPlan` guarantees it), so every
+    per-tenant field merges by plain union.
     """
     if not reports:
         raise ValueError("nothing to merge")
     if names is None:
         names = [f"shard{i}" for i in range(len(reports))]
-    merged_tracker = trackers[0]
-    for tracker in trackers[1:]:
-        merged_tracker.merge(tracker)
     tenants: Dict[str, object] = {}
     for report in reports:
         overlap = tenants.keys() & report.tenants.keys()
         if overlap:
             raise ValueError(f"tenant(s) {sorted(overlap)} in two shards")
         tenants.update(report.tenants)
-    # The merged tracker is the ground truth for totals; per-shard
-    # reports must agree with it exactly.
-    for name, tenant in tenants.items():
-        if merged_tracker.completed[name] != tenant.completed:
-            raise AssertionError(
-                f"merge drift for {name!r}: tracker says "
-                f"{merged_tracker.completed[name]}, report {tenant.completed}")
     decisions = sorted((d for report in reports for d in report.decisions),
                        key=lambda d: d.time_ns)
     path_gbps: Dict[str, float] = {}
@@ -650,8 +631,6 @@ def merge_reports(reports: Sequence[ServeReport],
         for report in reports:
             for key, value in (report.hybrid_stats or {}).items():
                 hybrid_stats[key] = hybrid_stats.get(key, 0) + value
-    # Tenants are disjoint across shards, so the per-tenant window
-    # archives and conservation terms merge by plain union.
     windows: Dict[str, tuple] = {}
     conservation: Dict[str, tuple] = {}
     for report in reports:
@@ -677,7 +656,9 @@ def merge_reports(reports: Sequence[ServeReport],
 def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
                 sync_window_ns: Optional[float] = None,
                 supervisor: Optional[SupervisorConfig] = None,
-                controller=None, **serve_kwargs) -> ServeReport:
+                controller=None, engine: str = "event",
+                adaptive: bool = True,
+                testbed: Optional[Testbed] = None) -> ServeReport:
     """Execute a shard plan and return the merged report.
 
     ``jobs`` — 1 = in-process (the bit-identity reference), >1 = one
@@ -696,16 +677,14 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
     it sees all shard heartbeats and may inject ``ctl`` directives onto
     the fabric.  Its decisions are a pure function of the heartbeat
     sequence, so ``jobs=N`` stays bit-identical to ``jobs=1`` with a
-    live controller.  ``serve_kwargs`` are forwarded to every shard's
-    :class:`~repro.sched.serve.ServeSession` (``engine="hybrid"``
-    composes with sharding; exporting tenants stay at event level).
-    ``trace=True`` is rejected: tracers do not serialize across
-    process boundaries.
+    live controller.  ``engine``, ``adaptive`` and ``testbed`` go to
+    every shard's :class:`~repro.sched.serve.ServeSession`
+    (``engine="hybrid"`` composes with sharding; exporting tenants stay
+    at event level); faults, NIC and fabric are per shard, in the plan.
 
-    ``supervisor`` configures worker supervision, checkpointing, chaos
-    kills and incident reporting
-    (:class:`~repro.sim.supervise.SupervisorConfig`); every run is
-    supervised with the defaults when it is omitted.  The
+    ``supervisor`` configures checkpointing, chaos kills and incident
+    reporting (:class:`~repro.sim.supervise.SupervisorConfig`); every
+    run is supervised with the defaults when it is omitted.  The
     plan's ``cluster_faults`` arm the
     :class:`~repro.faults.cluster.ClusterInjector`; its ``cluster.*``
     counters join the merged report, and the conservation watchdog
@@ -732,11 +711,6 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
             f"machine-to-machine link latency "
             f"({topology.min_fabric_latency_ns()} ns): the one-window "
             "delivery guarantee would not hold")
-    if serve_kwargs.get("trace"):
-        raise ValueError("trace=True is not supported for sharded runs")
-    for key in ("faults", "fault_seed", "channel", "nic"):
-        if key in serve_kwargs:
-            raise ValueError(f"pass {key!r} per shard via ShardSpec")
     shards = plan.shards
     fault_timeout_ns = None
     if injector is not None:
@@ -749,12 +723,12 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
             f"kill_shard {cfg.kill_shard!r} is not in the plan; "
             f"shards: {[s.name for s in shards]}")
     incidents = IncidentLog()
+    options = dict(engine=engine, adaptive=adaptive, testbed=testbed)
     # The controller's policy joins the run identity: resuming a
     # checkpoint under a different scheduler config must be refused.
-    fp_kwargs = dict(serve_kwargs)
-    if controller is not None:
-        fp_kwargs["__controller__"] = controller.fingerprint()
-    fingerprint = plan_fingerprint(plan, sync_window_ns, fp_kwargs)
+    fingerprint = plan_fingerprint(plan, sync_window_ns, dict(
+        options, controller=(controller.fingerprint()
+                             if controller is not None else None)))
     resumed = False
     if cfg.resume:
         log = WindowLog.load(cfg.checkpoint_dir,
@@ -762,7 +736,9 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
         resumed = len(log) > 0
     else:
         log = WindowLog(fingerprint, sync_window_ns)
-    session_args = (serve_kwargs, topology, injector, fault_timeout_ns)
+    if cfg.checkpoint_dir:
+        log.save(cfg.checkpoint_dir)
+    session_args = (options, topology, injector, fault_timeout_ns)
     lockstep = dict(sync_window_ns=sync_window_ns, topology=topology,
                     injector=injector, cfg=cfg, log=log,
                     incidents=incidents, resumed=resumed,
@@ -770,19 +746,16 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
     if jobs is None or jobs == 0:
         jobs = len(shards)
     if jobs <= 1 or len(shards) == 1:
-        reports, trackers = _run_lockstep_inprocess(shards, session_args,
-                                                    **lockstep)
+        reports = _run_lockstep_inprocess(shards, session_args, **lockstep)
     else:
-        reports, trackers = _lockstep(
-            shards, lambda shard: _WorkerShard(shard, session_args, cfg),
+        reports = _lockstep(
+            shards, lambda shard: _WorkerShard(shard, session_args),
             **lockstep)
     if cfg.checkpoint_dir:
-        log.complete = True
-        log.save(cfg.checkpoint_dir)
+        log.finish()
     if cfg.incident_report:
         incidents.save(cfg.incident_report)
-    report = merge_reports(reports, trackers,
-                           names=[shard.name for shard in shards])
+    report = merge_reports(reports, names=[shard.name for shard in shards])
     if injector is not None:
         report.counters.update(injector.counters())
     if controller is not None:

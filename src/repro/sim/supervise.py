@@ -14,8 +14,9 @@ produced, or dies with a diagnosis naming the shard and the invariant:
   spec plus the sequence of inbound fabric messages per window, so the
   checkpoint records exactly that; recovery replays it against a fresh
   worker and lands bit-identical (:func:`repro.sim.shard.run_sharded`
-  owns the replay).  :meth:`save`/:meth:`load` round-trip through JSON
-  for cross-process resume (``repro serve --checkpoint-dir/--resume``);
+  owns the replay).  On disk it is an append-only JSON-lines journal,
+  one line per window, for cross-process resume (``repro serve
+  --checkpoint-dir/--resume``);
 * **the conservation watchdog** — :class:`ConservationWatchdog` checks,
   at every barrier, that every tenant's arrivals equal completed +
   rejected + lost + in-flight, that counters only grow, and that every
@@ -35,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.xshard import ShardMessage
 
-CHECKPOINT_FILE = "checkpoint.json"
+CHECKPOINT_FILE = "checkpoint.jsonl"
 
 
 # -- typed failures ---------------------------------------------------------------
@@ -83,30 +84,32 @@ class ConservationError(RuntimeError):
 
 # -- configuration ----------------------------------------------------------------
 
+#: Wall-clock budget for one worker to answer one barrier exchange
+#: (a respawn's replay included) before it is declared stalled.
+EXCHANGE_TIMEOUT_S = 60.0
+#: The join→terminate→kill escalation schedule when reaping workers.
+JOIN_TIMEOUT_S = 5.0
+KILL_GRACE_S = 2.0
+#: Total worker respawns allowed per run before the supervisor gives
+#: up with :class:`ShardWorkerError`.
+MAX_RESPAWNS = 3
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
     """How :func:`repro.sim.shard.run_sharded` supervises its workers.
 
-    * ``exchange_timeout_s`` — wall-clock budget for one worker to
-      answer one barrier exchange before it is declared stalled;
-    * ``join_timeout_s``/``kill_grace_s`` — the terminate→kill
-      escalation schedule when reaping workers;
-    * ``max_respawns`` — total worker respawns allowed per run before
-      the supervisor gives up with :class:`ShardWorkerError`;
-    * ``checkpoint_dir``/``resume`` — persist the :class:`WindowLog`
-      at every barrier and optionally start from it;
+    * ``checkpoint_dir``/``resume`` — journal the :class:`WindowLog`
+      to disk and optionally start from it;
     * ``kill_shard``/``kill_window`` — chaos hook: hard-kill the named
       shard's worker at the given 1-based window, forcing a respawn
       (the run must still produce unkilled counts);
     * ``incident_report`` — where to write the supervisor's incident
       log as JSON.
+
+    Timeouts and the respawn budget are the module constants above.
     """
 
-    exchange_timeout_s: float = 60.0
-    join_timeout_s: float = 5.0
-    kill_grace_s: float = 2.0
-    max_respawns: int = 3
     checkpoint_dir: Optional[str] = None
     resume: bool = False
     kill_shard: Optional[str] = None
@@ -114,13 +117,6 @@ class SupervisorConfig:
     incident_report: Optional[str] = None
 
     def __post_init__(self):
-        if self.exchange_timeout_s <= 0:
-            raise ValueError(
-                f"exchange timeout must be positive: {self.exchange_timeout_s}")
-        if self.join_timeout_s <= 0 or self.kill_grace_s <= 0:
-            raise ValueError("reap timeouts must be positive")
-        if self.max_respawns < 0:
-            raise ValueError(f"negative respawn budget: {self.max_respawns}")
         if self.resume and not self.checkpoint_dir:
             raise ValueError("resume requires a checkpoint_dir")
         if self.kill_shard is not None and self.kill_window < 1:
@@ -130,23 +126,15 @@ class SupervisorConfig:
 # -- the event-sourced checkpoint -------------------------------------------------
 
 
-def _stable(value) -> str:
-    """A resume-stable description of one serve kwarg."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return repr(value)
-    if dataclasses.is_dataclass(value):
-        return repr(value)
-    return type(value).__name__
-
-
 def plan_fingerprint(plan, sync_window_ns: Optional[float],
-                     serve_kwargs: Dict) -> str:
+                     options: Dict) -> str:
     """Identity of a sharded run for checkpoint-compatibility checks.
 
     Covers everything that determines worker behavior: the shard specs
     (tenants, local fault plans, exports), the topology, the cluster
-    fault plan, the sync window, and the serve kwargs.  Two runs with
-    the same fingerprint replay identically from the same log.
+    fault plan, the sync window, and the run's ``options`` (engine,
+    adaptive, testbed and controller fingerprint).  Two runs with the
+    same fingerprint replay identically from the same log.
     """
     cluster = getattr(plan, "cluster_faults", None)
     parts = [
@@ -154,10 +142,27 @@ def plan_fingerprint(plan, sync_window_ns: Optional[float],
         repr(plan.topology),
         repr(cluster.to_dict()) if cluster is not None else "None",
         repr(sync_window_ns),
-        ",".join(f"{key}={_stable(serve_kwargs[key])}"
-                 for key in sorted(serve_kwargs)),
+        ",".join(f"{key}={_identity(options[key])}"
+                 for key in sorted(options)),
     ]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+
+
+def _identity(value) -> str:
+    """A ``repr`` that survives a process restart: device objects (a
+    testbed's NICs, whose own reprs are addresses) show their ``spec``."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return repr((type(value).__name__, *(
+            _identity(getattr(value, f.name))
+            for f in dataclasses.fields(value))))
+    return repr(getattr(value, "spec", value))
+
+
+def _window_record(window) -> dict:
+    barrier, inbound = window
+    return {"barrier": barrier,
+            "inbound": {shard: [dataclasses.asdict(m) for m in msgs]
+                        for shard, msgs in inbound.items()}}
 
 
 class WindowLog:
@@ -170,6 +175,12 @@ class WindowLog:
     bit-identical to the one that died.  The router's pending messages
     need no separate serialization — they are exactly the outboxes of
     the last recorded window, which replay regenerates.
+
+    On disk the log is a JSON-lines journal: a header line
+    (``fingerprint``, ``sync_window_ns``), one ``{"barrier",
+    "inbound"}`` line per window, and ``{"complete": true}`` once the
+    run finished.  After :meth:`save`, every :meth:`record` appends one
+    line, so a run writes each window once.
     """
 
     def __init__(self, fingerprint: str, sync_window_ns: float):
@@ -177,50 +188,43 @@ class WindowLog:
         self.sync_window_ns = sync_window_ns
         self.windows: List[Tuple[float, Dict[str, List[ShardMessage]]]] = []
         self.complete = False
+        self._path: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.windows)
 
     def record(self, barrier: float,
                inbound: Dict[str, List[ShardMessage]]) -> None:
-        self.windows.append(
-            (barrier, {shard: list(msgs) for shard, msgs in inbound.items()}))
+        window = (barrier,
+                  {shard: list(msgs) for shard, msgs in inbound.items()})
+        self.windows.append(window)
+        if self._path is not None:
+            self._append(_window_record(window))
 
-    # -- JSON round-trip ----------------------------------------------------------
+    def finish(self) -> None:
+        """Mark the run complete (and journal the marker once)."""
+        if not self.complete and self._path is not None:
+            self._append({"complete": True})
+        self.complete = True
 
-    def to_dict(self) -> dict:
-        return {
-            "fingerprint": self.fingerprint,
-            "sync_window_ns": self.sync_window_ns,
-            "complete": self.complete,
-            "windows": [
-                {"barrier": barrier,
-                 "inbound": {shard: [dataclasses.asdict(m) for m in msgs]
-                             for shard, msgs in inbound.items()}}
-                for barrier, inbound in self.windows
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "WindowLog":
-        log = cls(fingerprint=raw["fingerprint"],
-                  sync_window_ns=float(raw["sync_window_ns"]))
-        log.complete = bool(raw.get("complete", False))
-        for window in raw["windows"]:
-            inbound = {
-                shard: [ShardMessage(**m) for m in msgs]
-                for shard, msgs in window["inbound"].items()}
-            log.windows.append((float(window["barrier"]), inbound))
-        return log
+    def _append(self, record: dict) -> None:
+        with open(self._path, "a") as handle:
+            handle.write(json.dumps(record) + "\n")
 
     def save(self, directory: str) -> str:
-        """Atomically persist the log as ``checkpoint.json``."""
+        """Atomically write the journal so far as ``checkpoint.jsonl``
+        and journal every later :meth:`record` to it."""
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(directory, CHECKPOINT_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as handle:
-            json.dump(self.to_dict(), handle)
-        os.replace(tmp, path)
+        records = [{"fingerprint": self.fingerprint,
+                    "sync_window_ns": self.sync_window_ns},
+                   *map(_window_record, self.windows)]
+        if self.complete:
+            records.append({"complete": True})
+        with open(path + ".tmp", "w") as handle:
+            handle.writelines(json.dumps(r) + "\n" for r in records)
+        os.replace(path + ".tmp", path)
+        self._path = path
         return path
 
     @classmethod
@@ -228,13 +232,24 @@ class WindowLog:
              expect_fingerprint: Optional[str] = None) -> "WindowLog":
         path = os.path.join(directory, CHECKPOINT_FILE)
         with open(path) as handle:
-            log = cls.from_dict(json.load(handle))
+            # Every whole line ends in a newline; text after the last
+            # one is a write the process died in, and is dropped.
+            header, *rest = map(json.loads, handle.read().split("\n")[:-1])
+        log = cls(fingerprint=header["fingerprint"],
+                  sync_window_ns=float(header["sync_window_ns"]))
         if (expect_fingerprint is not None
                 and log.fingerprint != expect_fingerprint):
             raise ValueError(
                 f"checkpoint at {path} was taken from a different run "
                 f"(fingerprint {log.fingerprint} != {expect_fingerprint}); "
                 f"refusing to resume")
+        for record in rest:
+            if record.get("complete"):
+                log.complete = True
+            else:
+                log.windows.append((float(record["barrier"]), {
+                    shard: [ShardMessage(**m) for m in msgs]
+                    for shard, msgs in record["inbound"].items()}))
         return log
 
 
@@ -349,12 +364,10 @@ class IncidentLog:
         if kind == "respawn":
             self.respawns += 1
 
-    def report(self) -> dict:
-        return {"respawns": self.respawns, "incidents": list(self.incidents)}
-
     def save(self, path: str) -> str:
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         with open(path, "w") as handle:
-            json.dump(self.report(), handle, indent=2)
+            json.dump({"respawns": self.respawns,
+                       "incidents": self.incidents}, handle, indent=2)
         return path

@@ -53,9 +53,7 @@ def _run_one(family: str, seed: int, duration_ns: float, engine: str):
     if family not in families:
         raise ValueError(f"unknown scenario family {family!r}; choose "
                          f"from {sorted(families) + ['broken-counter']}")
-    kwargs = dict(families[family])
-    factory = kwargs.pop("factory")
-    return run_serve(factory(), engine=engine, **kwargs)
+    return run_serve(engine=engine, **families[family])
 
 
 def report_estimate(report, tenant: str, field: str = "p99_ns") -> Estimate:

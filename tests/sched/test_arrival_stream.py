@@ -13,8 +13,10 @@ import dataclasses
 import pytest
 
 from repro.faults.plan import FaultPlan, SocCrash
+from repro.sched import serve
 from repro.sched.serve import ServeSession, mixed_tenant_workload
 from repro.sched.tenant import SloSpec, TenantSpec
+from repro.sim import hybrid
 from repro.sim.crosscheck import standard_scenarios
 from repro.units import MB
 from repro.workloads import OpMix
@@ -25,15 +27,15 @@ from repro.workloads import OpMix
 DURATION_NS = 900_000.0
 
 
-def _run(engine, factory, **kwargs):
-    session = ServeSession(factory(), engine=engine, **kwargs)
+def _run(engine, tenants, **kwargs):
+    session = ServeSession(tenants, engine=engine, **kwargs)
     session.run_to_completion()
     return session, session.finalize()
 
 
-def _assert_same_arrivals(factory, **kwargs):
-    des, des_report = _run("event", factory, **kwargs)
-    hyb, hyb_report = _run("hybrid", factory, **kwargs)
+def _assert_same_arrivals(tenants, **kwargs):
+    des, des_report = _run("event", tenants, **kwargs)
+    hyb, hyb_report = _run("hybrid", tenants, **kwargs)
     arrived = {(r.tenant, r.seq): (r.start_ns, r.op)
                for r in des.runtime.completions}
     shared = 0
@@ -54,8 +56,8 @@ def _assert_same_arrivals(factory, **kwargs):
 @pytest.mark.parametrize(
     "family", sorted(standard_scenarios(duration_ns=DURATION_NS)))
 def test_family_arrivals_match_across_engines(family):
-    kwargs = dict(standard_scenarios(duration_ns=DURATION_NS)[family])
-    stats = _assert_same_arrivals(kwargs.pop("factory"), **kwargs)
+    stats = _assert_same_arrivals(
+        **standard_scenarios(duration_ns=DURATION_NS)[family])
     if family not in ("adaptive", "static"):
         assert stats["splices"] > 0
 
@@ -63,17 +65,16 @@ def test_family_arrivals_match_across_engines(family):
 def test_three_op_tenant_arrivals_match_across_crash_recover():
     """A READ/WRITE/SEND tenant exercises every threshold of the op
     draw on both sides of the splice-backs a crash and recovery force."""
-    def tenants():
-        alpha, *rest = mixed_tenant_workload(duration_ns=DURATION_NS)
-        return (dataclasses.replace(
-            alpha, mix=OpMix(read=0.5, write=0.25, send=0.25)), *rest)
-
+    alpha, *rest = mixed_tenant_workload(duration_ns=DURATION_NS)
+    tenants = (dataclasses.replace(
+        alpha, mix=OpMix(read=0.5, write=0.25, send=0.25)), *rest)
     stats = _assert_same_arrivals(tenants, faults=FaultPlan(faults=(
         SocCrash(at=DURATION_NS / 3, recover_at=2 * DURATION_NS / 3),)))
     assert stats["splices"] > 0
 
 
-def test_stream_ending_inside_the_recurrence_exits_at_the_release_tick():
+def test_stream_ending_inside_the_recurrence_exits_at_the_release_tick(
+        monkeypatch):
     # One slow tenant whose gap (50 us) spans ten control ticks (5 us):
     # its stream ends while fast-forwarded, and the cursor left behind
     # points one gap past the last arrival.  The release tick must park
@@ -84,8 +85,10 @@ def test_stream_ending_inside_the_recurrence_exits_at_the_release_tick():
                       requests=60, mix=OpMix(read=1.0, write=0.0),
                       slo=SloSpec(p99_ns=15_000.0),
                       working_set_bytes=4 * MB)
-    session, report = _run("hybrid", lambda: (spec,), interval_ns=tick,
-                           window_ns=400_000.0)
+    monkeypatch.setattr(serve, "INTERVAL_NS", tick)
+    monkeypatch.setattr(hybrid, "TICK_NS", tick)
+    monkeypatch.setattr(serve, "WINDOW_NS", 400_000.0)
+    session, report = _run("hybrid", (spec,))
     last_arrival = spec.requests * spec.interval_ns
     assert last_arrival < report.elapsed_ns <= last_arrival + 2 * tick
     assert session.cluster.sim.now == report.elapsed_ns

@@ -50,6 +50,25 @@ def test_static_run_never_flips_and_is_identical():
             for n, t in des.tenants.items()}
 
 
+def test_one_tenant_tuple_serves_des_hybrid_des_identically():
+    """A family's tenants are one tuple of frozen specs, not a factory:
+    serving it under the DES, then the hybrid engine, then the DES again
+    gives two identical DES reports (each runtime builds its own
+    arrival streams)."""
+    family = standard_scenarios(duration_ns=600_000.0)["soc-crash"]
+
+    def answer(report):
+        return repr((report.elapsed_ns, report.tenants,
+                     [d.as_tuple() for d in report.decisions],
+                     report.path_gbps, report.counters, report.windows))
+
+    first = run_serve(**family)
+    hybrid = run_serve(engine="hybrid", **family)
+    again = run_serve(**family)
+    assert hybrid.hybrid_stats["flips"] > 0
+    assert answer(again) == answer(first)
+
+
 # Arrivals are periodic, so a stream's seed does not move the run; the
 # span does.  At these spans the hybrid completes one or two more of
 # gamma's requests (the capped bulk tenant rejecting under its token
@@ -81,8 +100,7 @@ def test_hybrid_counts_exact_across_spans(span_us):
 @given(st.integers(min_value=0, max_value=40))
 def test_hybrid_latencies_within_declared_tolerance(seed):
     result = crosscheck(
-        "prop", lambda: mixed_tenant_workload(duration_ns=600_000.0,
-                                              seed=seed))
+        "prop", mixed_tenant_workload(duration_ns=600_000.0, seed=seed))
     assert result.ok, result.failures()
 
 
@@ -121,8 +139,7 @@ def test_fault_transient_mid_window_exact_with_adaptive_envelope():
         at = duration * 0.495 + 500.0
         result = crosscheck(
             "fault-transient",
-            lambda duration=duration: mixed_tenant_workload(
-                duration_ns=duration, seed=0),
+            mixed_tenant_workload(duration_ns=duration, seed=0),
             faults=FaultPlan(faults=(SocCrash(at=at),)))
         assert result.ok, (duration, result.failures())
 

@@ -86,9 +86,9 @@ def test_a_raising_splice_stub_fails_the_hybrid_run(monkeypatch):
         raise AttributeError("stub")
 
     monkeypatch.setattr(HybridController, "_stub", stub)
-    kwargs = dict(standard_scenarios(duration_ns=900_000.0)["soc-crash"])
-    factory = kwargs.pop("factory")
-    session = ServeSession(factory(), engine="hybrid", **kwargs)
+    session = ServeSession(
+        engine="hybrid", **standard_scenarios(duration_ns=900_000.0)[
+            "soc-crash"])
     _bounded(session, 10_000_000.0)
     with pytest.raises(AttributeError, match="stub"):
         session.run_to_completion()

@@ -45,11 +45,12 @@ from repro.nic.core import Endpoint
 from repro.nic.smartnic import SmartNIC
 from repro.nic.specs import BLUEFIELD2
 from repro.rdma import RdmaContext, WorkOpcode, transport
+from repro.sched import serve
 from repro.sched.runtime import PathLease, ServingRuntime
 from repro.sched.serve import ServeSession
 from repro.sched.slo import SloTracker
 from repro.sched.tenant import SloSpec, TenantSpec
-from repro.sim import Simulator, Store
+from repro.sim import Simulator, Store, hybrid
 from repro.workloads import OpMix
 
 
@@ -295,12 +296,17 @@ def _configs(draw):
         faults.append(SocCrash(at=duration / 2))
     return dict(tenants=tuple(tenants),
                 faults=FaultPlan(faults=tuple(faults)) if faults else None,
-                engine=draw(st.sampled_from(["event", "hybrid"])),
-                window_ns=duration / 4, interval_ns=duration / 8)
+                engine=draw(st.sampled_from(["event", "hybrid"]))), duration
 
 
-def _answers(config):
-    session = ServeSession(**config)
+def _answers(config, duration):
+    # A short run ticks often: SLO windows of a quarter run, control
+    # (scheduler and hybrid) ticks of an eighth.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serve, "WINDOW_NS", duration / 4)
+        patch.setattr(serve, "INTERVAL_NS", duration / 8)
+        patch.setattr(hybrid, "TICK_NS", duration / 8)
+        session = ServeSession(**config)
     session.run_to_completion()
     report = session.finalize()
     records = [(r.tenant, r.seq, r.op, r.start_ns, r.end_ns, r.ok,
@@ -315,10 +321,10 @@ _MAX_EXAMPLES = int(os.environ.get("HOP_ELISION_EXAMPLES", "25"))
 
 @settings(max_examples=_MAX_EXAMPLES, deadline=None)
 @given(_configs())
-def test_skipping_hops_changes_no_answer(config):
-    *answers, events = _answers(config)
+def test_skipping_hops_changes_no_answer(case):
+    *answers, events = _answers(*case)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Simulator, "due_now", lambda self: True)
-        *every_hop, every_hop_events = _answers(config)
+        *every_hop, every_hop_events = _answers(*case)
     assert answers == every_hop
     assert events < every_hop_events

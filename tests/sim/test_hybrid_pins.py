@@ -66,9 +66,8 @@ def _records(session) -> tuple:
 
 @pytest.mark.parametrize("family", sorted(FAMILY_PINS))
 def test_crosscheck_family_hybrid_answers_pinned(family):
-    kwargs = dict(standard_scenarios(duration_ns=DURATION_NS)[family])
-    factory = kwargs.pop("factory")
-    session = ServeSession(factory(), engine="hybrid", **kwargs)
+    session = ServeSession(
+        engine="hybrid", **standard_scenarios(duration_ns=DURATION_NS)[family])
     session.run_to_completion()
     report = session.finalize()
     stats = report.hybrid_stats

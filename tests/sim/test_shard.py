@@ -55,10 +55,12 @@ def test_plan_rejects_duplicate_tenants_and_empty_shards():
 
 
 def test_run_sharded_rejects_unshardable_kwargs():
+    """Tracing is not a sharded option, and faults are per shard: both
+    are refused as unknown keywords."""
     plan = ShardPlan(shards=(ShardSpec("m0", _tenants()),))
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(TypeError, match="trace"):
         run_sharded(plan, trace=True)
-    with pytest.raises(ValueError, match="ShardSpec"):
+    with pytest.raises(TypeError, match="faults"):
         run_sharded(plan, faults=None)
     with pytest.raises(ValueError, match="sync window"):
         run_sharded(plan, sync_window_ns=0.0)

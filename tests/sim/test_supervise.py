@@ -6,9 +6,10 @@ import os
 
 import pytest
 
-from repro.faults.plan import FaultPlan
+from repro.net.topology import paper_testbed
+from repro.sim import supervise
 from repro.sim.crosscheck import cluster_chaos_scenario
-from repro.sim.shard import _reap_worker, run_sharded
+from repro.sim.shard import _reap_worker, _WorkerShard, run_sharded
 from repro.sim.supervise import (CHECKPOINT_FILE, ConservationError,
                                  ConservationWatchdog, FabricWedgedError,
                                  IncidentLog, ShardWorkerError,
@@ -57,10 +58,6 @@ def test_supervisor_config_validation():
         SupervisorConfig(resume=True)
     with pytest.raises(ValueError, match="kill_window"):
         SupervisorConfig(kill_shard="m0")
-    with pytest.raises(ValueError, match="positive"):
-        SupervisorConfig(exchange_timeout_s=0.0)
-    with pytest.raises(ValueError, match="respawn"):
-        SupervisorConfig(max_respawns=-1)
 
 
 # -- window log ---------------------------------------------------------------------
@@ -80,6 +77,38 @@ def test_window_log_roundtrips_and_checks_fingerprint(tmp_path):
         WindowLog.load(str(tmp_path), expect_fingerprint="different")
 
 
+def test_window_log_appends_one_line_per_window(tmp_path):
+    """Once saved, the journal grows by one line per recorded window:
+    nothing already written is written again."""
+    log = WindowLog("abc123", 25_000.0)
+    log.save(str(tmp_path))
+    path = tmp_path / CHECKPOINT_FILE
+    before = path.read_text()
+    for k in range(1, 4):
+        log.record(25_000.0 * k, {"m0": [], "m1": []})
+        text = path.read_text()
+        assert text.startswith(before)
+        assert text.count("\n") == 1 + k
+        before = text
+    log.finish()
+    back = WindowLog.load(str(tmp_path))
+    assert back.complete and len(back) == 3
+
+
+def test_window_log_load_drops_only_a_torn_final_line(tmp_path):
+    log = WindowLog("abc123", 25_000.0)
+    log.save(str(tmp_path))
+    for k in range(1, 4):
+        log.record(25_000.0 * k, {"m0": []})
+    path = tmp_path / CHECKPOINT_FILE
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]) + lines[-1][:7])
+    assert len(WindowLog.load(str(tmp_path))) == 2
+    path.write_text(lines[0] + lines[1][:7] + "\n" + "".join(lines[2:]))
+    with pytest.raises(ValueError):
+        WindowLog.load(str(tmp_path))
+
+
 def test_plan_fingerprint_tracks_run_identity():
     plan, chaos = cluster_chaos_scenario(duration_ns=_DURATION)
     base = plan_fingerprint(plan, 25_000.0, {})
@@ -88,6 +117,14 @@ def test_plan_fingerprint_tracks_run_identity():
     assert base != plan_fingerprint(plan, 25_000.0, {"engine": "hybrid"})
     assert base != plan_fingerprint(
         dataclasses.replace(plan, cluster_faults=chaos), 25_000.0, {})
+    # A rebuilt testbed is the same testbed: its NIC objects are
+    # fingerprinted by spec, not by address.
+    assert (plan_fingerprint(plan, 25_000.0, {"testbed": paper_testbed()})
+            == plan_fingerprint(plan, 25_000.0,
+                                {"testbed": paper_testbed()}))
+    assert (plan_fingerprint(plan, 25_000.0, {"testbed": paper_testbed()})
+            != plan_fingerprint(plan, 25_000.0,
+                                {"testbed": paper_testbed(n_clients=4)}))
 
 
 # -- checkpoint / resume ------------------------------------------------------------
@@ -103,17 +140,40 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
                               checkpoint_dir=str(tmp_path), resume=True))
     assert _digest(resumed) == _digest(full)
 
-    # Truncate the log to mid-run — a checkpoint written before the
+    # Truncate the journal to mid-run — a checkpoint written before the
     # process died — and resume across the other executor for good
     # measure: the tail re-runs live and still lands identical.
-    raw = json.loads((tmp_path / CHECKPOINT_FILE).read_text())
-    raw["windows"] = raw["windows"][: max(1, len(raw["windows"]) // 2)]
-    raw["complete"] = False
-    (tmp_path / CHECKPOINT_FILE).write_text(json.dumps(raw))
+    path = tmp_path / CHECKPOINT_FILE
+    header, *windows, complete = path.read_text().splitlines(keepends=True)
+    assert json.loads(complete) == {"complete": True}
+    path.write_text(header + "".join(windows[: max(1, len(windows) // 2)]))
     partial = run_sharded(plan, jobs=4,
                           supervisor=SupervisorConfig(
                               checkpoint_dir=str(tmp_path), resume=True))
     assert _digest(partial) == _digest(full)
+
+
+def test_resume_after_a_torn_journal_write_matches_uninterrupted_run(
+        tmp_path):
+    """A crash mid-write leaves half a window line: resume drops it,
+    re-runs that window live, and lands on the uninterrupted answer."""
+    plan = _chaotic_plan()
+    full = run_sharded(plan, jobs=1,
+                       supervisor=SupervisorConfig(
+                           checkpoint_dir=str(tmp_path)))
+    path = tmp_path / CHECKPOINT_FILE
+    header, *windows, _complete = path.read_text().splitlines(keepends=True)
+    keep = len(windows) // 2
+    torn = windows[keep][: len(windows[keep]) // 2]
+    path.write_text(header + "".join(windows[:keep]) + torn)
+    assert len(WindowLog.load(str(tmp_path))) == keep
+    resumed = run_sharded(plan, jobs=1,
+                          supervisor=SupervisorConfig(
+                              checkpoint_dir=str(tmp_path), resume=True))
+    assert _digest(resumed) == _digest(full)
+    # The resumed run rewrote the journal whole: it loads complete.
+    back = WindowLog.load(str(tmp_path))
+    assert back.complete and len(back) == len(windows)
 
 
 def test_resume_rejects_mismatched_plan(tmp_path):
@@ -240,3 +300,51 @@ def test_incident_report_written_by_run(tmp_path):
     raw = json.loads(report_path.read_text())
     assert raw["respawns"] >= 1
     assert any(i["kind"] == "kill-injected" for i in raw["incidents"])
+
+
+# -- respawn ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_respawn_budget_exhausted_raises_shard_worker_error(monkeypatch,
+                                                            jobs):
+    monkeypatch.setattr(supervise, "MAX_RESPAWNS", 0)
+    plan = _chaotic_plan()
+    with pytest.raises(ShardWorkerError,
+                       match=r"respawn budget \(0\) exhausted") as err:
+        run_sharded(plan, jobs=jobs,
+                    supervisor=SupervisorConfig(kill_shard="shard1",
+                                                kill_window=2))
+    assert err.value.shard == "shard1"
+
+
+@pytest.mark.parametrize("window", [2, 6])
+def test_respawned_worker_receives_its_replay_in_one_message(monkeypatch,
+                                                             window):
+    """However long the logged prefix, a respawn sends the fresh worker
+    one message; the worker replays it locally."""
+    during_respawn = []
+    send, respawn = _WorkerShard._send, _WorkerShard.respawn
+
+    def spy_send(self, message):
+        if getattr(self, "respawning", False):
+            during_respawn.append(message)
+        send(self, message)
+
+    def spy_respawn(self, prefix):
+        self.respawning = True
+        try:
+            respawn(self, prefix)
+        finally:
+            self.respawning = False
+
+    monkeypatch.setattr(_WorkerShard, "_send", spy_send)
+    monkeypatch.setattr(_WorkerShard, "respawn", spy_respawn)
+    plan = _chaotic_plan()
+    killed = run_sharded(plan, jobs=2,
+                         supervisor=SupervisorConfig(kill_shard="shard1",
+                                                     kill_window=window))
+    assert killed.counters["supervisor.respawns"] == 1
+    [(command, inboxes)] = during_respawn
+    assert command == "replay"
+    assert len(inboxes) == window - 1

@@ -82,14 +82,13 @@ def _two_machine_report(network_gbps_each):
     each delivering ``network_gbps_each`` Gbps on path ①."""
     from repro.core.paths import CommPath
     from repro.sched.serve import ServeReport
-    from repro.sched.slo import SloTracker
     from repro.sim.shard import merge_reports
 
     reports = [ServeReport(adaptive=True, elapsed_ns=100_000.0, tenants={},
                            decisions=[],
                            path_gbps={CommPath.SNIC1.value: gbps})
                for gbps in network_gbps_each]
-    return merge_reports(reports, [SloTracker([]) for _ in reports])
+    return merge_reports(reports)
 
 
 def _utilization(report):

@@ -95,8 +95,9 @@ def test_new_spellings_are_warning_free():
 
 
 # The serving knob ratchet: the options below are the whole surface.
-# Policy and hybrid tuning are module constants (repro.sched.policy,
-# repro.sim.hybrid, repro.sim.crosscheck); an option comes back only
+# Serving, policy, hybrid and supervision tuning are module constants
+# (repro.sched.serve, repro.sched.policy, repro.sim.hybrid,
+# repro.sim.crosscheck, repro.sim.supervise); an option comes back only
 # through a deliberate edit of these lists.
 def _params(fn):
     return list(inspect.signature(fn).parameters)
@@ -109,11 +110,25 @@ def test_serving_option_snapshot():
 
     assert _params(ServeSession) == [
         "tenants", "adaptive", "testbed", "faults", "fault_seed",
-        "interval_ns", "window_ns", "trace", "engine", "channel", "nic"]
+        "trace", "engine", "channel", "nic"]
     assert _params(run_serve) == ["tenants", "kwargs"]
     assert _params(PathPolicy) == ["testbed"]
-    assert _params(HybridController) == [
-        "runtime", "tracker", "faults", "tick_ns"]
+    assert _params(HybridController) == ["runtime", "tracker", "faults"]
+    # The hybrid tick rides the scheduler's control interval.
+    from repro.sched.serve import INTERVAL_NS
+    from repro.sim.hybrid import TICK_NS
+    assert TICK_NS == INTERVAL_NS
+
+
+def test_shard_entry_snapshot():
+    """A sharded run takes its serving options by name (faults, NIC and
+    fabric live in the plan), and shards hand back reports only."""
+    from repro.sim.shard import merge_reports, run_sharded
+
+    assert _params(run_sharded) == [
+        "plan", "jobs", "sync_window_ns", "supervisor", "controller",
+        "engine", "adaptive", "testbed"]
+    assert _params(merge_reports) == ["reports", "names"]
 
 
 def test_cluster_entry_snapshot():
@@ -144,9 +159,8 @@ def test_supervisor_field_snapshot():
     from repro.sim.supervise import SupervisorConfig
 
     assert [f.name for f in dataclasses.fields(SupervisorConfig)] == [
-        "exchange_timeout_s", "join_timeout_s", "kill_grace_s",
-        "max_respawns", "checkpoint_dir", "resume", "kill_shard",
-        "kill_window", "incident_report"]
+        "checkpoint_dir", "resume", "kill_shard", "kill_window",
+        "incident_report"]
 
 
 def test_crosscheck_signature_snapshot():
@@ -157,7 +171,7 @@ def test_crosscheck_signature_snapshot():
     from repro.stats import kernels
 
     assert _params(module.grade) == ["scenario", "des", "hybrid"]
-    assert _params(module.crosscheck) == ["scenario", "factory",
+    assert _params(module.crosscheck) == ["scenario", "tenants",
                                           "serve_kwargs"]
     for gone in ("ci_agreement", "AgreementRow", "crosscheck_suite"):
         assert not hasattr(module, gone), gone
