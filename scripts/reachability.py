@@ -3,8 +3,9 @@
 
 Runs every entry point in this process under a ``sys.setprofile``
 hook: the examples, a set of CLI invocations covering every
-subcommand (``serve`` in nine modes, with a scenario override and
-both kinds of fault plan; all six sweeps, one plotted) and
+subcommand (``serve`` in eight modes: the built-in mix, and scenario
+documents with exports, a scenario override, a chaos kill and both
+kinds of fault plan; all six sweeps, one plotted) and
 ``pytest benchmarks --benchmark-disable``.  Then it prints each
 function defined under ``src/repro`` whose code never ran, and a total.
 Worker processes (``--jobs N`` pools) are not traced, so the CLI calls
@@ -43,6 +44,7 @@ def _cli_invocations(tmp: pathlib.Path):
         {"path": "snic-2", "op": "read", "payload": 16 << 20}]))
     trace = str(tmp / "trace.jsonl")
     rack = str(ROOT / "examples" / "rack_scenario.json")
+    ring = str(ROOT / "examples" / "ring_scenario.json")
     chaos = str(ROOT / "examples" / "cluster_chaos.json")
     faults = tmp / "faults.json"
     faults.write_text(json.dumps({"seed": 3, "faults": [
@@ -66,14 +68,13 @@ def _cli_invocations(tmp: pathlib.Path):
         ["trace", "--tree", "--report", "--telemetry"],
         ["trace-gen", trace, "--count", "200"], ["trace-solve", trace],
         ["serve"], ["serve", "--static"], ["serve", "--engine", "hybrid"],
-        ["serve", "--shards", "2", "--jobs", "1", "--cross-traffic"],
-        ["serve", "--shards", "2", "--jobs", "1", "--kill-shard", "shard1",
-         "--kill-window", "2"],
+        ["serve", "--cluster", ring, "--jobs", "1", "--kill-shard",
+         "shard1", "--kill-window", "2"],
         ["serve", "--cluster", rack, "--jobs", "1", "--check"],
         ["serve", "--cluster", rack, "--machines", "6", "--jobs", "1"],
         ["serve", "--fault-plan", str(faults)],
-        ["serve", "--shards", "4", "--jobs", "1", "--cross-traffic",
-         "--duration", "600000", "--cluster-fault-plan", chaos],
+        ["serve", "--cluster", ring, "--jobs", "1",
+         "--cluster-fault-plan", chaos],
         ["sweep", "fig4", "--plot"],
         # The serving families at 1.5 ms, where every fault family
         # splices back to DES, and the cluster-fault family.

@@ -11,8 +11,12 @@ round-trips losslessly through JSON::
 
 ``examples/rack_scenario.json`` is the canonical document; the CLI
 front door is ``repro serve --cluster <doc.json>``, whose ``--machines``,
-``--population-seed``, ``--placement``, ``--no-migrate`` and
-``--engine`` flags are ``dataclasses.replace`` edits of the document.
+``--population-seed``, ``--placement``, ``--no-migrate``, ``--engine``
+and ``--cluster-fault-plan`` flags are ``dataclasses.replace`` edits of
+the document.  A document is the one way to describe several machines:
+``repro serve`` without one serves the built-in mix on one machine.
+Pinned explicit tenants may ``export`` traffic to another machine
+(bulk completion shipping or failover relays over the fabric).
 Compilation to an executable :class:`~repro.sim.shard.ShardPlan` lives
 in :mod:`repro.cluster.run` — this module is pure description.
 
@@ -37,6 +41,7 @@ from repro.codec import SchemaError, decode, encode
 from repro.faults.plan import FaultPlan
 from repro.sched.serve import ENGINE_CHOICES
 from repro.sched.tenant import TenantSpec
+from repro.sim.xshard import CrossTraffic
 from repro.units import GB
 from repro.workloads.population import PopulationSpec, tenant_spec
 
@@ -89,13 +94,35 @@ class SchedulerDoc:
 
 
 @dataclass(frozen=True)
+class ExportDoc:
+    """A pinned tenant's traffic to another machine over the fabric.
+
+    ``{"to": "shard1", "kind": "bulk"}`` ships every completion's
+    payload to ``shard1``'s host; ``"failover"`` relays the tenant's
+    requests through that host while its lease is degraded (see
+    :class:`~repro.sim.xshard.CrossTraffic`).
+    """
+
+    to: str
+    kind: str = "bulk"
+
+    def __post_init__(self):
+        self.to_cross_traffic("")          # kind check
+
+    def to_cross_traffic(self, tenant: str) -> CrossTraffic:
+        return CrossTraffic(tenant=tenant, dst_shard=self.to, kind=self.kind)
+
+
+@dataclass(frozen=True)
 class TenantDoc:
     """One explicitly-specified tenant (versus a stochastic cohort).
 
     The knobs mirror :class:`~repro.sched.tenant.TenantSpec`;
     ``machine`` optionally pins the tenant to a named machine (the
-    placement policies seed pins first and pack around them).  A doc
-    the spec would refuse is refused when the doc is built.
+    placement policies seed pins first and pack around them), and a
+    pinned tenant may ``export`` traffic to another machine
+    (:class:`ExportDoc`).  A doc the spec would refuse is refused when
+    the doc is built.
     """
 
     name: str
@@ -112,6 +139,7 @@ class TenantDoc:
     queue_limit: int = 32
     seed: int = 0
     machine: Optional[str] = None
+    export: Optional[ExportDoc] = None
 
     def __post_init__(self):
         self.to_spec()
@@ -133,7 +161,8 @@ class ClusterScenario:
       (:class:`~repro.workloads.population.PopulationSpec`), sampled
       open-loop into concrete tenants by ``population_seed``.
     * ``tenants`` — explicit tenants (:class:`TenantDoc`), optionally
-      pinned to machines; may be combined with populations.
+      pinned to machines and exporting traffic to another one; may be
+      combined with populations.
     * ``lb_latency_ns`` — the load-balancer hop; request latencies gain
       one LB round trip (``2 × lb_latency_ns``) of ingress.  Must not
       exceed ``link_latency_ns``: the fabric's fault timeout is derived
@@ -195,6 +224,19 @@ class ClusterScenario:
             if doc.machine is not None and doc.machine not in known:
                 raise SchemaError(f"tenants[{i}].machine",
                                   f"unknown machine {doc.machine!r}")
+            if doc.export is None:
+                continue
+            if doc.machine is None:
+                raise SchemaError(f"tenants[{i}].export",
+                                  "only a tenant pinned to a machine "
+                                  "can export")
+            if doc.export.to not in known:
+                raise SchemaError(f"tenants[{i}].export.to",
+                                  f"unknown machine {doc.export.to!r}")
+            if doc.export.to == doc.machine:
+                raise SchemaError(f"tenants[{i}].export.to",
+                                  f"{doc.name!r} cannot export to its own "
+                                  f"machine {doc.machine!r}")
         tenant_names = [d.name for d in self.tenants]
         dupes = sorted({n for n in tenant_names if tenant_names.count(n) > 1})
         if dupes:

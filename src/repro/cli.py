@@ -262,16 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "'hybrid' fast-forwards steady-state windows "
                         "analytically (docs/performance.md); overrides "
                         "a --cluster document's engine")
-    p.add_argument("--shards", type=int, default=None,
-                   help="partition the built-in mix over N lockstep "
-                        "machines (repro.sim.shard; default 1)")
     p.add_argument("--jobs", type=int, default=None,
                    help="1 = every shard in-process, >1 = one worker "
                         "process per shard (default)")
-    p.add_argument("--cross-traffic", action="store_true",
-                   help="bulk tenants ship their completions to the next "
-                        "machine over the cross-shard fabric "
-                        "(repro.sim.xshard; nothing to ship on one shard)")
     p.add_argument("--cluster-fault-plan", metavar="FILE", default=None,
                    help="JSON cluster fault plan (machine-crash, "
                         "fabric-loss/-delay/-partition/-reorder; see "
@@ -659,34 +652,21 @@ def _reject_flags(args, flags, why: str) -> None:
 
 
 def _builtin_plan(args, cluster_faults):
-    """The four-tenant mix over ``--shards`` machines (one by default):
-    the machine fault plan on the first, bulk tenants ringed to the
-    next machine under ``--cross-traffic``."""
-    from dataclasses import replace
-
+    """The four-tenant mix on one machine, ``shard0``, with the
+    machine fault plan.  Several machines are a ``--cluster``
+    document."""
     from repro.faults import FaultPlan
     from repro.sched import mixed_tenant_workload
-    from repro.sim.shard import ShardPlan
-    from repro.sim.xshard import CrossTraffic
+    from repro.sim.shard import ShardPlan, ShardSpec
 
     tenants = mixed_tenant_workload(
         duration_ns=1_500_000.0 if args.duration is None else args.duration,
         seed=args.seed or 0)
-    plan = ShardPlan.partition(tenants, 1 if args.shards is None
-                               else args.shards)
     faults = (FaultPlan.from_file(args.fault_plan)
               if args.fault_plan is not None else None)
-    ring = [shard.name for shard in plan.shards]
-    shards = []
-    for i, shard in enumerate(plan.shards):
-        nxt = ring[(i + 1) % len(ring)]
-        exports = tuple(CrossTraffic(t.name, nxt, "bulk")
-                        for t in shard.tenants
-                        if t.bulk and args.cross_traffic and nxt != shard.name)
-        shards.append(replace(shard, faults=faults if i == 0 else None,
-                              fault_seed=args.fault_seed or 0,
-                              exports=exports))
-    return ShardPlan(shards=tuple(shards), cluster_faults=cluster_faults)
+    shard = ShardSpec(name="shard0", tenants=tenants, faults=faults,
+                      fault_seed=args.fault_seed or 0)
+    return ShardPlan(shards=(shard,), cluster_faults=cluster_faults)
 
 
 def _serve_outputs(args, report) -> Tuple[List[str], dict]:
@@ -789,8 +769,8 @@ def _edited_scenario(args, cluster_faults):
 
 def _cmd_serve(args) -> str:
     """Every mode is one shard plan run by ``run_sharded``: the built-in
-    mix over ``--shards`` machines (one by default), or a ``--cluster``
-    document compiled by ``run_cluster``."""
+    mix on one machine, or a ``--cluster`` document compiled by
+    ``run_cluster``."""
     from repro.cluster import run_cluster
     from repro.faults import FaultPlan
     from repro.sim.shard import run_sharded
@@ -798,8 +778,8 @@ def _cmd_serve(args) -> str:
     from repro.stats.invariants import check_report, violations
 
     if args.cluster is not None:
-        _reject_flags(args, ("static", "fault_plan", "fault_seed", "shards",
-                             "cross_traffic", "duration", "seed"),
+        _reject_flags(args, ("static", "fault_plan", "fault_seed",
+                             "duration", "seed"),
                       "does not apply to --cluster")
     else:
         _reject_flags(args, ("machines", "population_seed", "placement",

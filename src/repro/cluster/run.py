@@ -25,13 +25,14 @@ from repro.cluster.machine import MachineSpec
 from repro.cluster.scheduler import (ClusterDecision, ClusterScheduler,
                                      bin_pack_placement,
                                      round_robin_placement)
+from repro.codec import SchemaError
 from repro.core.report import format_table
 from repro.faults.cluster import ClusterInjector
 from repro.net.topology import paper_testbed
 from repro.sched.serve import ServeReport
 from repro.sched.tenant import TenantSpec
 from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
-from repro.sim.xshard import ShardTopology
+from repro.sim.xshard import CrossTraffic, ShardTopology
 from repro.units import fmt_ns
 from repro.workloads.population import sample_population
 
@@ -148,10 +149,14 @@ def compile_scenario(scenario, testbed=None):
                                ingress_ns=scenario.ingress_ns)
     tenants: List[TenantSpec] = list(sample.tenants)
     pinned: Dict[str, str] = {}
+    exports: Dict[str, List[CrossTraffic]] = {}
     for doc in scenario.tenants:
         tenants.append(doc.to_spec(ingress_ns=scenario.ingress_ns))
         if doc.machine is not None:
             pinned[doc.name] = doc.machine
+        if doc.export is not None:
+            exports.setdefault(doc.machine, []).append(
+                doc.export.to_cross_traffic(doc.name))
     if scenario.scheduler.placement == "binpack":
         where = bin_pack_placement(tenants, specs, testbed,
                                    headroom=scenario.scheduler.headroom,
@@ -163,8 +168,13 @@ def compile_scenario(scenario, testbed=None):
     for spec in sorted(tenants, key=lambda t: t.name):
         by_machine.setdefault(where[spec.name], []).append(spec)
     used = [m for m in specs if m.name in by_machine]
+    for i, doc in enumerate(scenario.tenants):
+        if doc.export is not None and doc.export.to not in by_machine:
+            raise SchemaError(f"tenants[{i}].export.to",
+                              f"machine {doc.export.to!r} hosts no tenant")
     shards = tuple(ShardSpec(name=m.name,
                              tenants=tuple(by_machine[m.name]),
+                             exports=tuple(exports.get(m.name, ())),
                              nic=m.nic)
                    for m in used)
     nodes = [m.name for m in used] + [scenario.lb_name]

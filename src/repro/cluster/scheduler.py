@@ -44,6 +44,15 @@ from repro.units import gib_per_s
 #: estimate (the exact value comes from the testbed at serve time).
 _RELAY_CPU_NS = 2_000.0
 
+#: A tenant is offload-eligible only if its SLO deadline exceeds
+#: ``RTT_SLACK ×`` the estimated remote-serve cost (two fabric
+#: traversals plus the host relay).
+RTT_SLACK = 2.0
+
+#: Load-score surcharge per tenant already directed at a target
+#: machine, so one idle machine does not absorb every offload at once.
+PRESSURE_PENALTY = 25.0
+
 
 # ---------------------------------------------------------------------------
 # placement
@@ -260,19 +269,15 @@ class ClusterScheduler:
       offloads (hysteresis against flapping).
     * ``min_samples`` — completions a window needs before its p99 is
       trusted (rejections always count as breaching).
-    * ``rtt_slack`` — a tenant is offload-eligible only if its SLO
-      deadline exceeds ``rtt_slack ×`` the estimated remote-serve cost
-      (two fabric traversals plus the host relay).
-    * ``pressure_penalty`` — load-score surcharge per tenant already
-      directed at a target machine, so one idle machine does not
-      absorb every offload at once.
+
+    Offload eligibility and target pressure are :data:`RTT_SLACK` and
+    :data:`PRESSURE_PENALTY`.
     """
 
     def __init__(self, specs: Mapping[str, TenantSpec],
                  home: Mapping[str, str], topology: ShardTopology,
                  injector=None, patience: int = 2,
-                 cooldown_windows: int = 6, min_samples: int = 4,
-                 rtt_slack: float = 2.0, pressure_penalty: float = 25.0):
+                 cooldown_windows: int = 6, min_samples: int = 4):
         if patience < 1:
             raise ValueError(f"patience must be >= 1: {patience}")
         if cooldown_windows < 1:
@@ -289,8 +294,6 @@ class ClusterScheduler:
         self.patience = patience
         self.cooldown_windows = cooldown_windows
         self.min_samples = min_samples
-        self.rtt_slack = rtt_slack
-        self.pressure_penalty = pressure_penalty
         #: tenant -> machine currently serving it remotely.
         self.remote: Dict[str, str] = {}
         self.decisions: List[ClusterDecision] = []
@@ -313,8 +316,8 @@ class ClusterScheduler:
         different scheduler policy must be refused."""
         payload = repr((
             sorted(self.home.items()), self.lb, self.patience,
-            self.cooldown_windows, self.min_samples, self.rtt_slack,
-            self.pressure_penalty,
+            self.cooldown_windows, self.min_samples, RTT_SLACK,
+            PRESSURE_PENALTY,
         )).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -349,7 +352,7 @@ class ClusterScheduler:
         pressure: Dict[str, float] = {m: 0.0 for m in machines}
         for target in self.remote.values():
             if target in pressure:
-                pressure[target] += self.pressure_penalty
+                pressure[target] += PRESSURE_PENALTY
 
         messages: List[ShardMessage] = []
         self._retarget_dead(messages, window_no, barrier, machines, alive,
@@ -388,7 +391,7 @@ class ClusterScheduler:
                 self._direct(messages, window_no, barrier, tenant, home,
                              None, "return", f"target {target} unavailable")
             else:
-                pressure[fresh] += self.pressure_penalty
+                pressure[fresh] += PRESSURE_PENALTY
                 self._direct(messages, window_no, barrier, tenant, home,
                              fresh, "retarget",
                              f"target {target} unavailable")
@@ -434,7 +437,7 @@ class ClusterScheduler:
                                        exclude={machine})
             if target is None:
                 continue
-            pressure[target] += self.pressure_penalty
+            pressure[target] += PRESSURE_PENALTY
             self._direct(messages, window_no, barrier, donor, machine,
                          target, "offload",
                          f"{len(hot)} tenant(s) breaching SLO on {machine}")
@@ -451,7 +454,7 @@ class ClusterScheduler:
         those whose deadline tolerates remote serving."""
         eligible = [t for t in local
                     if self.specs[t].slo.deadline
-                    >= self.rtt_slack * self._relay_cost_ns(self.specs[t])]
+                    >= RTT_SLACK * self._relay_cost_ns(self.specs[t])]
         if not eligible:
             return None
         return max(eligible,

@@ -50,8 +50,7 @@ def _unit(seed: int, *key) -> float:
 class ClusterInjector:
     """Deterministic interpreter for a cluster-scope fault plan."""
 
-    def __init__(self, plan: FaultPlan, shards: Sequence[str],
-                 topology=None):
+    def __init__(self, plan: FaultPlan, shards: Sequence[str], topology):
         for fault in plan.faults:
             if not is_cluster_fault(fault):
                 raise ValueError(
@@ -144,13 +143,10 @@ class ClusterInjector:
     def fault_timeout_ns(self) -> float:
         """Default ack-timeout for channels under this plan: several
         fabric RTTs plus every configured extra delay plus slack."""
-        if self._topology is not None:
-            latencies = [self._topology.latency_ns(s, d)
-                         for s in self._topology.shards
-                         for d in self._topology.shards if s != d]
-            worst = max(latencies) if latencies else 0.0
-        else:
-            worst = 0.0
+        latencies = [self._topology.latency_ns(s, d)
+                     for s in self._topology.shards
+                     for d in self._topology.shards if s != d]
+        worst = max(latencies) if latencies else 0.0
         extras = sum(delay.extra_ns for delay in self.delays)
         return 4.0 * worst + extras + _TIMEOUT_SLACK_NS
 

@@ -222,48 +222,45 @@ class ClusterCheck:
 
 
 def cluster_chaos_scenario(duration_ns: float = 400_000.0, seed: int = 0):
-    """The standard 4-machine chaos scenario: ``(plan, chaos_plan)``.
+    """The standard 4-machine chaos document, a
+    :class:`~repro.api.schema.ClusterScenario`.
 
-    Four shards, each one client tenant plus one bulk tenant; even
-    shards export failover traffic and shard2 ships bulk completions,
-    so the fabric carries both kinds.  The chaos plan crashes two
-    machines (one recovers), loses a quarter of the fabric, delays
-    everything leaving shard2, partitions shard2↔shard3 for a window,
-    and reorders deliveries into shard3 — every cluster fault class at
-    once, all decided by pure hashes of ``seed``.
+    Four machines ``shard0``…``shard3``, each with one pinned client
+    tenant and one pinned bulk tenant.  ``t2b`` ships its bulk
+    completions from shard2 to shard3, so the fabric carries bulk
+    messages and their acks.  ``t0b`` and ``t3b`` declare failover
+    exports, but they never relay: the machine crashes below lose a
+    dead machine's requests at dispatch (``sched.machine_lost``), and
+    a lease degrades only under an SoC crash of a live machine.  The
+    chaos plan in ``faults`` crashes two machines (one recovers), loses
+    a quarter of the fabric, delays everything leaving shard2,
+    partitions shard2↔shard3 for a window, and reorders deliveries into
+    shard3 — every cluster fault class at once, all decided by pure
+    hashes of ``seed``.  ``scheduler.migrate`` is off, so no cluster
+    controller adds traffic.
     """
+    from repro.api.schema import (ClusterScenario, ExportDoc, MachineDoc,
+                                  SchedulerDoc, TenantDoc)
     from repro.faults.plan import (FabricDelay, FabricLoss, FabricPartition,
                                    FabricReorder, MachineCrash)
-    from repro.sched.tenant import SloSpec, TenantSpec
-    from repro.sim.shard import ShardPlan, ShardSpec
-    from repro.sim.xshard import CrossTraffic
-    from repro.workloads.mix import OpMix
 
     interval_ns = 4_000.0
     requests = max(20, int(duration_ns / interval_ns / 2))
-
-    def tenant(name: str, tseed: int, bulk: bool) -> TenantSpec:
-        mix = (OpMix(read=1.0, write=0.0, send=0.0) if bulk
-               else OpMix(read=0.5, write=0.25, send=0.25))
-        return TenantSpec(name=name, payload=4096 if bulk else 256,
-                          interval_ns=interval_ns, requests=requests,
-                          mix=mix, slo=SloSpec(p99_ns=60_000.0),
-                          bulk=bulk, seed=tseed)
-
-    shards = []
+    exports = {0: ExportDoc(to="shard1", kind="failover"),
+               2: ExportDoc(to="shard3", kind="bulk"),
+               3: ExportDoc(to="shard0", kind="failover")}
+    tenants = []
     for i in range(4):
-        kind = "bulk" if i == 2 else "failover"
-        exports = ()
-        if i % 2 == 0 or i == 3:
-            exports = (CrossTraffic(tenant=f"t{i}b",
-                                    dst_shard=f"shard{(i + 1) % 4}",
-                                    kind=kind),)
-        shards.append(ShardSpec(
-            name=f"shard{i}",
-            tenants=(tenant(f"t{i}a", seed * 100 + 10 + i, bulk=False),
-                     tenant(f"t{i}b", seed * 100 + 20 + i, bulk=True)),
-            exports=exports))
-    plan = ShardPlan(shards=tuple(shards))
+        tenants.append(TenantDoc(
+            name=f"t{i}a", payload=256, interval_ns=interval_ns,
+            requests=requests, read_fraction=0.5, send_fraction=0.25,
+            slo_p99_ns=60_000.0, seed=seed * 100 + 10 + i,
+            machine=f"shard{i}"))
+        tenants.append(TenantDoc(
+            name=f"t{i}b", payload=4096, interval_ns=interval_ns,
+            requests=requests, bulk=True, slo_p99_ns=60_000.0,
+            seed=seed * 100 + 20 + i, machine=f"shard{i}",
+            export=exports.get(i)))
     third, two_thirds = duration_ns / 3, 2 * duration_ns / 3
     chaos = FaultPlan(faults=(
         MachineCrash(shard="shard0", at=third * 0.5, recover_at=two_thirds),
@@ -273,7 +270,11 @@ def cluster_chaos_scenario(duration_ns: float = 400_000.0, seed: int = 0):
         FabricPartition(a="shard2", b="shard3", start=third, end=two_thirds),
         FabricReorder(dst="shard3"),
     ), seed=seed + 7)
-    return plan, chaos
+    return ClusterScenario(
+        name="cluster-fault", duration_ns=duration_ns,
+        machines=tuple(MachineDoc(name=f"shard{i}") for i in range(4)),
+        tenants=tuple(tenants), scheduler=SchedulerDoc(migrate=False),
+        faults=chaos)
 
 
 def _cluster_digest(report: ServeReport, counters: bool = True) -> tuple:
@@ -290,30 +291,33 @@ def _cluster_digest(report: ServeReport, counters: bool = True) -> tuple:
 
 def cluster_crosscheck(duration_ns: float = 400_000.0,
                        seed: int = 0) -> ClusterCheck:
-    """Grade the cluster-chaos determinism contract (three clauses).
+    """Grade the cluster-chaos determinism contract (three clauses)
+    on :func:`cluster_chaos_scenario`, run by
+    :func:`~repro.cluster.run_cluster`.
 
     1. **jobs-identity** — under a plan exercising every cluster fault
        class, ``jobs=4`` (worker processes) is bit-identical to
        ``jobs=1`` (the in-process reference): counts, latencies,
        decision logs and telemetry counters.
     2. **empty-plan-baseline** — an *empty* cluster fault plan, run
-       under the default supervisor, is bit-identical to the same plan
-       with no cluster machinery at all (chaos is pay-as-you-go).
+       under the default supervisor, is bit-identical to the same
+       document with no cluster machinery at all (chaos is
+       pay-as-you-go).
     3. **kill-respawn** — a supervised run whose worker is SIGKILLed
        mid-window and respawned from the window-log checkpoint lands on
        exactly the counts and decisions of the unkilled run.
     """
     from dataclasses import replace
 
-    from repro.sim.shard import run_sharded
+    from repro.cluster import run_cluster
     from repro.sim.supervise import SupervisorConfig
 
-    plan, chaos = cluster_chaos_scenario(duration_ns=duration_ns, seed=seed)
-    chaotic = replace(plan, cluster_faults=chaos)
+    chaotic = cluster_chaos_scenario(duration_ns=duration_ns, seed=seed)
+    pristine = replace(chaotic, faults=None)
     clauses = []
 
-    ref = run_sharded(chaotic, jobs=1)
-    multi = run_sharded(chaotic, jobs=4)
+    ref = run_cluster(chaotic, jobs=1).serve
+    multi = run_cluster(chaotic, jobs=4).serve
     same = _cluster_digest(ref) == _cluster_digest(multi)
     dropped = int(ref.counters.get("cluster.dropped", 0))
     clauses.append((
@@ -322,18 +326,18 @@ def cluster_crosscheck(duration_ns: float = 400_000.0,
         f"({dropped} fabric drops)" if same else
         "jobs=4 diverged from the in-process reference under chaos"))
 
-    baseline = run_sharded(plan, jobs=1)
-    empty = run_sharded(replace(plan, cluster_faults=FaultPlan()),
-                        jobs=1, supervisor=SupervisorConfig())
+    baseline = run_cluster(pristine, jobs=1).serve
+    empty = run_cluster(replace(chaotic, faults=FaultPlan()), jobs=1,
+                        supervisor=SupervisorConfig()).serve
     same = _cluster_digest(baseline) == _cluster_digest(empty)
     clauses.append((
         "empty-plan-baseline", same,
         "empty cluster plan + supervisor == pristine run" if same else
         "an empty cluster plan perturbed the run"))
 
-    killed = run_sharded(chaotic, jobs=4,
+    killed = run_cluster(chaotic, jobs=4,
                          supervisor=SupervisorConfig(kill_shard="shard2",
-                                                     kill_window=3))
+                                                     kill_window=3)).serve
     same = (_cluster_digest(multi, counters=False)
             == _cluster_digest(killed, counters=False))
     respawns = int(killed.counters.get("supervisor.respawns", 0))

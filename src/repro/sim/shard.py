@@ -5,21 +5,26 @@ experiment is many such machines.  Each machine is a *shard* with its
 own event timeline; shards execute on separate worker processes and
 merge afterwards.
 
-The execution protocol is conservative time-windowed lockstep: the
-parent advances every shard to the same simulated-time barrier
-(``sync_window_ns``) before any shard may move past it.  Shards may
-exchange traffic through the cross-shard fabric
-(:mod:`repro.sim.xshard`): outboxes are collected at every barrier,
-routed by a :class:`~repro.sim.xshard.ShardRouter`, and injected into
-the destination shard at the start of the next round as URGENT arrivals
-at their physical delivery instants.  The **one-window delivery
-guarantee** — a message sent in window *W* is delivered in window
-*W+1* — holds iff every inter-shard link latency is at least
-``sync_window_ns``; :func:`run_sharded` validates exactly that.
+Every sharded run has a fabric, as every machine in a rack sits behind
+one: the plan's :class:`~repro.sim.xshard.ShardTopology`, or a uniform
+one over its shards.  The execution protocol is conservative
+time-windowed lockstep: the parent advances every shard to the same
+simulated-time barrier before any shard may move past it.  The window
+is the topology's tightest machine-to-machine link latency
+(:meth:`~repro.sim.xshard.ShardTopology.min_fabric_latency_ns`), which
+is what makes the **one-window delivery guarantee** hold: a message
+sent in window *W* (:mod:`repro.sim.xshard`) is collected at its
+barrier, routed by a :class:`~repro.sim.xshard.ShardRouter`, and
+injected into the destination shard in window *W+1* as an URGENT
+arrival at its physical delivery instant.
 One barrier loop drives every run through a shard handle over one
 shard lifecycle (:class:`_LocalShard`): the parent hosts it at
 ``jobs=1`` (the bit-identity reference, asserted by
 ``tests/sim/test_shard.py``), a worker process per shard otherwise.
+
+Plans are compiled from scenario documents
+(:func:`repro.cluster.compile_scenario`); tests and benchmark scripts
+may build them directly.
 
 Cluster-scale chaos layers on top (``docs/robustness.md``):
 
@@ -48,7 +53,7 @@ decision logs in time order, and sums per-path bandwidth and telemetry
 counters (including the ``xshard.*`` fabric counters).
 ``elapsed_ns`` is the latest instant any shard's event
 queue ran dry, so a one-shard plan reports exactly what an unsharded
-run of the same tenants does.
+run of the same tenants does (its decisions name the machine).
 """
 
 from __future__ import annotations
@@ -80,9 +85,7 @@ class ShardSpec:
     """One shard: a tenant set (and optional faults) on its own cluster.
 
     ``exports`` declares which of this shard's tenants send traffic to
-    other machines (see :class:`~repro.sim.xshard.CrossTraffic`); the
-    plan must then carry (or default) a topology whose link latencies
-    admit the chosen sync window.
+    other machines (see :class:`~repro.sim.xshard.CrossTraffic`).
     """
 
     name: str
@@ -123,10 +126,9 @@ class ShardSpec:
 class ShardPlan:
     """An ordered set of shards with globally unique tenant names.
 
-    ``topology`` gives the inter-shard link latencies; when omitted and
-    any shard exports traffic (or a cluster fault plan is present),
-    :func:`run_sharded` defaults to a uniform
-    :class:`~repro.sim.xshard.ShardTopology`.
+    ``topology`` gives the inter-shard link latencies; when omitted,
+    :func:`run_sharded` runs a uniform
+    :class:`~repro.sim.xshard.ShardTopology` over the shards.
 
     ``cluster_faults`` is the rack-scale chaos plan: machine crashes
     and fabric faults, all cluster-scope
@@ -168,41 +170,15 @@ class ShardPlan:
                     f"topology is missing shard(s) {sorted(missing)}")
         if self.cluster_faults is not None:
             # Validates fault scope and shard names; the instance used
-            # at run time is built by run_sharded with the topology.
-            ClusterInjector(self.cluster_faults, shard_names)
-
-    @property
-    def cross_traffic(self) -> bool:
-        return any(shard.exports for shard in self.shards)
+            # at run time is built by run_sharded.
+            ClusterInjector(self.cluster_faults, shard_names,
+                            self.topology
+                            or ShardTopology.uniform(shard_names))
 
     @property
     def chaotic(self) -> bool:
         """Whether a non-empty cluster fault plan is armed."""
         return self.cluster_faults is not None and not self.cluster_faults.empty
-
-    def resolved_topology(self) -> Optional[ShardTopology]:
-        """The topology to run under (uniform default when exporting
-        or when cluster faults need the fabric oracle everywhere)."""
-        if self.topology is not None:
-            return self.topology
-        if self.cross_traffic or self.chaotic:
-            return ShardTopology.uniform([s.name for s in self.shards])
-        return None
-
-    @classmethod
-    def partition(cls, tenants: Sequence[TenantSpec],
-                  n_shards: int) -> "ShardPlan":
-        """Round-robin the tenants over ``n_shards`` shards."""
-        if n_shards < 1:
-            raise ValueError(f"need >= 1 shard, got {n_shards}")
-        tenants = tuple(tenants)
-        n_shards = min(n_shards, len(tenants))
-        groups: List[List[TenantSpec]] = [[] for _ in range(n_shards)]
-        for i, spec in enumerate(tenants):
-            groups[i % n_shards].append(spec)
-        return cls(shards=tuple(
-            ShardSpec(name=f"shard{i}", tenants=tuple(group))
-            for i, group in enumerate(groups)))
 
 
 def _lowered(shard: ShardSpec, injector: ClusterInjector) -> ShardSpec:
@@ -294,12 +270,12 @@ class _LocalShard:
             # gets its own copy.
             options = dict(options,
                            testbed=copy.deepcopy(options["testbed"]))
-        shard, channel = self._shard, None
-        if topology is not None:
-            exports = {export.tenant: export for export in shard.exports}
-            channel = ShardChannel(shard.name, topology, exports,
-                                   injector=injector,
-                                   fault_timeout_ns=fault_timeout_ns)
+        shard = self._shard
+        channel = ShardChannel(shard.name, topology,
+                               {export.tenant: export
+                                for export in shard.exports},
+                               injector=injector,
+                               fault_timeout_ns=fault_timeout_ns)
         return ServeSession(shard.tenants, faults=shard.faults,
                             fault_seed=shard.fault_seed, channel=channel,
                             nic=shard.nic, **options)
@@ -316,11 +292,9 @@ class _LocalShard:
         the digest the conservation watchdog audits."""
         session = self._live()
         channel = session.channel
-        if channel is not None and inbound:
+        if inbound:
             channel.deliver(inbound)
         done = session.advance(barrier)
-        if channel is None:
-            return done, True, [], session.heartbeat()
         return done, channel.idle, channel.collect(), session.heartbeat()
 
     def replay(self, inboxes: Sequence[Tuple[float, list]]) -> None:
@@ -469,7 +443,7 @@ def _controller_step(controller, router, injector, barrier: float,
 
 
 def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
-              sync_window_ns: float, topology: Optional[ShardTopology],
+              topology: ShardTopology,
               injector: Optional[ClusterInjector], cfg: SupervisorConfig,
               log: WindowLog, incidents: IncidentLog, resumed: bool,
               controller=None) -> List[ServeReport]:
@@ -480,8 +454,10 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
     audit — cluster controller first, conservation watchdog second.  A
     handle that dies mid-round is respawned from the window log and
     re-advanced, within :data:`~repro.sim.supervise.MAX_RESPAWNS`.
+    Windows are the topology's tightest machine-to-machine latency.
     """
-    router = ShardRouter(topology) if topology is not None else None
+    sync_window_ns = topology.min_fabric_latency_ns()
+    router = ShardRouter(topology)
     watchdog = ConservationWatchdog()
     names = [shard.name for shard in shards]
     done = dict.fromkeys(names, False)
@@ -501,7 +477,7 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
     def take_inbound(barrier: float) -> Dict[str, list]:
         inbound: Dict[str, list] = {}
         for name in names:
-            inbox = router.take(name) if router is not None else []
+            inbox = router.take(name)
             if injector is not None:
                 inbox = injector.shuffle_inbox(name, barrier, inbox)
             inbound[name] = inbox
@@ -510,14 +486,13 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
     def run_window(window_no: int, barrier: float, inbound: Dict[str, list],
                    prefix: Sequence[Tuple[float, dict]]) -> bool:
         """Advance, route and audit one window; True if any outbox
-        carried messages.  Every live shard gets the new horizon before
-        any reply is awaited, so workers advance in parallel."""
-        live = [handle for handle in handles
-                if router is not None or not done[handle.name]]
-        for handle in live:
+        carried messages.  Every shard gets the new horizon before any
+        reply is awaited, so workers advance in parallel; a drained
+        shard still takes part, since a message may yet reach it."""
+        for handle in handles:
             handle.begin(barrier, inbound.get(handle.name, []))
         moved = False
-        for handle in live:
+        for handle in handles:
             while True:
                 try:
                     reply = handle.finish()
@@ -536,8 +511,7 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
         _controller_step(controller, router, injector, barrier, window_no,
                          heartbeats, dict(done))
         watchdog.check(
-            barrier, heartbeats,
-            router.pending_count if router is not None else 0,
+            barrier, heartbeats, router.pending_count,
             injector.dropped if injector is not None else 0,
             injected=controller.ctl_sent if controller is not None else 0)
         return moved
@@ -560,7 +534,7 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
                     take_inbound(log.windows[k + 1][0])
 
         while not (all(done.values()) and all(idle.values())
-                   and (router is None or not router.in_flight)):
+                   and not router.in_flight):
             window_no += 1
             barrier += sync_window_ns
             inbound = take_inbound(barrier)
@@ -571,7 +545,7 @@ def _lockstep(shards: Sequence[ShardSpec], make_handle: Callable,
                 by_name[cfg.kill_shard].kill()
             moved = run_window(window_no, barrier, inbound, log.windows[:-1])
             moved = moved or any(inbound.values())
-            if router is not None and _wedged(done, idle, router, moved):
+            if _wedged(done, idle, router, moved):
                 raise FabricWedgedError(done=done, idle=idle,
                                         pending=router.pending_by_shard())
         watchdog.assert_drained(barrier, heartbeats)
@@ -654,7 +628,6 @@ def merge_reports(reports: Sequence[ServeReport],
 
 
 def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
-                sync_window_ns: Optional[float] = None,
                 supervisor: Optional[SupervisorConfig] = None,
                 controller=None, engine: str = "event",
                 adaptive: bool = True,
@@ -663,14 +636,12 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
 
     ``jobs`` — 1 = in-process (the bit-identity reference), >1 = one
     worker process per shard (``None``/0, the default, is the same).
-    ``sync_window_ns`` defaults to 200 µs for independent shards, and
-    to the topology's tightest
-    *machine-to-machine* link latency when the plan carries cross-shard
-    traffic — LB links are excluded because the LB only originates
+    The fabric is ``plan.topology``, or a uniform
+    :class:`~repro.sim.xshard.ShardTopology` over the plan's shards;
+    the sync window is its tightest *machine-to-machine* link latency
+    — LB links are excluded because the LB only originates
     barrier-clocked control messages, never mid-window traffic
-    (:meth:`~repro.sim.xshard.ShardTopology.min_fabric_latency_ns`);
-    an explicit window wider than that latency is rejected — it would
-    silently break the one-window delivery guarantee.
+    (:meth:`~repro.sim.xshard.ShardTopology.min_fabric_latency_ns`).
 
     ``controller`` is an optional cluster scheduler
     (:class:`repro.cluster.ClusterScheduler`): at every closed barrier
@@ -690,27 +661,13 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
     counters join the merged report, and the conservation watchdog
     audits every window either way.
     """
-    topology = plan.resolved_topology()
+    topology = plan.topology or ShardTopology.uniform(
+        [s.name for s in plan.shards])
+    sync_window_ns = topology.min_fabric_latency_ns()
     injector = None
     if plan.chaotic:
         injector = ClusterInjector(plan.cluster_faults,
                                    [s.name for s in plan.shards], topology)
-    if controller is not None and topology is None:
-        raise ValueError(
-            "a cluster controller needs a fabric: give the plan a "
-            "topology (or exports/cluster faults that default one)")
-    if sync_window_ns is None:
-        sync_window_ns = (topology.min_fabric_latency_ns()
-                          if topology is not None else 200_000.0)
-    if sync_window_ns <= 0:
-        raise ValueError(f"sync window must be positive: {sync_window_ns}")
-    if (topology is not None
-            and sync_window_ns > topology.min_fabric_latency_ns()):
-        raise ValueError(
-            f"sync_window_ns={sync_window_ns} exceeds the shortest "
-            f"machine-to-machine link latency "
-            f"({topology.min_fabric_latency_ns()} ns): the one-window "
-            "delivery guarantee would not hold")
     shards = plan.shards
     fault_timeout_ns = None
     if injector is not None:
@@ -739,7 +696,7 @@ def run_sharded(plan: ShardPlan, jobs: Optional[int] = None,
     if cfg.checkpoint_dir:
         log.save(cfg.checkpoint_dir)
     session_args = (options, topology, injector, fault_timeout_ns)
-    lockstep = dict(sync_window_ns=sync_window_ns, topology=topology,
+    lockstep = dict(topology=topology,
                     injector=injector, cfg=cfg, log=log,
                     incidents=incidents, resumed=resumed,
                     controller=controller)

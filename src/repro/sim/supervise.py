@@ -126,8 +126,7 @@ class SupervisorConfig:
 # -- the event-sourced checkpoint -------------------------------------------------
 
 
-def plan_fingerprint(plan, sync_window_ns: Optional[float],
-                     options: Dict) -> str:
+def plan_fingerprint(plan, sync_window_ns: float, options: Dict) -> str:
     """Identity of a sharded run for checkpoint-compatibility checks.
 
     Covers everything that determines worker behavior: the shard specs

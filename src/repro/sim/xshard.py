@@ -10,17 +10,17 @@ during window *W+1*, at its physical arrival instant
 (``send_ns + link latency``) with URGENT priority.
 
 The guarantee holds because the barrier protocol only exchanges
-messages at window boundaries: as long as every inter-shard link's
-latency is at least ``sync_window_ns`` (validated by
-:func:`repro.sim.shard.run_sharded`), no message can need to arrive
-inside the window it was sent in, so advancing all shards one window at
-a time never delivers late.  ``jobs=1`` runs the identical exchange
+messages at window boundaries, and :func:`repro.sim.shard.run_sharded`
+makes the window the tightest machine-to-machine link latency
+(:meth:`ShardTopology.min_fabric_latency_ns`): no message can need to
+arrive inside the window it was sent in, so advancing all shards one
+window at a time never delivers late.  ``jobs=1`` runs the identical exchange
 in-process and is the bit-identity reference for the multiprocess path.
 
 Pieces:
 
-* :class:`ShardTopology` — inter-shard link latencies (uniform by
-  default; derivable from a testbed's fabric spec).
+* :class:`ShardTopology` — inter-shard link latencies (uniform unless
+  overridden per link).
 * :class:`CrossTraffic` — a declarative export: which tenant's traffic
   leaves its home shard, to where, and how (``"bulk"`` completion
   shipping or ``"failover"`` remote host-ward relay).
@@ -91,7 +91,7 @@ class ShardTopology:
     #: other (so links to/from it have latencies and ctl messages can
     #: be addressed from it) but it hosts no serving machine: no shard
     #: worker runs for it and no cross-shard *traffic* transits it, so
-    #: its links are excluded from the ``sync_window_ns`` derivation —
+    #: its links are excluded from the sync-window derivation —
     #: see :meth:`min_fabric_latency_ns`.
     lb: Optional[str] = None
 
@@ -118,16 +118,6 @@ class ShardTopology:
                 ) -> "ShardTopology":
         return cls(shards=tuple(shards), link_latency_ns=link_latency_ns)
 
-    @classmethod
-    def from_testbed(cls, testbed, shards: Sequence[str],
-                     hops: int = 3) -> "ShardTopology":
-        """Derive link latency from the testbed fabric: ``hops``
-        switch+cable traversals between two machines' ports."""
-        if hops < 1:
-            raise ValueError(f"need >= 1 fabric hop: {hops}")
-        return cls(shards=tuple(shards),
-                   link_latency_ns=hops * testbed.fabric.one_way_latency())
-
     def latency_ns(self, src: str, dst: str) -> float:
         for name in (src, dst):
             if name not in self.shards:
@@ -146,8 +136,8 @@ class ShardTopology:
         return tuple(s for s in self.shards if s != self.lb)
 
     def min_fabric_latency_ns(self) -> float:
-        """The tightest *machine-to-machine* link — the real ceiling for
-        ``sync_window_ns``.
+        """The tightest *machine-to-machine* link — the lockstep sync
+        window.
 
         One-window delivery requires every link that carries messages
         sent *mid-window* to be at least one window long.  Machine

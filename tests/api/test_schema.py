@@ -6,8 +6,9 @@ import pathlib
 
 import pytest
 
-from repro.api.schema import (ClusterScenario, MachineDoc, SchedulerDoc,
-                              SchemaError, TenantDoc)
+from repro.api.schema import (ClusterScenario, ExportDoc, MachineDoc,
+                              SchedulerDoc, SchemaError, TenantDoc)
+from repro.codec import encode
 from repro.faults import FaultPlan
 from repro.workloads.population import PopulationSpec, RandomVar
 
@@ -147,8 +148,49 @@ def test_malformed_documents_fail_at_their_json_path(where, value, path):
     assert str(exc.value).startswith(f"{path}: ")
 
 
+def _exporting(machine, export):
+    raw = copy.deepcopy(_DOC)
+    tenant = raw["tenants"][0]
+    if machine is not None:
+        tenant["machine"] = machine
+    tenant["export"] = export
+    return raw
+
+
+def test_export_decodes_and_encodes():
+    doc = ClusterScenario.from_dict(
+        _exporting("m00", {"to": "m01", "kind": "failover"}))
+    assert doc.tenants[0].export == ExportDoc(to="m01", kind="failover")
+    assert encode(doc)["tenants"][0]["export"] == {"to": "m01",
+                                                   "kind": "failover"}
+    assert ClusterScenario.from_json(doc.to_json()) == doc
+    bulk = ClusterScenario.from_dict(_exporting("m00", {"to": "m01"}))
+    assert bulk.tenants[0].export.kind == "bulk"
+    assert bulk.tenants[0].export.to_cross_traffic("t0").dst_shard == "m01"
+
+
+@pytest.mark.parametrize("machine, export, path, problem", [
+    (None, {"to": "m01"}, "tenants[0].export", "pinned"),
+    ("m00", {"to": "nope"}, "tenants[0].export.to", "unknown machine"),
+    ("m00", {"to": "m00"}, "tenants[0].export.to", "own machine"),
+    ("m00", {"to": "m01", "kind": "teleport"}, "tenants[0].export",
+     "unknown cross-traffic kind"),
+    ("m00", {"to": "m01", "knd": "bulk"}, "tenants[0].export.knd",
+     "unknown field"),
+    ("m00", {"kind": "bulk"}, "tenants[0].export.to", "required"),
+], ids=["unpinned", "unknown-machine", "own-machine", "kind", "typo",
+        "no-destination"])
+def test_export_refusals_name_their_json_path(machine, export, path,
+                                              problem):
+    with pytest.raises(SchemaError) as exc:
+        ClusterScenario.from_dict(_exporting(machine, export))
+    assert exc.value.path == path
+    assert problem in str(exc.value)
+
+
 @pytest.mark.parametrize("name, cls", [
     ("examples/rack_scenario.json", ClusterScenario),
+    ("examples/ring_scenario.json", ClusterScenario),
     ("perfbench/rack.json", ClusterScenario),
     ("examples/cluster_chaos.json", FaultPlan),
 ])

@@ -18,13 +18,13 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api.schema import (ClusterScenario, MachineDoc, SchedulerDoc,
-                              SchemaError, TenantDoc)
-from repro.cluster import ClusterReport, run_cluster
+from repro.api.schema import (ClusterScenario, ExportDoc, MachineDoc,
+                              SchedulerDoc, SchemaError, TenantDoc)
+from repro.cluster import ClusterReport, compile_scenario, run_cluster
 from repro.faults.plan import FaultPlan
 from repro.sched.serve import mixed_tenant_workload
-from repro.sim.shard import ShardPlan, run_sharded
-from repro.sim.xshard import ShardTopology
+from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
+from repro.sim.xshard import CrossTraffic, ShardTopology
 from repro.stats.invariants import check_report, violations
 from repro.units import GB
 from repro.workloads.population import PopulationSpec, RandomVar
@@ -44,8 +44,8 @@ _CHAOS = FaultPlan.from_dict({
 
 def _parity_scenario(faults=_CHAOS):
     """The PR-8 four-tenant chaos run, spelled as a scenario document:
-    empty population plan, every tenant pinned where ``partition``
-    would put it."""
+    empty population plan, every tenant pinned where dealing them out
+    in turn over two machines would put it."""
     specs = mixed_tenant_workload(duration_ns=_DURATION)
     pins = {"alpha": "shard0", "delta": "shard0",
             "beta": "shard1", "gamma": "shard1"}
@@ -71,7 +71,8 @@ def _reference_plan(scenario):
         dataclasses.replace(
             t, ingress_ns=0.0 if t.bulk else scenario.ingress_ns)
         for t in specs)
-    base = ShardPlan.partition(adjusted, 2)
+    shards = tuple(ShardSpec(name=f"shard{i}", tenants=adjusted[i::2])
+                   for i in range(2))
     links = {}
     for shard in ("shard0", "shard1"):
         links[("lb", shard)] = scenario.lb_latency_ns
@@ -79,7 +80,7 @@ def _reference_plan(scenario):
     topology = ShardTopology(shards=("shard0", "shard1", "lb"),
                              link_latency_ns=scenario.link_latency_ns,
                              overrides=links, lb="lb")
-    return ShardPlan(shards=base.shards, topology=topology,
+    return ShardPlan(shards=shards, topology=topology,
                      cluster_faults=scenario.faults)
 
 
@@ -94,6 +95,43 @@ def test_empty_population_plan_reproduces_cluster_chaos_bytes():
             == [d.as_tuple() for d in direct.decisions])
     assert report.elapsed_ns == direct.elapsed_ns
     assert report.cluster_decisions == []
+
+
+def test_bulk_export_ships_over_the_fabric_at_any_jobs():
+    """A pinned tenant's ``export`` compiles to its machine's shard
+    exports: gamma's bulk completions cross the fabric, and worker
+    processes reproduce the in-process run."""
+    scenario = _parity_scenario(faults=None)
+    scenario = dataclasses.replace(
+        scenario, scheduler=SchedulerDoc(migrate=False),
+        tenants=tuple(dataclasses.replace(t, export=ExportDoc(to="shard0"))
+                      if t.name == "gamma" else t
+                      for t in scenario.tenants))
+    plan = compile_scenario(scenario)[0]
+    assert [s.exports for s in plan.shards] == [
+        (), (CrossTraffic("gamma", "shard0", "bulk"),)]
+    lone = run_cluster(scenario, jobs=1)
+    many = run_cluster(scenario, jobs=2)
+    assert lone.counters["xshard.sent"] > 0
+    assert lone.counters["xshard.delivered"] == lone.counters["xshard.sent"]
+    assert lone.tenants == many.tenants
+    assert lone.counters == many.counters
+    assert ([d.as_tuple() for d in lone.decisions]
+            == [d.as_tuple() for d in many.decisions])
+
+
+def test_export_to_a_machine_without_tenants_is_refused():
+    """Placement leaves ``shard1`` empty, so nothing would run there to
+    take the exported traffic: refused at the export's JSON path."""
+    scenario = _parity_scenario(faults=None)
+    scenario = dataclasses.replace(scenario, tenants=tuple(
+        dataclasses.replace(t, machine="shard0",
+                            export=(ExportDoc(to="shard1")
+                                    if t.name == "gamma" else None))
+        for t in scenario.tenants))
+    with pytest.raises(SchemaError, match="hosts no tenant") as exc:
+        compile_scenario(scenario)
+    assert exc.value.path == "tenants[3].export.to"
 
 
 def _hot_cold_scenario(seed):

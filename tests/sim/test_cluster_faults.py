@@ -19,6 +19,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import compile_scenario, run_cluster
 from repro.faults.plan import (FabricDelay, FabricLoss, FabricPartition,
                                FabricReorder, FaultPlan, MachineCrash,
                                PacketLoss, is_cluster_fault)
@@ -30,13 +31,14 @@ _DURATION = 160_000.0
 
 
 def _plan(seed=0):
-    plan, _chaos = cluster_chaos_scenario(duration_ns=_DURATION, seed=seed)
-    return plan
+    """The family's document, compiled, without its chaos plan."""
+    scenario = cluster_chaos_scenario(duration_ns=_DURATION, seed=seed)
+    plan = compile_scenario(scenario)[0]
+    return dataclasses.replace(plan, cluster_faults=None)
 
 
 def _chaos(seed=0):
-    _plan_, chaos = cluster_chaos_scenario(duration_ns=_DURATION, seed=seed)
-    return chaos
+    return cluster_chaos_scenario(duration_ns=_DURATION, seed=seed).faults
 
 
 def _digest(report, counters=True):
@@ -159,6 +161,18 @@ def test_cluster_crosscheck_family_passes():
     assert result.ok, result.failures()
     assert [name for name, _ok, _d in result.clauses] == [
         "jobs-identity", "empty-plan-baseline", "kill-respawn"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cluster_fault_family_is_not_vacuous(seed):
+    """The family's chaotic run, at ``repro validate``'s defaults, puts
+    messages on the fabric and the chaos plan drops some of them: the
+    jobs/kill identities compare runs that really exercise it."""
+    scenario = cluster_chaos_scenario(seed=seed)
+    assert not scenario.scheduler.migrate
+    counters = run_cluster(scenario, jobs=1).counters
+    assert counters["xshard.sent"] > 0
+    assert counters["cluster.dropped"] > 0
 
 
 def test_machine_crash_loses_requests_instead_of_hanging():

@@ -37,7 +37,10 @@ FAMILY_PINS = {
     "packet-loss": "ccfbe36f4f83a8c1",
     "fault-transient": "4b3089ddee853825",
 }
-SHARDED_PIN = "9e8f6c7d0745be68"
+#: Every sharded run has a fabric, so its decisions name their shard
+#: (``Decision.machine``); with the labels blanked this run hashes to
+#: 9e8f6c7d0745be68, the pin from when a fabric-less plan left them "".
+SHARDED_PIN = "f08fc4e7b023ae55"
 RACK_PIN = "168ba64538959f20"
 
 
@@ -93,6 +96,7 @@ def test_two_shard_hybrid_serve_pinned_and_jobs_invariant():
     par = run_sharded(_two_shard_plan(), jobs=2, engine="hybrid")
     assert seq.hybrid_stats["analytic_completions"] > 0
     assert _report_material(par) == _report_material(seq)
+    assert {d.machine for d in seq.decisions} == {"m0", "m1"}
     assert _sha(_report_material(seq)) == SHARDED_PIN
 
 

@@ -6,14 +6,12 @@ one-window delivery guarantee never rides on an LB hop.  The window
 floor therefore comes from the tightest machine-to-machine link
 (``min_fabric_latency_ns``), not the tightest link anywhere
 (``min_latency_ns``); deriving it from the latter would let a fast LB
-hop force needless extra barriers (and reject perfectly valid explicit
-windows).
+hop force needless extra barriers.
 """
 
-import pytest
-
 from repro.sched.serve import mixed_tenant_workload
-from repro.sim.shard import ShardPlan, run_sharded
+from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
+from repro.sim.supervise import SupervisorConfig, WindowLog
 from repro.sim.xshard import ShardTopology
 
 _LB_LINKS = {("lb", "shard0"): 5_000.0, ("shard0", "lb"): 5_000.0,
@@ -39,14 +37,17 @@ def test_fabric_floor_without_lb_matches_min_latency():
     assert topo.min_fabric_latency_ns() == topo.min_latency_ns() == 25_000.0
 
 
-def test_explicit_window_judged_against_fabric_links():
-    base = ShardPlan.partition(mixed_tenant_workload(duration_ns=60_000.0),
-                               2)
-    plan = ShardPlan(shards=base.shards, topology=_lb_topology())
-    # Regression: the 25 µs window is exactly the machine-to-machine
-    # latency and must be accepted even though the LB hop is 5 µs.
-    report = run_sharded(plan, jobs=1, sync_window_ns=25_000.0)
+def test_run_window_is_the_fabric_floor(tmp_path):
+    """Regression: with a 5 µs LB hop and 25 µs machine links, the run
+    advances in 25 µs windows (the journal's header records them)."""
+    tenants = mixed_tenant_workload(duration_ns=60_000.0)
+    plan = ShardPlan(shards=(ShardSpec("shard0", tenants[:2]),
+                             ShardSpec("shard1", tenants[2:])),
+                     topology=_lb_topology())
+    report = run_sharded(plan, jobs=1, supervisor=SupervisorConfig(
+        checkpoint_dir=str(tmp_path)))
     assert report.tenants
-    # Wider than the fabric links still breaks one-window delivery.
-    with pytest.raises(ValueError, match="machine-to-machine"):
-        run_sharded(plan, jobs=1, sync_window_ns=30_000.0)
+    log = WindowLog.load(str(tmp_path))
+    assert log.sync_window_ns == 25_000.0
+    assert [barrier for barrier, _ in log.windows][:2] == [25_000.0,
+                                                           50_000.0]

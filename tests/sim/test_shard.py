@@ -22,6 +22,10 @@ def _tenants(seed=0, suffix=""):
                  for t in specs)
 
 
+def _one_shard_plan(tenants):
+    return ShardPlan(shards=(ShardSpec("shard0", tuple(tenants)),))
+
+
 def _two_shard_plan():
     return ShardPlan(shards=(ShardSpec("m0", _tenants()),
                              ShardSpec("m1", _tenants(suffix="2"))))
@@ -37,13 +41,6 @@ def _decisions(report):
     return [d.as_tuple() for d in report.decisions]
 
 
-def test_partition_round_robins_and_names():
-    plan = ShardPlan.partition(_tenants(), 2)
-    assert [s.name for s in plan.shards] == ["shard0", "shard1"]
-    sizes = [len(s.tenants) for s in plan.shards]
-    assert sum(sizes) == 4 and max(sizes) - min(sizes) <= 1
-
-
 def test_plan_rejects_duplicate_tenants_and_empty_shards():
     with pytest.raises(ValueError, match="appears in shards"):
         ShardPlan(shards=(ShardSpec("m0", _tenants()),
@@ -55,15 +52,28 @@ def test_plan_rejects_duplicate_tenants_and_empty_shards():
 
 
 def test_run_sharded_rejects_unshardable_kwargs():
-    """Tracing is not a sharded option, and faults are per shard: both
-    are refused as unknown keywords."""
+    """Tracing is not a sharded option, faults are per shard, and the
+    sync window is the fabric's: all are refused as unknown keywords."""
     plan = ShardPlan(shards=(ShardSpec("m0", _tenants()),))
     with pytest.raises(TypeError, match="trace"):
         run_sharded(plan, trace=True)
     with pytest.raises(TypeError, match="faults"):
         run_sharded(plan, faults=None)
-    with pytest.raises(ValueError, match="sync window"):
-        run_sharded(plan, sync_window_ns=0.0)
+    with pytest.raises(TypeError, match="sync_window_ns"):
+        run_sharded(plan, sync_window_ns=25_000.0)
+
+
+def test_plan_without_topology_runs_a_uniform_fabric():
+    """Every sharded run has a fabric: a plan without a topology runs
+    exactly as it does under an explicit uniform one."""
+    plan = _two_shard_plan()
+    explicit = dataclasses.replace(
+        plan, topology=ShardTopology.uniform(["m0", "m1"]))
+    default = run_sharded(plan, jobs=1)
+    uniform = run_sharded(explicit, jobs=1)
+    assert _key(default) == _key(uniform)
+    assert _decisions(default) == _decisions(uniform)
+    assert default.counters == uniform.counters
 
 
 def test_multiprocess_matches_inprocess_bit_for_bit():
@@ -79,12 +89,16 @@ def test_multiprocess_matches_inprocess_bit_for_bit():
 def test_single_shard_matches_unsharded_run():
     """A one-shard lockstep run is the unsharded run, field for field,
     on both engines, adaptive and static: ``elapsed_ns`` is the drain
-    instant, not the last barrier."""
+    instant, not the last barrier.  The one difference is that its
+    decisions name their machine, ``shard0``."""
     for engine in ("event", "hybrid"):
         for adaptive in (True, False):
-            solo = run_sharded(ShardPlan.partition(_tenants(), 1),
+            solo = run_sharded(_one_shard_plan(_tenants()),
                                engine=engine, adaptive=adaptive)
             plain = run_serve(_tenants(), engine=engine, adaptive=adaptive)
+            plain.decisions = [dataclasses.replace(d, machine="shard0")
+                               for d in plain.decisions]
+            assert not adaptive or plain.decisions
             for f in dataclasses.fields(plain):
                 assert getattr(solo, f.name) == getattr(plain, f.name), \
                     (engine, adaptive, f.name)
@@ -161,28 +175,23 @@ def test_cross_shard_failover_serves_remotely():
 
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=64),
-       window=st.sampled_from([6_250.0, 12_500.0, 25_000.0]))
-def test_cross_shard_multiprocess_bit_identical(seed, window):
-    """Property: with live cross-shard traffic, worker processes and
-    any admissible sync window reproduce the in-process reference
-    bit-for-bit (counts, latencies, decisions, fabric counters)."""
-    seq = run_sharded(_cross_plan(seed, duration=200_000.0), jobs=1,
-                      sync_window_ns=window)
-    par = run_sharded(_cross_plan(seed, duration=200_000.0), jobs=2,
-                      sync_window_ns=window)
+       latency=st.sampled_from([6_250.0, 12_500.0, 25_000.0]))
+def test_cross_shard_multiprocess_bit_identical(seed, latency):
+    """Property: with live cross-shard traffic, worker processes
+    reproduce the in-process reference bit-for-bit (counts, latencies,
+    decisions, fabric counters) at any fabric latency, and so at any
+    sync window."""
+    plan = dataclasses.replace(
+        _cross_plan(seed, duration=200_000.0),
+        topology=ShardTopology.uniform(["m0", "m1"], latency))
+    seq = run_sharded(plan, jobs=1)
+    par = run_sharded(plan, jobs=2)
     assert _key(par) == _key(seq)
     assert _decisions(par) == _decisions(seq)
     assert {k: v for k, v in par.counters.items()
             if k.startswith("xshard.")} \
         == {k: v for k, v in seq.counters.items()
             if k.startswith("xshard.")}
-
-
-def test_sync_window_wider_than_link_latency_rejected():
-    with pytest.raises(ValueError, match="one-window delivery"):
-        run_sharded(_cross_plan(), sync_window_ns=30_000.0)
-    # Defaults clamp to the tightest link, so this runs fine.
-    run_sharded(_cross_plan(crash=False), jobs=1)
 
 
 def test_plan_rejects_bad_exports_and_duplicate_shards():

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from repro.cluster import compile_scenario
 from repro.net.topology import paper_testbed
 from repro.sim import supervise
 from repro.sim.crosscheck import cluster_chaos_scenario
@@ -20,8 +21,13 @@ _DURATION = 160_000.0
 
 
 def _chaotic_plan(seed=0):
-    plan, chaos = cluster_chaos_scenario(duration_ns=_DURATION, seed=seed)
-    return dataclasses.replace(plan, cluster_faults=chaos)
+    """The cluster-fault family's document, compiled with its chaos."""
+    return compile_scenario(
+        cluster_chaos_scenario(duration_ns=_DURATION, seed=seed))[0]
+
+
+def _pristine_plan():
+    return dataclasses.replace(_chaotic_plan(), cluster_faults=None)
 
 
 def _digest(report):
@@ -34,7 +40,7 @@ def _digest(report):
 
 
 def test_worker_exception_ships_shard_name_and_traceback():
-    plan, _ = cluster_chaos_scenario(duration_ns=_DURATION)
+    plan = _pristine_plan()
     with pytest.raises(ShardWorkerError) as err:
         run_sharded(plan, jobs=2, engine="bogus")
     assert err.value.shard in {s.name for s in plan.shards}
@@ -110,7 +116,8 @@ def test_window_log_load_drops_only_a_torn_final_line(tmp_path):
 
 
 def test_plan_fingerprint_tracks_run_identity():
-    plan, chaos = cluster_chaos_scenario(duration_ns=_DURATION)
+    plan = _pristine_plan()
+    chaos = _chaotic_plan().cluster_faults
     base = plan_fingerprint(plan, 25_000.0, {})
     assert base == plan_fingerprint(plan, 25_000.0, {})
     assert base != plan_fingerprint(plan, 50_000.0, {})

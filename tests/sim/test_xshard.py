@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.net.topology import paper_testbed
 from repro.sim.xshard import (CrossTraffic, ShardChannel, ShardMessage,
                               ShardRouter, ShardTopology)
 
@@ -39,16 +38,6 @@ def test_topology_validates():
         ShardTopology(shards=("a", "b"), overrides={("a", "zz"): 1.0})
     with pytest.raises(ValueError, match="positive"):
         ShardTopology(shards=("a", "b"), overrides={("a", "b"): -1.0})
-
-
-def test_topology_from_testbed_scales_with_hops():
-    testbed = paper_testbed()
-    one = ShardTopology.from_testbed(testbed, ["a", "b"], hops=1)
-    three = ShardTopology.from_testbed(testbed, ["a", "b"], hops=3)
-    assert one.link_latency_ns == testbed.fabric.one_way_latency()
-    assert three.link_latency_ns == 3 * one.link_latency_ns
-    with pytest.raises(ValueError, match="hop"):
-        ShardTopology.from_testbed(testbed, ["a", "b"], hops=0)
 
 
 def test_single_shard_topology_min_latency_falls_back():

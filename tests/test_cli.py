@@ -419,9 +419,10 @@ def test_serve_command_static_json(capsys):
 
 
 @pytest.mark.parametrize("flag", [
-    ["--static"], ["--fault-plan", "plan.json"], ["--shards", "3"],
-    ["--cross-traffic"], ["--duration", "5"], ["--seed", "9"],
-    ["--fault-seed", "1"], ["--duration", "1500000"], ["--seed", "0"]])
+    ["--static"], ["--fault-plan", "plan.json"], ["--fault-seed", "0"],
+    ["--fault-plan", "examples/cluster_chaos.json"], ["--duration", "5"],
+    ["--seed", "9"], ["--fault-seed", "1"], ["--duration", "1500000"],
+    ["--seed", "0"]])
 def test_serve_cluster_rejects_flags_it_ignores(capsys, flag):
     # Checked before the scenario document is read or any run starts;
     # an explicit default value is refused too.
@@ -429,6 +430,17 @@ def test_serve_cluster_rejects_flags_it_ignores(capsys, flag):
                        "examples/rack_scenario.json", *flag)
     assert code == 1
     assert f"{flag[0]} does not apply to --cluster" in err
+
+
+@pytest.mark.parametrize("flag", [["--shards", "2"], ["--cross-traffic"]])
+def test_serve_has_no_machine_partition_flags(capsys, flag):
+    # Several machines are a --cluster document; the flags that dealt
+    # the built-in mix over machines are gone.
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in \
+        capsys.readouterr().err
 
 
 def test_serve_engine_flag_overrides_a_hybrid_document(capsys, tmp_path,

@@ -42,7 +42,8 @@ REPRO_EXPORTS = [
     "paper_testbed",
 ]
 
-API_EXPORTS = ["ClusterScenario", "MachineDoc", "SchedulerDoc", "TenantDoc"]
+API_EXPORTS = ["ClusterScenario", "ExportDoc", "MachineDoc", "SchedulerDoc",
+               "TenantDoc"]
 
 # The kernel keeps what the simulator runs: no interrupts, no LOW
 # priority, no rate or time-weighted monitors.
@@ -126,19 +127,23 @@ def test_shard_entry_snapshot():
     from repro.sim.shard import merge_reports, run_sharded
 
     assert _params(run_sharded) == [
-        "plan", "jobs", "sync_window_ns", "supervisor", "controller",
-        "engine", "adaptive", "testbed"]
+        "plan", "jobs", "supervisor", "controller", "engine", "adaptive",
+        "testbed"]
     assert _params(merge_reports) == ["reports", "names"]
 
 
 def test_cluster_entry_snapshot():
     """A rack, seed, placement, migration or engine change is an edit of
     the scenario document, never a keyword of the runner."""
-    from repro.cluster import compile_scenario, run_cluster
+    from repro.cluster import ClusterScheduler, compile_scenario, run_cluster
 
     assert _params(run_cluster) == ["scenario", "jobs", "testbed",
                                     "supervisor"]
     assert _params(compile_scenario) == ["scenario", "testbed"]
+    # Offload slack and target pressure are module constants.
+    assert _params(ClusterScheduler) == [
+        "specs", "home", "topology", "injector", "patience",
+        "cooldown_windows", "min_samples"]
 
 
 def test_kernel_option_snapshot():
