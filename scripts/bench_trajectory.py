@@ -295,7 +295,6 @@ def shard_scaling_bench(duration_ns: float = SHARD_DURATION_NS,
 
     from repro.sched.serve import mixed_tenant_workload
     from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
-    from repro.sim.xshard import CrossTraffic
 
     n_shards = max(jobs)
 
@@ -307,9 +306,8 @@ def shard_scaling_bench(duration_ns: float = SHARD_DURATION_NS,
                 replace(t, name=f"{t.name}-{i}", seed=t.seed + 37 * i)
                 for t in mixed_tenant_workload(duration_ns=duration_ns,
                                                seed=0))
-            exports = tuple(
-                CrossTraffic(t.name, names[(i + 1) % n_shards], "bulk")
-                for t in tenants if t.bulk)
+            exports = {t.name: names[(i + 1) % n_shards]
+                       for t in tenants if t.bulk}
             shards.append(ShardSpec(name=names[i], tenants=tenants,
                                     exports=exports))
         return ShardPlan(shards=tuple(shards))

@@ -3,9 +3,10 @@
 
 Runs every entry point in this process under a ``sys.setprofile``
 hook: the examples, a set of CLI invocations covering every
-subcommand (``serve`` in eight modes: the built-in mix, and scenario
-documents with exports, a scenario override, a chaos kill and both
-kinds of fault plan; all six sweeps, one plotted) and
+subcommand (``serve`` in eleven modes: the built-in mix, a kill with
+an incident report, and scenario documents with exports, a scenario
+override, a chaos kill, a checkpoint and its resume and both kinds of
+fault plan; all six sweeps, one plotted) and
 ``pytest benchmarks --benchmark-disable``.  Then it prints each
 function defined under ``src/repro`` whose code never ran, and a total.
 Worker processes (``--jobs N`` pools) are not traced, so the CLI calls
@@ -50,6 +51,7 @@ def _cli_invocations(tmp: pathlib.Path):
     faults.write_text(json.dumps({"seed": 3, "faults": [
         {"kind": "packet-loss", "target": "pcie1", "rate": 0.01},
         {"kind": "soc-crash", "at": 400_000.0}]}))
+    checkpoint = str(tmp / "checkpoint")
     return [
         ["paths"],
         ["latency"], ["latency", "--path", "3", "--op", "write",
@@ -70,6 +72,12 @@ def _cli_invocations(tmp: pathlib.Path):
         ["serve"], ["serve", "--static"], ["serve", "--engine", "hybrid"],
         ["serve", "--cluster", ring, "--jobs", "1", "--kill-shard",
          "shard1", "--kill-window", "2"],
+        ["serve", "--kill-shard", "shard0",
+         "--incident-report", str(tmp / "incidents.json")],
+        ["serve", "--cluster", ring, "--jobs", "1",
+         "--checkpoint-dir", checkpoint],
+        ["serve", "--cluster", ring, "--jobs", "1",
+         "--checkpoint-dir", checkpoint, "--resume"],
         ["serve", "--cluster", rack, "--jobs", "1", "--check"],
         ["serve", "--cluster", rack, "--machines", "6", "--jobs", "1"],
         ["serve", "--fault-plan", str(faults)],

@@ -15,8 +15,8 @@ front door is ``repro serve --cluster <doc.json>``, whose ``--machines``,
 and ``--cluster-fault-plan`` flags are ``dataclasses.replace`` edits of
 the document.  A document is the one way to describe several machines:
 ``repro serve`` without one serves the built-in mix on one machine.
-Pinned explicit tenants may ``export`` traffic to another machine
-(bulk completion shipping or failover relays over the fabric).
+A pinned explicit tenant may ``export`` its completions to another
+machine: each one's payload ships over the fabric to that host.
 Compilation to an executable :class:`~repro.sim.shard.ShardPlan` lives
 in :mod:`repro.cluster.run` — this module is pure description.
 
@@ -41,7 +41,6 @@ from repro.codec import SchemaError, decode, encode
 from repro.faults.plan import FaultPlan
 from repro.sched.serve import ENGINE_CHOICES
 from repro.sched.tenant import TenantSpec
-from repro.sim.xshard import CrossTraffic
 from repro.units import GB
 from repro.workloads.population import PopulationSpec, tenant_spec
 
@@ -95,22 +94,13 @@ class SchedulerDoc:
 
 @dataclass(frozen=True)
 class ExportDoc:
-    """A pinned tenant's traffic to another machine over the fabric.
+    """A pinned tenant's bulk export to another machine.
 
-    ``{"to": "shard1", "kind": "bulk"}`` ships every completion's
-    payload to ``shard1``'s host; ``"failover"`` relays the tenant's
-    requests through that host while its lease is degraded (see
-    :class:`~repro.sim.xshard.CrossTraffic`).
+    ``{"to": "shard1"}`` ships every completion's payload over the
+    fabric to ``shard1``'s host, which serves it and acks back.
     """
 
     to: str
-    kind: str = "bulk"
-
-    def __post_init__(self):
-        self.to_cross_traffic("")          # kind check
-
-    def to_cross_traffic(self, tenant: str) -> CrossTraffic:
-        return CrossTraffic(tenant=tenant, dst_shard=self.to, kind=self.kind)
 
 
 @dataclass(frozen=True)
@@ -120,7 +110,7 @@ class TenantDoc:
     The knobs mirror :class:`~repro.sched.tenant.TenantSpec`;
     ``machine`` optionally pins the tenant to a named machine (the
     placement policies seed pins first and pack around them), and a
-    pinned tenant may ``export`` traffic to another machine
+    pinned tenant may ``export`` its completions to another machine
     (:class:`ExportDoc`).  A doc the spec would refuse is refused when
     the doc is built.
     """

@@ -677,12 +677,6 @@ def _serve_outputs(args, report) -> Tuple[List[str], dict]:
     gbps = ", ".join(f"{path}: {rate:.1f}"
                      for path, rate in sorted(report.path_gbps.items()))
     parts = [report.table(), f"steady-state Gbps per path: {gbps}"]
-    if any(key.startswith("xshard.") for key in report.counters):
-        mean_rtt = c["xshard.rtt_ns_total"] / max(1, c["xshard.acked"])
-        parts.append(f"cross-shard fabric: {c['xshard.sent']} sent, "
-                     f"{c['xshard.served']} served remotely, "
-                     f"{c['xshard.relay_requests']} failover relays, "
-                     f"mean rtt {fmt_ns(mean_rtt)}")
     if any(key.startswith(("cluster.", "supervisor."))
            for key in report.counters):
         parts.append(

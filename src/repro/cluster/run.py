@@ -19,7 +19,7 @@ report, bit for bit, at any ``jobs``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.machine import MachineSpec
 from repro.cluster.scheduler import (ClusterDecision, ClusterScheduler,
@@ -32,7 +32,7 @@ from repro.net.topology import paper_testbed
 from repro.sched.serve import ServeReport
 from repro.sched.tenant import TenantSpec
 from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
-from repro.sim.xshard import CrossTraffic, ShardTopology
+from repro.sim.xshard import ShardTopology
 from repro.units import fmt_ns
 from repro.workloads.population import sample_population
 
@@ -149,14 +149,13 @@ def compile_scenario(scenario, testbed=None):
                                ingress_ns=scenario.ingress_ns)
     tenants: List[TenantSpec] = list(sample.tenants)
     pinned: Dict[str, str] = {}
-    exports: Dict[str, List[CrossTraffic]] = {}
+    exports: Dict[str, Dict[str, str]] = {}     # machine -> tenant -> dst
     for doc in scenario.tenants:
         tenants.append(doc.to_spec(ingress_ns=scenario.ingress_ns))
         if doc.machine is not None:
             pinned[doc.name] = doc.machine
         if doc.export is not None:
-            exports.setdefault(doc.machine, []).append(
-                doc.export.to_cross_traffic(doc.name))
+            exports.setdefault(doc.machine, {})[doc.name] = doc.export.to
     if scenario.scheduler.placement == "binpack":
         where = bin_pack_placement(tenants, specs, testbed,
                                    headroom=scenario.scheduler.headroom,
@@ -174,7 +173,7 @@ def compile_scenario(scenario, testbed=None):
                               f"machine {doc.export.to!r} hosts no tenant")
     shards = tuple(ShardSpec(name=m.name,
                              tenants=tuple(by_machine[m.name]),
-                             exports=tuple(exports.get(m.name, ())),
+                             exports=exports.get(m.name, {}),
                              nic=m.nic)
                    for m in used)
     nodes = [m.name for m in used] + [scenario.lb_name]

@@ -22,7 +22,7 @@ time).  The mapping from the paper's advice to decisions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.advisor import Advisor, OffloadPlan
 from repro.core.paths import CommPath, Opcode
@@ -108,20 +108,6 @@ class PathPolicy:
         self._last_change: Dict[str, float] = {}
 
     # -- placement ----------------------------------------------------------
-
-    @staticmethod
-    def surviving_host(preferred: str, candidates: Sequence[str]
-                       ) -> Optional[str]:
-        """Cross-machine failover target under cluster faults.
-
-        Deterministic and state-free so every shard and the lockstep
-        parent agree: the preferred destination when it survives, else
-        the first survivor in fabric order, else ``None`` (no machine
-        left — the caller falls back to whatever it has locally).
-        """
-        if preferred in candidates:
-            return preferred
-        return candidates[0] if candidates else None
 
     def place(self, spec: TenantSpec, soc_available: bool = True) -> Placement:
         """Initial placement straight from the advisor's plan."""

@@ -319,32 +319,9 @@ class ServingRuntime:
                              attempts=attempts, degraded=lease.degraded)
                 return
             if lease.degraded:
-                export = (xshard.exports.get(spec.name)
-                          if xshard is not None else None)
-                remote_dst = None
-                if export is not None and export.kind == "failover":
-                    remote_dst = xshard.failover_dst(export)
-                if remote_dst is not None:
-                    # Host-ward failover to *another machine*: the
-                    # request rides the cross-shard fabric and is
-                    # served by the destination shard's host relay;
-                    # latency includes both link traversals.  Under a
-                    # cluster fault plan the destination honors
-                    # liveness (dead machines are replaced by the
-                    # first survivor) and the wait resolves to LOST
-                    # when the ack timeout expires.
-                    outcome = yield xshard.relay_request(
-                        spec.name, remote_dst, payload)
-                    if outcome is LOST:
-                        self.cluster.bump("sched.lost")
-                        self._finish(t, seq, op, arrived_ns, ok=False,
-                                     attempts=attempts, degraded=True)
-                        return
-                else:
-                    # Host-local relay: CPU service + DRAM-speed copy.
-                    host = self.cluster.node("host")
-                    yield self.sim.timeout(relay_service_ns(host.cpu,
-                                                            payload))
+                # Host-local relay: CPU service + DRAM-speed copy.
+                host = self.cluster.node("host")
+                yield self.sim.timeout(relay_service_ns(host.cpu, payload))
                 t.degraded_served += 1
                 self._finish(t, seq, op, arrived_ns, ok=True,
                              attempts=attempts, degraded=True)
@@ -436,9 +413,8 @@ class ServingRuntime:
         self.tracker.observe(record, t.spec.payload)
         xshard = self.xshard
         if xshard is not None and ok and not degraded:
-            export = xshard.exports.get(t.spec.name)
-            if export is not None and export.kind == "bulk":
+            dst = xshard.exports.get(t.spec.name)
+            if dst is not None:
                 # Asynchronous offload shipping: the completed payload
                 # crosses the fabric to the destination shard's host.
-                xshard.ship_bulk(t.spec.name, export.dst_shard,
-                                 t.spec.payload)
+                xshard.ship_bulk(t.spec.name, dst, t.spec.payload)

@@ -228,10 +228,8 @@ def cluster_chaos_scenario(duration_ns: float = 400_000.0, seed: int = 0):
     Four machines ``shard0``…``shard3``, each with one pinned client
     tenant and one pinned bulk tenant.  ``t2b`` ships its bulk
     completions from shard2 to shard3, so the fabric carries bulk
-    messages and their acks.  ``t0b`` and ``t3b`` declare failover
-    exports, but they never relay: the machine crashes below lose a
-    dead machine's requests at dispatch (``sched.machine_lost``), and
-    a lease degrades only under an SoC crash of a live machine.  The
+    messages and their acks; the machine crashes below lose a dead
+    machine's requests at dispatch (``sched.machine_lost``).  The
     chaos plan in ``faults`` crashes two machines (one recovers), loses
     a quarter of the fabric, delays everything leaving shard2,
     partitions shard2↔shard3 for a window, and reorders deliveries into
@@ -246,9 +244,6 @@ def cluster_chaos_scenario(duration_ns: float = 400_000.0, seed: int = 0):
 
     interval_ns = 4_000.0
     requests = max(20, int(duration_ns / interval_ns / 2))
-    exports = {0: ExportDoc(to="shard1", kind="failover"),
-               2: ExportDoc(to="shard3", kind="bulk"),
-               3: ExportDoc(to="shard0", kind="failover")}
     tenants = []
     for i in range(4):
         tenants.append(TenantDoc(
@@ -260,7 +255,7 @@ def cluster_chaos_scenario(duration_ns: float = 400_000.0, seed: int = 0):
             name=f"t{i}b", payload=4096, interval_ns=interval_ns,
             requests=requests, bulk=True, slo_p99_ns=60_000.0,
             seed=seed * 100 + 20 + i, machine=f"shard{i}",
-            export=exports.get(i)))
+            export=ExportDoc(to="shard3") if i == 2 else None))
     third, two_thirds = duration_ns / 3, 2 * duration_ns / 3
     chaos = FaultPlan(faults=(
         MachineCrash(shard="shard0", at=third * 0.5, recover_at=two_thirds),

@@ -62,8 +62,9 @@ import copy
 import multiprocessing
 import traceback
 import warnings
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.faults.cluster import ClusterInjector
 from repro.faults.plan import FaultPlan
@@ -76,23 +77,22 @@ from repro.sim.supervise import (JOIN_TIMEOUT_S, KILL_GRACE_S,
                                  IncidentLog, ShardWorkerError,
                                  SupervisorConfig, WindowLog,
                                  plan_fingerprint)
-from repro.sim.xshard import (CrossTraffic, ShardChannel, ShardRouter,
-                              ShardTopology)
+from repro.sim.xshard import ShardChannel, ShardRouter, ShardTopology
 
 
 @dataclass(frozen=True)
 class ShardSpec:
     """One shard: a tenant set (and optional faults) on its own cluster.
 
-    ``exports`` declares which of this shard's tenants send traffic to
-    other machines (see :class:`~repro.sim.xshard.CrossTraffic`).
+    ``exports`` maps each of this shard's exporting tenants to the
+    machine its completions ship to (bulk shipping over the fabric).
     """
 
     name: str
     tenants: Tuple[TenantSpec, ...]
     faults: Optional[FaultPlan] = None
     fault_seed: int = 0
-    exports: Tuple[CrossTraffic, ...] = ()
+    exports: Mapping[str, str] = field(default_factory=dict)
     #: Which NIC this machine carries: ``"snic"`` (off-path SmartNIC,
     #: SoC present, all three comm paths) or ``"rnic"`` (plain RNIC —
     #: host-only, no SoC endpoints, no path-③ bulk offload).
@@ -105,21 +105,13 @@ class ShardSpec:
             raise ValueError(f"shard {self.name!r}: unknown nic "
                              f"{self.nic!r}; expected 'snic' or 'rnic'")
         names = {t.name for t in self.tenants}
-        seen = set()
-        for export in self.exports:
-            if export.tenant not in names:
-                raise ValueError(
-                    f"shard {self.name!r} exports unknown tenant "
-                    f"{export.tenant!r}")
-            if export.tenant in seen:
-                raise ValueError(
-                    f"shard {self.name!r} exports tenant "
-                    f"{export.tenant!r} twice")
-            seen.add(export.tenant)
-            if export.dst_shard == self.name:
-                raise ValueError(
-                    f"shard {self.name!r} exports {export.tenant!r} "
-                    "to itself")
+        for tenant, dst in self.exports.items():
+            if tenant not in names:
+                raise ValueError(f"shard {self.name!r} exports unknown "
+                                 f"tenant {tenant!r}")
+            if dst == self.name:
+                raise ValueError(f"shard {self.name!r} exports {tenant!r} "
+                                 "to itself")
 
 
 @dataclass(frozen=True)
@@ -157,12 +149,11 @@ class ShardPlan:
                         f"{seen[spec.name]!r} and {shard.name!r}")
                 seen[spec.name] = shard.name
         for shard in self.shards:
-            for export in shard.exports:
-                if export.dst_shard not in shard_names:
+            for tenant, dst in shard.exports.items():
+                if dst not in shard_names:
                     raise ValueError(
-                        f"shard {shard.name!r} exports "
-                        f"{export.tenant!r} to unknown shard "
-                        f"{export.dst_shard!r}")
+                        f"shard {shard.name!r} exports {tenant!r} to "
+                        f"unknown shard {dst!r}")
         if self.topology is not None:
             missing = set(shard_names) - set(self.topology.shards)
             if missing:
@@ -271,9 +262,7 @@ class _LocalShard:
             options = dict(options,
                            testbed=copy.deepcopy(options["testbed"]))
         shard = self._shard
-        channel = ShardChannel(shard.name, topology,
-                               {export.tenant: export
-                                for export in shard.exports},
+        channel = ShardChannel(shard.name, topology, shard.exports,
                                injector=injector,
                                fault_timeout_ns=fault_timeout_ns)
         return ServeSession(shard.tenants, faults=shard.faults,

@@ -21,12 +21,10 @@ Pieces:
 
 * :class:`ShardTopology` — inter-shard link latencies (uniform unless
   overridden per link).
-* :class:`CrossTraffic` — a declarative export: which tenant's traffic
-  leaves its home shard, to where, and how (``"bulk"`` completion
-  shipping or ``"failover"`` remote host-ward relay).
 * :class:`ShardChannel` — the per-shard endpoint: apps send through
   it, the lockstep driver drains its outbox at each barrier and hands
-  it inbound messages to inject.
+  it inbound messages to inject.  Its ``exports`` map a tenant to the
+  machine whose host each of its completions ships to (bulk shipping).
 * :class:`ShardRouter` — the parent-side exchange: routes collected
   outboxes to destination inboxes in a deterministic order.
 """
@@ -50,34 +48,6 @@ DEFAULT_LINK_LATENCY_NS = 25_000.0
 #: Host-relay service parallelism for *inbound* cross-shard work: how
 #: many remote relay/bulk transfers a host absorbs concurrently.
 _RELAY_UNITS = 4
-
-_KINDS = ("bulk", "failover")
-
-
-@dataclass(frozen=True)
-class CrossTraffic:
-    """One tenant's cross-shard export.
-
-    * ``kind="bulk"`` — every successful completion ships its payload
-      to ``dst_shard``'s host (asynchronous offload shipping; the
-      request latency is unaffected, the remote host pays service and
-      an ack travels back for round-trip accounting).
-    * ``kind="failover"`` — while the tenant's lease is *degraded*
-      (its SoC crashed), relay requests are served by ``dst_shard``'s
-      host instead of the local one: the worker blocks until the
-      remote ack, so request latency includes two link traversals and
-      the remote relay service.
-    """
-
-    tenant: str
-    dst_shard: str
-    kind: str = "bulk"
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown cross-traffic kind {self.kind!r}; "
-                             f"expected one of {_KINDS}")
-
 
 @dataclass(frozen=True)
 class ShardTopology:
@@ -196,7 +166,7 @@ class ShardChannel:
     """
 
     def __init__(self, shard: str, topology: ShardTopology,
-                 exports: Mapping[str, CrossTraffic] = (),
+                 exports: Mapping[str, str] = (),
                  injector=None, fault_timeout_ns: Optional[float] = None):
         if shard not in topology.shards:
             raise ValueError(f"shard {shard!r} not in topology "
@@ -215,15 +185,8 @@ class ShardChannel:
         #: behavior.  Armed only when a cluster fault plan can actually
         #: drop messages.
         self.fault_timeout_ns = fault_timeout_ns
-        self.exports: Dict[str, CrossTraffic] = dict(exports or {})
-        for name, export in self.exports.items():
-            if export.tenant != name:
-                raise ValueError(
-                    f"export key {name!r} != export tenant "
-                    f"{export.tenant!r}")
-            if export.dst_shard == shard:
-                raise ValueError(
-                    f"tenant {name!r} exports to its own shard {shard!r}")
+        #: Bulk exports: tenant -> the machine its completions ship to.
+        self.exports: Dict[str, str] = dict(exports or {})
         self._outbox: List[ShardMessage] = []
         self._ids = itertools.count(1)
         self._waiters: Dict[int, object] = {}   # msg_id -> sim Event
@@ -324,29 +287,6 @@ class ShardChannel:
             return False
         return self.injector.machine_down(
             self.shard, self.sim.now if now is None else now)
-
-    def failover_dst(self, export: CrossTraffic) -> Optional[str]:
-        """Where a ``"failover"`` relay should go, honoring liveness.
-
-        Without a cluster plan this is simply the export's configured
-        destination.  With one, a dead destination machine is replaced
-        by the first surviving shard in fabric order
-        (:meth:`repro.sched.policy.PathPolicy.surviving_host`); ``None``
-        means no machine survives and the caller must fall back to the
-        local relay."""
-        if self.injector is None:
-            return export.dst_shard
-        from repro.sched.policy import PathPolicy
-        now = self.sim.now
-        # Fabric shards only: the LB node runs no serving machine, so a
-        # relay routed there would never be taken and would wedge.
-        candidates = [s for s in self.topology.fabric_shards
-                      if s != self.shard
-                      and not self.injector.machine_down(s, now)]
-        dst = PathPolicy.surviving_host(export.dst_shard, candidates)
-        if dst is not None and dst != export.dst_shard:
-            self.cluster.bump("xshard.rerouted")
-        return dst
 
     # -- barrier protocol ---------------------------------------------------
 

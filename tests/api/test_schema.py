@@ -158,26 +158,22 @@ def _exporting(machine, export):
 
 
 def test_export_decodes_and_encodes():
-    doc = ClusterScenario.from_dict(
-        _exporting("m00", {"to": "m01", "kind": "failover"}))
-    assert doc.tenants[0].export == ExportDoc(to="m01", kind="failover")
-    assert encode(doc)["tenants"][0]["export"] == {"to": "m01",
-                                                   "kind": "failover"}
+    doc = ClusterScenario.from_dict(_exporting("m00", {"to": "m01"}))
+    assert doc.tenants[0].export == ExportDoc(to="m01")
+    assert encode(doc)["tenants"][0]["export"] == {"to": "m01"}
     assert ClusterScenario.from_json(doc.to_json()) == doc
-    bulk = ClusterScenario.from_dict(_exporting("m00", {"to": "m01"}))
-    assert bulk.tenants[0].export.kind == "bulk"
-    assert bulk.tenants[0].export.to_cross_traffic("t0").dst_shard == "m01"
 
 
 @pytest.mark.parametrize("machine, export, path, problem", [
     (None, {"to": "m01"}, "tenants[0].export", "pinned"),
     ("m00", {"to": "nope"}, "tenants[0].export.to", "unknown machine"),
     ("m00", {"to": "m00"}, "tenants[0].export.to", "own machine"),
-    ("m00", {"to": "m01", "kind": "teleport"}, "tenants[0].export",
-     "unknown cross-traffic kind"),
+    # An export is bulk shipping only: there is no "kind" to choose.
+    ("m00", {"to": "m01", "kind": "failover"}, "tenants[0].export.kind",
+     "unknown field"),
     ("m00", {"to": "m01", "knd": "bulk"}, "tenants[0].export.knd",
      "unknown field"),
-    ("m00", {"kind": "bulk"}, "tenants[0].export.to", "required"),
+    ("m00", {}, "tenants[0].export.to", "required"),
 ], ids=["unpinned", "unknown-machine", "own-machine", "kind", "typo",
         "no-destination"])
 def test_export_refusals_name_their_json_path(machine, export, path,

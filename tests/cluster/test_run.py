@@ -24,7 +24,7 @@ from repro.cluster import ClusterReport, compile_scenario, run_cluster
 from repro.faults.plan import FaultPlan
 from repro.sched.serve import mixed_tenant_workload
 from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
-from repro.sim.xshard import CrossTraffic, ShardTopology
+from repro.sim.xshard import ShardTopology
 from repro.stats.invariants import check_report, violations
 from repro.units import GB
 from repro.workloads.population import PopulationSpec, RandomVar
@@ -108,8 +108,7 @@ def test_bulk_export_ships_over_the_fabric_at_any_jobs():
                       if t.name == "gamma" else t
                       for t in scenario.tenants))
     plan = compile_scenario(scenario)[0]
-    assert [s.exports for s in plan.shards] == [
-        (), (CrossTraffic("gamma", "shard0", "bulk"),)]
+    assert [s.exports for s in plan.shards] == [{}, {"gamma": "shard0"}]
     lone = run_cluster(scenario, jobs=1)
     many = run_cluster(scenario, jobs=2)
     assert lone.counters["xshard.sent"] > 0
@@ -165,9 +164,12 @@ def test_migrating_cluster_runs_bit_identical_across_jobs(seed):
     lone = run_cluster(scenario, jobs=1)
     many = run_cluster(scenario, jobs=2)
     # The run must actually migrate: live ctl directives over the LB,
-    # remote serving over the fabric.
+    # remote serving over the fabric.  Its workers block on relay acks,
+    # the one jobs-identity case where a worker waits on the fabric.
     assert lone.counters.get("clustersched.offloads", 0) >= 1
     assert lone.counters.get("xshard.sent", 0) > 0
+    assert lone.counters.get("xshard.relay_requests", 0) > 0
+    assert lone.counters.get("sched.remote_served", 0) > 0
     assert lone.tenants == many.tenants
     assert lone.counters == many.counters
     assert ([d.as_tuple() for d in lone.cluster_decisions]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.faults.plan import FaultPlan, SocCrash
 from repro.sched.serve import mixed_tenant_workload, run_serve
 from repro.sim.shard import ShardPlan, ShardSpec, run_sharded
-from repro.sim.xshard import CrossTraffic, ShardTopology
+from repro.sim.xshard import ShardTopology
 
 _DURATION = 300_000.0
 
@@ -126,8 +126,8 @@ def test_hybrid_engine_composes_with_sharding():
 
 
 def _cross_plan(seed=0, duration=_DURATION, crash=True):
-    """Two machines: m0's gamma fails over to m1's host on SoC crash,
-    m0's beta ships bulk completions to m1, m1's gamma ships back."""
+    """Two machines: m0's SoC crashes mid-run, m0's beta ships bulk
+    completions to m1, m1's gamma ships back."""
     specs0 = mixed_tenant_workload(duration_ns=duration, seed=seed)
     specs1 = tuple(dataclasses.replace(t, name=t.name + "2",
                                        seed=t.seed + 100)
@@ -136,11 +136,8 @@ def _cross_plan(seed=0, duration=_DURATION, crash=True):
     faults = (FaultPlan(faults=(SocCrash(at=duration / 3),))
               if crash else None)
     return ShardPlan(shards=(
-        ShardSpec("m0", specs0, faults=faults,
-                  exports=(CrossTraffic("gamma", "m1", "failover"),
-                           CrossTraffic("beta", "m1", "bulk"))),
-        ShardSpec("m1", specs1,
-                  exports=(CrossTraffic("gamma2", "m0", "bulk"),)),
+        ShardSpec("m0", specs0, faults=faults, exports={"beta": "m1"}),
+        ShardSpec("m1", specs1, exports={"gamma2": "m0"}),
     ))
 
 
@@ -154,23 +151,6 @@ def test_cross_shard_traffic_flows_and_conserves():
     assert counters["xshard.acked"] == counters["xshard.served"]
     assert counters["xshard.served_bytes"] == counters["xshard.sent_bytes"]
     assert counters["xshard.rtt_ns_total"] > 0
-
-
-def test_cross_shard_failover_serves_remotely():
-    """After m0's SoC crash, gamma's degraded requests relay through
-    m1's host: latency includes two fabric traversals."""
-    remote = run_sharded(_cross_plan(), jobs=1)
-    assert remote.counters["xshard.relay_requests"] > 0
-    gamma = remote.tenants["gamma"]
-    assert gamma.degraded > 0
-    local_plan = _cross_plan()
-    local_plan = ShardPlan(shards=(
-        dataclasses.replace(local_plan.shards[0],
-                            exports=(CrossTraffic("beta", "m1", "bulk"),)),
-        local_plan.shards[1]))
-    local = run_sharded(local_plan, jobs=1)
-    rtt = 2 * ShardTopology.uniform(["m0", "m1"]).link_latency_ns
-    assert gamma.p99_ns >= local.tenants["gamma"].p99_ns + 0.9 * rtt
 
 
 @settings(max_examples=3, deadline=None)
@@ -197,17 +177,12 @@ def test_cross_shard_multiprocess_bit_identical(seed, latency):
 def test_plan_rejects_bad_exports_and_duplicate_shards():
     specs = _tenants()
     with pytest.raises(ValueError, match="unknown tenant"):
-        ShardSpec("m0", specs, exports=(CrossTraffic("nope", "m1"),))
+        ShardSpec("m0", specs, exports={"nope": "m1"})
     with pytest.raises(ValueError, match="to itself"):
-        ShardSpec("m0", specs, exports=(CrossTraffic("gamma", "m0"),))
-    with pytest.raises(ValueError, match="twice"):
-        ShardSpec("m0", specs,
-                  exports=(CrossTraffic("gamma", "m1"),
-                           CrossTraffic("gamma", "m2", "failover")))
+        ShardSpec("m0", specs, exports={"gamma": "m0"})
     with pytest.raises(ValueError, match="unknown shard"):
         ShardPlan(shards=(
-            ShardSpec("m0", specs,
-                      exports=(CrossTraffic("gamma", "elsewhere"),)),))
+            ShardSpec("m0", specs, exports={"gamma": "elsewhere"}),))
     with pytest.raises(ValueError, match="duplicate shard names"):
         ShardPlan(shards=(ShardSpec("m0", specs),
                           ShardSpec("m0", _tenants(suffix="2"))))

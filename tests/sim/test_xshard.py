@@ -2,21 +2,14 @@
 
 import pytest
 
-from repro.sim.xshard import (CrossTraffic, ShardChannel, ShardMessage,
-                              ShardRouter, ShardTopology)
+from repro.sim.xshard import (ShardChannel, ShardMessage, ShardRouter,
+                              ShardTopology)
 
 
 def _msg(src="a", dst="b", deliver=100.0, msg_id=1, kind="bulk"):
     return ShardMessage(src=src, dst=dst, kind=kind, tenant="t",
                         nbytes=64, send_ns=deliver - 50.0,
                         deliver_ns=deliver, msg_id=msg_id)
-
-
-def test_cross_traffic_validates_kind():
-    CrossTraffic("t", "m1", "bulk")
-    CrossTraffic("t", "m1", "failover")
-    with pytest.raises(ValueError, match="unknown cross-traffic kind"):
-        CrossTraffic("t", "m1", "teleport")
 
 
 def test_topology_uniform_and_overrides():
@@ -64,9 +57,5 @@ def test_channel_rejects_bad_bindings():
     topo = ShardTopology.uniform(["a", "b"])
     with pytest.raises(ValueError, match="not in topology"):
         ShardChannel("zz", topo)
-    with pytest.raises(ValueError, match="own shard"):
-        ShardChannel("a", topo, {"t": CrossTraffic("t", "a")})
-    with pytest.raises(ValueError, match="!="):
-        ShardChannel("a", topo, {"other": CrossTraffic("t", "b")})
-    channel = ShardChannel("a", topo, {"t": CrossTraffic("t", "b")})
+    channel = ShardChannel("a", topo, {"t": "b"})
     assert channel.idle

@@ -168,6 +168,19 @@ def test_supervisor_field_snapshot():
         "incident_report"]
 
 
+def test_export_surface_snapshot():
+    """An export is one bulk destination: no export kind, no second
+    in-plan form and no cross-machine failover target come back
+    unnoticed."""
+    import repro.sim.xshard as xshard
+    from repro.api import ExportDoc
+    from repro.sched.policy import PathPolicy
+
+    assert [f.name for f in dataclasses.fields(ExportDoc)] == ["to"]
+    assert not hasattr(xshard, "CrossTraffic")
+    assert not hasattr(PathPolicy, "surviving_host")
+
+
 def test_crosscheck_signature_snapshot():
     """One engine grader (``grade``); no interval-overlap sibling, suite
     runner or agreement kernel comes back unnoticed."""
